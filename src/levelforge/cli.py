@@ -9,12 +9,14 @@ count without changing outputs.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
+from random import Random
 from typing import Callable, Iterable, Iterator, Optional, Sequence, TypeVar
 
 from . import __version__
@@ -38,6 +40,7 @@ from .corpus import (
     ParaphrasePair,
     TaskLabel,
     attach_levels,
+    bucket,
     build_datasets,
     filter_pair,
     lexical_similarity,
@@ -54,10 +57,10 @@ from .dataio import (
     read_ratings_tsv,
     write_jsonl,
 )
-from .genmetrics import EvalInstance, sari, sari_r, score_report
+from .genmetrics import EvalInstance, is_copy, sari, sari_r, score_report
 from .prompts import Strategy, render_dataset
 from .readability import ComplexityLevel, Scheme, fkgl, level_of
-from .textcore import sentence_stats, tokenize
+from .textcore import sentence_stats
 
 T = TypeVar("T")
 U = TypeVar("U")
@@ -166,8 +169,6 @@ class PipelineConfig:
         )
 
     def config_hash(self) -> str:
-        import hashlib
-
         payload = json.dumps(self.__dict__, sort_keys=True, default=str)
         return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
@@ -342,8 +343,6 @@ def _read_leveled_pairs(path: str, scheme: Scheme) -> Iterator[ParaphrasePair]:
 
 
 def cmd_bucket(args: argparse.Namespace) -> int:
-    from .corpus import bucket as bucket_pair
-
     scheme = Scheme(args.scheme)
     rejected = 0
     out = _open_out(args.output)
@@ -351,7 +350,7 @@ def cmd_bucket(args: argparse.Namespace) -> int:
         def records():
             nonlocal rejected
             for pair in _read_leveled_pairs(args.input, scheme):
-                label, reason = bucket_pair(pair, scheme)
+                label, reason = bucket(pair, scheme)
                 if label is None:
                     rejected += 1
                     continue
@@ -372,8 +371,6 @@ def cmd_split(args: argparse.Namespace) -> int:
     records = [obj for _, obj in read_jsonl(args.input)]
     keyed = sorted(records, key=lambda r: str(r.get("id", "")))
     # split_dataset works over pair ids; reuse its allocation on records.
-    from random import Random
-
     Random(args.seed).shuffle(keyed)
     n = len(keyed)
     n_valid = int(n * ratios[1])
@@ -420,21 +417,34 @@ def cmd_prompt(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _eval_fields(obj: object, path: str, lineno: int) -> tuple[str, tuple[str, ...]]:
+    """(source, references) of one eval line, or ParseError at path:line."""
+    if not isinstance(obj, dict) or "source" not in obj or "references" not in obj:
+        raise ParseError(path, lineno, 'need "source" and "references"')
+    source, references = obj["source"], obj["references"]
+    if not isinstance(source, str):
+        raise ParseError(path, lineno, f'"source" must be a string, got {type(source).__name__}')
+    if (
+        not isinstance(references, list)
+        or not references
+        or not all(isinstance(r, str) for r in references)
+    ):
+        raise ParseError(path, lineno, '"references" must be a non-empty list of strings')
+    return source, tuple(references)
+
+
 def cmd_score(args: argparse.Namespace) -> int:
     with open(args.outputs, encoding="utf-8") as fh:
         outputs = [line.rstrip("\n") for line in fh]
-    refs = [obj for _, obj in read_jsonl(args.refs)]
+    refs = list(read_jsonl(args.refs))
     if len(outputs) != len(refs):
         raise DataError(
             f"line-count mismatch: {len(outputs)} outputs vs {len(refs)} eval lines"
         )
     instances = []
-    for lineno, (out_text, obj) in enumerate(zip(outputs, refs), start=1):
-        if "source" not in obj or "references" not in obj:
-            raise ParseError(args.refs, lineno, 'need "source" and "references"')
-        instances.append(
-            EvalInstance(source=obj["source"], output=out_text, references=tuple(obj["references"]))
-        )
+    for out_text, (lineno, obj) in zip(outputs, refs):
+        source, references = _eval_fields(obj, args.refs, lineno)
+        instances.append(EvalInstance(source=source, output=out_text, references=references))
     report = score_report(instances, repetition_n=args.repetition_n)
     print(json.dumps(report, sort_keys=True, indent=2))
     if args.per_instance:
@@ -443,11 +453,7 @@ def cmd_score(args: argparse.Namespace) -> int:
             for inst in instances:
                 s = sari(inst).sari
                 sr = sari_r(inst, args.repetition_n)
-                copied = int(
-                    [t.lower() for t in tokenize(inst.output)]
-                    == [t.lower() for t in tokenize(inst.source)]
-                )
-                fh.write(f"{s:.4f}\t{sr:.4f}\t{copied}\n")
+                fh.write(f"{s:.4f}\t{sr:.4f}\t{int(is_copy(inst))}\n")
     return EXIT_OK
 
 

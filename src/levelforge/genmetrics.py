@@ -10,10 +10,12 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import cached_property
+from itertools import chain
 from typing import Iterable, Sequence
 
 from .readability import corpus_fkgl
-from .textcore import ngrams, tokenize
+from .textcore import distinct_ratio, ngrams, tokenize, windows
 
 __all__ = [
     "EvalInstance",
@@ -21,10 +23,14 @@ __all__ = [
     "sari",
     "corpus_sari",
     "copy_rate",
+    "is_copy",
     "repetition_score",
     "sari_r",
     "score_report",
 ]
+
+# SARI averages n-gram orders 1..4, per the reference convention.
+_SARI_MAX_N = 4
 
 
 @dataclass(frozen=True)
@@ -38,6 +44,12 @@ class EvalInstance:
             raise ValueError("EvalInstance needs at least one reference")
         object.__setattr__(self, "references", tuple(self.references))
 
+    @cached_property
+    def _sari(self) -> "SariBreakdown":
+        # Kept on the instance so every metric of one scoring run reuses one
+        # SARI pass; the fields it derives from are frozen.
+        return _sari_kernel(self)
+
 
 @dataclass(frozen=True)
 class SariBreakdown:
@@ -48,49 +60,58 @@ class SariBreakdown:
     per_n: dict[int, tuple[float, float, float]] = field(default_factory=dict)
 
 
-def _grams(tokens: Sequence[str], n: int) -> Counter:
-    return ngrams(tokens, n)
+def _folded_tokens(text: str) -> list[str]:
+    """Case-folded tokens: the form SARI and the copy check compare."""
+    return [t.lower() for t in tokenize(text)]
 
 
 def _component_scores(
-    src: Counter, out: Counter, refs: list[Counter], numref: int
+    src: Counter, out: Counter, ref_pool: Counter, numref: int
 ) -> tuple[float, float, float]:
-    """(keep, delete, add) for one n-gram order, each in [0, 1]."""
-    ref_pool = Counter()
-    for r in refs:
-        ref_pool.update(r)
-    src_rep = Counter({g: c * numref for g, c in src.items()})
-    out_rep = Counter({g: c * numref for g, c in out.items()})
+    """(keep, delete, add) for one n-gram order, each in [0, 1].
+
+    ``ref_pool`` counts the order's n-grams over all references together.
+    """
+    # Keep and delete in one pass over the source grams. Counts are scaled
+    # by numref; terms are summed in source order, as the Counter algebra
+    # of the reference implementation visits them.
+    keep_p_terms: list[float] = []
+    keep_r_terms: list[float] = []
+    del_terms: list[float] = []
+    n_keep_cand = n_keep_all = n_del_cand = 0
+    for g, count in src.items():
+        s = count * numref
+        o = out.get(g, 0) * numref
+        r = ref_pool.get(g, 0)
+        keep_all = min(s, r)
+        if keep_all:
+            n_keep_all += 1
+        keep_cand = min(s, o)
+        if keep_cand:
+            n_keep_cand += 1
+            keep_good = min(keep_cand, r)
+            if keep_good:
+                keep_p_terms.append(keep_good / keep_cand)
+                keep_r_terms.append(keep_good / keep_all)
+        del_cand = s - o
+        if del_cand > 0:
+            n_del_cand += 1
+            del_good = del_cand - r
+            if del_good > 0:
+                del_terms.append(del_good / del_cand)
 
     # Keep: F1 over grams retained from the source.
-    keep_cand = src_rep & out_rep
-    keep_good = keep_cand & ref_pool
-    keep_all = src_rep & ref_pool
-    keep_p = (
-        sum(keep_good[g] / keep_cand[g] for g in keep_good) / len(keep_cand)
-        if keep_cand
-        else 0.0
-    )
-    keep_r = (
-        sum(keep_good[g] / keep_all[g] for g in keep_good) / len(keep_all)
-        if keep_all
-        else 0.0
-    )
+    keep_p = sum(keep_p_terms) / n_keep_cand if n_keep_cand else 0.0
+    keep_r = sum(keep_r_terms) / n_keep_all if n_keep_all else 0.0
     keep = 2 * keep_p * keep_r / (keep_p + keep_r) if keep_p + keep_r > 0 else 0.0
 
     # Delete: precision only, per the reference convention.
-    del_cand = src_rep - out_rep
-    del_good = del_cand - ref_pool
-    delete = (
-        sum(del_good[g] / del_cand[g] for g in del_good) / len(del_cand)
-        if del_cand
-        else 0.0
-    )
+    delete = sum(del_terms) / n_del_cand if n_del_cand else 0.0
 
     # Add: F1 over distinct new grams.
-    add_cand = set(out) - set(src)
-    add_good = add_cand & set(ref_pool)
-    add_all = set(ref_pool) - set(src)
+    add_cand = out.keys() - src.keys()
+    add_good = add_cand & ref_pool.keys()
+    add_all = ref_pool.keys() - src.keys()
     add_p = len(add_good) / len(add_cand) if add_cand else 0.0
     add_r = len(add_good) / len(add_all) if add_all else 0.0
     add = 2 * add_p * add_r / (add_p + add_r) if add_p + add_r > 0 else 0.0
@@ -98,24 +119,32 @@ def _component_scores(
     return keep, delete, add
 
 
-def sari(instance: EvalInstance, max_n: int = 4) -> SariBreakdown:
-    """SARI breakdown in [0, 100] for one (source, output, references) triple."""
-    src_tokens = [t.lower() for t in tokenize(instance.source)]
-    out_tokens = [t.lower() for t in tokenize(instance.output)]
-    ref_tokens = [[t.lower() for t in tokenize(r)] for r in instance.references]
+def sari(instance: EvalInstance) -> SariBreakdown:
+    """SARI breakdown in [0, 100] for one (source, output, references) triple.
+
+    Computed on the first call and kept on the instance; later calls return
+    the same breakdown.
+    """
+    return instance._sari
+
+
+def _sari_kernel(instance: EvalInstance) -> SariBreakdown:
+    src_tokens = _folded_tokens(instance.source)
+    out_tokens = _folded_tokens(instance.output)
+    ref_tokens = [_folded_tokens(r) for r in instance.references]
     numref = len(ref_tokens)
 
     per_n: dict[int, tuple[float, float, float]] = {}
-    for n in range(1, max_n + 1):
+    for n in range(1, _SARI_MAX_N + 1):
         per_n[n] = _component_scores(
-            _grams(src_tokens, n),
-            _grams(out_tokens, n),
-            [_grams(r, n) for r in ref_tokens],
+            Counter(windows(src_tokens, n)),
+            Counter(windows(out_tokens, n)),
+            Counter(chain.from_iterable(windows(r, n) for r in ref_tokens)),
             numref,
         )
-    keep = 100.0 * sum(s[0] for s in per_n.values()) / max_n
-    delete = 100.0 * sum(s[1] for s in per_n.values()) / max_n
-    add = 100.0 * sum(s[2] for s in per_n.values()) / max_n
+    keep = 100.0 * sum(s[0] for s in per_n.values()) / _SARI_MAX_N
+    delete = 100.0 * sum(s[1] for s in per_n.values()) / _SARI_MAX_N
+    add = 100.0 * sum(s[2] for s in per_n.values()) / _SARI_MAX_N
     return SariBreakdown(
         add_score=add,
         keep_score=keep,
@@ -133,15 +162,17 @@ def corpus_sari(instances: Iterable[EvalInstance]) -> float:
     return sum(scores) / len(scores)
 
 
+def is_copy(instance: EvalInstance) -> bool:
+    """True when the output's case-folded tokenization equals the source's."""
+    return _folded_tokens(instance.output) == _folded_tokens(instance.source)
+
+
 def copy_rate(instances: Iterable[EvalInstance]) -> float:
-    """Fraction of instances whose case-folded tokenization equals the source's."""
+    """Fraction of instances whose output copies the source (see ``is_copy``)."""
     total = copies = 0
     for inst in instances:
         total += 1
-        src = [t.lower() for t in tokenize(inst.source)]
-        out = [t.lower() for t in tokenize(inst.output)]
-        if src == out:
-            copies += 1
+        copies += is_copy(inst)
     if total == 0:
         raise ValueError("copy_rate needs at least one instance")
     return copies / total
@@ -154,16 +185,7 @@ def repetition_score(text: str, n: int = 4) -> float:
     phrases show up both as repeated long spans and as inflated low-order
     counts. 0 when the text has at most one token.
     """
-    tokens = tokenize(text)
-    total = 0
-    distinct = 0
-    for order in range(1, n + 1):
-        grams = ngrams(tokens, order)
-        total += sum(grams.values())
-        distinct += len(grams)
-    if total <= 1:
-        return 0.0
-    return 1.0 - distinct / total
+    return 1.0 - distinct_ratio(tokenize(text), n)
 
 
 def _single_order_distinct_ratio(tokens: Sequence[str], n: int) -> float:

@@ -11,7 +11,7 @@ import unicodedata
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable
+from typing import Iterable, Iterator, Sequence
 
 __all__ = [
     "Sentence",
@@ -19,6 +19,7 @@ __all__ = [
     "split_sentences",
     "count_syllables",
     "ngrams",
+    "windows",
     "distinct_ratio",
     "sentence_stats",
     "word_tokens",
@@ -152,12 +153,20 @@ def count_syllables(word: str) -> int:
     return max(1, min(count, len(w)))
 
 
+def windows(tokens: Sequence[str], n: int) -> Iterator[tuple[str, ...]]:
+    """Contiguous n-token windows of ``tokens`` as tuples, in order.
+
+    The one place n-grams are cut. Tokens are used as given (no case
+    folding), so a caller that folds once can window many orders.
+    """
+    return zip(*[tokens[i:] for i in range(n)])
+
+
 def ngrams(tokens: Iterable[str], n: int) -> Counter:
     """Multiset of contiguous case-folded n-grams as a Counter of tuples."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    toks = [t.lower() for t in tokens]
-    return Counter(tuple(toks[i : i + n]) for i in range(len(toks) - n + 1))
+    return Counter(windows([t.lower() for t in tokens], n))
 
 
 def distinct_ratio(tokens: Iterable[str], max_n: int = 4) -> float:

@@ -4,8 +4,10 @@ from pathlib import Path
 
 import pytest
 
+from levelforge import genmetrics
 from levelforge.cli import PipelineConfig, main, parallel_map, thread_count
 from levelforge.corpus import text_sha256
+from levelforge.genmetrics import EvalInstance, is_copy, sari, sari_r
 
 
 def write_jsonl_file(path, records):
@@ -194,6 +196,70 @@ class TestScoreCommand:
         outputs = tmp_path / "outputs.txt"
         outputs.write_text("a b.\nextra line\n")
         assert main(["score", "--outputs", str(outputs), "--refs", str(refs)]) == 1
+
+    SCORED = [
+        ("The cat sat on the mat.", "The cat sat.", ["The cat sat.", "A cat sat."]),
+        ("He went home.", "he went HOME.", ["He went home quickly."]),
+        ("The big dog ran far away.", "The dog ran the dog ran.", ["The dog ran away."]),
+    ]
+
+    def _score_files(self, tmp_path):
+        refs = tmp_path / "refs.jsonl"
+        write_jsonl_file(refs, [{"source": s, "references": r} for s, _, r in self.SCORED])
+        outputs = tmp_path / "outputs.txt"
+        outputs.write_text("".join(o + "\n" for _, o, _ in self.SCORED))
+        return outputs, refs
+
+    def test_per_instance_rows(self, tmp_path, capsys):
+        outputs, refs = self._score_files(tmp_path)
+        tsv = tmp_path / "per_instance.tsv"
+        argv = ["score", "--outputs", str(outputs), "--refs", str(refs), "--per-instance", str(tsv)]
+        assert main(argv) == 0
+        report = json.loads(capsys.readouterr().out)
+        insts = [EvalInstance(s, o, tuple(r)) for s, o, r in self.SCORED]
+        rows = tsv.read_text().splitlines()
+        assert rows[0] == "sari\tsari_r\tcopy"
+        assert rows[1:] == [
+            f"{sari(i).sari:.4f}\t{sari_r(i):.4f}\t{int(is_copy(i))}" for i in insts
+        ]
+        assert [row.split("\t")[2] for row in rows[1:]] == ["0", "1", "0"]
+        assert report["sari"] == sum(sari(i).sari for i in insts) / len(insts)
+
+    def test_one_sari_pass_per_instance(self, tmp_path, capsys, monkeypatch):
+        calls = []
+        kernel = genmetrics._sari_kernel
+
+        def counting(inst):
+            calls.append(inst)
+            return kernel(inst)
+
+        monkeypatch.setattr(genmetrics, "_sari_kernel", counting)
+        outputs, refs = self._score_files(tmp_path)
+        tsv = tmp_path / "per_instance.tsv"
+        argv = ["score", "--outputs", str(outputs), "--refs", str(refs), "--per-instance", str(tsv)]
+        assert main(argv) == 0
+        assert len(calls) == len(self.SCORED)
+
+    @pytest.mark.parametrize(
+        "record, message",
+        [
+            ({"source": "a b c.", "references": "a b c."},
+             '"references" must be a non-empty list of strings'),
+            ({"source": "a b c.", "references": [None]},
+             '"references" must be a non-empty list of strings'),
+            ({"source": "a b c.", "references": []},
+             '"references" must be a non-empty list of strings'),
+            ({"source": 5, "references": ["a b."]}, '"source" must be a string, got int'),
+            (["a b c.", ["a b."]], 'need "source" and "references"'),
+        ],
+    )
+    def test_bad_eval_line_is_data_error(self, tmp_path, capsys, record, message):
+        refs = tmp_path / "refs.jsonl"
+        write_jsonl_file(refs, [{"source": "a b c.", "references": ["a b."]}, record])
+        outputs = tmp_path / "outputs.txt"
+        outputs.write_text("a b.\na b.\n")
+        assert main(["score", "--outputs", str(outputs), "--refs", str(refs)]) == 1
+        assert capsys.readouterr().err == f"error: {refs}:2: {message}\n"
 
 
 class TestClassifierEvalCommand:

@@ -13,6 +13,7 @@ from levelforge.genmetrics import (
     sari_r,
     score_report,
 )
+from oracles.sari_ref import SARIsent
 
 DEGENERATE = "the capital of the state is the capital of the state of the state of"
 
@@ -20,6 +21,15 @@ words_st = st.lists(
     st.sampled_from(["the", "cat", "sat", "on", "mat", "dog", "ran", "big"]),
     min_size=1,
     max_size=12,
+)
+
+
+# Few word forms, so n-grams repeat within and across texts; mixed case
+# exercises case folding.
+oracle_words_st = st.lists(
+    st.sampled_from(["the", "The", "cat", "sat", "on", "mat", "a", "A", "big"]),
+    min_size=1,
+    max_size=14,
 )
 
 
@@ -55,6 +65,13 @@ class TestSari:
     def test_range(self, src, out, ref):
         s = sari(instance(" ".join(src), " ".join(out), [" ".join(ref)])).sari
         assert 0.0 <= s <= 100.0
+
+    @given(oracle_words_st, oracle_words_st, st.lists(oracle_words_st, min_size=1, max_size=4))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_oracle(self, src, out, refs):
+        src, out, refs = " ".join(src), " ".join(out), [" ".join(r) for r in refs]
+        got = sari(instance(src, out, refs)).sari
+        assert got == pytest.approx(SARIsent(src, out, refs), abs=1e-9)
 
     def test_reference_order_irrelevant(self):
         src = "The old bridge crosses a narrow river."
