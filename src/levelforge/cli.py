@@ -3,20 +3,17 @@
 Subcommands mirror the pipeline stages: analyze, pipeline, filter, label,
 bucket, split, prompt, score, classifier-eval, agree, report. Exit codes:
 0 success, 1 data error, 2 usage/config error. All randomness flows from
-the single --seed / config seed, and LEVELFORGE_THREADS bounds worker
-count without changing outputs.
+the single --seed / config seed. Per-pair work runs in one thread, in input
+order; LEVELFORGE_THREADS is accepted and ignored (a no-op).
 """
 from __future__ import annotations
 
 import argparse
 import hashlib
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from random import Random
 from typing import Callable, Iterable, Iterator, Optional, Sequence, TypeVar
 
 from . import __version__
@@ -42,6 +39,8 @@ from .corpus import (
     attach_levels,
     bucket,
     build_datasets,
+    check_similarity,
+    check_split_ratios,
     filter_pair,
     lexical_similarity,
     pair_key,
@@ -78,34 +77,16 @@ class ConfigError(Exception):
     """Configuration problem caught before processing. Exit code 2."""
 
 
-def thread_count() -> int:
-    raw = os.environ.get("LEVELFORGE_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
+def parallel_map(fn: Callable[[T], U], items: Iterable[T]) -> Iterator[U]:
+    """Apply ``fn`` to each item in input order, one item at a time.
 
-
-def parallel_map(fn: Callable[[T], U], items: Iterable[T], chunk: int = 2048) -> Iterator[U]:
-    """Order-preserving map; fans out per-item work when threads > 1.
-
-    The output is identical for any worker count: results are yielded in
-    input order regardless of completion order.
+    Per-pair work is GIL-bound pure Python, and a thread pool here was
+    measured slower than this loop. The name and the generator form stay
+    because ``perfbench/tracer.py`` wraps ``cli.parallel_map`` and counts its
+    yields; inlining it waits for a change to that benchmark.
     """
-    workers = thread_count()
-    if workers == 1:
-        for item in items:
-            yield fn(item)
-        return
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        batch: list[T] = []
-        for item in items:
-            batch.append(item)
-            if len(batch) >= chunk:
-                yield from pool.map(fn, batch)
-                batch = []
-        if batch:
-            yield from pool.map(fn, batch)
+    for item in items:
+        yield fn(item)
 
 
 @dataclass
@@ -155,10 +136,7 @@ class PipelineConfig:
             raise ConfigError(f"input path does not exist: {self.input}")
         if self.predictions and not Path(self.predictions).exists():
             raise ConfigError(f"predictions path does not exist: {self.predictions}")
-        ratios = tuple(self.split_ratios)
-        if len(ratios) != 3 or abs(sum(ratios) - 1.0) > 1e-9:
-            raise ConfigError(f"split_ratios must be 3 values summing to 1, got {ratios}")
-        self.split_ratios = ratios
+        self.split_ratios = _split_ratios(self.split_ratios, "split_ratios")
 
     def filter_config(self) -> FilterConfig:
         return FilterConfig(
@@ -173,6 +151,14 @@ class PipelineConfig:
         return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
+def _split_ratios(ratios: Sequence[float], name: str) -> tuple[float, float, float]:
+    """``check_split_ratios`` as a usage error, checked before any work starts."""
+    try:
+        return check_split_ratios(ratios)
+    except ValueError as exc:
+        raise ConfigError(f"{name}: {exc}") from None
+
+
 def _open_out(path: Optional[str]):
     if path is None or path == "-":
         return sys.stdout
@@ -184,7 +170,10 @@ def _load_similarities(path: str) -> dict[str, float]:
     for lineno, obj in read_jsonl(path):
         if "id" not in obj or "similarity" not in obj:
             raise ParseError(path, lineno, 'need "id" and "similarity"')
-        sims[str(obj["id"])] = float(obj["similarity"])
+        try:
+            sims[str(obj["id"])] = float(check_similarity(obj["similarity"]))
+        except ValueError as exc:
+            raise ParseError(path, lineno, str(exc)) from None
     return sims
 
 
@@ -365,24 +354,11 @@ def cmd_bucket(args: argparse.Namespace) -> int:
 
 
 def cmd_split(args: argparse.Namespace) -> int:
-    ratios = tuple(args.ratios)
-    if len(ratios) != 3 or abs(sum(ratios) - 1.0) > 1e-9:
-        raise ConfigError(f"--ratios must be 3 values summing to 1, got {ratios}")
+    ratios = _split_ratios(args.ratios, "--ratios")
     records = [obj for _, obj in read_jsonl(args.input)]
-    keyed = sorted(records, key=lambda r: str(r.get("id", "")))
-    # split_dataset works over pair ids; reuse its allocation on records.
-    Random(args.seed).shuffle(keyed)
-    n = len(keyed)
-    n_valid = int(n * ratios[1])
-    n_test = int(n * ratios[2])
-    n_train = n - n_valid - n_test
+    chunks = split_dataset(records, ratios, args.seed, key=lambda r: str(r.get("id", "")))
     outdir = Path(args.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
-    chunks = {
-        "train": keyed[:n_train],
-        "valid": keyed[n_train : n_train + n_valid],
-        "test": keyed[n_train + n_valid :],
-    }
     for name, chunk in chunks.items():
         with open(outdir / f"{name}.jsonl", "w", encoding="utf-8") as fh:
             write_jsonl(chunk, fh)

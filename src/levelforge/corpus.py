@@ -13,10 +13,12 @@ from collections import Counter
 from dataclasses import dataclass, field, asdict
 from enum import Enum
 from random import Random
-from typing import Iterable, Iterator, Mapping, Optional
+from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence, TypeVar
 
 from .readability import ComplexityLevel, Scheme, level_delta, level_of
 from .textcore import normalize, tokenize, word_tokens
+
+T = TypeVar("T")
 
 __all__ = [
     "ParaphrasePair",
@@ -29,6 +31,8 @@ __all__ = [
     "bucket",
     "build_datasets",
     "split_dataset",
+    "check_similarity",
+    "check_split_ratios",
     "lexical_similarity",
     "pair_key",
     "text_sha256",
@@ -53,6 +57,15 @@ class DropReason(str, Enum):
     DUPLICATE = "DUPLICATE"
 
 
+def check_similarity(value: object) -> float:
+    """A similarity score: a number in [0, 1]. A bool is not a number here."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"similarity must be a number, got {value!r}")
+    if not 0.0 <= value <= 1.0:
+        raise ValueError(f"similarity {value} outside [0, 1]")
+    return value
+
+
 @dataclass
 class ParaphrasePair:
     id: str
@@ -65,8 +78,8 @@ class ParaphrasePair:
     def __post_init__(self) -> None:
         if not self.source or not self.target:
             raise ValueError(f"pair {self.id}: source and target must be non-empty")
-        if self.similarity is not None and not 0.0 <= self.similarity <= 1.0:
-            raise ValueError(f"pair {self.id}: similarity {self.similarity} outside [0, 1]")
+        if self.similarity is not None:
+            check_similarity(self.similarity)
         if (
             self.source_level is not None
             and self.target_level is not None
@@ -284,21 +297,34 @@ def build_datasets(
     return datasets, stats
 
 
+def check_split_ratios(ratios: Sequence[float]) -> tuple[float, float, float]:
+    """The split-ratio rule: three numbers, each >= 0, summing to 1."""
+    values = tuple(ratios) if isinstance(ratios, (list, tuple)) else (ratios,)
+    # type() rather than isinstance(): a JSON true is not a ratio; NaN fails >= 0.
+    if (
+        len(values) != 3
+        or not all(type(r) in (int, float) and r >= 0 for r in values)
+        or abs(sum(values) - 1.0) > 1e-9
+    ):
+        raise ValueError(
+            f"split ratios must be 3 non-negative numbers summing to 1, got {values}"
+        )
+    return values
+
+
 def split_dataset(
-    dataset: list[ParaphrasePair],
+    dataset: list[T],
     ratios: tuple[float, float, float] = (0.8, 0.1, 0.1),
     seed: int = 0,
-) -> dict[str, list[ParaphrasePair]]:
-    """Seeded shuffle then 80-10-10 style split.
+    key: Callable[[T], str] = lambda p: p.id,
+) -> dict[str, list[T]]:
+    """Seeded shuffle over items sorted by ``key``, then 80-10-10 style split.
 
     Non-train splits get the floor of their share; the remainder goes to
     train. Membership is disjoint and covers the dataset.
     """
-    if abs(sum(ratios) - 1.0) > 1e-9:
-        raise ValueError(f"split ratios must sum to 1, got {ratios}")
-    if any(r < 0 for r in ratios):
-        raise ValueError(f"split ratios must be non-negative, got {ratios}")
-    items = sorted(dataset, key=lambda p: p.id)
+    ratios = check_split_ratios(ratios)
+    items = sorted(dataset, key=key)
     Random(seed).shuffle(items)
     n = len(items)
     n_valid = int(n * ratios[1])

@@ -15,7 +15,7 @@ from itertools import chain
 from typing import Iterable, Sequence
 
 from .readability import corpus_fkgl
-from .textcore import distinct_ratio, ngrams, tokenize, windows
+from .textcore import distinct_ratio, tokenize, windows
 
 __all__ = [
     "EvalInstance",
@@ -44,10 +44,19 @@ class EvalInstance:
             raise ValueError("EvalInstance needs at least one reference")
         object.__setattr__(self, "references", tuple(self.references))
 
+    # Kept on the instance so every metric of one scoring run reuses one
+    # tokenization per text and one SARI pass; the fields they derive from
+    # are frozen.
+    @cached_property
+    def _source_tokens(self) -> list[str]:
+        return _folded_tokens(self.source)
+
+    @cached_property
+    def _output_tokens(self) -> list[str]:
+        return _folded_tokens(self.output)
+
     @cached_property
     def _sari(self) -> "SariBreakdown":
-        # Kept on the instance so every metric of one scoring run reuses one
-        # SARI pass; the fields it derives from are frozen.
         return _sari_kernel(self)
 
 
@@ -129,8 +138,8 @@ def sari(instance: EvalInstance) -> SariBreakdown:
 
 
 def _sari_kernel(instance: EvalInstance) -> SariBreakdown:
-    src_tokens = _folded_tokens(instance.source)
-    out_tokens = _folded_tokens(instance.output)
+    src_tokens = instance._source_tokens
+    out_tokens = instance._output_tokens
     ref_tokens = [_folded_tokens(r) for r in instance.references]
     numref = len(ref_tokens)
 
@@ -164,7 +173,7 @@ def corpus_sari(instances: Iterable[EvalInstance]) -> float:
 
 def is_copy(instance: EvalInstance) -> bool:
     """True when the output's case-folded tokenization equals the source's."""
-    return _folded_tokens(instance.output) == _folded_tokens(instance.source)
+    return instance._output_tokens == instance._source_tokens
 
 
 def copy_rate(instances: Iterable[EvalInstance]) -> float:
@@ -188,24 +197,13 @@ def repetition_score(text: str, n: int = 4) -> float:
     return 1.0 - distinct_ratio(tokenize(text), n)
 
 
-def _single_order_distinct_ratio(tokens: Sequence[str], n: int) -> float:
-    grams = ngrams(tokens, n)
-    total = sum(grams.values())
-    if total == 0:
-        # No n-grams means no repeated n-grams; the multiplier is neutral.
-        return 1.0
-    return len(grams) / total
-
-
 def sari_r(instance: EvalInstance, n: int = 4) -> float:
     """Repetition-penalized SARI: sari * (distinct / total output n-grams).
 
     Equals plain SARI exactly when the output's n-grams are all distinct;
     a fully degenerate output collapses toward sari / total.
     """
-    base = sari(instance).sari
-    out_tokens = tokenize(instance.output)
-    return base * _single_order_distinct_ratio(out_tokens, n)
+    return sari(instance).sari * distinct_ratio(instance._output_tokens, n, min_n=n)
 
 
 def score_report(instances: Sequence[EvalInstance], repetition_n: int = 4) -> dict:

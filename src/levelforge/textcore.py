@@ -169,12 +169,12 @@ def ngrams(tokens: Iterable[str], n: int) -> Counter:
     return Counter(windows([t.lower() for t in tokens], n))
 
 
-def distinct_ratio(tokens: Iterable[str], max_n: int = 4) -> float:
-    """Distinct / total n-grams pooled over orders 1..max_n; 1.0 when none."""
+def distinct_ratio(tokens: Iterable[str], max_n: int = 4, min_n: int = 1) -> float:
+    """Distinct / total n-grams pooled over orders min_n..max_n; 1.0 when none."""
     toks = list(tokens)
     total = 0
     distinct = 0
-    for n in range(1, max_n + 1):
+    for n in range(min_n, max_n + 1):
         grams = ngrams(toks, n)
         total += sum(grams.values())
         distinct += len(grams)

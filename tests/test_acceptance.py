@@ -452,6 +452,6 @@ def test_criterion_11_throughput_informative(tmp_path):
     conftest.ACCEPTANCE_LINES.append(
         f"ACCEPTANCE 11: INFO — filter+label+bucket {rate:,.0f} pairs/s/core "
         f"({status} the informative 50k pairs/s target; {bucketed} bucketed; "
-        "not a pass/fail gate; see scripts/benchmark_throughput.py for the 1M-pair run)"
+        "not a pass/fail gate; see perfbench/run.py for the end-to-end benchmark)"
     )
     assert bucketed > 0

@@ -5,7 +5,7 @@ from pathlib import Path
 import pytest
 
 from levelforge import genmetrics
-from levelforge.cli import PipelineConfig, main, parallel_map, thread_count
+from levelforge.cli import PipelineConfig, main, parallel_map
 from levelforge.corpus import text_sha256
 from levelforge.genmetrics import EvalInstance, is_copy, sari, sari_r
 
@@ -93,6 +93,16 @@ class TestFilterCommand:
         assert summary["drop_reasons"] == {"TOO_SHORT": 1, "SIM_LOW": 1}
         assert len(out.read_text().splitlines()) == 1
 
+    @pytest.mark.parametrize("value, shown", [(True, "True"), ("x", "'x'")])
+    def test_non_numeric_similarity_is_data_error(self, tmp_path, capsys, value, shown):
+        pairs = tmp_path / "pairs.jsonl"
+        write_jsonl_file(pairs, [{"id": "p1", "source": "The cat sat on the mat.",
+                                  "target": "A cat was sitting there.", "similarity": value}])
+        assert main(["filter", str(pairs), "-o", str(tmp_path / "kept.jsonl")]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {pairs}:1: bad pair record: similarity must be a number, got {shown}\n"
+        )
+
 
 class TestLabelAndBucketCommands:
     def test_fkgl_label_then_bucket(self, tmp_path, capsys):
@@ -147,6 +157,21 @@ class TestSplitCommand:
             for name in ("train", "valid", "test")
         }
         assert counts == {"train": 40, "valid": 5, "test": 5}
+
+    @pytest.mark.parametrize(
+        "ratios, shown",
+        [(["1.2", "-0.1", "-0.1"], "(1.2, -0.1, -0.1)"), (["0.5", "0.3", "0.3"], "(0.5, 0.3, 0.3)")],
+    )
+    def test_bad_ratios_are_usage_errors(self, tmp_path, capsys, ratios, shown):
+        data = tmp_path / "data.jsonl"
+        write_jsonl_file(data, [{"id": f"p{i}"} for i in range(10)])
+        outdir = tmp_path / "splits"
+        assert main(["split", str(data), "-o", str(outdir), "--ratios", *ratios]) == 2
+        assert capsys.readouterr().err == (
+            "error: --ratios: split ratios must be 3 non-negative numbers summing to 1, "
+            f"got {shown}\n"
+        )
+        assert not outdir.exists()
 
 
 class TestPromptCommand:
@@ -368,20 +393,46 @@ class TestPipelineCommand:
         manifest = json.loads((outdir / "manifest.json").read_text())
         assert manifest["drop_reasons"].get("DUPLICATE") == 5
 
+    def _config(self, tmp_path, **extra):
+        corpus = tmp_path / "corpus.jsonl"
+        make_corpus(corpus)
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(
+            {"input": str(corpus), "output_dir": str(tmp_path / "out"), **extra}
+        ))
+        return config
+
+    def test_bad_split_ratios_stop_before_work(self, tmp_path, capsys):
+        config = self._config(tmp_path, split_ratios=[1.2, -0.1, -0.1])
+        assert main(["pipeline", "--config", str(config)]) == 2
+        assert capsys.readouterr().err == (
+            "error: split_ratios: split ratios must be 3 non-negative numbers summing "
+            "to 1, got (1.2, -0.1, -0.1)\n"
+        )
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "value, message",
+        [
+            (True, "similarity must be a number, got True"),
+            ("x", "similarity must be a number, got 'x'"),
+            (1.5, "similarity 1.5 outside [0, 1]"),
+        ],
+    )
+    def test_bad_file_similarity_is_data_error(self, tmp_path, capsys, value, message):
+        sims = tmp_path / "sims.jsonl"
+        write_jsonl_file(sims, [{"id": "p0000", "similarity": 0.7},
+                                {"id": "p0001", "similarity": value}])
+        config = self._config(tmp_path, similarity_source="file", similarity_file=str(sims))
+        assert main(["pipeline", "--config", str(config)]) == 1
+        assert capsys.readouterr().err == f"error: {sims}:2: {message}\n"
+
 
 class TestThreads:
-    def test_thread_count_env(self, monkeypatch):
-        monkeypatch.delenv("LEVELFORGE_THREADS", raising=False)
-        assert thread_count() == 1
-        monkeypatch.setenv("LEVELFORGE_THREADS", "8")
-        assert thread_count() == 8
-        monkeypatch.setenv("LEVELFORGE_THREADS", "junk")
-        assert thread_count() == 1
-
     def test_parallel_map_preserves_order(self, monkeypatch):
         items = list(range(5000))
         monkeypatch.setenv("LEVELFORGE_THREADS", "8")
-        assert list(parallel_map(lambda x: x * x, items, chunk=64)) == [
+        assert list(parallel_map(lambda x: x * x, items)) == [
             x * x for x in items
         ]
 
