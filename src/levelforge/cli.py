@@ -12,9 +12,11 @@ import argparse
 import hashlib
 import json
 import sys
-from dataclasses import dataclass
+from collections import Counter
+from contextlib import contextmanager
+from dataclasses import MISSING, asdict, dataclass, fields
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Optional, Sequence, TypeVar
+from typing import Callable, Iterable, Iterator, Optional, Sequence, TextIO, TypeVar
 
 from . import __version__
 from .agreement import (
@@ -111,10 +113,14 @@ class PipelineConfig:
                 raw = json.load(fh)
         except (OSError, json.JSONDecodeError) as exc:
             raise ConfigError(f"cannot read config {path}: {exc}") from exc
-        known = {f for f in cls.__dataclass_fields__}
-        unknown = set(raw) - known
+        if not isinstance(raw, dict):
+            raise ConfigError(f"config {path} must be a JSON object, got {type(raw).__name__}")
+        unknown = set(raw) - {f.name for f in fields(cls)}
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+        missing = [f.name for f in fields(cls) if f.default is MISSING and f.name not in raw]
+        if missing:
+            raise ConfigError(f"missing config keys: {missing}")
         cfg = cls(**raw)
         cfg.validate()
         return cfg
@@ -124,10 +130,7 @@ class PipelineConfig:
             Scheme(self.scheme)
         except ValueError:
             raise ConfigError(f"unknown scheme {self.scheme!r}") from None
-        if self.sim_low > self.sim_high:
-            raise ConfigError(
-                f"sim_low {self.sim_low} must not exceed sim_high {self.sim_high}"
-            )
+        _filter_settings(self.filter_config())
         if self.similarity_source not in ("column", "file", "builtin-lexical", "none"):
             raise ConfigError(f"unknown similarity_source {self.similarity_source!r}")
         if self.similarity_source == "file" and not self.similarity_file:
@@ -159,10 +162,53 @@ def _split_ratios(ratios: Sequence[float], name: str) -> tuple[float, float, flo
         raise ConfigError(f"{name}: {exc}") from None
 
 
-def _open_out(path: Optional[str]):
+def _filter_settings(fcfg: FilterConfig) -> FilterConfig:
+    """``FilterConfig.validate`` as a usage error, checked before any work starts."""
+    try:
+        fcfg.validate()
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(str(exc)) from None
+    return fcfg
+
+
+@contextmanager
+def _output(path: Optional[str]) -> Iterator[TextIO]:
+    """stdout for None or "-"; otherwise the file at ``path``, closed afterwards."""
     if path is None or path == "-":
-        return sys.stdout
-    return open(path, "w", encoding="utf-8")
+        yield sys.stdout
+    else:
+        with open(path, "w", encoding="utf-8") as fh:
+            yield fh
+
+
+def _kept(checked: Iterable[tuple[T, Optional[DropReason]]], drops: Counter) -> Iterator[T]:
+    """The kept items of a stage's (item, reason) stream; ``drops`` counts the rest by reason."""
+    for item, reason in checked:
+        if reason is None:
+            yield item
+        else:
+            drops[reason.value] += 1
+
+
+def _deduped(
+    pairs: Iterable[ParaphrasePair],
+) -> Iterator[tuple[ParaphrasePair, Optional[DropReason]]]:
+    """Each pair, its id set to its pair key; DUPLICATE for a key seen before."""
+    seen = set()
+    for pair in pairs:
+        pair.id = pair_key(pair.source, pair.target)
+        if pair.id in seen:
+            yield pair, DropReason.DUPLICATE
+        else:
+            seen.add(pair.id)
+            yield pair, None
+
+
+def _filtered(
+    pairs: Iterable[ParaphrasePair], fcfg: FilterConfig, drops: Counter
+) -> Iterator[ParaphrasePair]:
+    """The pairs that pass every ``filter_pair`` rule."""
+    return _kept(parallel_map(lambda p: (p, filter_pair(p, fcfg)[1]), pairs), drops)
 
 
 def _load_similarities(path: str) -> dict[str, float]:
@@ -204,27 +250,26 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     levels: dict[int, str] = {}
     if args.levels:
         for lineno, obj in read_jsonl(args.levels):
+            if "level" not in obj:
+                raise ParseError(args.levels, lineno, 'need "level"')
             levels[lineno] = str(obj["level"])
     per_level: dict[str, list[float]] = {}
-    out = _open_out(args.output)
-    try:
-        with open(args.input, encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                text = _extract_text(line, args.input)
-                if text is None or not text.strip():
-                    continue
-                stats = sentence_stats(text)
-                row = {
-                    "word_count": stats.word_count,
-                    "syllable_count": stats.syllable_count,
-                    "sentence_count": stats.sentence_count,
-                    "fkgl": fkgl(stats) if stats.word_count else None,
-                }
-                if lineno in levels:
-                    row["level"] = levels[lineno]
-                    if row["fkgl"] is not None:
-                        per_level.setdefault(levels[lineno], []).append(row["fkgl"])
-                out.write(json.dumps(row, sort_keys=True) + "\n")
+    with _output(args.output) as out:
+        for lineno, text in _texts(args.input):
+            if text is None or not text.strip():
+                continue
+            stats = sentence_stats(text)
+            row = {
+                "word_count": stats.word_count,
+                "syllable_count": stats.syllable_count,
+                "sentence_count": stats.sentence_count,
+                "fkgl": fkgl(stats) if stats.word_count else None,
+            }
+            if lineno in levels:
+                row["level"] = levels[lineno]
+                if row["fkgl"] is not None:
+                    per_level.setdefault(levels[lineno], []).append(row["fkgl"])
+            out.write(json.dumps(row, sort_keys=True) + "\n")
         if per_level:
             aggregates = {
                 level: {
@@ -234,54 +279,31 @@ def cmd_analyze(args: argparse.Namespace) -> int:
                 for level, v in sorted(per_level.items())
             }
             out.write(json.dumps({"per_level": aggregates}, sort_keys=True) + "\n")
-    finally:
-        if out is not sys.stdout:
-            out.close()
     return EXIT_OK
 
 
-def _extract_text(line: str, path: str) -> Optional[str]:
-    line = line.rstrip("\n")
-    if not line:
-        return None
+def _texts(path: str) -> Iterator[tuple[int, Optional[str]]]:
+    """(lineno, text) per line: JSONL "text" or "source", else the first TSV column."""
     if str(path).endswith(".jsonl"):
-        obj = json.loads(line)
-        return obj.get("text") or obj.get("source")
-    if "\t" in line:
-        return line.split("\t", 1)[0]
-    return line
-
-
-def _run_filter(pairs: Iterable[ParaphrasePair], fcfg: FilterConfig):
-    """Yield kept pairs; collect drop-reason counts into the returned dict."""
-    drops: dict[str, int] = {}
-
-    def gen():
-        checked = parallel_map(lambda p: (p, filter_pair(p, fcfg)), pairs)
-        for pair, (keep, reason) in checked:
-            if keep:
-                yield pair
-            else:
-                drops[reason.value] = drops.get(reason.value, 0) + 1
-
-    return gen(), drops
+        for lineno, obj in read_jsonl(path):
+            yield lineno, obj.get("text") or obj.get("source")
+        return
+    with open(path, encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            yield lineno, line.rstrip("\n").split("\t", 1)[0]
 
 
 def cmd_filter(args: argparse.Namespace) -> int:
-    fcfg = FilterConfig(
+    fcfg = _filter_settings(FilterConfig(
         min_words=args.min_words,
         sim_low=args.sim_low,
         sim_high=args.sim_high,
         require_similarity=not args.allow_missing_similarity,
-    )
-    fcfg.validate()
-    kept, drops = _run_filter(read_pairs(args.input), fcfg)
-    out = _open_out(args.output)
-    try:
+    ))
+    drops: Counter = Counter()
+    with _output(args.output) as out:
+        kept = _filtered(read_pairs(args.input), fcfg, drops)
         n = write_jsonl((pair_to_record(p) for p in kept), out)
-    finally:
-        if out is not sys.stdout:
-            out.close()
     print(json.dumps({"kept": n, "drop_reasons": drops}, sort_keys=True), file=sys.stderr)
     return EXIT_OK
 
@@ -297,22 +319,12 @@ def cmd_label(args: argparse.Namespace) -> int:
             raise DataError(
                 f"prediction file declares scheme {pred_scheme.value}, expected {scheme.value}"
             )
-    dropped = 0
-    out = _open_out(args.output)
-    try:
-        def records():
-            nonlocal dropped
-            for pair, reason in attach_levels(read_pairs(args.input), scheme, predictions):
-                if reason is not None:
-                    dropped += 1
-                    continue
-                yield pair_to_record(pair)
-
-        n = write_jsonl(records(), out)
-    finally:
-        if out is not sys.stdout:
-            out.close()
-    print(json.dumps({"labeled": n, "level_missing": dropped}), file=sys.stderr)
+    drops: Counter = Counter()
+    with _output(args.output) as out:
+        leveled = _kept(attach_levels(read_pairs(args.input), scheme, predictions), drops)
+        n = write_jsonl((pair_to_record(p) for p in leveled), out)
+    print(json.dumps({"labeled": n, "level_missing": drops[DropReason.LEVEL_MISSING.value]}),
+          file=sys.stderr)
     return EXIT_OK
 
 
@@ -333,23 +345,17 @@ def _read_leveled_pairs(path: str, scheme: Scheme) -> Iterator[ParaphrasePair]:
 
 def cmd_bucket(args: argparse.Namespace) -> int:
     scheme = Scheme(args.scheme)
-    rejected = 0
-    out = _open_out(args.output)
-    try:
-        def records():
-            nonlocal rejected
-            for pair in _read_leveled_pairs(args.input, scheme):
-                label, reason = bucket(pair, scheme)
-                if label is None:
-                    rejected += 1
-                    continue
-                yield pair_to_record(pair, task=label.value)
-
-        n = write_jsonl(records(), out)
-    finally:
-        if out is not sys.stdout:
-            out.close()
-    print(json.dumps({"bucketed": n, "near_level_rejects": rejected}), file=sys.stderr)
+    drops: Counter = Counter()
+    with _output(args.output) as out:
+        tasks = (
+            ((pair, label), reason)
+            for pair in _read_leveled_pairs(args.input, scheme)
+            for label, reason in [bucket(pair, scheme)]
+        )
+        records = (pair_to_record(pair, task=label.value) for pair, label in _kept(tasks, drops))
+        n = write_jsonl(records, out)
+    print(json.dumps({"bucketed": n, "near_level_rejects": drops[DropReason.NEAR_LEVEL.value]}),
+          file=sys.stderr)
     return EXIT_OK
 
 
@@ -380,23 +386,22 @@ def cmd_prompt(args: argparse.Namespace) -> int:
             fixed = ComplexityLevel.parse(scheme, args.fixed_level)
     lines = (obj for _, obj in read_jsonl(args.input))
     rendered = render_dataset(lines, strategy, scheme, fixed_level=fixed)
-    out = _open_out(args.output)
-    try:
+    with _output(args.output) as out:
         if args.format == "tsv":
             for rec in rendered:
                 out.write(f"{rec['input_prompted']}\t{rec['output']}\n")
         else:
             write_jsonl(rendered, out)
-    finally:
-        if out is not sys.stdout:
-            out.close()
     return EXIT_OK
 
 
-def _eval_fields(obj: object, path: str, lineno: int) -> tuple[str, tuple[str, ...]]:
+_NEED_EVAL_FIELDS = 'need "source" and "references"'
+
+
+def _eval_fields(obj: dict, path: str, lineno: int) -> tuple[str, tuple[str, ...]]:
     """(source, references) of one eval line, or ParseError at path:line."""
-    if not isinstance(obj, dict) or "source" not in obj or "references" not in obj:
-        raise ParseError(path, lineno, 'need "source" and "references"')
+    if "source" not in obj or "references" not in obj:
+        raise ParseError(path, lineno, _NEED_EVAL_FIELDS)
     source, references = obj["source"], obj["references"]
     if not isinstance(source, str):
         raise ParseError(path, lineno, f'"source" must be a string, got {type(source).__name__}')
@@ -412,7 +417,7 @@ def _eval_fields(obj: object, path: str, lineno: int) -> tuple[str, tuple[str, .
 def cmd_score(args: argparse.Namespace) -> int:
     with open(args.outputs, encoding="utf-8") as fh:
         outputs = [line.rstrip("\n") for line in fh]
-    refs = list(read_jsonl(args.refs))
+    refs = list(read_jsonl(args.refs, not_object=_NEED_EVAL_FIELDS))
     if len(outputs) != len(refs):
         raise DataError(
             f"line-count mismatch: {len(outputs)} outputs vs {len(refs)} eval lines"
@@ -514,35 +519,13 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
             )
 
     # Dedup first (stable pair key), then filter, label, bucket.
-    drop_counts: dict[str, int] = {}
-
-    def deduped() -> Iterator[ParaphrasePair]:
-        seen = set()
-        for pair in _apply_similarity(read_pairs(cfg.input), cfg):
-            key = pair_key(pair.source, pair.target)
-            if key in seen:
-                drop_counts[DropReason.DUPLICATE.value] = (
-                    drop_counts.get(DropReason.DUPLICATE.value, 0) + 1
-                )
-                continue
-            seen.add(key)
-            pair.id = key
-            yield pair
-
-    kept, filter_drops = _run_filter(deduped(), fcfg)
-
-    def leveled() -> Iterator[ParaphrasePair]:
-        for pair, reason in attach_levels(kept, scheme, predictions):
-            if reason is not None:
-                drop_counts[reason.value] = drop_counts.get(reason.value, 0) + 1
-                continue
-            yield pair
-
+    drops: Counter = Counter()
+    unique = _kept(_deduped(_apply_similarity(read_pairs(cfg.input), cfg)), drops)
+    leveled = _kept(attach_levels(_filtered(unique, fcfg, drops), scheme, predictions), drops)
     try:
-        datasets, stats = build_datasets(leveled(), scheme, cfg.seed, cfg.task_size)
+        datasets, stats = build_datasets(leveled, scheme, cfg.seed, cfg.task_size)
     except ValueError as exc:
         raise DataError(str(exc)) from exc
-    drop_counts.update(filter_drops)
 
     outdir = Path(cfg.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -563,16 +546,10 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
     manifest = DatasetManifest(
         scheme=scheme.value,
         seed=cfg.seed,
-        filter_settings={
-            "min_words": fcfg.min_words,
-            "sim_low": fcfg.sim_low,
-            "sim_high": fcfg.sim_high,
-            "require_similarity": fcfg.require_similarity,
-            "similarity_source": cfg.similarity_source,
-        },
+        filter_settings={**asdict(fcfg), "similarity_source": cfg.similarity_source},
         task_counts=task_counts,
         split_counts=split_counts,
-        drop_reasons=dict(sorted(drop_counts.items())),
+        drop_reasons=dict(sorted(drops.items())),
         input_digests={cfg.input: file_sha256(cfg.input)},
         conventions={
             "dedup": "before filtering, by sha256 of NFC(source, target)",

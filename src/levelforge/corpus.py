@@ -106,6 +106,10 @@ class FilterConfig:
     require_similarity: bool = True
 
     def validate(self) -> None:
+        for name in ("min_words", "sim_low", "sim_high"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                raise TypeError(f"{name} must be a number, got {value!r}")
         if self.sim_low > self.sim_high:
             raise ValueError(
                 f"sim_low {self.sim_low} must not exceed sim_high {self.sim_high}"

@@ -30,17 +30,26 @@ class ParseError(ValueError):
         self.lineno = lineno
 
 
-def read_jsonl(path: str | Path) -> Iterator[tuple[int, dict]]:
-    """Yield (lineno, object) for each non-empty line."""
+def read_jsonl(
+    path: str | Path, not_object: str = "expected a JSON object, got {}"
+) -> Iterator[tuple[int, dict]]:
+    """Yield (lineno, object) for each non-empty line.
+
+    A line holding any other JSON value is a ParseError with the message
+    ``not_object``, formatted with the value's type name.
+    """
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
                 continue
             try:
-                yield lineno, json.loads(line)
+                obj = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise ParseError(path, lineno, f"invalid JSON: {exc}") from exc
+            if not isinstance(obj, dict):
+                raise ParseError(path, lineno, not_object.format(type(obj).__name__))
+            yield lineno, obj
 
 
 def write_jsonl(records: Iterable[dict], out: TextIO) -> int:

@@ -474,3 +474,132 @@ class TestPipelineConfig:
         a = PipelineConfig.from_file(str(path))
         b = PipelineConfig.from_file(str(path))
         assert a.config_hash() == b.config_hash()
+
+
+class TestNonObjectJsonlLines:
+    @pytest.mark.parametrize(
+        "command, line, lineno, shown",
+        [
+            ("split", "[1, 2]", 2, "list"),
+            ("prompt", "[1]", 2, "list"),
+            ("label", "5", 1, "int"),
+        ],
+    )
+    def test_non_object_line_is_data_error(self, tmp_path, capsys, command, line, lineno, shown):
+        good = {"id": "p1", "source": "The cat sat.", "target": "A cat sat.",
+                "source_level": "B1", "target_level": "A2", "task": "down"}
+        data = tmp_path / "data.jsonl"
+        bad = tmp_path / "bad.jsonl"
+        write_jsonl_file(data, [good])
+        bad.write_text((json.dumps(good) + "\n") * (lineno - 1) + line + "\n")
+        argv = {
+            "split": ["split", str(bad), "-o", str(tmp_path / "splits")],
+            "prompt": ["prompt", str(bad), "--strategy", "rel", "--scheme", "cefr6"],
+            "label": ["label", str(data), "--scheme", "cefr6", "--predictions", str(bad)],
+        }[command]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == (
+            f"error: {bad}:{lineno}: expected a JSON object, got {shown}\n"
+        )
+
+
+class TestAnalyzeCommand:
+    def test_jsonl_rows(self, tmp_path, capsys):
+        data = tmp_path / "texts.jsonl"
+        write_jsonl_file(data, [{"text": "The cat sat on the mat."}, {"source": "A dog ran."}])
+        out = tmp_path / "stats.jsonl"
+        assert main(["analyze", str(data), "-o", str(out)]) == 0
+        rows = [json.loads(line) for line in out.read_text().splitlines()]
+        assert [r["word_count"] for r in rows] == [6, 3]
+
+    def test_bad_json_line_names_path_and_line(self, tmp_path, capsys):
+        data = tmp_path / "texts.jsonl"
+        data.write_text('{"text": "The cat sat."}\nnot json\n')
+        assert main(["analyze", str(data), "-o", str(tmp_path / "stats.jsonl")]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {data}:2: invalid JSON: Expecting value: line 1 column 1 (char 0)\n"
+        )
+
+    def test_level_line_without_level_is_data_error(self, tmp_path, capsys):
+        data = tmp_path / "texts.txt"
+        data.write_text("The cat sat.\nA dog ran.\n")
+        levels = tmp_path / "levels.jsonl"
+        write_jsonl_file(levels, [{"level": "A1"}, {"lvl": "B1"}])
+        argv = ["analyze", str(data), "--levels", str(levels), "-o", str(tmp_path / "o.jsonl")]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == f'error: {levels}:2: need "level"\n'
+
+
+class TestBadSettingsAreUsageErrors:
+    def _pipeline(self, tmp_path, capsys, config):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        code = main(["pipeline", "--config", str(path)])
+        assert not (tmp_path / "out").exists()
+        return code, capsys.readouterr().err, path
+
+    def test_config_not_an_object(self, tmp_path, capsys):
+        code, err, path = self._pipeline(tmp_path, capsys, [1, 2])
+        assert (code, err) == (2, f"error: config {path} must be a JSON object, got list\n")
+
+    def test_config_without_input(self, tmp_path, capsys):
+        code, err, _ = self._pipeline(tmp_path, capsys, {"output_dir": str(tmp_path / "out")})
+        assert (code, err) == (2, "error: missing config keys: ['input']\n")
+
+    @pytest.mark.parametrize(
+        "setting, message",
+        [({"min_words": 0}, "min_words must be >= 1, got 0"),
+         ({"sim_low": "a"}, "sim_low must be a number, got 'a'")],
+    )
+    def test_bad_filter_setting_in_config(self, tmp_path, capsys, setting, message):
+        corpus = tmp_path / "corpus.jsonl"
+        make_corpus(corpus)
+        config = {"input": str(corpus), "output_dir": str(tmp_path / "out"), **setting}
+        code, err, _ = self._pipeline(tmp_path, capsys, config)
+        assert (code, err) == (2, f"error: {message}\n")
+
+    def test_filter_min_words_zero(self, tmp_path, capsys):
+        corpus = tmp_path / "corpus.jsonl"
+        make_corpus(corpus)
+        out = tmp_path / "kept.jsonl"
+        assert main(["filter", str(corpus), "--min-words", "0", "-o", str(out)]) == 2
+        assert capsys.readouterr().err == "error: min_words must be >= 1, got 0\n"
+        assert not out.exists()
+
+
+class TestSharedDropCounting:
+    def test_label_counts_missing_levels(self, tmp_path, capsys):
+        src, tgt = "The committee reviewed the proposal.", "The group read the plan."
+        pairs = tmp_path / "pairs.jsonl"
+        write_jsonl_file(pairs, [{"id": "p1", "source": src, "target": tgt},
+                                 {"id": "p2", "source": src, "target": "An unknown text."}])
+        preds = tmp_path / "preds.jsonl"
+        write_jsonl_file(preds, [
+            {"scheme": "cefr6"},
+            {"text_sha256": text_sha256(src), "level": "C1"},
+            {"text_sha256": text_sha256(tgt), "level": "A2"},
+        ])
+        argv = ["label", str(pairs), "--scheme", "cefr6", "--predictions", str(preds),
+                "-o", str(tmp_path / "labeled.jsonl")]
+        assert main(argv) == 0
+        assert json.loads(capsys.readouterr().err) == {"labeled": 1, "level_missing": 1}
+
+    def test_filter_and_pipeline_report_the_same_drops(self, tmp_path, capsys):
+        corpus = tmp_path / "corpus.jsonl"
+        records = make_corpus(corpus)
+        write_jsonl_file(corpus, records + [
+            {"id": "short", "source": "Hi there.", "target": "Hello my friend over there.",
+             "similarity": 0.7},
+            {"id": "contained", "source": "The cat sat on the mat today.",
+             "target": "The cat sat on the mat.", "similarity": 0.7},
+            {"id": "low", "source": "The cat sat on the mat.",
+             "target": "A cat was sitting there.", "similarity": 0.2},
+            {"id": "high", "source": "The dog sat on the rug.",
+             "target": "A dog was sitting there.", "similarity": 0.95},
+        ])
+        assert main(["filter", str(corpus), "-o", str(tmp_path / "kept.jsonl")]) == 0
+        filtered = json.loads(capsys.readouterr().err)
+        manifest = json.loads((run_pipeline(tmp_path, "run") / "manifest.json").read_text())
+        assert filtered["drop_reasons"] == manifest["drop_reasons"] == {
+            "CONTAINMENT": 1, "SIM_HIGH": 1, "SIM_LOW": 1, "TOO_SHORT": 1,
+        }

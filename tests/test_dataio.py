@@ -43,6 +43,15 @@ class TestJsonl:
             list(read_jsonl(path))
         assert exc.value.lineno == 2
 
+    @pytest.mark.parametrize("line, shown", [("[1, 2]", "list"), ("5", "int"), ('"a"', "str"),
+                                             ("null", "NoneType")])
+    def test_non_object_line_reports_line(self, tmp_path, line, shown):
+        path = tmp_path / "data.jsonl"
+        path.write_text('{"a": 1}\n' + line + "\n")
+        with pytest.raises(ParseError) as exc:
+            list(read_jsonl(path))
+        assert str(exc.value) == f"{path}:2: expected a JSON object, got {shown}"
+
 
 class TestReadPairs:
     def test_jsonl(self, tmp_path):
