@@ -126,6 +126,20 @@ class PipelineConfig:
         return cfg
 
     def validate(self) -> None:
+        # The fields no other rule checks. type(), so a JSON true is not an int.
+        for name, types, want in (
+            ("input", (str,), "a string"),
+            ("output_dir", (str,), "a string"),
+            ("seed", (int,), "an int"),
+            ("task_size", (int, type(None)), "null or an int >= 1"),
+            ("predictions", (str, type(None)), "null or a string"),
+            ("similarity_file", (str, type(None)), "null or a string"),
+        ):
+            value = getattr(self, name)
+            if type(value) not in types or (
+                name == "task_size" and value is not None and value < 1
+            ):
+                raise ConfigError(f"{name} must be {want}, got {value!r}")
         try:
             Scheme(self.scheme)
         except ValueError:
@@ -286,7 +300,11 @@ def _texts(path: str) -> Iterator[tuple[int, Optional[str]]]:
     """(lineno, text) per line: JSONL "text" or "source", else the first TSV column."""
     if str(path).endswith(".jsonl"):
         for lineno, obj in read_jsonl(path):
-            yield lineno, obj.get("text") or obj.get("source")
+            name = "text" if obj.get("text") else "source"
+            text = obj.get(name)
+            if type(text) not in (str, type(None)):
+                raise ParseError(path, lineno, f'"{name}" must be a string, got {type(text).__name__}')
+            yield lineno, text
         return
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -308,39 +326,34 @@ def cmd_filter(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _predictions(scheme: Scheme, path: Optional[str], name: str) -> Optional[dict]:
+    """The level predictions ``scheme`` needs, read from ``path`` (the option
+    ``name``); None for FKGL, the one computed scheme."""
+    if scheme is Scheme.FKGL:
+        return None
+    if not path:
+        raise ConfigError(f"scheme {scheme.value} requires {name}")
+    pred_scheme, predictions = read_predictions(path)
+    if pred_scheme is not scheme:
+        raise DataError(f"{path} declares scheme {pred_scheme.value}, expected {scheme.value}")
+    return predictions
+
+
 def cmd_label(args: argparse.Namespace) -> int:
     scheme = Scheme(args.scheme)
-    predictions = None
-    if scheme is not Scheme.FKGL:
-        if not args.predictions:
-            raise ConfigError(f"--predictions is required for scheme {scheme.value}")
-        pred_scheme, predictions = read_predictions(args.predictions)
-        if pred_scheme is not scheme:
-            raise DataError(
-                f"prediction file declares scheme {pred_scheme.value}, expected {scheme.value}"
-            )
+    predictions = _predictions(scheme, args.predictions, "--predictions")
     drops: Counter = Counter()
     with _output(args.output) as out:
         leveled = _kept(attach_levels(read_pairs(args.input), scheme, predictions), drops)
-        n = write_jsonl((pair_to_record(p) for p in leveled), out)
+        try:
+            n = write_jsonl((pair_to_record(p) for p in leveled), out)
+        except ParseError:
+            raise
+        except ValueError as exc:  # a side without words has no FKGL
+            raise DataError(f"{args.input}: {exc}") from None
     print(json.dumps({"labeled": n, "level_missing": drops[DropReason.LEVEL_MISSING.value]}),
           file=sys.stderr)
     return EXIT_OK
-
-
-def _read_leveled_pairs(path: str, scheme: Scheme) -> Iterator[ParaphrasePair]:
-    for lineno, obj in read_jsonl(path):
-        try:
-            yield ParaphrasePair(
-                id=str(obj["id"]),
-                source=obj["source"],
-                target=obj["target"],
-                similarity=obj.get("similarity"),
-                source_level=ComplexityLevel.parse(scheme, obj["source_level"]),
-                target_level=ComplexityLevel.parse(scheme, obj["target_level"]),
-            )
-        except (KeyError, ValueError, TypeError) as exc:
-            raise ParseError(path, lineno, f"bad leveled pair: {exc}") from exc
 
 
 def cmd_bucket(args: argparse.Namespace) -> int:
@@ -349,7 +362,7 @@ def cmd_bucket(args: argparse.Namespace) -> int:
     with _output(args.output) as out:
         tasks = (
             ((pair, label), reason)
-            for pair in _read_leveled_pairs(args.input, scheme)
+            for pair in read_pairs(args.input, scheme)
             for label, reason in [bucket(pair, scheme)]
         )
         records = (pair_to_record(pair, task=label.value) for pair, label in _kept(tasks, drops))
@@ -377,13 +390,12 @@ def cmd_prompt(args: argparse.Namespace) -> int:
     scheme = Scheme(args.scheme)
     fixed = None
     if args.fixed_level is not None:
-        if scheme is Scheme.CEFR6:
-            # Inference prompts use the collapsed A/B/C alphabet directly.
-            fixed = ComplexityLevel.parse(
-                Scheme.CEFR3 if len(args.fixed_level) == 1 else scheme, args.fixed_level
-            )
-        else:
-            fixed = ComplexityLevel.parse(scheme, args.fixed_level)
+        # Under cefr6, inference prompts may use the collapsed A/B/C alphabet.
+        collapsed = scheme is Scheme.CEFR6 and len(args.fixed_level) == 1
+        try:
+            fixed = ComplexityLevel.parse(Scheme.CEFR3 if collapsed else scheme, args.fixed_level)
+        except ValueError as exc:
+            raise ConfigError(f"--fixed-level: {exc}") from None
     lines = (obj for _, obj in read_jsonl(args.input))
     rendered = render_dataset(lines, strategy, scheme, fixed_level=fixed)
     with _output(args.output) as out:
@@ -443,7 +455,10 @@ def _read_level_file(path: str) -> dict[str, ComplexityLevel]:
     for lineno, obj in read_jsonl(path):
         if "id" not in obj or "level" not in obj:
             raise ParseError(path, lineno, 'need "id" and "level"')
-        levels[str(obj["id"])] = ComplexityLevel.cefr6(str(obj["level"]))
+        try:
+            levels[str(obj["id"])] = ComplexityLevel.parse(Scheme.CEFR6, obj["level"])
+        except ValueError as exc:
+            raise ParseError(path, lineno, str(exc)) from None
     return levels
 
 
@@ -508,24 +523,12 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
     scheme = Scheme(cfg.scheme)
     fcfg = cfg.filter_config()
 
-    predictions = None
-    if scheme is not Scheme.FKGL:
-        if not cfg.predictions:
-            raise ConfigError(f"scheme {scheme.value} requires a predictions file")
-        pred_scheme, predictions = read_predictions(cfg.predictions)
-        if pred_scheme is not scheme:
-            raise DataError(
-                f"prediction scheme {pred_scheme.value} does not match config {scheme.value}"
-            )
-
+    predictions = _predictions(scheme, cfg.predictions, '"predictions"')
     # Dedup first (stable pair key), then filter, label, bucket.
     drops: Counter = Counter()
     unique = _kept(_deduped(_apply_similarity(read_pairs(cfg.input), cfg)), drops)
     leveled = _kept(attach_levels(_filtered(unique, fcfg, drops), scheme, predictions), drops)
-    try:
-        datasets, stats = build_datasets(leveled, scheme, cfg.seed, cfg.task_size)
-    except ValueError as exc:
-        raise DataError(str(exc)) from exc
+    datasets, stats = build_datasets(leveled, scheme, cfg.seed, cfg.task_size)
 
     outdir = Path(cfg.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -658,16 +661,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
+    except (ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (DataError, ParseError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except ValueError as exc:
+    except (DataError, ValueError) as exc:  # ParseError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
 

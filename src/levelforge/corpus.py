@@ -191,8 +191,11 @@ def attach_levels(
     """
     for pair in pairs:
         if scheme is Scheme.FKGL:
-            pair.source_level = level_of(pair.source)
-            pair.target_level = level_of(pair.target)
+            try:
+                pair.source_level = level_of(pair.source)
+                pair.target_level = level_of(pair.target)
+            except ValueError as exc:  # a side without words
+                raise ValueError(f"pair {pair.id}: {exc}") from None
             yield pair, None
             continue
         if predictions is None:
@@ -275,18 +278,12 @@ def build_datasets(
             raise ValueError(
                 f"need {size} same-level pairs, have {len(same_pool)}"
             )
-    for name, pool, needed in (
-        ("different-level", down_pool, 2 * size),
-        ("same-level", same_pool, size),
-    ):
-        if needed > 0 and not pool:
-            raise ValueError(f"{name} bucket is empty")
 
     rng = Random(seed)
     rng.shuffle(down_pool)
     simplification = down_pool[:size]
     complexification = [p.swapped() for p in down_pool[size : 2 * size]]
-    same = rng.sample(same_pool, size) if size <= len(same_pool) else list(same_pool)
+    same = rng.sample(same_pool, size)
 
     datasets = {
         TaskLabel.DOWN: simplification,

@@ -62,27 +62,33 @@ def write_jsonl(records: Iterable[dict], out: TextIO) -> int:
     return n
 
 
-def read_pairs(path: str | Path) -> Iterator[ParaphrasePair]:
+def read_pairs(path: str | Path, scheme: Optional[Scheme] = None) -> Iterator[ParaphrasePair]:
     """Read paraphrase pairs from JSONL or TSV.
 
     JSONL objects carry {"id", "source", "target", "similarity"?}. TSV
     rows are source<TAB>target[<TAB>similarity] with ids auto-assigned
-    from line numbers.
+    from line numbers. With a ``scheme`` the pairs are leveled: the file
+    is read as JSONL whatever its suffix, and each object also carries
+    "source_level" and "target_level" labels of that scheme.
     """
     path = Path(path)
-    if path.suffix.lower() == ".tsv":
+    if scheme is None and path.suffix.lower() == ".tsv":
         yield from _read_pairs_tsv(path)
         return
     for lineno, obj in read_jsonl(path):
         try:
-            yield ParaphrasePair(
+            pair = ParaphrasePair(
                 id=str(obj["id"]),
                 source=obj["source"],
                 target=obj["target"],
                 similarity=obj.get("similarity"),
             )
+            if scheme is not None:
+                pair.source_level = ComplexityLevel.parse(scheme, obj["source_level"])
+                pair.target_level = ComplexityLevel.parse(scheme, obj["target_level"])
         except (KeyError, TypeError, ValueError) as exc:
             raise ParseError(path, lineno, f"bad pair record: {exc}") from exc
+        yield pair
 
 
 def _read_pairs_tsv(path: Path) -> Iterator[ParaphrasePair]:
@@ -132,8 +138,8 @@ def read_predictions(path: str | Path) -> tuple[Scheme, dict[str, ComplexityLeve
             raise ParseError(path, lineno, 'need "id" or "text_sha256" plus "level"')
         try:
             predictions[str(key)] = ComplexityLevel.parse(scheme, obj["level"])
-        except (ValueError, TypeError) as exc:
-            raise ParseError(path, lineno, f"bad level {obj['level']!r}: {exc}") from exc
+        except ValueError as exc:
+            raise ParseError(path, lineno, str(exc)) from None
     return scheme, predictions
 
 

@@ -124,7 +124,10 @@ def render_dataset(
                     raise ValueError(
                         f"line {lineno}: absolute prompting needs a target_level field"
                     )
-                level = ComplexityLevel.parse(scheme, raw)
+                try:
+                    level = ComplexityLevel.parse(scheme, raw)
+                except ValueError as exc:
+                    raise ValueError(f"line {lineno}: {exc}") from None
             spec = PromptSpec(strategy, target_level=level)
         elif strategy in (Strategy.RELATIVE, Strategy.LLM_RELATIVE):
             task = line.get("task")

@@ -6,6 +6,7 @@ Cross-scheme comparison is an error, never a silent coercion.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal
 from enum import Enum
@@ -26,9 +27,6 @@ __all__ = [
     "round2",
 ]
 
-CEFR6_LABELS = ("A1", "A2", "B1", "B2", "C1", "C2")
-CEFR3_LABELS = ("A", "B", "C")
-
 # Kincaid (1975) grade-level constants.
 _WORDS_PER_SENT_WEIGHT = 0.39
 _SYLLABLES_PER_WORD_WEIGHT = 11.8
@@ -46,9 +44,12 @@ class SchemeMismatchError(ValueError):
     """Raised when levels from different schemes are compared."""
 
 
-class UnsupportedSchemeError(ValueError):
-    """Raised when a level cannot be computed for the requested scheme."""
-
+# Level labels per scheme, in index order; FKGL has no labels (a real value).
+_LABELS = {
+    Scheme.CEFR6: ("A1", "A2", "B1", "B2", "C1", "C2"),
+    Scheme.CEFR3: ("A", "B", "C"),
+    Scheme.NEWSELA: ("0", "1", "2", "3", "4"),
+}
 
 _CENT = Decimal("0.01")
 
@@ -64,53 +65,45 @@ class ComplexityLevel:
     value: float
 
     def __post_init__(self) -> None:
-        if self.scheme is Scheme.CEFR6:
-            if self.value not in range(6):
-                raise ValueError(f"CEFR6 index must be 0..5, got {self.value}")
-        elif self.scheme is Scheme.CEFR3:
-            if self.value not in range(3):
-                raise ValueError(f"CEFR3 index must be 0..2, got {self.value}")
-        elif self.scheme is Scheme.NEWSELA:
-            if self.value not in range(5):
-                raise ValueError(f"Newsela level must be 0..4, got {self.value}")
-        else:
+        if self.scheme is Scheme.FKGL:
             object.__setattr__(self, "value", round2(float(self.value)))
+        elif self.value not in range(len(_LABELS[self.scheme])):
+            raise ValueError(f"{self.scheme.name} index out of range, got {self.value}")
 
     @classmethod
     def cefr6(cls, label: str) -> "ComplexityLevel":
-        return cls(Scheme.CEFR6, CEFR6_LABELS.index(label.upper()))
+        return cls.parse(Scheme.CEFR6, label)
 
     @classmethod
     def cefr3(cls, label: str) -> "ComplexityLevel":
-        return cls(Scheme.CEFR3, CEFR3_LABELS.index(label.upper()))
+        return cls.parse(Scheme.CEFR3, label)
 
     @classmethod
     def newsela(cls, level: int) -> "ComplexityLevel":
-        return cls(Scheme.NEWSELA, int(level))
+        return cls.parse(Scheme.NEWSELA, level)
 
     @classmethod
     def fkgl(cls, score: float) -> "ComplexityLevel":
         return cls(Scheme.FKGL, score)
 
     @classmethod
-    def parse(cls, scheme: Scheme, raw: str | float) -> "ComplexityLevel":
-        if scheme is Scheme.CEFR6:
-            return cls.cefr6(str(raw))
-        if scheme is Scheme.CEFR3:
-            return cls.cefr3(str(raw))
-        if scheme is Scheme.NEWSELA:
-            return cls.newsela(int(raw))
-        return cls.fkgl(float(raw))
+    def parse(cls, scheme: Scheme, raw: object) -> "ComplexityLevel":
+        """The one label -> level conversion: a label of the scheme, any case
+        (Newsela 3 is "3"), or a finite number for FKGL; else ValueError."""
+        try:
+            if scheme is not Scheme.FKGL:
+                return cls(scheme, _LABELS[scheme].index(str(raw).upper()))
+            if not isinstance(raw, bool) and math.isfinite(float(raw)):
+                return cls(scheme, float(raw))
+        except (TypeError, ValueError):
+            pass
+        raise ValueError(f"bad {scheme.value} level {raw!r}")
 
     @property
     def label(self) -> str:
-        if self.scheme is Scheme.CEFR6:
-            return CEFR6_LABELS[int(self.value)]
-        if self.scheme is Scheme.CEFR3:
-            return CEFR3_LABELS[int(self.value)]
-        if self.scheme is Scheme.NEWSELA:
-            return str(int(self.value))
-        return f"{self.value:.2f}"
+        if self.scheme is Scheme.FKGL:
+            return f"{self.value:.2f}"
+        return _LABELS[self.scheme][int(self.value)]
 
     @property
     def complexity_rank(self) -> float:
@@ -160,14 +153,9 @@ def corpus_fkgl(texts: Iterable[str]) -> float:
     return fkgl_from_counts(words, sentences, syllables)
 
 
-def level_of(text: str, scheme: Scheme = Scheme.FKGL) -> ComplexityLevel:
-    """Compute a level from raw text. Only the FKGL scheme is computable;
-    CEFR/Newsela levels come from ingested predictions."""
-    if scheme is not Scheme.FKGL:
-        raise UnsupportedSchemeError(
-            f"{scheme.value} levels cannot be computed from text; "
-            "ingest them from a prediction file"
-        )
+def level_of(text: str) -> ComplexityLevel:
+    """The FKGL level of raw text. FKGL is the only computed scheme; CEFR and
+    Newsela levels come from ingested predictions."""
     # ComplexityLevel.fkgl rounds to 2 decimals on construction.
     return ComplexityLevel.fkgl(fkgl(text))
 

@@ -188,13 +188,10 @@ def sentence_stats(text: str) -> Sentence:
     text = normalize(text)
     words = tuple(word_tokens(tokenize(text)))
     syllables = sum(map(count_syllables, words))
-    n_sentences = len(split_sentences(text))
-    if text.strip() and n_sentences == 0:
-        n_sentences = 1
     return Sentence(
         raw=text,
         tokens=words,
-        sentence_count=n_sentences,
+        sentence_count=len(split_sentences(text)),
         word_count=len(words),
         syllable_count=syllables,
     )

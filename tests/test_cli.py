@@ -603,3 +603,266 @@ class TestSharedDropCounting:
         assert filtered["drop_reasons"] == manifest["drop_reasons"] == {
             "CONTAINMENT": 1, "SIM_HIGH": 1, "SIM_LOW": 1, "TOO_SHORT": 1,
         }
+
+
+class TestLevelLabels:
+    """Every level label is read by ComplexityLevel.parse; a bad one names its place."""
+
+    def _preds(self, tmp_path, rows, scheme="cefr6"):
+        preds = tmp_path / "preds.jsonl"
+        write_jsonl_file(preds, [{"scheme": scheme}, *rows])
+        return preds
+
+    def test_bad_bucket_level(self, tmp_path, capsys):
+        data = tmp_path / "labeled.jsonl"
+        write_jsonl_file(data, [{"id": "p1", "source": "The cat sat.", "target": "A cat sat.",
+                                 "source_level": "B1", "target_level": "Q9"}])
+        assert main(["bucket", str(data), "--scheme", "cefr6"]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {data}:1: bad pair record: bad cefr6 level 'Q9'\n"
+        )
+
+    def test_bad_predictions_level(self, tmp_path, capsys):
+        pairs = tmp_path / "pairs.jsonl"
+        write_jsonl_file(pairs, [{"id": "p1", "source": "a b c", "target": "d e f"}])
+        preds = self._preds(tmp_path, [{"id": "p1:source", "level": "Z9"}])
+        assert main(["label", str(pairs), "--scheme", "cefr6", "--predictions", str(preds)]) == 1
+        assert capsys.readouterr().err == f"error: {preds}:2: bad cefr6 level 'Z9'\n"
+
+    def test_bad_classifier_eval_level(self, tmp_path, capsys):
+        gold = tmp_path / "gold.jsonl"
+        pred = tmp_path / "pred.jsonl"
+        write_jsonl_file(gold, [{"id": "s1", "level": "A1"}])
+        write_jsonl_file(pred, [{"id": "s0", "level": "B2"}, {"id": "s1", "level": "Z9"}])
+        assert main(["classifier-eval", "--gold", str(gold), "--pred", str(pred)]) == 1
+        assert capsys.readouterr().err == f"error: {pred}:2: bad cefr6 level 'Z9'\n"
+
+    @pytest.mark.parametrize(
+        "scheme, level, message",
+        [("fkgl", "x", "bad fkgl level 'x'"),
+         ("cefr6", "Q", "bad cefr3 level 'Q'"),
+         ("newsela", "7", "bad newsela level '7'")],
+    )
+    def test_bad_fixed_level_is_usage_error(self, tmp_path, capsys, scheme, level, message):
+        data = tmp_path / "data.jsonl"
+        write_jsonl_file(data, [{"source": "A hard sentence.", "target": "An easy one."}])
+        out = tmp_path / "prompted.jsonl"
+        argv = ["prompt", str(data), "--strategy", "abs", "--scheme", scheme,
+                "--fixed-level", level, "-o", str(out)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: --fixed-level: {message}\n"
+        assert not out.exists()
+
+    def test_bad_target_level_in_prompt_data(self, tmp_path, capsys):
+        data = tmp_path / "data.jsonl"
+        write_jsonl_file(data, [
+            {"source": "A hard sentence.", "target": "An easy one.", "target_level": "A2"},
+            {"source": "A hard sentence.", "target": "An easy one.", "target_level": "Q"},
+        ])
+        argv = ["prompt", str(data), "--strategy", "abs", "--scheme", "cefr6",
+                "-o", str(tmp_path / "prompted.jsonl")]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == "error: line 2: bad cefr6 level 'Q'\n"
+
+    def test_label_without_predictions(self, tmp_path, capsys):
+        pairs = tmp_path / "pairs.jsonl"
+        write_jsonl_file(pairs, [{"id": "p1", "source": "a b c", "target": "d e f"}])
+        out = tmp_path / "labeled.jsonl"
+        assert main(["label", str(pairs), "--scheme", "cefr6", "-o", str(out)]) == 2
+        assert capsys.readouterr().err == "error: scheme cefr6 requires --predictions\n"
+        assert not out.exists()
+
+    def test_pipeline_without_predictions(self, tmp_path, capsys):
+        corpus = tmp_path / "corpus.jsonl"
+        make_corpus(corpus)
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(
+            {"input": str(corpus), "output_dir": str(tmp_path / "out"), "scheme": "cefr6"}
+        ))
+        assert main(["pipeline", "--config", str(config)]) == 2
+        assert capsys.readouterr().err == 'error: scheme cefr6 requires "predictions"\n'
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["label", "pipeline"])
+    def test_scheme_mismatch(self, tmp_path, capsys, command):
+        corpus = tmp_path / "corpus.jsonl"
+        make_corpus(corpus)
+        preds = self._preds(tmp_path, [{"id": "p0000:source", "level": "A"}], scheme="cefr3")
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"input": str(corpus), "output_dir": str(tmp_path / "out"),
+                                      "scheme": "cefr6", "predictions": str(preds)}))
+        argv = {
+            "label": ["label", str(corpus), "--scheme", "cefr6", "--predictions", str(preds),
+                      "-o", str(tmp_path / "out")],
+            "pipeline": ["pipeline", "--config", str(config)],
+        }[command]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == (
+            f"error: {preds} declares scheme cefr3, expected cefr6\n"
+        )
+        assert not (tmp_path / "out").exists()
+
+
+class TestConfigFieldTypes:
+    @pytest.mark.parametrize(
+        "setting, message",
+        [
+            ({"input": 5}, "input must be a string, got 5"),
+            ({"output_dir": 5}, "output_dir must be a string, got 5"),
+            ({"seed": "x"}, "seed must be an int, got 'x'"),
+            ({"seed": True}, "seed must be an int, got True"),
+            ({"task_size": "3"}, "task_size must be null or an int >= 1, got '3'"),
+            ({"task_size": -1}, "task_size must be null or an int >= 1, got -1"),
+            ({"task_size": 0}, "task_size must be null or an int >= 1, got 0"),
+            ({"predictions": 5}, "predictions must be null or a string, got 5"),
+            ({"similarity_source": "file", "similarity_file": 5},
+             "similarity_file must be null or a string, got 5"),
+        ],
+    )
+    def test_mistyped_field_is_usage_error(self, tmp_path, capsys, setting, message):
+        corpus = tmp_path / "corpus.jsonl"
+        make_corpus(corpus)
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(
+            {"input": str(corpus), "output_dir": str(tmp_path / "out"), **setting}
+        ))
+        assert main(["pipeline", "--config", str(config)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json", "corpus.jsonl"]
+
+
+class TestLocatedDataErrors:
+    def test_analyze_non_string_text(self, tmp_path, capsys):
+        data = tmp_path / "texts.jsonl"
+        write_jsonl_file(data, [{"text": 5}])
+        assert main(["analyze", str(data), "-o", str(tmp_path / "stats.jsonl")]) == 1
+        assert capsys.readouterr().err == f'error: {data}:1: "text" must be a string, got int\n'
+
+    def test_label_side_without_words(self, tmp_path, capsys):
+        pairs = tmp_path / "pairs.jsonl"
+        write_jsonl_file(pairs, [
+            {"id": "p1", "source": "The cat sat on the mat.", "target": "A cat sat there."},
+            {"id": "p2", "source": "... !!!", "target": "The cat sat on the mat."},
+        ])
+        argv = ["label", str(pairs), "--scheme", "fkgl", "-o", str(tmp_path / "labeled.jsonl")]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == (
+            f"error: {pairs}: pair p2: FKGL undefined for word_count=0, sentence_count=2\n"
+        )
+
+
+CEFR6 = ("A1", "A2", "B1", "B2", "C1", "C2")
+
+
+class TestWeakClassifierPipeline:
+    """The cefr6 pipeline: levels come from a predictions file, not from FKGL."""
+
+    # Per-pair (source, target) labels by id mod 8: down, near-level, up, same.
+    LEVELS = {0: ("C1", "A2"), 2: ("B2", "B1"), 4: ("A1", "C2"), 6: ("B2", "B1")}
+
+    def test_levels_gaps_drops_and_rerun(self, tmp_path, capsys):
+        corpus = tmp_path / "corpus.jsonl"
+        records = make_corpus(corpus)
+        rows = []
+        for i, rec in enumerate(records):
+            if i % 10 == 9:
+                continue  # no prediction for either side: LEVEL_MISSING
+            src, tgt = self.LEVELS.get(i % 8, ("B1", "B1"))
+            rows += [{"text_sha256": text_sha256(rec["source"]), "level": src},
+                     {"text_sha256": text_sha256(rec["target"]), "level": tgt}]
+        preds = tmp_path / "preds.jsonl"
+        write_jsonl_file(preds, [{"scheme": "cefr6"}, *rows])
+        outdir = tmp_path / "out"
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"input": str(corpus), "output_dir": str(outdir),
+                                      "scheme": "cefr6", "predictions": str(preds), "seed": 3}))
+
+        assert main(["pipeline", "--config", str(config)]) == 0
+        first = {p.name: p.read_bytes() for p in outdir.iterdir()}
+        manifest = json.loads(first["manifest.json"])
+        assert manifest["scheme"] == "cefr6"
+        assert manifest["drop_reasons"]["LEVEL_MISSING"] == 6
+        assert manifest["task_counts"]["simplification"] > 0
+        gaps = {"down": [], "up": [], "same": []}
+        for name, data in first.items():
+            for line in data.decode().splitlines() if name.endswith(".jsonl") else []:
+                rec = json.loads(line)
+                gap = CEFR6.index(rec["source_level"]) - CEFR6.index(rec["target_level"])
+                gaps[rec["task"]].append(gap)
+        assert gaps["down"] and min(gaps["down"]) >= 2
+        assert gaps["up"] and max(gaps["up"]) <= -2
+        assert gaps["same"] and set(gaps["same"]) == {0}
+
+        assert main(["pipeline", "--config", str(config)]) == 0
+        assert {p.name: p.read_bytes() for p in outdir.iterdir()} == first
+
+
+class TestSimilaritySources:
+    @pytest.mark.parametrize("source", ["none", "builtin-lexical", "file"])
+    def test_success_path(self, tmp_path, capsys, source):
+        from levelforge.corpus import lexical_similarity
+
+        corpus = tmp_path / "corpus.jsonl"
+        records = make_corpus(corpus)
+        records[0]["similarity"] = 0.2  # below the band in the column
+        del records[1]["similarity"]
+        write_jsonl_file(corpus, records)
+        config = {"input": str(corpus), "output_dir": str(tmp_path / "out"),
+                  "similarity_source": source}
+        if source == "file":
+            # The file overrides the column by id: p0000 and p0001 enter the
+            # band, p0002 leaves it; every other pair keeps its column value.
+            sims = tmp_path / "sims.jsonl"
+            write_jsonl_file(sims, [{"id": "p0000", "similarity": 0.7},
+                                    {"id": "p0001", "similarity": 0.7},
+                                    {"id": "p0002", "similarity": 0.95}])
+            config["similarity_file"] = str(sims)
+            expected = {"SIM_HIGH": 1}
+        elif source == "builtin-lexical":
+            lexical = [lexical_similarity(r["source"], r["target"]) for r in records]
+            counts = {"SIM_LOW": sum(s < 0.6 for s in lexical),
+                      "SIM_HIGH": sum(s > 0.8 for s in lexical)}
+            expected = {k: v for k, v in counts.items() if v}
+        else:
+            expected = {}  # no similarity is read, so no SIM_* drop
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        assert main(["pipeline", "--config", str(path)]) == 0
+        manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+        assert manifest["filter_settings"]["similarity_source"] == source
+        assert manifest["drop_reasons"] == expected
+        stats = manifest["conventions"]["bucket_stats"]
+        bucketed = sum(stats["bucket_counts"].values()) + stats["near_level_rejects"]
+        assert bucketed == len(records) - sum(expected.values())
+
+
+class TestAnalyzeLevelsAndTextReport:
+    def test_analyze_per_level_line(self, tmp_path, capsys):
+        data = tmp_path / "texts.txt"
+        data.write_text("The cat sat on the mat.\nA dog ran.\nThe committee reviewed it.\n")
+        levels = tmp_path / "levels.jsonl"
+        write_jsonl_file(levels, [{"level": "A1"}, {"level": "A1"}, {"level": "B2"}])
+        out = tmp_path / "stats.jsonl"
+        assert main(["analyze", str(data), "--levels", str(levels), "-o", str(out)]) == 0
+        rows = [json.loads(line) for line in out.read_text().splitlines()]
+        assert [r.get("level") for r in rows[:3]] == ["A1", "A1", "B2"]
+        per_level = rows[3]["per_level"]
+        assert {k: v["texts"] for k, v in per_level.items()} == {"A1": 2, "B2": 1}
+        a1_mean = (rows[0]["fkgl"] + rows[1]["fkgl"]) / 2
+        assert per_level["A1"]["mean_fkgl"] == pytest.approx(a1_mean)
+        assert per_level["B2"]["mean_fkgl"] == rows[2]["fkgl"]
+
+    def test_report_text_format(self, tmp_path, capsys):
+        ratings = tmp_path / "ratings.tsv"
+        ratings.write_text(
+            "s1\tr1\tmodel-a/fluency\t4\n"
+            "s1\tr2\tmodel-a/fluency\t5\n"
+            "s2\tr1\tmodel-a/fluency\t3\n"
+            "s2\tr2\tmodel-a/fluency\t4\n"
+        )
+        assert main(["report", str(ratings), "--format", "text"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0].split() == ["group", "mean", "ci95", "alpha", "items"]
+        assert len(lines) == 2
+        cells = lines[1].split()
+        assert (cells[0], cells[1], cells[-1]) == ("model-a/fluency", "4.00", "2")

@@ -8,7 +8,6 @@ from levelforge.readability import (
     ComplexityLevel,
     Scheme,
     SchemeMismatchError,
-    UnsupportedSchemeError,
     cefr6_to_cefr3,
     corpus_fkgl,
     fkgl,
@@ -113,18 +112,44 @@ class TestComplexityLevel:
         assert ComplexityLevel.parse(Scheme.CEFR6, "b2").label == "B2"
         assert ComplexityLevel.parse(Scheme.NEWSELA, "3").value == 3
         assert ComplexityLevel.parse(Scheme.FKGL, "7.125").value == 7.13
+        assert ComplexityLevel.parse(Scheme.NEWSELA, 3) == ComplexityLevel.newsela(3)
+        assert ComplexityLevel.parse(Scheme.CEFR3, "c").label == "C"
 
+    @pytest.mark.parametrize(
+        "scheme, raw",
+        [
+            (Scheme.CEFR6, "Z9"),   # unknown label
+            (Scheme.CEFR6, None),   # wrong type
+            (Scheme.CEFR3, "A1"),   # a label of another scheme
+            (Scheme.NEWSELA, 5),    # out of range
+            (Scheme.NEWSELA, 2.5),  # not a label
+            (Scheme.FKGL, "x"),     # not a number
+            (Scheme.FKGL, "nan"),   # not finite
+            (Scheme.FKGL, True),    # a bool is not a number
+            (Scheme.FKGL, [7]),     # wrong type
+        ],
+    )
+    def test_parse_rejects(self, scheme, raw):
+        with pytest.raises(ValueError) as info:
+            ComplexityLevel.parse(scheme, raw)
+        assert str(info.value) == f"bad {scheme.value} level {raw!r}"
+
+    @pytest.mark.parametrize(
+        "scheme, labels",
+        [(Scheme.CEFR6, "A1 A2 B1 B2 C1 C2"), (Scheme.CEFR3, "A B C"), (Scheme.NEWSELA, "0 1 2 3 4")],
+    )
+    def test_labels_round_trip(self, scheme, labels):
+        for index, label in enumerate(labels.split()):
+            level = ComplexityLevel.parse(scheme, label)
+            assert (level.value, level.label) == (index, label)
+        with pytest.raises(ValueError):
+            ComplexityLevel(scheme, index + 1)
 
 class TestLevelOf:
     def test_fkgl_computed(self):
         level = level_of("I am here.")
         assert level.scheme is Scheme.FKGL
         assert level.value == -2.62
-
-    def test_other_schemes_rejected(self):
-        for scheme in (Scheme.CEFR6, Scheme.CEFR3, Scheme.NEWSELA):
-            with pytest.raises(UnsupportedSchemeError):
-                level_of("Some text here.", scheme)
 
 
 class TestCefr6ToCefr3:

@@ -1,13 +1,14 @@
 from collections import Counter
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from levelforge.textcore import (
     count_syllables,
     distinct_ratio,
     ngrams,
+    normalize,
     sentence_stats,
     split_sentences,
     tokenize,
@@ -152,6 +153,26 @@ class TestSentenceStats:
             assert stats.syllable_count >= stats.word_count
         if text.strip():
             assert stats.sentence_count >= 1
+
+
+class TestArbitraryUnicode:
+    # Any code point (surrogates aside), mixed with the characters the
+    # sentence splitter and tokenizer treat specially.
+    text_st = st.text(
+        st.one_of(st.characters(), st.sampled_from(".!?\"')]”’ \t\n\u00a0\u2028-'")),
+        max_size=200,
+    )
+
+    @settings(max_examples=500)
+    @given(text_st)
+    def test_primitives_never_raise(self, text):
+        tokenize(text)
+        spans = split_sentences(text)
+        stats = sentence_stats(text)
+        # A non-blank text has at least one sentence, so FKGL is defined
+        # whenever it has a word.
+        assert bool(spans) == bool(normalize(text).strip())
+        assert stats.sentence_count == len(spans)
 
 
 class TestDistinctRatio:
