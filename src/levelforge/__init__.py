@@ -38,7 +38,7 @@ from .genmetrics import (
     sari,
     sari_r,
 )
-from .prompts import PromptSpec, Strategy, render, render_dataset, strip_prompt
+from .prompts import PromptSpec, Strategy, render, render_record, strip_prompt
 from .readability import (
     ComplexityLevel,
     Scheme,

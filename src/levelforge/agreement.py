@@ -61,10 +61,6 @@ class RatingMatrix:
     def raters(self) -> list:
         return sorted({r for r, _ in self.cells}, key=str)
 
-    @property
-    def items(self) -> list:
-        return sorted({i for _, i in self.cells}, key=str)
-
     def by_item(self) -> dict[Hashable, list]:
         grouped: dict[Hashable, list] = defaultdict(list)
         for (rater, item), value in sorted(self.cells.items(), key=lambda kv: (str(kv[0][1]), str(kv[0][0]))):
@@ -150,15 +146,13 @@ def krippendorff_alpha(matrix: RatingMatrix, metric: str = "nominal") -> float:
             for j, b in enumerate(values):
                 if i != j:
                     coincidence[(a, b)] += 1.0 / (m - 1)
-    if not coincidence:
-        raise UndefinedAlphaError("no pairable ratings")
 
     marginals: dict = defaultdict(float)
     for (a, _), c in coincidence.items():
         marginals[a] += c
     values = sorted(marginals)
     n_total = sum(marginals.values())
-    if n_total <= 1 or len(values) == 1:
+    if len(values) == 1:
         # A single observed value: no expected disagreement, perfect agreement.
         return 1.0
 
@@ -180,8 +174,6 @@ def krippendorff_alpha(matrix: RatingMatrix, metric: str = "nominal") -> float:
         for a in values
         for b in values
     ) / (n_total * (n_total - 1))
-    if d_e == 0:
-        return 1.0
     return 1.0 - d_o / d_e
 
 

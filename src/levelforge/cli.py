@@ -9,6 +9,7 @@ order; LEVELFORGE_THREADS is accepted and ignored (a no-op).
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import sys
@@ -53,13 +54,15 @@ from .dataio import (
     file_sha256,
     pair_to_record,
     read_jsonl,
+    read_keyed,
+    read_lines,
     read_pairs,
     read_predictions,
     read_ratings_tsv,
     write_jsonl,
 )
 from .genmetrics import EvalInstance, is_copy, sari, sari_r, score_report
-from .prompts import Strategy, render_dataset
+from .prompts import Strategy, render_record
 from .readability import ComplexityLevel, Scheme, fkgl, level_of
 from .textcore import sentence_stats
 
@@ -111,7 +114,7 @@ class PipelineConfig:
         try:
             with open(path, encoding="utf-8") as fh:
                 raw = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise ConfigError(f"cannot read config {path}: {exc}") from exc
         if not isinstance(raw, dict):
             raise ConfigError(f"config {path} must be a JSON object, got {type(raw).__name__}")
@@ -225,18 +228,6 @@ def _filtered(
     return _kept(parallel_map(lambda p: (p, filter_pair(p, fcfg)[1]), pairs), drops)
 
 
-def _load_similarities(path: str) -> dict[str, float]:
-    sims = {}
-    for lineno, obj in read_jsonl(path):
-        if "id" not in obj or "similarity" not in obj:
-            raise ParseError(path, lineno, 'need "id" and "similarity"')
-        try:
-            sims[str(obj["id"])] = float(check_similarity(obj["similarity"]))
-        except ValueError as exc:
-            raise ParseError(path, lineno, str(exc)) from None
-    return sims
-
-
 def _apply_similarity(pairs: Iterable[ParaphrasePair], cfg: PipelineConfig) -> Iterator[ParaphrasePair]:
     if cfg.similarity_source == "column":
         yield from pairs
@@ -251,7 +242,7 @@ def _apply_similarity(pairs: Iterable[ParaphrasePair], cfg: PipelineConfig) -> I
 
         yield from parallel_map(attach, pairs)
     else:
-        sims = _load_similarities(cfg.similarity_file)
+        sims = read_keyed(cfg.similarity_file, "similarity", lambda v: float(check_similarity(v)))
         for p in pairs:
             p.similarity = sims.get(p.id, p.similarity)
             yield p
@@ -306,9 +297,8 @@ def _texts(path: str) -> Iterator[tuple[int, Optional[str]]]:
                 raise ParseError(path, lineno, f'"{name}" must be a string, got {type(text).__name__}')
             yield lineno, text
         return
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            yield lineno, line.rstrip("\n").split("\t", 1)[0]
+    for lineno, line in read_lines(path):
+        yield lineno, line.split("\t", 1)[0]
 
 
 def cmd_filter(args: argparse.Namespace) -> int:
@@ -396,14 +386,16 @@ def cmd_prompt(args: argparse.Namespace) -> int:
             fixed = ComplexityLevel.parse(Scheme.CEFR3 if collapsed else scheme, args.fixed_level)
         except ValueError as exc:
             raise ConfigError(f"--fixed-level: {exc}") from None
-    lines = (obj for _, obj in read_jsonl(args.input))
-    rendered = render_dataset(lines, strategy, scheme, fixed_level=fixed)
     with _output(args.output) as out:
-        if args.format == "tsv":
-            for rec in rendered:
+        for lineno, record in read_jsonl(args.input):
+            try:
+                rec = render_record(record, strategy, scheme, fixed_level=fixed)
+            except ValueError as exc:
+                raise ParseError(args.input, lineno, str(exc)) from None
+            if args.format == "tsv":
                 out.write(f"{rec['input_prompted']}\t{rec['output']}\n")
-        else:
-            write_jsonl(rendered, out)
+            else:
+                write_jsonl([rec], out)
     return EXIT_OK
 
 
@@ -427,8 +419,7 @@ def _eval_fields(obj: dict, path: str, lineno: int) -> tuple[str, tuple[str, ...
 
 
 def cmd_score(args: argparse.Namespace) -> int:
-    with open(args.outputs, encoding="utf-8") as fh:
-        outputs = [line.rstrip("\n") for line in fh]
+    outputs = [line for _, line in read_lines(args.outputs)]
     refs = list(read_jsonl(args.refs, not_object=_NEED_EVAL_FIELDS))
     if len(outputs) != len(refs):
         raise DataError(
@@ -450,21 +441,10 @@ def cmd_score(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _read_level_file(path: str) -> dict[str, ComplexityLevel]:
-    levels = {}
-    for lineno, obj in read_jsonl(path):
-        if "id" not in obj or "level" not in obj:
-            raise ParseError(path, lineno, 'need "id" and "level"')
-        try:
-            levels[str(obj["id"])] = ComplexityLevel.parse(Scheme.CEFR6, obj["level"])
-        except ValueError as exc:
-            raise ParseError(path, lineno, str(exc)) from None
-    return levels
-
-
 def cmd_classifier_eval(args: argparse.Namespace) -> int:
-    gold = _read_level_file(args.gold)
-    pred = _read_level_file(args.pred)
+    cefr6 = functools.partial(ComplexityLevel.parse, Scheme.CEFR6)
+    gold = read_keyed(args.gold, "level", cefr6)
+    pred = read_keyed(args.pred, "level", cefr6)
     if set(gold) != set(pred):
         missing = sorted(set(gold) ^ set(pred))[:5]
         raise DataError(f"gold/pred id mismatch, e.g. {missing}")

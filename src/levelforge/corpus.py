@@ -76,6 +76,8 @@ class ParaphrasePair:
     target_level: Optional[ComplexityLevel] = None
 
     def __post_init__(self) -> None:
+        if not isinstance(self.source, str) or not isinstance(self.target, str):
+            raise ValueError(f"pair {self.id}: source and target must be strings")
         if not self.source or not self.target:
             raise ValueError(f"pair {self.id}: source and target must be non-empty")
         if self.similarity is not None:

@@ -3,14 +3,19 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from pathlib import Path
-from typing import Iterable, Iterator, Optional, TextIO
+from typing import Callable, Iterable, Iterator, Optional, TextIO, TypeVar
 
 from .corpus import ParaphrasePair
 from .readability import ComplexityLevel, Scheme
 
+T = TypeVar("T")
+
 __all__ = [
+    "read_lines",
     "read_jsonl",
+    "read_keyed",
     "write_jsonl",
     "read_pairs",
     "read_predictions",
@@ -30,6 +35,22 @@ class ParseError(ValueError):
         self.lineno = lineno
 
 
+def read_lines(path: str | Path) -> Iterator[tuple[int, str]]:
+    """Yield (lineno, line) per line of a text file, newline removed (CRLF reads as LF).
+
+    The one place an input file is read: a line that is not UTF-8 is a ParseError.
+    """
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            line = line.rstrip("\n")
+            if not line.isascii():
+                try:
+                    line.encode("utf-8")
+                except UnicodeEncodeError:
+                    raise ParseError(path, lineno, "not valid UTF-8") from None
+            yield lineno, line
+
+
 def read_jsonl(
     path: str | Path, not_object: str = "expected a JSON object, got {}"
 ) -> Iterator[tuple[int, dict]]:
@@ -38,18 +59,33 @@ def read_jsonl(
     A line holding any other JSON value is a ParseError with the message
     ``not_object``, formatted with the value's type name.
     """
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ParseError(path, lineno, f"invalid JSON: {exc}") from exc
-            if not isinstance(obj, dict):
-                raise ParseError(path, lineno, not_object.format(type(obj).__name__))
-            yield lineno, obj
+    for lineno, line in read_lines(path):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            obj = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise ParseError(path, lineno, f"invalid JSON: {exc}") from exc
+        if not isinstance(obj, dict):
+            raise ParseError(path, lineno, not_object.format(type(obj).__name__))
+        yield lineno, obj
+
+
+def read_keyed(path: str | Path, name: str, convert: Callable[[object], T]) -> dict[str, T]:
+    """Map each JSONL line's "id" to ``convert`` of its ``name`` field.
+
+    A line without both, or whose value ``convert`` rejects, is a ParseError.
+    """
+    values: dict[str, T] = {}
+    for lineno, obj in read_jsonl(path):
+        if "id" not in obj or name not in obj:
+            raise ParseError(path, lineno, f'need "id" and "{name}"')
+        try:
+            values[str(obj["id"])] = convert(obj[name])
+        except ValueError as exc:
+            raise ParseError(path, lineno, str(exc)) from None
+    return values
 
 
 def write_jsonl(records: Iterable[dict], out: TextIO) -> int:
@@ -92,26 +128,24 @@ def read_pairs(path: str | Path, scheme: Optional[Scheme] = None) -> Iterator[Pa
 
 
 def _read_pairs_tsv(path: Path) -> Iterator[ParaphrasePair]:
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            cols = line.split("\t")
-            if len(cols) < 2:
-                raise ParseError(path, lineno, "expected source<TAB>target")
-            similarity = None
-            if len(cols) >= 3 and cols[2]:
-                try:
-                    similarity = float(cols[2])
-                except ValueError as exc:
-                    raise ParseError(path, lineno, f"bad similarity: {cols[2]!r}") from exc
+    for lineno, line in read_lines(path):
+        if not line:
+            continue
+        cols = line.split("\t")
+        if len(cols) < 2:
+            raise ParseError(path, lineno, "expected source<TAB>target")
+        similarity = None
+        if len(cols) >= 3 and cols[2]:
             try:
-                yield ParaphrasePair(
-                    id=str(lineno), source=cols[0], target=cols[1], similarity=similarity
-                )
+                similarity = float(cols[2])
             except ValueError as exc:
-                raise ParseError(path, lineno, str(exc)) from exc
+                raise ParseError(path, lineno, f"bad similarity: {cols[2]!r}") from exc
+        try:
+            yield ParaphrasePair(
+                id=str(lineno), source=cols[0], target=cols[1], similarity=similarity
+            )
+        except ValueError as exc:
+            raise ParseError(path, lineno, str(exc)) from exc
 
 
 def read_predictions(path: str | Path) -> tuple[Scheme, dict[str, ComplexityLevel]]:
@@ -144,21 +178,22 @@ def read_predictions(path: str | Path) -> tuple[Scheme, dict[str, ComplexityLeve
 
 
 def read_ratings_tsv(path: str | Path) -> Iterator[tuple[str, str, str, float]]:
-    """Yield (item_id, rater_id, group, value) rows, skipping a header row."""
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            cols = line.split("\t")
-            if len(cols) != 4:
-                raise ParseError(path, lineno, "expected item_id, rater_id, group, value")
-            if lineno == 1 and cols[0].lower() in ("item", "item_id"):
-                continue
-            try:
-                yield cols[0], cols[1], cols[2], float(cols[3])
-            except ValueError as exc:
-                raise ParseError(path, lineno, f"bad rating value {cols[3]!r}") from exc
+    """Yield (item_id, rater_id, group, value) rows, skipping a header row; values are finite."""
+    for lineno, line in read_lines(path):
+        if not line:
+            continue
+        cols = line.split("\t")
+        if len(cols) != 4:
+            raise ParseError(path, lineno, "expected item_id, rater_id, group, value")
+        if lineno == 1 and cols[0].lower() in ("item", "item_id"):
+            continue
+        try:
+            value = float(cols[3])
+        except ValueError:
+            value = math.nan
+        if not math.isfinite(value):
+            raise ParseError(path, lineno, f"bad rating value {cols[3]!r}")
+        yield cols[0], cols[1], cols[2], value
 
 
 def pair_to_record(pair: ParaphrasePair, task: Optional[str] = None) -> dict:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Iterator, Optional
+from typing import Optional
 
 from .corpus import TaskLabel
 from .readability import ComplexityLevel, Scheme, cefr6_to_cefr3
@@ -18,7 +18,7 @@ __all__ = [
     "Strategy",
     "PromptSpec",
     "render",
-    "render_dataset",
+    "render_record",
     "strip_prompt",
     "REL_PROMPTS",
     "BASELINE_PROMPT",
@@ -101,42 +101,36 @@ def strip_prompt(rendered: str, spec: PromptSpec) -> str:
     return rendered[len(prefix):]
 
 
-def render_dataset(
-    lines: Iterable[dict],
+def render_record(
+    record: dict,
     strategy: Strategy,
     scheme: Scheme,
     fixed_level: Optional[ComplexityLevel] = None,
-) -> Iterator[dict]:
-    """Render one prompted (input, output) record per dataset line.
+) -> dict:
+    """The prompted (input, output) record of one dataset record.
 
-    Lines are dataset records with source/target plus target_level and
-    task fields. Under ABS training, X is each line's own target level;
-    passing ``fixed_level`` switches to inference mode, where one X is
-    used for every line. Relative strategies read each line's task label.
+    A record carries string source/target plus target_level and task
+    fields. Under ABS training, X is the record's own target level; passing
+    ``fixed_level`` switches to inference mode, where one X is used for
+    every record. Relative strategies read the record's task label. A
+    record that cannot be rendered is a ValueError.
     """
-    for lineno, line in enumerate(lines, start=1):
-        if strategy in (Strategy.ABSOLUTE, Strategy.LLM_ABSOLUTE):
-            if fixed_level is not None:
-                level = fixed_level
-            else:
-                raw = line.get("target_level")
-                if raw is None:
-                    raise ValueError(
-                        f"line {lineno}: absolute prompting needs a target_level field"
-                    )
-                try:
-                    level = ComplexityLevel.parse(scheme, raw)
-                except ValueError as exc:
-                    raise ValueError(f"line {lineno}: {exc}") from None
-            spec = PromptSpec(strategy, target_level=level)
-        elif strategy in (Strategy.RELATIVE, Strategy.LLM_RELATIVE):
-            task = line.get("task")
-            if task is None:
-                raise ValueError(f"line {lineno}: relative prompting needs a task field")
-            spec = PromptSpec(strategy, task=TaskLabel(task))
-        else:
-            spec = PromptSpec(strategy)
-        yield {
-            "input_prompted": render(spec, line["source"]),
-            "output": line["target"],
-        }
+    if strategy in (Strategy.ABSOLUTE, Strategy.LLM_ABSOLUTE):
+        level = fixed_level
+        if level is None:
+            raw = record.get("target_level")
+            if raw is None:
+                raise ValueError("absolute prompting needs a target_level field")
+            level = ComplexityLevel.parse(scheme, raw)
+        spec = PromptSpec(strategy, target_level=level)
+    elif strategy in (Strategy.RELATIVE, Strategy.LLM_RELATIVE):
+        task = record.get("task")
+        if task is None:
+            raise ValueError("relative prompting needs a task field")
+        spec = PromptSpec(strategy, task=TaskLabel(task))
+    else:
+        spec = PromptSpec(strategy)
+    source, target = record.get("source"), record.get("target")
+    if not isinstance(source, str) or not isinstance(target, str):
+        raise ValueError('need string "source" and "target"')
+    return {"input_prompted": render(spec, source), "output": target}

@@ -49,13 +49,10 @@ _NON_ALPHA_RE = re.compile(r"[^a-z]")
 class Sentence:
     """Per-text counts feeding readability formulas.
 
-    ``tokens`` holds word tokens only (tokens containing at least one
-    alphanumeric character); punctuation tokens are excluded, so
-    ``word_count == len(tokens)``.
+    Words are word tokens only (tokens containing at least one alphanumeric
+    character); punctuation tokens are not counted.
     """
 
-    raw: str
-    tokens: tuple[str, ...]
     sentence_count: int
     word_count: int
     syllable_count: int
@@ -186,11 +183,9 @@ def distinct_ratio(tokens: Iterable[str], max_n: int = 4, min_n: int = 1) -> flo
 def sentence_stats(text: str) -> Sentence:
     """Aggregate token/sentence/syllable counts for one text."""
     text = normalize(text)
-    words = tuple(word_tokens(tokenize(text)))
+    words = word_tokens(tokenize(text))
     syllables = sum(map(count_syllables, words))
     return Sentence(
-        raw=text,
-        tokens=words,
         sentence_count=len(split_sentences(text)),
         word_count=len(words),
         syllable_count=syllables,

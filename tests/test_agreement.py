@@ -18,7 +18,7 @@ from levelforge.agreement import (
     ratings_to_matrices,
     weighted_f1,
 )
-from levelforge.readability import ComplexityLevel
+from levelforge.readability import ComplexityLevel, Scheme
 
 from oracles.alpha_ref import alpha as alpha_ref
 
@@ -34,6 +34,32 @@ def matrix_from(rows):
     for rater, item, value in rows:
         m.add(rater, item, value)
     return m
+
+
+class TestRejectedInputs:
+    def test_prediction_needs_cefr6_levels(self):
+        with pytest.raises(ValueError) as exc:
+            LabeledPrediction(gold=ComplexityLevel.cefr6("A1"),
+                              predicted=ComplexityLevel.parse(Scheme.CEFR3, "A"))
+        assert str(exc.value) == "LabeledPrediction requires CEFR6 levels on both sides"
+
+    @pytest.mark.parametrize("metric, name", [(adjacent_accuracy, "adjacent_accuracy"),
+                                              (mae, "mae")])
+    def test_no_predictions(self, metric, name):
+        with pytest.raises(ValueError) as exc:
+            metric([])
+        assert str(exc.value) == f"{name} needs at least one prediction"
+
+    def test_alpha_needs_two_raters(self):
+        m = matrix_from([("r1", 1, "a"), ("r1", 2, "b")])
+        with pytest.raises(ValueError) as exc:
+            krippendorff_alpha(m)
+        assert str(exc.value) == "RatingMatrix needs at least 2 raters"
+
+    def test_likert_group_without_ratings(self):
+        with pytest.raises(ValueError) as exc:
+            likert_report({"g": RatingMatrix()})
+        assert str(exc.value) == "group 'g' has no ratings"
 
 
 class TestWeightedF1:

@@ -1,5 +1,8 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -276,6 +279,7 @@ class TestScoreCommand:
              '"references" must be a non-empty list of strings'),
             ({"source": 5, "references": ["a b."]}, '"source" must be a string, got int'),
             (["a b c.", ["a b."]], 'need "source" and "references"'),
+            ({"source": "a b c."}, 'need "source" and "references"'),
         ],
     )
     def test_bad_eval_line_is_data_error(self, tmp_path, capsys, record, message):
@@ -662,7 +666,7 @@ class TestLevelLabels:
         argv = ["prompt", str(data), "--strategy", "abs", "--scheme", "cefr6",
                 "-o", str(tmp_path / "prompted.jsonl")]
         assert main(argv) == 1
-        assert capsys.readouterr().err == "error: line 2: bad cefr6 level 'Q'\n"
+        assert capsys.readouterr().err == f"error: {data}:2: bad cefr6 level 'Q'\n"
 
     def test_label_without_predictions(self, tmp_path, capsys):
         pairs = tmp_path / "pairs.jsonl"
@@ -717,6 +721,10 @@ class TestConfigFieldTypes:
             ({"predictions": 5}, "predictions must be null or a string, got 5"),
             ({"similarity_source": "file", "similarity_file": 5},
              "similarity_file must be null or a string, got 5"),
+            ({"similarity_source": "magic"}, "unknown similarity_source 'magic'"),
+            ({"similarity_source": "file"}, "similarity_source=file requires similarity_file"),
+            ({"input": "no/such.jsonl"}, "input path does not exist: no/such.jsonl"),
+            ({"predictions": "no/such.jsonl"}, "predictions path does not exist: no/such.jsonl"),
         ],
     )
     def test_mistyped_field_is_usage_error(self, tmp_path, capsys, setting, message):
@@ -866,3 +874,181 @@ class TestAnalyzeLevelsAndTextReport:
         assert len(lines) == 2
         cells = lines[1].split()
         assert (cells[0], cells[1], cells[-1]) == ("model-a/fluency", "4.00", "2")
+
+
+class TestInputLines:
+    """Every input file is read by dataio.read_lines, so a line that is not
+    UTF-8 is reported at its path and line by every command."""
+
+    GOOD_PAIR = {"id": "p1", "source": "The cat sat on the mat.", "target": "A cat sat there.",
+                 "similarity": 0.7, "source_level": "B1", "target_level": "A2", "task": "down"}
+    GOOD_EVAL = {"source": "The cat sat on the mat.", "references": ["A cat sat."]}
+
+    def _files(self, tmp_path):
+        make_corpus(tmp_path / "corpus.jsonl")
+        files = {
+            "pairs.jsonl": json.dumps(self.GOOD_PAIR),
+            "pairs.tsv": "The cat sat on the mat.\tA cat sat there.\t0.7",
+            "texts.txt": "The cat sat on the mat.",
+            "outputs.txt": "A cat sat.",
+            "refs.jsonl": json.dumps(self.GOOD_EVAL),
+            "ratings.tsv": "item_id\trater_id\tgroup\tvalue",
+            "levels.jsonl": json.dumps({"id": "s1", "level": "A1"}),
+            "sims.jsonl": json.dumps({"id": "p0000", "similarity": 0.7}),
+            "preds.jsonl": json.dumps({"scheme": "cefr6"}),
+        }
+        for name, first in files.items():
+            (tmp_path / name).write_text(first + "\n" + first + "\n")
+        (tmp_path / "config.json").write_text(json.dumps({
+            "input": "corpus.jsonl", "output_dir": "out",
+            "similarity_source": "file", "similarity_file": "sims.jsonl",
+        }))
+
+    @pytest.mark.parametrize(
+        "bad, argv",
+        [
+            ("pairs.jsonl", ["filter", "pairs.jsonl"]),
+            ("pairs.tsv", ["filter", "pairs.tsv"]),
+            ("texts.txt", ["analyze", "texts.txt"]),
+            ("pairs.jsonl", ["analyze", "pairs.jsonl"]),
+            ("outputs.txt", ["score", "--outputs", "outputs.txt", "--refs", "refs.jsonl"]),
+            ("refs.jsonl", ["score", "--outputs", "outputs.txt", "--refs", "refs.jsonl"]),
+            ("ratings.tsv", ["agree", "ratings.tsv"]),
+            ("ratings.tsv", ["report", "ratings.tsv"]),
+            ("levels.jsonl", ["classifier-eval", "--gold", "levels.jsonl",
+                              "--pred", "levels.jsonl"]),
+            ("sims.jsonl", ["pipeline", "--config", "config.json"]),
+            ("preds.jsonl", ["label", "pairs.jsonl", "--scheme", "cefr6",
+                             "--predictions", "preds.jsonl"]),
+            ("pairs.jsonl", ["bucket", "pairs.jsonl", "--scheme", "cefr6"]),
+            ("pairs.jsonl", ["split", "pairs.jsonl", "-o", "splits"]),
+            ("pairs.jsonl", ["prompt", "pairs.jsonl", "--strategy", "rel", "--scheme", "cefr6"]),
+        ],
+    )
+    def test_non_utf8_line_is_located(self, tmp_path, capsys, monkeypatch, bad, argv):
+        monkeypatch.chdir(tmp_path)
+        self._files(tmp_path)
+        path = tmp_path / bad
+        path.write_bytes(path.read_bytes().splitlines(keepends=True)[0] + b"caf\xff\n")
+        assert main(argv) == 1
+        assert capsys.readouterr().err == f"error: {bad}:2: not valid UTF-8\n"
+
+
+class TestPromptRecordErrors:
+    @pytest.mark.parametrize(
+        "strategy, record, message",
+        [
+            ("rel", {"target": "An easy one.", "task": "down"},
+             'need string "source" and "target"'),
+            ("baseline", {"source": "A hard one.", "target": 5},
+             'need string "source" and "target"'),
+            ("rel", {"source": "A hard one.", "target": "An easy one.", "task": "sideways"},
+             "'sideways' is not a valid TaskLabel"),
+            ("rel", {"source": "A hard one.", "target": "An easy one."},
+             "relative prompting needs a task field"),
+            ("abs", {"source": "A hard one.", "target": "An easy one."},
+             "absolute prompting needs a target_level field"),
+            ("abs", {"source": "A hard one.", "target": "An easy one.", "target_level": "Q"},
+             "bad cefr6 level 'Q'"),
+        ],
+    )
+    def test_bad_record_at_its_file_line(self, tmp_path, capsys, strategy, record, message):
+        good = {"source": "A hard sentence.", "target": "An easy one.", "task": "down",
+                "target_level": "A2"}
+        data = tmp_path / "data.jsonl"
+        data.write_text(json.dumps(good) + "\n\n\n" + json.dumps(record) + "\n")
+        argv = ["prompt", str(data), "--strategy", strategy, "--scheme", "cefr6",
+                "-o", str(tmp_path / "prompted.jsonl")]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == f"error: {data}:4: {message}\n"
+
+
+class TestRejectedAtTheSource:
+    def test_non_string_pair_side(self, tmp_path, capsys):
+        pairs = tmp_path / "pairs.jsonl"
+        write_jsonl_file(pairs, [{"id": "a", "source": 5, "target": "x y z w", "similarity": 0.7}])
+        assert main(["filter", str(pairs)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {pairs}:1: bad pair record: pair a: source and target must be strings\n"
+        )
+
+    @pytest.mark.parametrize("command, value", [("agree", "nan"), ("report", "nan"),
+                                                ("report", "inf"), ("agree", "-inf")])
+    def test_non_finite_rating(self, tmp_path, capsys, command, value):
+        ratings = tmp_path / "ratings.tsv"
+        ratings.write_text(f"s1\tr1\tg\t4\ns1\tr2\tg\t{value}\n")
+        assert main([command, str(ratings)]) == 1
+        assert capsys.readouterr() == ("", f"error: {ratings}:2: bad rating value '{value}'\n")
+
+    def test_non_utf8_config_is_usage_error(self, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_bytes(b'{"input": "caf\xff"}')
+        assert main(["pipeline", "--config", str(config)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: cannot read config {config}: 'utf-8' codec can't decode byte 0xff "
+            "in position 14: invalid start byte\n"
+        )
+
+
+class TestRarePaths:
+    @pytest.mark.parametrize("name, value, argv", [
+        ("similarity", 0.7, ["pipeline", "--config", "config.json"]),
+        ("level", "A1", ["classifier-eval", "--gold", "keyed.jsonl", "--pred", "keyed.jsonl"]),
+    ])
+    def test_keyed_line_without_value(self, tmp_path, capsys, monkeypatch, name, value, argv):
+        monkeypatch.chdir(tmp_path)
+        make_corpus(tmp_path / "corpus.jsonl")
+        write_jsonl_file(tmp_path / "keyed.jsonl", [{"id": "p0000", name: value}, {"id": "p0001"}])
+        (tmp_path / "config.json").write_text(json.dumps({
+            "input": "corpus.jsonl", "output_dir": "out",
+            "similarity_source": "file", "similarity_file": "keyed.jsonl",
+        }))
+        assert main(argv) == 1
+        assert capsys.readouterr().err == f'error: keyed.jsonl:2: need "id" and "{name}"\n'
+
+    def test_analyze_skips_blank_lines(self, tmp_path, capsys):
+        data = tmp_path / "texts.txt"
+        data.write_text("The cat sat.\n\n   \nA dog ran fast.\n")
+        assert main(["analyze", str(data)]) == 0
+        rows = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+        assert [r["word_count"] for r in rows] == [3, 4]
+
+    def test_label_passes_parse_errors_through(self, tmp_path, capsys):
+        pairs = tmp_path / "pairs.jsonl"
+        pairs.write_text(json.dumps({"id": "p1", "source": "The cat sat.", "target": "A cat sat."})
+                         + "\nnot json\n")
+        assert main(["label", str(pairs), "--scheme", "fkgl"]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {pairs}:2: invalid JSON: Expecting value: line 1 column 1 (char 0)\n"
+        )
+
+    def test_report_without_ratings(self, tmp_path, capsys):
+        ratings = tmp_path / "ratings.tsv"
+        ratings.write_text("item_id\trater_id\tgroup\tvalue\n")
+        assert main(["report", str(ratings)]) == 1
+        assert capsys.readouterr().err == f"error: no ratings found in {ratings}\n"
+
+    def test_report_single_rater_has_no_alpha(self, tmp_path, capsys):
+        ratings = tmp_path / "ratings.tsv"
+        ratings.write_text("s1\tr1\tg\t4\ns2\tr1\tg\t2\n")
+        assert main(["report", str(ratings)]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["g"]["alpha_ordinal"] is None
+        assert report["g"]["mean"] == 3.0
+
+    def test_score_outputs_without_words(self, tmp_path, capsys):
+        outputs = tmp_path / "outputs.txt"
+        outputs.write_text("...\n")
+        refs = tmp_path / "refs.jsonl"
+        write_jsonl_file(refs, [{"source": "The cat sat.", "references": ["A cat sat."]}])
+        assert main(["score", "--outputs", str(outputs), "--refs", str(refs)]) == 0
+        assert json.loads(capsys.readouterr().out)["fkgl"] is None
+
+    def test_module_entry_point(self):
+        from levelforge import __version__
+
+        src = Path(__file__).resolve().parent.parent / "src"
+        proc = subprocess.run([sys.executable, "-m", "levelforge.cli", "--version"],
+                              capture_output=True, text=True, timeout=60,
+                              env={**os.environ, "PYTHONPATH": str(src)})
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, f"{__version__}\n", "")

@@ -241,6 +241,11 @@ class TestBuildDatasets:
         with pytest.raises(ValueError):
             build_datasets(synthetic_pool(n_diff=4, n_same=10), Scheme.CEFR6, seed=1, task_size=3)
 
+    def test_explicit_task_size_exceeds_same_pool(self):
+        with pytest.raises(ValueError) as exc:
+            build_datasets(synthetic_pool(n_diff=10, n_same=2), Scheme.CEFR6, seed=1, task_size=3)
+        assert str(exc.value) == "need 3 same-level pairs, have 2"
+
     def test_near_level_counted(self):
         pool = synthetic_pool() + [
             leveled(2000, ComplexityLevel.cefr6("B1"), ComplexityLevel.cefr6("B2"))

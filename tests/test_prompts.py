@@ -9,7 +9,7 @@ from levelforge.prompts import (
     PromptSpec,
     Strategy,
     render,
-    render_dataset,
+    render_record,
     strip_prompt,
 )
 from levelforge.readability import ComplexityLevel, Scheme
@@ -113,6 +113,8 @@ class TestRenderAndStrip:
 
 
 class TestRenderDataset:
+    """render_record on dataset records; cmd_prompt adds the file and line."""
+
     LINES = [
         {"source": "A complex sentence.", "target": "A simple one.",
          "task": "down", "target_level": "A2"},
@@ -120,34 +122,47 @@ class TestRenderDataset:
          "task": "up", "target_level": "C1"},
     ]
 
+    def render_all(self, strategy, fixed_level=None):
+        return [render_record(r, strategy, Scheme.CEFR6, fixed_level) for r in self.LINES]
+
     def test_relative_uses_line_task(self):
-        out = list(render_dataset(self.LINES, Strategy.RELATIVE, Scheme.CEFR6))
+        out = self.render_all(Strategy.RELATIVE)
         assert out[0]["input_prompted"] == "level down: A complex sentence."
         assert out[1]["input_prompted"] == "level up: A simple one."
         assert out[0]["output"] == "A simple one."
 
     def test_absolute_uses_line_level(self):
-        out = list(render_dataset(self.LINES, Strategy.ABSOLUTE, Scheme.CEFR6))
+        out = self.render_all(Strategy.ABSOLUTE)
         assert out[0]["input_prompted"] == "change to level A: A complex sentence."
         assert out[1]["input_prompted"] == "change to level C: A simple one."
 
     def test_absolute_fixed_level_inference(self):
-        fixed = ComplexityLevel.cefr6("B1")
-        out = list(
-            render_dataset(self.LINES, Strategy.ABSOLUTE, Scheme.CEFR6, fixed_level=fixed)
-        )
+        out = self.render_all(Strategy.ABSOLUTE, fixed_level=ComplexityLevel.cefr6("B1"))
         assert all(r["input_prompted"].startswith("change to level B: ") for r in out)
 
     def test_baseline_ignores_fields(self):
-        out = list(render_dataset(self.LINES, Strategy.BASELINE, Scheme.CEFR6))
+        out = self.render_all(Strategy.BASELINE)
         assert all(r["input_prompted"].startswith("paraphrase: ") for r in out)
 
-    def test_missing_task_reports_line(self):
-        lines = [dict(self.LINES[0]), {"source": "x y z", "target": "z y x"}]
-        with pytest.raises(ValueError, match="line 2"):
-            list(render_dataset(lines, Strategy.RELATIVE, Scheme.CEFR6))
-
-    def test_missing_level_reports_line(self):
-        lines = [{"source": "x y z", "target": "z y x"}]
-        with pytest.raises(ValueError, match="line 1"):
-            list(render_dataset(lines, Strategy.ABSOLUTE, Scheme.CEFR6))
+    @pytest.mark.parametrize(
+        "record, strategy, message",
+        [
+            ({"source": "x y z", "target": "z y x"}, Strategy.RELATIVE,
+             "relative prompting needs a task field"),
+            ({"source": "x y z", "target": "z y x"}, Strategy.ABSOLUTE,
+             "absolute prompting needs a target_level field"),
+            ({"source": "x y z", "target": "z y x", "task": "sideways"}, Strategy.RELATIVE,
+             "'sideways' is not a valid TaskLabel"),
+            ({"source": "x y z", "target": "z y x", "target_level": "Q"}, Strategy.ABSOLUTE,
+             "bad cefr6 level 'Q'"),
+            ({"target": "z y x"}, Strategy.BASELINE, 'need string "source" and "target"'),
+            ({"source": "x y z", "target": 5}, Strategy.BASELINE,
+             'need string "source" and "target"'),
+        ],
+        ids=["missing-task", "missing-level", "bad-task", "bad-level", "missing-source",
+             "non-string-target"],
+    )
+    def test_unrenderable_record_rejected(self, record, strategy, message):
+        with pytest.raises(ValueError) as exc:
+            render_record(record, strategy, Scheme.CEFR6)
+        assert str(exc.value) == message
