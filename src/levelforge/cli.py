@@ -12,6 +12,8 @@ import argparse
 import functools
 import hashlib
 import json
+import os
+import shutil
 import sys
 from collections import Counter
 from contextlib import contextmanager
@@ -190,12 +192,35 @@ def _filter_settings(fcfg: FilterConfig) -> FilterConfig:
 
 @contextmanager
 def _output(path: Optional[str]) -> Iterator[TextIO]:
-    """stdout for None or "-"; otherwise the file at ``path``, closed afterwards."""
+    """stdout for None or "-"; otherwise the file at ``path``, replaced only on success.
+
+    The command writes a temporary file beside the target, renamed onto it
+    when the command ends without an exception; on an exception it is
+    deleted, so no half-written file is left and an existing one is
+    untouched. A directory, device or pipe is opened as given.
+    """
     if path is None or path == "-":
         yield sys.stdout
-    else:
+        return
+    target = os.path.realpath(path)
+    if os.path.exists(target) and not os.path.isfile(target):
         with open(path, "w", encoding="utf-8") as fh:
             yield fh
+        return
+    tmp = f"{target}.{os.getpid()}.tmp"
+    try:
+        fh = open(tmp, "w", encoding="utf-8")
+    except OSError as exc:  # reported as the open of ``path`` would be
+        raise OSError(exc.errno, exc.strerror, path) from None
+    try:
+        with fh:
+            yield fh
+        if os.path.exists(target):
+            shutil.copymode(target, tmp)
+        os.replace(tmp, target)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def _kept(checked: Iterable[tuple[T, Optional[DropReason]]], drops: Counter) -> Iterator[T]:
@@ -393,7 +418,11 @@ def cmd_prompt(args: argparse.Namespace) -> int:
             except ValueError as exc:
                 raise ParseError(args.input, lineno, str(exc)) from None
             if args.format == "tsv":
-                out.write(f"{rec['input_prompted']}\t{rec['output']}\n")
+                row = (rec["input_prompted"], rec["output"])
+                if any(c in value for value in row for c in "\t\n\r"):
+                    msg = "a tab or line break in source or target cannot go in a TSV row"
+                    raise ParseError(args.input, lineno, msg)
+                out.write("\t".join(row) + "\n")
             else:
                 write_jsonl([rec], out)
     return EXIT_OK

@@ -16,7 +16,7 @@ from random import Random
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence, TypeVar
 
 from .readability import ComplexityLevel, Scheme, level_delta, level_of
-from .textcore import normalize, tokenize, word_tokens
+from .textcore import normalize, words_of
 
 T = TypeVar("T")
 
@@ -147,13 +147,6 @@ def pair_key(source: str, target: str) -> str:
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
-def _is_token_sublist(needle: list[str], haystack: list[str]) -> bool:
-    if len(needle) > len(haystack):
-        return False
-    span = len(needle)
-    return any(haystack[i : i + span] == needle for i in range(len(haystack) - span + 1))
-
-
 def filter_pair(
     pair: ParaphrasePair, cfg: FilterConfig
 ) -> tuple[bool, Optional[DropReason]]:
@@ -163,11 +156,16 @@ def filter_pair(
     casing and punctuation variants still count as contained. The
     similarity band [sim_low, sim_high] is inclusive on both ends.
     """
-    src_words = [t.lower() for t in word_tokens(tokenize(pair.source))]
-    tgt_words = [t.lower() for t in word_tokens(tokenize(pair.target))]
+    src_words = words_of(pair.source)
+    tgt_words = words_of(pair.target)
     if len(src_words) < cfg.min_words or len(tgt_words) < cfg.min_words:
         return False, DropReason.TOO_SHORT
-    if _is_token_sublist(src_words, tgt_words) or _is_token_sublist(tgt_words, src_words):
+    # Tokens hold no whitespace and lowercasing adds none, so one side's
+    # words are a contiguous run of the other's exactly when its
+    # space-delimited string is a substring (no words: " ", in every string).
+    src = " ".join(("", *src_words, "")).lower()
+    tgt = " ".join(("", *tgt_words, "")).lower()
+    if src in tgt or tgt in src:
         return False, DropReason.CONTAINMENT
     if pair.similarity is None:
         if cfg.require_similarity:

@@ -23,6 +23,7 @@ __all__ = [
     "distinct_ratio",
     "sentence_stats",
     "word_tokens",
+    "words_of",
 ]
 
 # Words keep internal hyphens/apostrophes ("state-of-the-art", "don't");
@@ -30,7 +31,6 @@ __all__ = [
 _TOKEN_RE = re.compile(r"\d+(?:[.,]\d+)*|\w+(?:[-'’]\w+)*|[^\w\s]", re.UNICODE)
 
 _SENT_END_RE = re.compile(r"[.!?]+[\"'”’)\]]*")
-_TRAILING_WORD_RE = re.compile(r"[\w.]+$")
 
 # Trailing-period abbreviations that do not end a sentence.
 _ABBREVIATIONS = frozenset(
@@ -80,10 +80,37 @@ def tokenize(text: str) -> list[str]:
 def word_tokens(tokens: Iterable[str]) -> list[str]:
     """Tokens that count as words (contain an alphanumeric character)."""
     # First-char check catches nearly every word token; the any() scan only
-    # runs for the rare token that starts with punctuation.
+    # runs for a longer token that starts with punctuation.
     return [
-        t for t in tokens if t and (t[0].isalnum() or any(c.isalnum() for c in t))
+        t for t in tokens
+        if t[:1].isalnum() or (len(t) > 1 and any(c.isalnum() for c in t))
     ]
+
+
+@lru_cache(maxsize=2)
+def words_of(text: str) -> tuple[str, ...]:
+    """``word_tokens(tokenize(text))`` as a tuple, memoized for the last two texts.
+
+    The filter and the FKGL labeler both need a pair's word tokens, one
+    right after the other, so two entries let a kept pair's sides be
+    tokenized once. A tuple, because every caller shares the value.
+    """
+    return tuple(word_tokens(tokenize(text)))
+
+
+def _trailing_word(text: str, end: int) -> str:
+    """The run of word characters and periods that ends at ``end``, or "".
+
+    One newline right before ``end`` is skipped first, as a regex ``$``
+    would. Scanning backward over the run alone keeps the splitter linear
+    in the text.
+    """
+    if end and text[end - 1] == "\n":
+        end -= 1
+    start = end
+    while start and (text[start - 1].isalnum() or text[start - 1] in "_."):
+        start -= 1
+    return text[start:end]
 
 
 def split_sentences(text: str) -> list[tuple[int, int]]:
@@ -101,11 +128,9 @@ def split_sentences(text: str) -> list[tuple[int, int]]:
         if end < len(text) and not text[end].isspace():
             continue
         if "." in m.group():
-            word_m = _TRAILING_WORD_RE.search(text, 0, m.start())
-            if word_m:
-                word = word_m.group().lower().rstrip(".")
-                if word in _ABBREVIATIONS:
-                    continue
+            word = _trailing_word(text, m.start()).lower().rstrip(".")
+            if word in _ABBREVIATIONS:
+                continue
         boundaries.append(end)
 
     spans: list[tuple[int, int]] = []
@@ -182,8 +207,8 @@ def distinct_ratio(tokens: Iterable[str], max_n: int = 4, min_n: int = 1) -> flo
 
 def sentence_stats(text: str) -> Sentence:
     """Aggregate token/sentence/syllable counts for one text."""
-    text = normalize(text)
-    words = word_tokens(tokenize(text))
+    # The text as given is the memo key the filter used for the same side.
+    words = words_of(text)
     syllables = sum(map(count_syllables, words))
     return Sentence(
         sentence_count=len(split_sentences(text)),

@@ -1,8 +1,10 @@
 import hashlib
 import json
 import os
+import stat
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -1052,3 +1054,95 @@ class TestRarePaths:
                               capture_output=True, text=True, timeout=60,
                               env={**os.environ, "PYTHONPATH": str(src)})
         assert (proc.returncode, proc.stdout, proc.stderr) == (0, f"{__version__}\n", "")
+
+
+class TestOutputsAreAllOrNothing:
+    GOOD = {"source": "A hard sentence.", "target": "An easy one.", "task": "down"}
+    PAIR = {"id": "a", "source": "The committee reviewed the long proposal.",
+            "target": "The group read the plan.", "similarity": 0.7}
+
+    def prompt_bad_at_line_3(self, tmp_path):
+        data = tmp_path / "data.jsonl"
+        write_jsonl_file(data, [self.GOOD, self.GOOD, {"target": "x", "task": "down"}])
+        return data, ["prompt", str(data), "--strategy", "rel", "--scheme", "fkgl"], 3
+
+    def filter_bad_at_line_2(self, tmp_path):
+        data = tmp_path / "pairs.jsonl"
+        data.write_text(json.dumps(self.PAIR) + "\n{not json\n")
+        return data, ["filter", str(data)], 2
+
+    @pytest.mark.parametrize("make", ["prompt_bad_at_line_3", "filter_bad_at_line_2"])
+    @pytest.mark.parametrize("existing", [None, "old contents\n"])
+    def test_failed_command_leaves_target_as_it_was(self, tmp_path, capsys, make, existing):
+        data, argv, lineno = getattr(self, make)(tmp_path)
+        out = tmp_path / "out.jsonl"
+        if existing is not None:
+            out.write_text(existing)
+        before = sorted(p.name for p in tmp_path.iterdir())
+        assert main([*argv, "-o", str(out)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {data}:{lineno}: ")
+        assert sorted(p.name for p in tmp_path.iterdir()) == before
+        if existing is None:
+            assert not out.exists()
+        else:
+            assert out.read_text() == existing
+
+    def test_success_replaces_target_and_keeps_its_mode(self, tmp_path, capsys):
+        data = tmp_path / "data.jsonl"
+        write_jsonl_file(data, [self.GOOD])
+        out = tmp_path / "out.jsonl"
+        out.write_text("old contents\n")
+        out.chmod(0o640)
+        argv = ["prompt", str(data), "--strategy", "rel", "--scheme", "fkgl", "-o", str(out)]
+        assert main(argv) == 0
+        assert json.loads(out.read_text())["output"] == "An easy one."
+        assert out.stat().st_mode & 0o777 == 0o640
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["data.jsonl", "out.jsonl"]
+
+    def test_pipe_target_is_written_in_place(self, tmp_path, capsys):
+        # As for `-o >(gzip > out.gz)`: nothing may be renamed onto a pipe.
+        data = tmp_path / "data.jsonl"
+        write_jsonl_file(data, [self.GOOD])
+        fifo = tmp_path / "out.fifo"
+        os.mkfifo(fifo)
+        received = []
+        reader = threading.Thread(target=lambda: received.append(fifo.read_text()), daemon=True)
+        reader.start()
+        argv = ["prompt", str(data), "--strategy", "rel", "--scheme", "fkgl", "-o", str(fifo)]
+        assert main(argv) == 0
+        reader.join(timeout=10)
+        assert [json.loads(text)["output"] for text in received] == ["An easy one."]
+        assert stat.S_ISFIFO(fifo.stat().st_mode)
+
+    def test_missing_directory_names_the_target(self, tmp_path, capsys):
+        data = tmp_path / "data.jsonl"
+        write_jsonl_file(data, [self.GOOD])
+        out = tmp_path / "nowhere" / "out.jsonl"
+        argv = ["prompt", str(data), "--strategy", "rel", "--scheme", "fkgl", "-o", str(out)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: [Errno 2] No such file or directory: '{out}'\n"
+
+
+class TestPromptTsvRows:
+    @pytest.mark.parametrize("record", [
+        {"source": "A b\tc.", "target": "D e f."},
+        {"source": "A b c.\nNew line.", "target": "D e f."},
+        {"source": "A b c.", "target": "D e\r f."},
+    ])
+    def test_tab_or_line_break_is_data_error(self, tmp_path, capsys, record):
+        data = tmp_path / "data.jsonl"
+        write_jsonl_file(data, [{"source": "A b c.", "target": "D e f."}, record])
+        out = tmp_path / "prompted.tsv"
+        argv = ["prompt", str(data), "--strategy", "baseline", "--scheme", "fkgl",
+                "--format", "tsv", "-o", str(out)]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == (
+            f"error: {data}:2: a tab or line break in source or target cannot go in a TSV row\n")
+        assert not out.exists()
+
+    def test_jsonl_output_keeps_them(self, tmp_path, capsys):
+        data = tmp_path / "data.jsonl"
+        write_jsonl_file(data, [{"source": "A b\tc.\nNew line.", "target": "D e f."}])
+        argv = ["prompt", str(data), "--strategy", "baseline", "--scheme", "fkgl"]
+        assert main(argv) == 0
+        assert json.loads(capsys.readouterr().out)["input_prompted"].endswith("A b\tc.\nNew line.")

@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from levelforge import textcore
 from levelforge.corpus import (
     DropReason,
     FilterConfig,
@@ -118,6 +119,25 @@ class TestFilterPair:
             FilterConfig(sim_low=0.9, sim_high=0.5).validate()
         with pytest.raises(ValueError):
             FilterConfig(min_words=0).validate()
+
+
+class TestEachSideTokenizedOnce:
+    def test_labeling_reuses_the_filters_words(self, monkeypatch):
+        tokenized = []
+        tokenize = textcore.tokenize
+        monkeypatch.setattr(textcore, "tokenize",
+                            lambda text: tokenized.append(text) or tokenize(text))
+        textcore.words_of.cache_clear()
+        pairs = [make_pair(1), make_pair(2, source="The dog ran far.", target="A dog went away.")]
+        # A stream, as in the pipeline: each kept pair is labeled before the
+        # next one is filtered.
+        kept = (p for p in pairs if filter_pair(p, FilterConfig())[0])
+        leveled = [p for p, _ in attach_levels(kept, Scheme.FKGL)]
+        assert [p.id for p in leveled] == ["p00001", "p00002"]
+        assert tokenized == [pairs[0].source, pairs[0].target, pairs[1].source, pairs[1].target]
+
+    def test_shared_words_cannot_be_mutated(self):
+        assert isinstance(textcore.words_of("The cat sat."), tuple)
 
 
 class TestAttachLevels:

@@ -1,9 +1,11 @@
+import time
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from levelforge.corpus import FilterConfig, ParaphrasePair, filter_pair
 from levelforge.textcore import (
     count_syllables,
     distinct_ratio,
@@ -13,7 +15,9 @@ from levelforge.textcore import (
     split_sentences,
     tokenize,
     word_tokens,
+    words_of,
 )
+from oracles import textcore_ref
 
 words_st = st.lists(
     st.text(alphabet="abcdefghijklmnopqrstuvwxyz", min_size=1, max_size=10),
@@ -171,6 +175,85 @@ class TestArbitraryUnicode:
         # whenever it has a word.
         assert bool(spans) == bool(normalize(text).strip())
         assert stats.sentence_count == len(spans)
+
+
+text_st = TestArbitraryUnicode.text_st
+case_st = st.sampled_from([str, str.lower, str.upper, str.swapcase, str.title])
+
+
+class TestAgainstFrozenReference:
+    """The linear text layer equals the frozen quadratic one on any text."""
+
+    @settings(max_examples=500)
+    @given(text_st)
+    @example("He met Dr\n. Smith today.")
+    @example("Go to st\n\n. now.")
+    @example("Mr. Smith met Dr. Jones. It cost 3.5 dollars, e.g. lunch. Done!")
+    @example("Dr.\n. Next. A_b. etc.\n. end")
+    @example("ΟΔΟΣ ΚΑΙ. İstanbul is big. ﬁne words here.")
+    def test_split_sentences(self, text):
+        assert split_sentences(text) == textcore_ref.split_sentences(text)
+
+    @settings(max_examples=500)
+    @given(text_st)
+    @example("ΟΔΟΣ ΚΑΙ")
+    @example("İstanbul is big")
+    @example("ﬁne words here")
+    @example("don't -- _ __ a_b state-of-the-art 3.5 …")
+    def test_words_of(self, text):
+        expected = tuple(textcore_ref.word_tokens(textcore_ref.tokenize(text)))
+        assert words_of(text) == expected
+        assert word_tokens(tokenize(text)) == list(expected)
+
+    @settings(max_examples=500)
+    @given(
+        st.one_of(
+            st.tuples(text_st, text_st),
+            # One side cut from the middle of the other, recased: the
+            # containment rule decides these.
+            st.tuples(text_st, text_st, text_st, case_st).map(
+                lambda t: (f"{t[0]} {t[1]} {t[2]}", t[3](t[1]))
+            ),
+        ).filter(lambda pair: pair[0] and pair[1]),
+        st.integers(0, 3),
+    )
+    @example(("ΟΔΟΣ ΚΑΙ", "οδος και αλλο"), 1)
+    @example(("Σ ΟΔΟΣ ΚΑΙ ΑΛΛΟ", "σ οδοσ και"), 1)
+    @example(("İstanbul is big", "we know i̇stanbul is big now"), 1)
+    @example(("İstanbul is big", "we know istanbul is big now"), 1)
+    @example(("ﬁne words here", "such FINE WORDS HERE"), 1)
+    @example(("ﬁne words here", "such ﬁne words here"), 1)
+    @example(("!!!", "a b c"), 0)
+    def test_filter_pair_reason(self, sides, min_words):
+        source, target = sides
+        pair = ParaphrasePair(id="p", source=source, target=target)
+        cfg = FilterConfig(min_words=min_words, require_similarity=False)
+        _, reason = filter_pair(pair, cfg)
+        expected = textcore_ref.length_or_containment(source, target, min_words)
+        assert (reason.value if reason else None) == expected
+
+
+class TestLinearTime:
+    def test_split_sentences_10k_sentences(self):
+        sentence = "Dr. Smith paid 3.5 dollars, e.g. to Mr. Jones of St.\nMark's, etc. on time."
+        text = " ".join([sentence] * 10_000)
+        start = time.perf_counter()
+        spans = split_sentences(text)
+        elapsed = time.perf_counter() - start
+        assert len(spans) == 10_000
+        assert elapsed < 1.0
+
+    def test_filter_pair_64k_word_sides(self):
+        # A repetitive long side is the worst case for a search that
+        # restarts at every offset.
+        source = " ".join(["word"] * 64_000 + ["end."])
+        target = " ".join(["Word"] * 63_999 + ["other."])
+        pair = ParaphrasePair(id="p", source=source, target=target, similarity=0.7)
+        start = time.perf_counter()
+        _, reason = filter_pair(pair, FilterConfig())
+        elapsed = time.perf_counter() - start
+        assert reason is None
+        assert elapsed < 1.0
 
 
 class TestDistinctRatio:
