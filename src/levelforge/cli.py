@@ -9,11 +9,12 @@ order; LEVELFORGE_THREADS is accepted and ignored (a no-op).
 from __future__ import annotations
 
 import argparse
+import errno
 import functools
 import hashlib
 import json
 import os
-import shutil
+import stat
 import sys
 from collections import Counter
 from contextlib import contextmanager
@@ -197,16 +198,25 @@ def _output(path: Optional[str]) -> Iterator[TextIO]:
     The command writes a temporary file beside the target, renamed onto it
     when the command ends without an exception; on an exception it is
     deleted, so no half-written file is left and an existing one is
-    untouched. A directory, device or pipe is opened as given.
+    untouched. A target that exists and is not a regular file (a pipe,
+    device or directory, also when reached through ``/dev/fd``) is opened
+    as given. An existing target must be writable, as for ``open``; the
+    new file gets its permission bits.
     """
     if path is None or path == "-":
         yield sys.stdout
         return
-    target = os.path.realpath(path)
-    if os.path.exists(target) and not os.path.isfile(target):
+    try:
+        st: Optional[os.stat_result] = os.stat(path)
+    except FileNotFoundError:
+        st = None
+    if st is not None and not stat.S_ISREG(st.st_mode):
         with open(path, "w", encoding="utf-8") as fh:
             yield fh
         return
+    if st is not None and not os.access(path, os.W_OK):
+        raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), path)
+    target = os.path.realpath(path)
     tmp = f"{target}.{os.getpid()}.tmp"
     try:
         fh = open(tmp, "w", encoding="utf-8")
@@ -215,8 +225,8 @@ def _output(path: Optional[str]) -> Iterator[TextIO]:
     try:
         with fh:
             yield fh
-        if os.path.exists(target):
-            shutil.copymode(target, tmp)
+        if st is not None:
+            os.chmod(tmp, stat.S_IMODE(st.st_mode))
         os.replace(tmp, target)
     except BaseException:
         os.unlink(tmp)

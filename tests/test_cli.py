@@ -1114,6 +1114,32 @@ class TestOutputsAreAllOrNothing:
         assert [json.loads(text)["output"] for text in received] == ["An easy one."]
         assert stat.S_ISFIFO(fifo.stat().st_mode)
 
+    def test_stdout_pipe_target_is_written_in_place(self, tmp_path):
+        # /dev/stdout is a link through /proc/self/fd to a pipe with no path of its own.
+        data = tmp_path / "data.jsonl"
+        write_jsonl_file(data, [self.GOOD])
+        src = Path(__file__).resolve().parent.parent / "src"
+        argv = ["prompt", str(data), "--strategy", "rel", "--scheme", "fkgl", "-o", "/dev/stdout"]
+        proc = subprocess.run([sys.executable, "-m", "levelforge.cli", *argv],
+                              stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+                              timeout=60, env={**os.environ, "PYTHONPATH": str(src)})
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert [json.loads(line)["output"] for line in proc.stdout.splitlines()] == ["An easy one."]
+
+    def test_read_only_target_is_refused(self, tmp_path, capsys, monkeypatch):
+        data = tmp_path / "data.jsonl"
+        write_jsonl_file(data, [self.GOOD])
+        out = tmp_path / "out.jsonl"
+        out.write_text("old contents\n")
+        out.chmod(0o444)
+        if os.geteuid() == 0:  # root may write any file: check as a user who may not
+            monkeypatch.setattr(os, "access", lambda path, mode: False)
+        argv = ["prompt", str(data), "--strategy", "rel", "--scheme", "fkgl", "-o", str(out)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: [Errno 13] Permission denied: '{out}'\n"
+        assert out.read_text() == "old contents\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["data.jsonl", "out.jsonl"]
+
     def test_missing_directory_names_the_target(self, tmp_path, capsys):
         data = tmp_path / "data.jsonl"
         write_jsonl_file(data, [self.GOOD])
