@@ -667,7 +667,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gold-out")
     p.set_defaults(func=cmd_agree)
 
-    p = sub.add_parser("report", help="Likert means, 95% CIs, ordinal alpha per group")
+    p = sub.add_parser("report", help="Likert means, 95%% CIs, ordinal alpha per group")
     p.add_argument("input", help="ratings TSV: item_id, rater_id, group, value")
     p.add_argument("--format", choices=["json", "text"], default="json")
     p.set_defaults(func=cmd_report)

@@ -74,7 +74,16 @@ def tokenize(text: str) -> list[str]:
     """
     if not text:
         return []
-    return _TOKEN_RE.findall(normalize(text))
+    # Same tokens as _TOKEN_RE over the whole text: no token holds
+    # whitespace, `\s` is exactly str.isspace, and an all-letter chunk is one
+    # `\w+` match, so only the other chunks need the regex.
+    tokens: list[str] = []
+    for chunk in normalize(text).split():
+        if chunk.isalpha():
+            tokens.append(chunk)
+        else:
+            tokens += _TOKEN_RE.findall(chunk)
+    return tokens
 
 
 def word_tokens(tokens: Iterable[str]) -> list[str]:

@@ -1,9 +1,10 @@
 # Frozen reference for the text layer's fast paths: the tokenizer, the
 # sentence splitter and filter_pair's length/containment rules as they were
-# written before the splitter scanned backward and containment became one
-# substring test. Deliberately slow (the splitter searches from offset 0 at
-# every boundary; containment compares a slice at every offset) and shares
-# no code with the package, so a property test can hold the package to it.
+# written before the splitter scanned backward, containment became one
+# substring test and the tokenizer ran its regex per whitespace chunk.
+# Deliberately slow (the splitter searches from offset 0 at every boundary;
+# containment compares a slice at every offset) and shares no code with the
+# package, so a property test can hold the package to it.
 import re
 import unicodedata
 

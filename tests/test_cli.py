@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import random
 import stat
 import subprocess
 import sys
@@ -1172,3 +1173,70 @@ class TestPromptTsvRows:
         argv = ["prompt", str(data), "--strategy", "baseline", "--scheme", "fkgl"]
         assert main(argv) == 0
         assert json.loads(capsys.readouterr().out)["input_prompted"].endswith("A b\tc.\nNew line.")
+
+
+SUBCOMMANDS = ("analyze", "pipeline", "filter", "label", "bucket", "split", "prompt",
+               "score", "classifier-eval", "agree", "report")
+
+
+class TestHelp:
+    def test_top_level_help_names_every_subcommand(self):
+        src = Path(__file__).resolve().parent.parent / "src"
+        proc = subprocess.run([sys.executable, "-m", "levelforge.cli", "--help"],
+                              capture_output=True, text=True, timeout=60,
+                              env={**os.environ, "PYTHONPATH": str(src)})
+        assert (proc.returncode, proc.stderr) == (0, "")
+        listed = proc.stdout.split("positional arguments:")[1].split()
+        assert set(SUBCOMMANDS) <= set(listed)
+
+    @pytest.mark.parametrize("command", SUBCOMMANDS)
+    def test_subcommand_help(self, command, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--help"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith(f"usage: levelforge {command} ")
+
+
+class TestInputOrder:
+    """Per-pair work and sampling over sorted ids make the input order moot."""
+
+    TASK_FILES = [f"{task}.{split}.jsonl"
+                  for task in ("simplification", "complexification", "same_level")
+                  for split in ("train", "valid", "test")]
+
+    def _run(self, workdir, records, monkeypatch):
+        # Same relative input and output names in every directory, so the
+        # config (and its hash) is the same for every run.
+        workdir.mkdir()
+        write_jsonl_file(workdir / "corpus.jsonl", records)
+        (workdir / "config.json").write_text(json.dumps(
+            {"input": "corpus.jsonl", "output_dir": "out", "scheme": "fkgl", "seed": 3}))
+        monkeypatch.chdir(workdir)
+        assert main(["pipeline", "--config", "config.json"]) == 0
+        out = workdir / "out"
+        manifest = json.loads((out / "manifest.json").read_text())
+        return {name: (out / name).read_bytes() for name in self.TASK_FILES}, manifest
+
+    def test_shuffled_lines_give_the_same_outputs(self, tmp_path, capsys, monkeypatch):
+        records = make_corpus(tmp_path / "unused.jsonl", n=90)
+        for i, record in enumerate(records):
+            record["similarity"] = (0.5, 0.65, 0.7, 0.75, 0.9)[i % 5]
+        shuffled = list(records)
+        random.Random(0).shuffle(shuffled)
+        assert shuffled != records
+        files_a, manifest_a = self._run(tmp_path / "a", records, monkeypatch)
+        files_b, manifest_b = self._run(tmp_path / "b", shuffled, monkeypatch)
+        assert files_a == files_b
+        assert any(files_a.values())
+        assert manifest_a.pop("input_digests") != manifest_b.pop("input_digests")
+        assert manifest_a == manifest_b
+        assert set(manifest_a["drop_reasons"]) == {"SIM_HIGH", "SIM_LOW"}
+
+    def test_first_duplicate_decides_the_filter(self, tmp_path, capsys, monkeypatch):
+        records = make_corpus(tmp_path / "unused.jsonl", n=40)
+        in_band = {**records[0], "id": "first", "similarity": 0.7}
+        too_high = {**records[0], "id": "second", "similarity": 0.95}
+        _, kept_first = self._run(tmp_path / "a", [in_band, *records[1:], too_high], monkeypatch)
+        _, dropped_first = self._run(tmp_path / "b", [too_high, *records[1:], in_band], monkeypatch)
+        assert kept_first["drop_reasons"] == {"DUPLICATE": 1}
+        assert dropped_first["drop_reasons"] == {"DUPLICATE": 1, "SIM_HIGH": 1}

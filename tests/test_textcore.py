@@ -1,3 +1,5 @@
+import re
+import sys
 import time
 from collections import Counter
 
@@ -7,6 +9,7 @@ from hypothesis import strategies as st
 
 from levelforge.corpus import FilterConfig, ParaphrasePair, filter_pair
 from levelforge.textcore import (
+    _TOKEN_RE,
     count_syllables,
     distinct_ratio,
     ngrams,
@@ -55,6 +58,23 @@ class TestTokenize:
         n_a = len(word_tokens(tokenize(" ".join(a))))
         n_b = len(word_tokens(tokenize(" ".join(b))))
         assert len(word_tokens(tokenize(joined))) == n_a + n_b
+
+    def test_chunking_facts_over_every_code_point(self):
+        # tokenize runs _TOKEN_RE only on the str.split() chunks that are
+        # not all letters. That gives the whole-text tokens because of three
+        # facts about every code point:
+        chars = "".join(map(chr, range(sys.maxunicode + 1)))
+        spaces = "".join(filter(str.isspace, chars))
+        letters = "".join(filter(str.isalpha, chars))
+        # 1. no token holds whitespace;
+        assert re.findall(r"[\w\d.,\-'’]", spaces) == []
+        assert _TOKEN_RE.findall(spaces) == []
+        # 2. str.split() cuts exactly where \s matches;
+        assert "".join(re.findall(r"\s", chars)) == spaces
+        assert "x".join(spaces).split() == ["x"] * (len(spaces) - 1)
+        # 3. a letter is \w and never \d, so an all-letter chunk is one token.
+        assert re.fullmatch(r"\w*", letters)
+        assert re.search(r"\d", letters) is None
 
 
 class TestSplitSentences:
@@ -183,6 +203,17 @@ case_st = st.sampled_from([str, str.lower, str.upper, str.swapcase, str.title])
 
 class TestAgainstFrozenReference:
     """The linear text layer equals the frozen quadratic one on any text."""
+
+    @settings(max_examples=500)
+    @given(text_st)
+    @example("a\x1cb\x1dc\x1ed\x1fe\x85f\xa0g\u2028h\u3000i")
+    @example("e\u0301te\u0301 caf\u00e9.")
+    @example("3abc \u0663.\u0665x 1,200th")
+    @example("_ a_b _-_ __init__")
+    @example("word- \u2019tis x--y don't- -a")
+    @example("q\u0301 a\u203fb \u0915\u093f")
+    def test_tokenize(self, text):
+        assert tokenize(text) == textcore_ref.tokenize(text)
 
     @settings(max_examples=500)
     @given(text_st)
