@@ -20,7 +20,7 @@ from collections import Counter
 from contextlib import contextmanager
 from dataclasses import MISSING, asdict, dataclass, fields
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Optional, Sequence, TextIO, TypeVar
+from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence, TextIO, TypeVar
 
 from . import __version__
 from .agreement import (
@@ -37,7 +37,6 @@ from .agreement import (
     weighted_f1,
 )
 from .corpus import (
-    DatasetManifest,
     DropReason,
     FilterConfig,
     ParaphrasePair,
@@ -233,6 +232,25 @@ def _output(path: Optional[str]) -> Iterator[TextIO]:
         raise
 
 
+def _write_splits(outdir: Path, prefix: str, chunks: Mapping[str, Iterable[dict]]) -> dict[str, int]:
+    """Each split's records to ``<outdir>/<prefix><split>.jsonl``; the record count per split."""
+    outdir.mkdir(parents=True, exist_ok=True)
+    counts = {}
+    for split, records in chunks.items():
+        with _output(str(outdir / f"{prefix}{split}.jsonl")) as fh:
+            counts[split] = write_jsonl(records, fh)
+    return counts
+
+
+def _print_report(report: dict, source: str) -> None:
+    """Print ``report`` as JSON; a NaN or infinity in it is a DataError naming ``source``."""
+    try:
+        text = json.dumps(report, sort_keys=True, indent=2, allow_nan=False)
+    except ValueError:
+        raise DataError(f"{source}: the report holds a NaN or infinity, which JSON cannot hold") from None
+    print(text)
+
+
 def _kept(checked: Iterable[tuple[T, Optional[DropReason]]], drops: Counter) -> Iterator[T]:
     """The kept items of a stage's (item, reason) stream; ``drops`` counts the rest by reason."""
     for item, reason in checked:
@@ -401,12 +419,7 @@ def cmd_split(args: argparse.Namespace) -> int:
     ratios = _split_ratios(args.ratios, "--ratios")
     records = [obj for _, obj in read_jsonl(args.input)]
     chunks = split_dataset(records, ratios, args.seed, key=lambda r: str(r.get("id", "")))
-    outdir = Path(args.output_dir)
-    outdir.mkdir(parents=True, exist_ok=True)
-    for name, chunk in chunks.items():
-        with open(outdir / f"{name}.jsonl", "w", encoding="utf-8") as fh:
-            write_jsonl(chunk, fh)
-    print(json.dumps({k: len(v) for k, v in chunks.items()}), file=sys.stderr)
+    print(json.dumps(_write_splits(Path(args.output_dir), "", chunks)), file=sys.stderr)
     return EXIT_OK
 
 
@@ -458,6 +471,8 @@ def _eval_fields(obj: dict, path: str, lineno: int) -> tuple[str, tuple[str, ...
 
 
 def cmd_score(args: argparse.Namespace) -> int:
+    if args.repetition_n < 1:
+        raise ConfigError(f"--repetition-n must be >= 1, got {args.repetition_n}")
     outputs = [line for _, line in read_lines(args.outputs)]
     refs = list(read_jsonl(args.refs, not_object=_NEED_EVAL_FIELDS))
     if len(outputs) != len(refs):
@@ -468,10 +483,9 @@ def cmd_score(args: argparse.Namespace) -> int:
     for out_text, (lineno, obj) in zip(outputs, refs):
         source, references = _eval_fields(obj, args.refs, lineno)
         instances.append(EvalInstance(source=source, output=out_text, references=references))
-    report = score_report(instances, repetition_n=args.repetition_n)
-    print(json.dumps(report, sort_keys=True, indent=2))
+    _print_report(score_report(instances, repetition_n=args.repetition_n), args.outputs)
     if args.per_instance:
-        with open(args.per_instance, "w", encoding="utf-8") as fh:
+        with _output(args.per_instance) as fh:
             fh.write("sari\tsari_r\tcopy\n")
             for inst in instances:
                 s = sari(inst).sari
@@ -497,7 +511,7 @@ def cmd_classifier_eval(args: argparse.Namespace) -> int:
         "mae": mae(preds),
         "items": len(preds),
     }
-    print(json.dumps(report, sort_keys=True, indent=2))
+    _print_report(report, args.pred)
     return EXIT_OK
 
 
@@ -516,12 +530,10 @@ def cmd_agree(args: argparse.Namespace) -> int:
         result["resolved"] = len(gold)
         result["items"] = len(resolved)
         if args.gold_out:
-            with open(args.gold_out, "w", encoding="utf-8") as fh:
-                write_jsonl(
-                    ({"item": str(k), "label": v} for k, v in sorted(gold.items(), key=lambda kv: str(kv[0]))),
-                    fh,
-                )
-    print(json.dumps(result, sort_keys=True, indent=2))
+            with _output(args.gold_out) as fh:
+                items = sorted(gold.items(), key=lambda kv: str(kv[0]))
+                write_jsonl(({"item": str(k), "label": v} for k, v in items), fh)
+    _print_report(result, args.input)
     return EXIT_OK
 
 
@@ -533,7 +545,7 @@ def cmd_report(args: argparse.Namespace) -> int:
     if args.format == "text":
         print(format_likert_table(report))
     else:
-        print(json.dumps(report, sort_keys=True, indent=2))
+        _print_report(report, args.input)
     return EXIT_OK
 
 
@@ -549,41 +561,40 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
     leveled = _kept(attach_levels(_filtered(unique, fcfg, drops), scheme, predictions), drops)
     datasets, stats = build_datasets(leveled, scheme, cfg.seed, cfg.task_size)
 
+    # The old manifest goes before the first write and the new one comes last,
+    # so a directory with a manifest is complete.
     outdir = Path(cfg.output_dir)
-    outdir.mkdir(parents=True, exist_ok=True)
+    (outdir / "manifest.json").unlink(missing_ok=True)
     task_names = {TaskLabel.DOWN: "simplification", TaskLabel.UP: "complexification", TaskLabel.SAME: "same_level"}
     split_counts: dict[str, dict[str, int]] = {}
     task_counts: dict[str, int] = {}
     for label, dataset in datasets.items():
         name = task_names[label]
         task_counts[name] = len(dataset)
-        splits = split_dataset(dataset, cfg.split_ratios, cfg.seed)
-        split_counts[name] = {}
-        for split_name, pairs in splits.items():
-            path = outdir / f"{name}.{split_name}.jsonl"
-            with open(path, "w", encoding="utf-8") as fh:
-                write_jsonl((pair_to_record(p, task=label.value) for p in pairs), fh)
-            split_counts[name][split_name] = len(pairs)
+        split_counts[name] = _write_splits(outdir, f"{name}.", {
+            split: (pair_to_record(p, task=label.value) for p in pairs)
+            for split, pairs in split_dataset(dataset, cfg.split_ratios, cfg.seed).items()
+        })
 
-    manifest = DatasetManifest(
-        scheme=scheme.value,
-        seed=cfg.seed,
-        filter_settings={**asdict(fcfg), "similarity_source": cfg.similarity_source},
-        task_counts=task_counts,
-        split_counts=split_counts,
-        drop_reasons=dict(sorted(drops.items())),
-        input_digests={cfg.input: file_sha256(cfg.input)},
-        conventions={
+    manifest = {
+        "scheme": scheme.value,
+        "seed": cfg.seed,
+        "filter_settings": {**asdict(fcfg), "similarity_source": cfg.similarity_source},
+        "task_counts": task_counts,
+        "split_counts": split_counts,
+        "drop_reasons": dict(sorted(drops.items())),
+        "input_digests": {cfg.input: file_sha256(cfg.input)},
+        "conventions": {
             "dedup": "before filtering, by sha256 of NFC(source, target)",
             "pair_id": "sha256 of NFC(source, target)",
             "bucket_stats": stats,
             "split_rule": "floor non-train splits, remainder to train",
         },
-        tool_version=__version__,
-        config_hash=cfg.config_hash(),
-    )
-    with open(outdir / "manifest.json", "w", encoding="utf-8") as fh:
-        json.dump(manifest.to_dict(), fh, sort_keys=True, indent=2)
+        "tool_version": __version__,
+        "config_hash": cfg.config_hash(),
+    }
+    with _output(str(outdir / "manifest.json")) as fh:
+        json.dump(manifest, fh, sort_keys=True, indent=2)
         fh.write("\n")
     print(json.dumps({"tasks": task_counts, "splits": split_counts}, sort_keys=True), file=sys.stderr)
     return EXIT_OK

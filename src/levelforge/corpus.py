@@ -10,7 +10,7 @@ from __future__ import annotations
 import hashlib
 import math
 from collections import Counter
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass
 from enum import Enum
 from random import Random
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence, TypeVar
@@ -25,7 +25,6 @@ __all__ = [
     "TaskLabel",
     "DropReason",
     "FilterConfig",
-    "DatasetManifest",
     "filter_pair",
     "attach_levels",
     "bucket",
@@ -118,23 +117,6 @@ class FilterConfig:
             )
         if self.min_words < 1:
             raise ValueError(f"min_words must be >= 1, got {self.min_words}")
-
-
-@dataclass
-class DatasetManifest:
-    scheme: str
-    seed: int
-    filter_settings: dict
-    task_counts: dict = field(default_factory=dict)
-    split_counts: dict = field(default_factory=dict)
-    drop_reasons: dict = field(default_factory=dict)
-    input_digests: dict = field(default_factory=dict)
-    conventions: dict = field(default_factory=dict)
-    tool_version: str = ""
-    config_hash: str = ""
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 def text_sha256(text: str) -> str:

@@ -1,3 +1,4 @@
+import errno
 import hashlib
 import json
 import os
@@ -10,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from levelforge import genmetrics
+from levelforge import cli, genmetrics
 from levelforge.cli import PipelineConfig, main, parallel_map
 from levelforge.corpus import text_sha256
 from levelforge.genmetrics import EvalInstance, is_copy, sari, sari_r
@@ -271,6 +272,14 @@ class TestScoreCommand:
         assert main(argv) == 0
         assert len(calls) == len(self.SCORED)
 
+    @pytest.mark.parametrize("n", ["0", "-1"])
+    def test_repetition_n_below_one_is_usage_error(self, tmp_path, capsys, n):
+        # The inputs do not exist: the option is checked before any is read.
+        argv = ["score", "--outputs", str(tmp_path / "outputs.txt"),
+                "--refs", str(tmp_path / "refs.jsonl"), "--repetition-n", n]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: --repetition-n must be >= 1, got {n}\n"
+
     @pytest.mark.parametrize(
         "record, message",
         [
@@ -355,6 +364,15 @@ class TestReportCommand:
         report = json.loads(capsys.readouterr().out)
         assert report["model-a/fluency"]["items"] == 2
         assert report["model-a/fluency"]["mean"] == pytest.approx(4.0)
+
+    def test_non_finite_report_is_data_error(self, tmp_path, capsys):
+        # Each rating is finite; their mean is not.
+        ratings = tmp_path / "ratings.tsv"
+        ratings.write_text("s1\tr1\tg\t1e308\ns1\tr2\tg\t1e308\n")
+        assert main(["report", str(ratings)]) == 1
+        assert capsys.readouterr() == ("", (
+            f"error: {ratings}: the report holds a NaN or infinity, which JSON cannot hold\n"
+        ))
 
 
 class TestPipelineCommand:
@@ -1148,6 +1166,65 @@ class TestOutputsAreAllOrNothing:
         argv = ["prompt", str(data), "--strategy", "rel", "--scheme", "fkgl", "-o", str(out)]
         assert main(argv) == 2
         assert capsys.readouterr().err == f"error: [Errno 2] No such file or directory: '{out}'\n"
+
+    @staticmethod
+    def fail_write_jsonl_call(monkeypatch, k):
+        """Make the k-th ``cli.write_jsonl`` call fail as a full disk would."""
+        calls = []
+        write_jsonl = cli.write_jsonl
+
+        def failing(records, out):
+            calls.append(out)
+            if len(calls) == k:
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+            return write_jsonl(records, out)
+
+        monkeypatch.setattr(cli, "write_jsonl", failing)
+
+    @staticmethod
+    def pipeline(tmp_path, corpus, seed):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(
+            {"input": str(corpus), "output_dir": str(tmp_path / "out"), "seed": seed}))
+        return main(["pipeline", "--config", str(config)])
+
+    def test_pipeline_failing_while_writing_leaves_no_manifest(self, tmp_path, capsys, monkeypatch):
+        corpus = tmp_path / "corpus.jsonl"
+        make_corpus(corpus)
+        assert self.pipeline(tmp_path, corpus, seed=1) == 0
+        self.fail_write_jsonl_call(monkeypatch, 5)
+        assert self.pipeline(tmp_path, corpus, seed=2) == 2
+        names = sorted(p.name for p in (tmp_path / "out").iterdir())
+        assert "manifest.json" not in names
+        assert not [name for name in names if name.endswith(".tmp")]
+        assert len(names) == 9
+
+    def test_pipeline_failing_before_writing_leaves_the_last_run(self, tmp_path, capsys):
+        corpus = tmp_path / "corpus.jsonl"
+        make_corpus(corpus)
+        assert self.pipeline(tmp_path, corpus, seed=1) == 0
+        out = tmp_path / "out"
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        assert "manifest.json" in before
+        corpus.write_text(corpus.read_text() + "{not json\n")
+        capsys.readouterr()
+        assert self.pipeline(tmp_path, corpus, seed=2) == 1
+        assert capsys.readouterr().err.startswith(f"error: {corpus}:61: ")
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+    def test_split_failing_on_the_second_file_keeps_the_rest(self, tmp_path, capsys, monkeypatch):
+        data = tmp_path / "data.jsonl"
+        write_jsonl_file(data, [{"id": f"p{i}"} for i in range(20)])
+        outdir = tmp_path / "splits"
+        assert main(["split", str(data), "-o", str(outdir), "--seed", "1"]) == 0
+        before = {p.name: p.read_bytes() for p in outdir.iterdir()}
+        self.fail_write_jsonl_call(monkeypatch, 2)
+        assert main(["split", str(data), "-o", str(outdir), "--seed", "2"]) == 2
+        after = {p.name: p.read_bytes() for p in outdir.iterdir()}
+        assert sorted(after) == ["test.jsonl", "train.jsonl", "valid.jsonl"]
+        assert after["train.jsonl"] != before["train.jsonl"]  # the one file that was written
+        assert [after[n] for n in ("valid.jsonl", "test.jsonl")] == [
+            before[n] for n in ("valid.jsonl", "test.jsonl")]
 
 
 class TestPromptTsvRows:
