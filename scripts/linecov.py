@@ -6,7 +6,8 @@ statements that no test ran. Docstrings, ``def``/``class`` lines and imports
 are not counted. A statement counts as run when any line of its span ran
 (for a compound statement, the span is its header), so a multi-line
 ``if (`` is not reported. Informative only: it gates nothing, and it exits
-with pytest's own exit code.
+with pytest's own exit code. Tests marked ``timing`` assert a wall-time
+bound, so they run untraced and their lines are not counted.
 
     python scripts/linecov.py                         # the whole suite
     python scripts/linecov.py -q -k "not criterion_06"  # extra pytest arguments
@@ -20,6 +21,8 @@ import sys
 import threading
 from collections import defaultdict
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "levelforge"
@@ -76,9 +79,23 @@ def _ranges(lines: list[int]) -> str:
     return ", ".join(out)
 
 
-def main(argv: list[str]) -> int:
-    import pytest
+class _UntracedTiming:
+    """A pytest plugin: each test marked ``timing`` runs with the trace off."""
 
+    def __init__(self, trace):
+        self.trace = trace
+
+    @pytest.hookimpl(hookwrapper=True)
+    def pytest_runtest_call(self, item):
+        timed = item.get_closest_marker("timing") is not None
+        if timed:
+            sys.settrace(None)
+        yield
+        if timed:
+            sys.settrace(self.trace)
+
+
+def main(argv: list[str]) -> int:
     prefix = str(PACKAGE) + "/"
     hits: dict[str, set[int]] = defaultdict(set)
 
@@ -94,7 +111,7 @@ def main(argv: list[str]) -> int:
     threading.settrace(trace)
     sys.settrace(trace)
     try:
-        code = pytest.main(argv)
+        code = pytest.main(argv, plugins=[_UntracedTiming(trace)])
     finally:
         sys.settrace(None)
         threading.settrace(None)

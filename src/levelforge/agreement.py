@@ -214,7 +214,10 @@ def likert_report(
             raise ValueError(f"group {name!r} has no ratings")
         mean = sum(item_means) / len(item_means)
         if len(item_means) > 1:
-            var = sum((x - mean) ** 2 for x in item_means) / (len(item_means) - 1)
+            try:
+                var = sum((x - mean) ** 2 for x in item_means) / (len(item_means) - 1)
+            except OverflowError:  # a square past the float range
+                var = math.inf
             ci = confidence_z * math.sqrt(var / len(item_means))
         else:
             ci = None

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import errno
-import functools
 import hashlib
 import json
 import os
@@ -242,13 +241,14 @@ def _write_splits(outdir: Path, prefix: str, chunks: Mapping[str, Iterable[dict]
     return counts
 
 
-def _print_report(report: dict, source: str) -> None:
-    """Print ``report`` as JSON; a NaN or infinity in it is a DataError naming ``source``."""
+def _print_report(report: dict, source: str, render: Optional[Callable[[dict], str]] = None) -> None:
+    """The one print of a result to stdout, after every file: ``report`` as JSON, or as
+    ``render`` shows it; a NaN or infinity in it is a DataError naming ``source``."""
     try:
         text = json.dumps(report, sort_keys=True, indent=2, allow_nan=False)
     except ValueError:
         raise DataError(f"{source}: the report holds a NaN or infinity, which JSON cannot hold") from None
-    print(text)
+    print(render(report) if render else text)
 
 
 def _kept(checked: Iterable[tuple[T, Optional[DropReason]]], drops: Counter) -> Iterator[T]:
@@ -289,11 +289,9 @@ def _apply_similarity(pairs: Iterable[ParaphrasePair], cfg: PipelineConfig) -> I
             p.similarity = None
             yield p
     elif cfg.similarity_source == "builtin-lexical":
-        def attach(p: ParaphrasePair) -> ParaphrasePair:
+        for p in pairs:
             p.similarity = lexical_similarity(p.source, p.target)
-            return p
-
-        yield from parallel_map(attach, pairs)
+            yield p
     else:
         sims = read_keyed(cfg.similarity_file, "similarity", lambda v: float(check_similarity(v)))
         for p in pairs:
@@ -483,7 +481,7 @@ def cmd_score(args: argparse.Namespace) -> int:
     for out_text, (lineno, obj) in zip(outputs, refs):
         source, references = _eval_fields(obj, args.refs, lineno)
         instances.append(EvalInstance(source=source, output=out_text, references=references))
-    _print_report(score_report(instances, repetition_n=args.repetition_n), args.outputs)
+    report = score_report(instances, repetition_n=args.repetition_n)
     if args.per_instance:
         with _output(args.per_instance) as fh:
             fh.write("sari\tsari_r\tcopy\n")
@@ -491,13 +489,13 @@ def cmd_score(args: argparse.Namespace) -> int:
                 s = sari(inst).sari
                 sr = sari_r(inst, args.repetition_n)
                 fh.write(f"{s:.4f}\t{sr:.4f}\t{int(is_copy(inst))}\n")
+    _print_report(report, args.outputs)
     return EXIT_OK
 
 
 def cmd_classifier_eval(args: argparse.Namespace) -> int:
-    cefr6 = functools.partial(ComplexityLevel.parse, Scheme.CEFR6)
-    gold = read_keyed(args.gold, "level", cefr6)
-    pred = read_keyed(args.pred, "level", cefr6)
+    gold = read_keyed(args.gold, "level", ComplexityLevel.cefr6)
+    pred = read_keyed(args.pred, "level", ComplexityLevel.cefr6)
     if set(gold) != set(pred):
         missing = sorted(set(gold) ^ set(pred))[:5]
         raise DataError(f"gold/pred id mismatch, e.g. {missing}")
@@ -541,11 +539,8 @@ def cmd_report(args: argparse.Namespace) -> int:
     groups = ratings_to_matrices(read_ratings_tsv(args.input))
     if not groups:
         raise DataError(f"no ratings found in {args.input}")
-    report = likert_report(groups)
-    if args.format == "text":
-        print(format_likert_table(report))
-    else:
-        _print_report(report, args.input)
+    render = format_likert_table if args.format == "text" else None
+    _print_report(likert_report(groups), args.input, render)
     return EXIT_OK
 
 

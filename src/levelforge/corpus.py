@@ -109,7 +109,7 @@ class FilterConfig:
     def validate(self) -> None:
         for name in ("min_words", "sim_low", "sim_high"):
             value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
+            if isinstance(value, bool) or not isinstance(value, (int, float)) or not -math.inf < value < math.inf:
                 raise TypeError(f"{name} must be a number, got {value!r}")
         if self.sim_low > self.sim_high:
             raise ValueError(

@@ -51,6 +51,14 @@ def read_lines(path: str | Path) -> Iterator[tuple[int, str]]:
             yield lineno, line
 
 
+def _not_json(constant: str) -> float:
+    raise ValueError(f"{constant} is not a JSON number")
+
+
+# Python's json reads NaN and Infinity, which no JSON writer may write back.
+_DECODER = json.JSONDecoder(parse_constant=_not_json)
+
+
 def read_jsonl(
     path: str | Path, not_object: str = "expected a JSON object, got {}"
 ) -> Iterator[tuple[int, dict]]:
@@ -64,8 +72,8 @@ def read_jsonl(
         if not line:
             continue
         try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as exc:
+            obj = _DECODER.decode(line)
+        except ValueError as exc:
             raise ParseError(path, lineno, f"invalid JSON: {exc}") from exc
         if not isinstance(obj, dict):
             raise ParseError(path, lineno, not_object.format(type(obj).__name__))

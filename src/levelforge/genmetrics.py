@@ -9,7 +9,7 @@ a committed fixture of oracle outputs.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
 from typing import Iterable, Sequence
@@ -66,7 +66,6 @@ class SariBreakdown:
     keep_score: float
     del_score: float
     sari: float
-    per_n: dict[int, tuple[float, float, float]] = field(default_factory=dict)
 
 
 def _folded_tokens(text: str) -> list[str]:
@@ -159,7 +158,6 @@ def _sari_kernel(instance: EvalInstance) -> SariBreakdown:
         keep_score=keep,
         del_score=delete,
         sari=(add + keep + delete) / 3.0,
-        per_n={n: tuple(100.0 * x for x in s) for n, s in per_n.items()},
     )
 
 
@@ -211,7 +209,6 @@ def score_report(instances: Sequence[EvalInstance], repetition_n: int = 4) -> di
     if not instances:
         raise ValueError("score_report needs at least one instance")
     reps = [repetition_score(inst.output, repetition_n) for inst in instances]
-    saris = [sari(inst).sari for inst in instances]
     sari_rs = [sari_r(inst, repetition_n) for inst in instances]
     outputs = [inst.output for inst in instances]
     try:
@@ -219,7 +216,7 @@ def score_report(instances: Sequence[EvalInstance], repetition_n: int = 4) -> di
     except ValueError:
         fkgl_value = None
     return {
-        "sari": sum(saris) / len(saris),
+        "sari": corpus_sari(instances),
         "sari_r": sum(sari_rs) / len(sari_rs),
         "fkgl": fkgl_value,
         "fkgl_convention": "corpus-pooled counts",

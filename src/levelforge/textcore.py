@@ -144,18 +144,13 @@ def split_sentences(text: str) -> list[tuple[int, int]]:
 
     spans: list[tuple[int, int]] = []
     cursor = 0
-    for b in boundaries:
+    for b in boundaries + [len(text)]:  # the last chunk is the tail
         chunk = text[cursor:b]
         stripped = chunk.strip()
         if stripped:
             start = cursor + chunk.index(stripped[0])
             spans.append((start, start + len(stripped)))
         cursor = b
-    tail = text[cursor:]
-    stripped = tail.strip()
-    if stripped:
-        start = cursor + tail.index(stripped[0])
-        spans.append((start, start + len(stripped)))
     return spans
 
 

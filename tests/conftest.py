@@ -15,6 +15,12 @@ sys.path.insert(0, str(TESTS_DIR))
 ACCEPTANCE_LINES = []
 
 
+def pytest_configure(config):
+    config.addinivalue_line(
+        "markers", "timing: asserts a wall-time bound; scripts/linecov.py runs it untraced"
+    )
+
+
 def pytest_terminal_summary(terminalreporter):
     if ACCEPTANCE_LINES:
         terminalreporter.section("acceptance criteria")

@@ -272,6 +272,14 @@ class TestScoreCommand:
         assert main(argv) == 0
         assert len(calls) == len(self.SCORED)
 
+    def test_unwritable_per_instance_prints_no_report(self, tmp_path, capsys):
+        outputs, refs = self._score_files(tmp_path)
+        tsv = tmp_path / "nowhere" / "x.tsv"
+        argv = ["score", "--outputs", str(outputs), "--refs", str(refs), "--per-instance", str(tsv)]
+        assert main(argv) == 2
+        assert capsys.readouterr() == (
+            "", f"error: [Errno 2] No such file or directory: '{tsv}'\n")
+
     @pytest.mark.parametrize("n", ["0", "-1"])
     def test_repetition_n_below_one_is_usage_error(self, tmp_path, capsys, n):
         # The inputs do not exist: the option is checked before any is read.
@@ -370,6 +378,20 @@ class TestReportCommand:
         ratings = tmp_path / "ratings.tsv"
         ratings.write_text("s1\tr1\tg\t1e308\ns1\tr2\tg\t1e308\n")
         assert main(["report", str(ratings)]) == 1
+        assert capsys.readouterr() == ("", (
+            f"error: {ratings}: the report holds a NaN or infinity, which JSON cannot hold\n"
+        ))
+
+    @pytest.mark.parametrize("rows", [
+        "s1\tr1\tg\t1e308\ns1\tr2\tg\t1e308\n",  # the mean is infinite
+        # Item means further apart than the square root of the largest
+        # float: the CI's variance overflows.
+        "s1\tr1\tg\t1\ns2\tr1\tg\t1e308\n",
+    ], ids=["mean", "variance"])
+    def test_non_finite_text_report_is_the_same_data_error(self, tmp_path, capsys, rows):
+        ratings = tmp_path / "ratings.tsv"
+        ratings.write_text(rows)
+        assert main(["report", str(ratings), "--format", "text"]) == 1
         assert capsys.readouterr() == ("", (
             f"error: {ratings}: the report holds a NaN or infinity, which JSON cannot hold\n"
         ))
@@ -582,6 +604,19 @@ class TestBadSettingsAreUsageErrors:
         config = {"input": str(corpus), "output_dir": str(tmp_path / "out"), **setting}
         code, err, _ = self._pipeline(tmp_path, capsys, config)
         assert (code, err) == (2, f"error: {message}\n")
+
+    def test_non_finite_filter_setting(self, tmp_path, capsys):
+        # Python's json reads NaN; a NaN bound would keep every pair and
+        # write NaN, which is not JSON, into the manifest.
+        corpus = tmp_path / "corpus.jsonl"
+        make_corpus(corpus)
+        config = tmp_path / "config.json"
+        config.write_text(f'{{"input": "{corpus}", "output_dir": "{tmp_path / "out"}", "sim_low": NaN}}')
+        assert main(["pipeline", "--config", str(config)]) == 2
+        assert capsys.readouterr() == ("", "error: sim_low must be a number, got nan\n")
+        assert not (tmp_path / "out").exists()
+        assert main(["filter", str(corpus), "--sim-high", "inf"]) == 2
+        assert capsys.readouterr() == ("", "error: sim_high must be a number, got inf\n")
 
     def test_filter_min_words_zero(self, tmp_path, capsys):
         corpus = tmp_path / "corpus.jsonl"

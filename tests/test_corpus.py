@@ -1,3 +1,5 @@
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -119,6 +121,13 @@ class TestFilterPair:
             FilterConfig(sim_low=0.9, sim_high=0.5).validate()
         with pytest.raises(ValueError):
             FilterConfig(min_words=0).validate()
+
+    @pytest.mark.parametrize("setting", [{"sim_low": math.nan}, {"sim_high": math.inf},
+                                         {"min_words": -math.inf}])
+    def test_config_must_be_finite(self, setting):
+        # A NaN bound compares false both ways, so it would keep every pair.
+        with pytest.raises(TypeError, match="must be a number"):
+            FilterConfig(**setting).validate()
 
 
 class TestEachSideTokenizedOnce:

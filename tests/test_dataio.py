@@ -57,6 +57,15 @@ class TestJsonl:
             list(read_jsonl(path))
         assert str(exc.value) == f"{path}:2: expected a JSON object, got {shown}"
 
+    @pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_constant_reports_line(self, tmp_path, constant):
+        # Python's json reads these, but no JSON writer may write them back.
+        path = tmp_path / "data.jsonl"
+        path.write_text('{"a": 1}\n{"a": ' + constant + "}\n")
+        with pytest.raises(ParseError) as exc:
+            list(read_jsonl(path))
+        assert str(exc.value) == f"{path}:2: invalid JSON: {constant} is not a JSON number"
+
 
 class TestReadPairs:
     def test_jsonl(self, tmp_path):
@@ -249,31 +258,47 @@ class TestRareLines:
 class TestOneInputDoor:
     # A read-mode open() outside these bypasses read_lines, and with it the
     # path:line rule for bad lines. A write-mode open() outside _output
-    # bypasses its replace-only-on-success rule.
+    # bypasses its replace-only-on-success rule. A print to stdout outside
+    # _print_report skips its NaN and infinity check, and can come before
+    # the command's files are written.
     DOORS = {("dataio", "read_lines"), ("dataio", "file_sha256"),
              ("cli", "PipelineConfig.from_file")}
     WRITE_DOORS = {("cli", "_output")}
+    PRINT_DOORS = {("cli", "_print_report")}
 
     @classmethod
-    def _opens(cls, node, scope=""):
-        """(dotted def/class scope, is write mode) of each open() call under ``node``."""
+    def _calls(cls, node, name, scope=""):
+        """(dotted def/class scope, call) of each ``name(...)`` call under ``node``."""
         for child in ast.iter_child_nodes(node):
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                yield from cls._opens(child, f"{scope}.{child.name}".lstrip("."))
+                yield from cls._calls(child, name, f"{scope}.{child.name}".lstrip("."))
                 continue
             if (isinstance(child, ast.Call) and isinstance(child.func, ast.Name)
-                    and child.func.id == "open"):
-                mode = child.args[1] if len(child.args) > 1 else next(
-                    (kw.value for kw in child.keywords if kw.arg == "mode"), None)
-                yield scope, isinstance(mode, ast.Constant) and bool(set(mode.value) & set("wax+"))
-            yield from cls._opens(child, scope)
+                    and child.func.id == name):
+                yield scope, child
+            yield from cls._calls(child, name, scope)
+
+    @classmethod
+    def _package_calls(cls, name):
+        """(module, scope, call) of each ``name(...)`` call in the levelforge package."""
+        package = Path(levelforge.__file__).parent
+        for path in sorted(package.glob("*.py")):
+            for scope, call in cls._calls(ast.parse(path.read_text(encoding="utf-8")), name):
+                yield path.stem, scope, call
 
     def test_read_opens_only_at_the_doors(self):
-        package = Path(levelforge.__file__).parent
-        found = {
-            (path.stem, scope, write)
-            for path in sorted(package.glob("*.py"))
-            for scope, write in self._opens(ast.parse(path.read_text(encoding="utf-8")))
-        }
+        found = set()
+        for mod, scope, call in self._package_calls("open"):
+            mode = call.args[1] if len(call.args) > 1 else next(
+                (kw.value for kw in call.keywords if kw.arg == "mode"), None)
+            found.add((mod, scope, isinstance(mode, ast.Constant) and bool(set(mode.value) & set("wax+"))))
         assert {(mod, scope) for mod, scope, write in found if not write} == self.DOORS
         assert {(mod, scope) for mod, scope, write in found if write} == self.WRITE_DOORS
+
+    def test_stdout_prints_only_at_the_door(self):
+        to_stdout = {
+            (mod, scope) for mod, scope, call in self._package_calls("print")
+            if not any(kw.arg == "file" and ast.unparse(kw.value) == "sys.stderr"
+                       for kw in call.keywords)
+        }
+        assert to_stdout == self.PRINT_DOORS

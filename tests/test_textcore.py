@@ -264,6 +264,7 @@ class TestAgainstFrozenReference:
         assert (reason.value if reason else None) == expected
 
 
+@pytest.mark.timing
 class TestLinearTime:
     def test_split_sentences_10k_sentences(self):
         sentence = "Dr. Smith paid 3.5 dollars, e.g. to Mr. Jones of St.\nMark's, etc. on time."
