@@ -1,0 +1,151 @@
+"""Compare what two levelforge source trees do on the same valid inputs.
+
+    python scripts/same_outputs.py PARENT_SRC CHANGE_SRC
+
+Each argument is a directory that holds the ``levelforge`` package (a
+checkout's ``src/``). For seeds 1-3 the script builds the inputs of the
+``pipeline-mixed`` and ``eval`` benchmark workloads with
+``perfbench/workloads.py`` and runs, under each tree, in a directory of its
+own:
+
+- each workload's own commands;
+- a filter -> label -> bucket -> split -> prompt chain on the pipeline
+  input, some of its steps writing to stdout;
+- ``analyze``, ``agree`` and ``classifier-eval``.
+
+It prints every stdout, stderr, exit code and written file that differs
+between the two trees, and any command that does not exit 0, and exits 1
+if there is one. Standard library only; the trees are run as subprocesses.
+"""
+from __future__ import annotations
+
+import json
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "perfbench"))
+
+from workloads import evaluation, pipeline_mixed  # noqa: E402
+
+SEEDS = (1, 2, 3)
+CEFR6 = ("A1", "A2", "B1", "B2", "C1", "C2")
+
+
+def classifier_files(ratings: list, workdir: Path) -> None:
+    """gold.jsonl and pred.jsonl: raters r0 and r1 of one study system, as CEFR6 levels."""
+    by_rater: dict[str, dict[str, str]] = {"r0": {}, "r1": {}}
+    for item, rater, group, value in ratings:
+        if group == "system-0" and rater in by_rater:
+            by_rater[rater][item] = CEFR6[value - 1]
+    items = sorted(by_rater["r0"].keys() & by_rater["r1"].keys())
+    for name, rater in (("gold.jsonl", "r0"), ("pred.jsonl", "r1")):
+        with open(workdir / name, "w", encoding="utf-8") as fh:
+            for item in items:
+                fh.write(json.dumps({"id": item, "level": by_rater[rater][item]}) + "\n")
+
+
+def cases(seed: int, inputs: Path) -> dict[str, list[list[str]]]:
+    """Per case name, the levelforge argv lists it runs in order, its inputs made under ``inputs``."""
+    mixed, evald = inputs / "pipeline-mixed", inputs / "eval"
+    mixed.mkdir(parents=True)
+    evald.mkdir(parents=True)
+    prepared = pipeline_mixed(seed, mixed)
+    scored = evaluation(seed, evald)
+    classifier_files(scored.expect["ratings"], evald)
+    chain = [
+        ["filter", "input.jsonl", "-o", "kept.jsonl"],
+        ["label", "kept.jsonl", "--scheme", "fkgl", "-o", "leveled.jsonl"],
+        ["bucket", "leveled.jsonl", "--scheme", "fkgl", "-o", "tasks.jsonl"],
+        ["split", "tasks.jsonl", "--seed", str(seed), "-o", "splits"],
+        ["prompt", "splits/train.jsonl", "--strategy", "rel", "--scheme", "fkgl", "-o", "prompted.jsonl"],
+        ["bucket", "leveled.jsonl", "--scheme", "fkgl"],
+        ["prompt", "splits/valid.jsonl", "--strategy", "abs", "--scheme", "fkgl"],
+        ["analyze", "kept.jsonl", "-o", "analyzed.jsonl"],
+    ]
+    reports = [
+        ["analyze", "outputs.txt"],
+        ["agree", "ratings.tsv", "--metric", "ordinal", "--threshold", "3", "--gold-out", "gold_out.jsonl"],
+        ["classifier-eval", "--gold", "gold.jsonl", "--pred", "pred.jsonl"],
+    ]
+    return {
+        "pipeline-mixed": prepared.commands + chain,
+        "eval": scored.commands + reports,
+    }
+
+
+def run_tree(src: Path, inputs: Path, workdir: Path, commands: list[list[str]]) -> tuple[list, dict]:
+    """Run ``commands`` under the tree at ``src`` in a copy of ``inputs``:
+    (argv, exit code, stdout, stderr) per command, and every file left, by relative path."""
+    shutil.copytree(inputs, workdir)
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    results = []
+    for argv in commands:
+        proc = subprocess.run([sys.executable, "-m", "levelforge.cli", *argv], cwd=workdir,
+                              env=env, capture_output=True, timeout=600)
+        results.append((argv, proc.returncode, proc.stdout, proc.stderr))
+    files = {str(p.relative_to(workdir)): p.read_bytes() for p in sorted(workdir.rglob("*")) if p.is_file()}
+    return results, files
+
+
+def first_difference(a: bytes, b: bytes) -> str:
+    """The first line that differs between ``a`` and ``b``, shown for both."""
+    lines_a, lines_b = a.splitlines(), b.splitlines()
+    for i in range(max(len(lines_a), len(lines_b))):
+        left = lines_a[i] if i < len(lines_a) else b"<none>"
+        right = lines_b[i] if i < len(lines_b) else b"<none>"
+        if left != right:
+            return f"line {i + 1}\n    parent: {left[:300]!r}\n    change: {right[:300]!r}"
+    return "same lines, other line endings"
+
+
+def compare(label: str, parent: tuple[list, dict], change: tuple[list, dict]) -> list[str]:
+    """Every difference between two runs of one case, and every command that did not exit 0."""
+    problems = []
+    for (argv, code_p, out_p, err_p), (_, code_c, out_c, err_c) in zip(parent[0], change[0]):
+        command = f"{label}: levelforge {' '.join(argv)}"
+        if code_p != code_c:
+            problems.append(f"{command}: exit code {code_p} -> {code_c}")
+        elif code_p != 0:
+            problems.append(f"{command}: exit code {code_p} in both trees")
+        for stream, a, b in (("stdout", out_p, out_c), ("stderr", err_p, err_c)):
+            if a != b:
+                problems.append(f"{command}: {stream} differs at {first_difference(a, b)}")
+    files_p, files_c = parent[1], change[1]
+    for name in sorted(files_p.keys() | files_c.keys()):
+        if name not in files_c or name not in files_p:
+            problems.append(f"{label}: {name} written only by the {'parent' if name in files_p else 'change'}")
+        elif files_p[name] != files_c[name]:
+            problems.append(f"{label}: {name} differs at {first_difference(files_p[name], files_c[name])}")
+    return problems
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) != 2 or not all((Path(a) / "levelforge").is_dir() for a in argv):
+        print(__doc__, file=sys.stderr)
+        return 2
+    parent_src, change_src = (Path(a).resolve() for a in argv)
+    problems = []
+    with tempfile.TemporaryDirectory(prefix="same_outputs.") as tmp:
+        for seed in SEEDS:
+            inputs = Path(tmp, f"seed{seed}", "inputs")
+            for name, commands in cases(seed, inputs).items():
+                label = f"seed {seed} {name}"
+                runs = [run_tree(src, inputs / name, Path(tmp, f"seed{seed}", side, name), commands)
+                        for side, src in (("parent", parent_src), ("change", change_src))]
+                found = compare(label, *runs)
+                print(f"{label}: {len(commands)} commands, {len(runs[0][1])} files, "
+                      f"{len(found)} differences", flush=True)
+                problems += found
+    for line in problems:
+        print(line)
+    print(f"{len(problems)} differences" if problems else "no differences")
+    return 1 if problems else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -71,7 +71,7 @@ class RatingMatrix:
         if len(self.raters) < 2:
             raise ValueError("RatingMatrix needs at least 2 raters")
         if not any(len(v) >= 2 for v in self.by_item().values()):
-            raise UndefinedAlphaError("no item carries two or more ratings")
+            raise UndefinedAlphaError("alpha undefined: no item carries two or more ratings")
 
 
 def _per_class_f1(confusion: Mapping[tuple, int], labels: Sequence) -> dict:

@@ -15,17 +15,17 @@ import json
 import os
 import stat
 import sys
+import tempfile
 from collections import Counter
 from contextlib import contextmanager
 from dataclasses import MISSING, asdict, dataclass, fields
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence, TextIO, TypeVar
+from typing import Callable, Generic, Iterable, Iterator, Mapping, Optional, Sequence, TextIO, TypeVar
 
 from . import __version__
 from .agreement import (
     LabeledPrediction,
     RatingMatrix,
-    UndefinedAlphaError,
     adjacent_accuracy,
     format_likert_table,
     krippendorff_alpha,
@@ -69,6 +69,8 @@ from .textcore import sentence_stats
 
 T = TypeVar("T")
 U = TypeVar("U")
+# A stage's stream: each item with the reason the stage drops it, None when kept.
+Checked = Iterable[tuple[T, Optional[DropReason]]]
 
 EXIT_OK = 0
 EXIT_DATA = 1
@@ -115,7 +117,8 @@ class PipelineConfig:
         try:
             with open(path, encoding="utf-8") as fh:
                 raw = json.load(fh)
-        except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+            json.dumps(raw, ensure_ascii=False).encode("utf-8")  # a \u escape of half a surrogate pair
+        except (OSError, UnicodeError, json.JSONDecodeError) as exc:
             raise ConfigError(f"cannot read config {path}: {exc}") from exc
         if not isinstance(raw, dict):
             raise ConfigError(f"config {path} must be a JSON object, got {type(raw).__name__}")
@@ -157,7 +160,8 @@ class PipelineConfig:
             raise ConfigError(f"input path does not exist: {self.input}")
         if self.predictions and not Path(self.predictions).exists():
             raise ConfigError(f"predictions path does not exist: {self.predictions}")
-        self.split_ratios = _split_ratios(self.split_ratios, "split_ratios")
+        with _blaming("split_ratios", ConfigError):
+            self.split_ratios = check_split_ratios(self.split_ratios)
 
     def filter_config(self) -> FilterConfig:
         return FilterConfig(
@@ -170,14 +174,6 @@ class PipelineConfig:
     def config_hash(self) -> str:
         payload = json.dumps(self.__dict__, sort_keys=True, default=str)
         return hashlib.sha256(payload.encode("utf-8")).hexdigest()
-
-
-def _split_ratios(ratios: Sequence[float], name: str) -> tuple[float, float, float]:
-    """``check_split_ratios`` as a usage error, checked before any work starts."""
-    try:
-        return check_split_ratios(ratios)
-    except ValueError as exc:
-        raise ConfigError(f"{name}: {exc}") from None
 
 
 def _filter_settings(fcfg: FilterConfig) -> FilterConfig:
@@ -196,20 +192,22 @@ def _output(path: Optional[str]) -> Iterator[TextIO]:
     The command writes a temporary file beside the target, renamed onto it
     when the command ends without an exception; on an exception it is
     deleted, so no half-written file is left and an existing one is
-    untouched. A target that exists and is not a regular file (a pipe,
-    device or directory, also when reached through ``/dev/fd``) is opened
-    as given. An existing target must be writable, as for ``open``; the
-    new file gets its permission bits.
+    untouched. Stdout, and a target that exists and is not a regular file
+    (a pipe, device or directory, also when reached through ``/dev/fd``),
+    is opened before any work and gets a spooled copy of the output only on
+    success, so a failed command writes nothing there. An existing target
+    must be writable, as for ``open``; the new file gets its permission bits.
     """
     if path is None or path == "-":
-        yield sys.stdout
+        with _spooled(sys.stdout) as fh:
+            yield fh
         return
     try:
         st: Optional[os.stat_result] = os.stat(path)
     except FileNotFoundError:
         st = None
     if st is not None and not stat.S_ISREG(st.st_mode):
-        with open(path, "w", encoding="utf-8") as fh:
+        with open(path, "w", encoding="utf-8") as stream, _spooled(stream) as fh:
             yield fh
         return
     if st is not None and not os.access(path, os.W_OK):
@@ -229,6 +227,15 @@ def _output(path: Optional[str]) -> Iterator[TextIO]:
     except BaseException:
         os.unlink(tmp)
         raise
+
+
+@contextmanager
+def _spooled(stream: TextIO) -> Iterator[TextIO]:
+    """A temporary file, copied to ``stream`` when the block ends without an exception."""
+    with tempfile.TemporaryFile("w+", encoding="utf-8", newline="") as spool:
+        yield spool
+        spool.seek(0)
+        stream.writelines(spool)
 
 
 def _write_splits(outdir: Path, prefix: str, chunks: Mapping[str, Iterable[dict]]) -> dict[str, int]:
@@ -251,18 +258,54 @@ def _print_report(report: dict, source: str, render: Optional[Callable[[dict], s
     print(render(report) if render else text)
 
 
-def _kept(checked: Iterable[tuple[T, Optional[DropReason]]], drops: Counter) -> Iterator[T]:
-    """The kept items of a stage's (item, reason) stream; ``drops`` counts the rest by reason."""
-    for item, reason in checked:
-        if reason is None:
-            yield item
-        else:
-            drops[reason.value] += 1
+@contextmanager
+def _blaming(culprit: str, error: type[Exception] = DataError) -> Iterator[None]:
+    """A ValueError in the block becomes ``error`` naming ``culprit``, a file or a setting;
+    a ParseError already names its line."""
+    try:
+        yield
+    except ParseError:
+        raise
+    except ValueError as exc:
+        raise error(f"{culprit}: {exc}") from None
 
 
-def _deduped(
-    pairs: Iterable[ParaphrasePair],
-) -> Iterator[tuple[ParaphrasePair, Optional[DropReason]]]:
+def _summary(command: str, entered: int, out: int, drops: Mapping[str, int], **extra: object) -> None:
+    """The one stderr line of a dataset command: items in and out, and the drops by reason."""
+    line = {"command": command, "in": entered, "out": out, "drops": drops, **extra}
+    print(json.dumps(line, sort_keys=True), file=sys.stderr)
+
+
+class _Kept(Generic[T]):
+    """The kept items of a stage's stream; counts every item that enters and, by reason, each drop."""
+
+    def __init__(self, checked: Checked[T]) -> None:
+        self.checked = checked
+        self.entered = 0
+        self.drops: Counter = Counter()
+
+    def __iter__(self) -> Iterator[T]:
+        for item, reason in self.checked:
+            self.entered += 1
+            if reason is None:
+                yield item
+            else:
+                self.drops[reason.value] += 1
+
+
+def _run_stage(
+    args: argparse.Namespace, checked: Checked[T], record: Callable[[T], dict] = pair_to_record
+) -> int:
+    """Run a stage command: write to ``args.output`` the records of what ``checked``, a stream
+    over the pairs of ``args.input``, keeps; then print the summary."""
+    kept = _Kept(checked)
+    with _output(args.output) as out, _blaming(args.input):  # a side without words has no FKGL
+        n = write_jsonl(map(record, kept), out)
+    _summary(args.command, kept.entered, n, kept.drops)
+    return EXIT_OK
+
+
+def _deduped(pairs: Iterable[ParaphrasePair]) -> Checked[ParaphrasePair]:
     """Each pair, its id set to its pair key; DUPLICATE for a key seen before."""
     seen = set()
     for pair in pairs:
@@ -274,11 +317,18 @@ def _deduped(
             yield pair, None
 
 
-def _filtered(
-    pairs: Iterable[ParaphrasePair], fcfg: FilterConfig, drops: Counter
-) -> Iterator[ParaphrasePair]:
-    """The pairs that pass every ``filter_pair`` rule."""
-    return _kept(parallel_map(lambda p: (p, filter_pair(p, fcfg)[1]), pairs), drops)
+def _filtered(pairs: Iterable[ParaphrasePair], fcfg: FilterConfig) -> Checked[ParaphrasePair]:
+    """Each pair with the first ``filter_pair`` rule it fails; None when it passes them all."""
+    return parallel_map(lambda p: (p, filter_pair(p, fcfg)[1]), pairs)
+
+
+def _bucketed(
+    pairs: Iterable[ParaphrasePair], scheme: Scheme
+) -> Checked[tuple[ParaphrasePair, Optional[TaskLabel]]]:
+    """Each leveled pair with its task label, or with the reason ``bucket`` rejects it."""
+    for pair in pairs:
+        label, reason = bucket(pair, scheme)
+        yield (pair, label), reason
 
 
 def _apply_similarity(pairs: Iterable[ParaphrasePair], cfg: PipelineConfig) -> Iterator[ParaphrasePair]:
@@ -359,12 +409,7 @@ def cmd_filter(args: argparse.Namespace) -> int:
         sim_high=args.sim_high,
         require_similarity=not args.allow_missing_similarity,
     ))
-    drops: Counter = Counter()
-    with _output(args.output) as out:
-        kept = _filtered(read_pairs(args.input), fcfg, drops)
-        n = write_jsonl((pair_to_record(p) for p in kept), out)
-    print(json.dumps({"kept": n, "drop_reasons": drops}, sort_keys=True), file=sys.stderr)
-    return EXIT_OK
+    return _run_stage(args, _filtered(read_pairs(args.input), fcfg))
 
 
 def _predictions(scheme: Scheme, path: Optional[str], name: str) -> Optional[dict]:
@@ -383,41 +428,22 @@ def _predictions(scheme: Scheme, path: Optional[str], name: str) -> Optional[dic
 def cmd_label(args: argparse.Namespace) -> int:
     scheme = Scheme(args.scheme)
     predictions = _predictions(scheme, args.predictions, "--predictions")
-    drops: Counter = Counter()
-    with _output(args.output) as out:
-        leveled = _kept(attach_levels(read_pairs(args.input), scheme, predictions), drops)
-        try:
-            n = write_jsonl((pair_to_record(p) for p in leveled), out)
-        except ParseError:
-            raise
-        except ValueError as exc:  # a side without words has no FKGL
-            raise DataError(f"{args.input}: {exc}") from None
-    print(json.dumps({"labeled": n, "level_missing": drops[DropReason.LEVEL_MISSING.value]}),
-          file=sys.stderr)
-    return EXIT_OK
+    return _run_stage(args, attach_levels(read_pairs(args.input), scheme, predictions))
 
 
 def cmd_bucket(args: argparse.Namespace) -> int:
     scheme = Scheme(args.scheme)
-    drops: Counter = Counter()
-    with _output(args.output) as out:
-        tasks = (
-            ((pair, label), reason)
-            for pair in read_pairs(args.input, scheme)
-            for label, reason in [bucket(pair, scheme)]
-        )
-        records = (pair_to_record(pair, task=label.value) for pair, label in _kept(tasks, drops))
-        n = write_jsonl(records, out)
-    print(json.dumps({"bucketed": n, "near_level_rejects": drops[DropReason.NEAR_LEVEL.value]}),
-          file=sys.stderr)
-    return EXIT_OK
+    tasks = _bucketed(read_pairs(args.input, scheme), scheme)
+    return _run_stage(args, tasks, lambda kept: pair_to_record(kept[0], task=kept[1].value))
 
 
 def cmd_split(args: argparse.Namespace) -> int:
-    ratios = _split_ratios(args.ratios, "--ratios")
+    with _blaming("--ratios", ConfigError):
+        ratios = check_split_ratios(args.ratios)
     records = [obj for _, obj in read_jsonl(args.input)]
     chunks = split_dataset(records, ratios, args.seed, key=lambda r: str(r.get("id", "")))
-    print(json.dumps(_write_splits(Path(args.output_dir), "", chunks)), file=sys.stderr)
+    counts = _write_splits(Path(args.output_dir), "", chunks)
+    _summary("split", len(records), sum(counts.values()), {}, splits=counts)
     return EXIT_OK
 
 
@@ -428,16 +454,12 @@ def cmd_prompt(args: argparse.Namespace) -> int:
     if args.fixed_level is not None:
         # Under cefr6, inference prompts may use the collapsed A/B/C alphabet.
         collapsed = scheme is Scheme.CEFR6 and len(args.fixed_level) == 1
-        try:
+        with _blaming("--fixed-level", ConfigError):
             fixed = ComplexityLevel.parse(Scheme.CEFR3 if collapsed else scheme, args.fixed_level)
-        except ValueError as exc:
-            raise ConfigError(f"--fixed-level: {exc}") from None
     with _output(args.output) as out:
         for lineno, record in read_jsonl(args.input):
-            try:
+            with _blaming(f"{args.input}:{lineno}"):
                 rec = render_record(record, strategy, scheme, fixed_level=fixed)
-            except ValueError as exc:
-                raise ParseError(args.input, lineno, str(exc)) from None
             if args.format == "tsv":
                 row = (rec["input_prompted"], rec["output"])
                 if any(c in value for value in row for c in "\t\n\r"):
@@ -475,13 +497,14 @@ def cmd_score(args: argparse.Namespace) -> int:
     refs = list(read_jsonl(args.refs, not_object=_NEED_EVAL_FIELDS))
     if len(outputs) != len(refs):
         raise DataError(
-            f"line-count mismatch: {len(outputs)} outputs vs {len(refs)} eval lines"
+            f"line-count mismatch: {len(outputs)} lines in {args.outputs}, {len(refs)} in {args.refs}"
         )
     instances = []
     for out_text, (lineno, obj) in zip(outputs, refs):
         source, references = _eval_fields(obj, args.refs, lineno)
         instances.append(EvalInstance(source=source, output=out_text, references=references))
-    report = score_report(instances, repetition_n=args.repetition_n)
+    with _blaming(args.outputs):  # no instances
+        report = score_report(instances, repetition_n=args.repetition_n)
     if args.per_instance:
         with _output(args.per_instance) as fh:
             fh.write("sari\tsari_r\tcopy\n")
@@ -498,17 +521,18 @@ def cmd_classifier_eval(args: argparse.Namespace) -> int:
     pred = read_keyed(args.pred, "level", ComplexityLevel.cefr6)
     if set(gold) != set(pred):
         missing = sorted(set(gold) ^ set(pred))[:5]
-        raise DataError(f"gold/pred id mismatch, e.g. {missing}")
+        raise DataError(f"ids differ between {args.gold} and {args.pred}, e.g. {missing}")
     preds = [
         LabeledPrediction(gold=gold[k], predicted=pred[k]) for k in sorted(gold)
     ]
-    report = {
-        "f1_6": weighted_f1(preds, collapse=6),
-        "f1_3": weighted_f1(preds, collapse=3),
-        "adj_acc": adjacent_accuracy(preds),
-        "mae": mae(preds),
-        "items": len(preds),
-    }
+    with _blaming(args.gold):  # no items
+        report = {
+            "f1_6": weighted_f1(preds, collapse=6),
+            "f1_3": weighted_f1(preds, collapse=3),
+            "adj_acc": adjacent_accuracy(preds),
+            "mae": mae(preds),
+            "items": len(preds),
+        }
     _print_report(report, args.pred)
     return EXIT_OK
 
@@ -517,13 +541,10 @@ def cmd_agree(args: argparse.Namespace) -> int:
     matrix = RatingMatrix()
     for item_id, rater_id, _group, value in read_ratings_tsv(args.input):
         matrix.add(rater_id, item_id, value)
-    try:
-        alpha = krippendorff_alpha(matrix, metric=args.metric)
-    except UndefinedAlphaError as exc:
-        raise DataError(f"alpha undefined: {exc}") from exc
-    result = {"alpha": alpha, "metric": args.metric}
-    if args.threshold is not None:
-        resolved = majority_gold(matrix, args.threshold)
+    with _blaming(args.input):  # alpha undefined, or a threshold the raters cannot reach
+        result = {"alpha": krippendorff_alpha(matrix, metric=args.metric), "metric": args.metric}
+        resolved = None if args.threshold is None else majority_gold(matrix, args.threshold)
+    if resolved is not None:
         gold = {k: v for k, v in resolved.items() if v != "UNRESOLVED"}
         result["resolved"] = len(gold)
         result["items"] = len(resolved)
@@ -551,10 +572,12 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
 
     predictions = _predictions(scheme, cfg.predictions, '"predictions"')
     # Dedup first (stable pair key), then filter, label, bucket.
-    drops: Counter = Counter()
-    unique = _kept(_deduped(_apply_similarity(read_pairs(cfg.input), cfg)), drops)
-    leveled = _kept(attach_levels(_filtered(unique, fcfg, drops), scheme, predictions), drops)
-    datasets, stats = build_datasets(leveled, scheme, cfg.seed, cfg.task_size)
+    unique = _Kept(_deduped(_apply_similarity(read_pairs(cfg.input), cfg)))
+    kept = _Kept(_filtered(unique, fcfg))
+    leveled = _Kept(attach_levels(kept, scheme, predictions))
+    with _blaming(cfg.input):  # too few pairs for the task size
+        datasets, stats = build_datasets(leveled, scheme, cfg.seed, cfg.task_size)
+    drops = unique.drops + kept.drops + leveled.drops
 
     # The old manifest goes before the first write and the new one comes last,
     # so a directory with a manifest is complete.
@@ -591,7 +614,8 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
     with _output(str(outdir / "manifest.json")) as fh:
         json.dump(manifest, fh, sort_keys=True, indent=2)
         fh.write("\n")
-    print(json.dumps({"tasks": task_counts, "splits": split_counts}, sort_keys=True), file=sys.stderr)
+    assembled = sum(stats["bucket_counts"].values()) + stats["near_level_rejects"]
+    _summary("pipeline", unique.entered, assembled, drops, tasks=task_counts, splits=split_counts)
     return EXIT_OK
 
 

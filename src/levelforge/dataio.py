@@ -73,6 +73,10 @@ def read_jsonl(
             continue
         try:
             obj = _DECODER.decode(line)
+            if "\\ud" in line or "\\uD" in line:  # an escape that may be half a surrogate pair
+                json.dumps(obj, ensure_ascii=False).encode("utf-8")
+        except UnicodeEncodeError:
+            raise ParseError(path, lineno, "a \\u escape is half a surrogate pair") from None
         except ValueError as exc:
             raise ParseError(path, lineno, f"invalid JSON: {exc}") from exc
         if not isinstance(obj, dict):

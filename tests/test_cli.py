@@ -96,8 +96,8 @@ class TestFilterCommand:
         out = tmp_path / "kept.jsonl"
         assert main(["filter", str(pairs), "-o", str(out)]) == 0
         summary = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
-        assert summary["kept"] == 1
-        assert summary["drop_reasons"] == {"TOO_SHORT": 1, "SIM_LOW": 1}
+        assert summary == {"command": "filter", "in": 3, "out": 1,
+                           "drops": {"TOO_SHORT": 1, "SIM_LOW": 1}}
         assert len(out.read_text().splitlines()) == 1
 
     @pytest.mark.parametrize("value, shown", [(True, "True"), ("x", "'x'")])
@@ -642,7 +642,8 @@ class TestSharedDropCounting:
         argv = ["label", str(pairs), "--scheme", "cefr6", "--predictions", str(preds),
                 "-o", str(tmp_path / "labeled.jsonl")]
         assert main(argv) == 0
-        assert json.loads(capsys.readouterr().err) == {"labeled": 1, "level_missing": 1}
+        assert json.loads(capsys.readouterr().err) == {
+            "command": "label", "in": 2, "out": 1, "drops": {"LEVEL_MISSING": 1}}
 
     def test_filter_and_pipeline_report_the_same_drops(self, tmp_path, capsys):
         corpus = tmp_path / "corpus.jsonl"
@@ -660,9 +661,50 @@ class TestSharedDropCounting:
         assert main(["filter", str(corpus), "-o", str(tmp_path / "kept.jsonl")]) == 0
         filtered = json.loads(capsys.readouterr().err)
         manifest = json.loads((run_pipeline(tmp_path, "run") / "manifest.json").read_text())
-        assert filtered["drop_reasons"] == manifest["drop_reasons"] == {
+        piped = json.loads(capsys.readouterr().err)
+        assert filtered["drops"] == piped["drops"] == manifest["drop_reasons"] == {
             "CONTAINMENT": 1, "SIM_HIGH": 1, "SIM_LOW": 1, "TOO_SHORT": 1,
         }
+        assert filtered["in"] == piped["in"] == len(records) + 4
+
+
+class TestDataErrorsNameTheirFile:
+    REFS = '{"source": "A b c.", "references": ["A b."]}\n'
+    PAIR = '{"id": "p1", "source": "The committee reviewed the long proposal.", "target": "The group read it."}\n'
+    CASES = {
+        "score-line-count": ({"out.txt": "a\nb\n", "refs.jsonl": REFS},
+                             ["score", "--outputs", "out.txt", "--refs", "refs.jsonl"],
+                             "line-count mismatch: 2 lines in out.txt, 1 in refs.jsonl"),
+        "score-empty": ({"out.txt": "", "refs.jsonl": ""},
+                        ["score", "--outputs", "out.txt", "--refs", "refs.jsonl"],
+                        "out.txt: score_report needs at least one instance"),
+        "classifier-eval-ids": ({"gold.jsonl": '{"id": "a", "level": "A1"}\n',
+                                 "pred.jsonl": '{"id": "b", "level": "A1"}\n'},
+                                ["classifier-eval", "--gold", "gold.jsonl", "--pred", "pred.jsonl"],
+                                "ids differ between gold.jsonl and pred.jsonl, e.g. ['a', 'b']"),
+        "classifier-eval-empty": ({"gold.jsonl": "", "pred.jsonl": ""},
+                                  ["classifier-eval", "--gold", "gold.jsonl", "--pred", "pred.jsonl"],
+                                  "gold.jsonl: weighted_f1 needs at least one prediction"),
+        "agree-undefined": ({"ratings.tsv": "s1\tr1\tg\t1\ns2\tr2\tg\t2\n"},
+                            ["agree", "ratings.tsv"],
+                            "ratings.tsv: alpha undefined: no item carries two or more ratings"),
+        "agree-threshold": ({"ratings.tsv": "s1\tr1\tg\t1\ns1\tr2\tg\t1\n"},
+                            ["agree", "ratings.tsv", "--threshold", "1"],
+                            "ratings.tsv: threshold 1 must exceed half of 2 raters"),
+        "pipeline-task-size": ({"corpus.jsonl": PAIR, "config.json": json.dumps(
+                                   {"input": "corpus.jsonl", "output_dir": "out", "task_size": 3})},
+                               ["pipeline", "--config", "config.json"],
+                               "corpus.jsonl: need 6 different-level pairs for task size 3, have 0"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_exit_1_names_the_file(self, tmp_path, capsys, monkeypatch, case):
+        files, argv, message = self.CASES[case]
+        monkeypatch.chdir(tmp_path)
+        for name, text in files.items():
+            Path(name).write_text(text)
+        assert main(argv) == 1
+        assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
 class TestLevelLabels:
@@ -1045,6 +1087,15 @@ class TestRejectedAtTheSource:
             "in position 14: invalid start byte\n"
         )
 
+    def test_half_surrogate_pair_in_config_is_usage_error(self, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_text('{"input": "c.jsonl", "output_dir": "out\\ud800"}')
+        assert main(["pipeline", "--config", str(config)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: cannot read config {config}: 'utf-8' codec can't encode character "
+            "'\\ud800' in position 39: surrogates not allowed\n"
+        )
+
 
 class TestRarePaths:
     @pytest.mark.parametrize("name, value, argv", [
@@ -1140,6 +1191,28 @@ class TestOutputsAreAllOrNothing:
             assert not out.exists()
         else:
             assert out.read_text() == existing
+
+    @pytest.mark.parametrize("make", ["prompt_bad_at_line_3", "filter_bad_at_line_2"])
+    @pytest.mark.parametrize("to_stdout", [[], ["-o", "-"]])
+    def test_failed_command_prints_nothing(self, tmp_path, capsys, make, to_stdout):
+        # The records before the bad line must not reach stdout either.
+        data, argv, lineno = getattr(self, make)(tmp_path)
+        assert main([*argv, *to_stdout]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(f"error: {data}:{lineno}: ")
+
+    def test_failed_command_writes_nothing_to_a_pipe(self, tmp_path, capsys):
+        data, argv, lineno = self.filter_bad_at_line_2(tmp_path)
+        fifo = tmp_path / "out.fifo"
+        os.mkfifo(fifo)
+        received = []
+        reader = threading.Thread(target=lambda: received.append(fifo.read_text()), daemon=True)
+        reader.start()
+        assert main([*argv, "-o", str(fifo)]) == 1
+        reader.join(timeout=10)
+        assert not reader.is_alive()
+        assert received == [""]
 
     def test_success_replaces_target_and_keeps_its_mode(self, tmp_path, capsys):
         data = tmp_path / "data.jsonl"

@@ -2,10 +2,13 @@
 
 Each example writes 1-5 lines per input file, each line valid or mutated:
 wrong JSON types, lines that are not objects, NaN and infinities, empty
-strings, blank lines, bytes that are not UTF-8, and TSV rows with the wrong
-number of columns. Whatever the input, the run must exit 0, 1 or 2; a run
-that fails must leave stdout empty and write no output; and every JSON it
-prints or writes must parse with NaN and Infinity refused.
+strings, half surrogate pairs, blank lines, bytes that are not UTF-8, and
+TSV rows with the wrong number of columns. Whatever the input, the run must
+exit 0, 1 or 2; a run that fails must leave stdout empty and write no
+output, and on exit 1 name one of its input files; and every JSON it prints
+or writes must parse with NaN and Infinity refused. A dataset command that
+succeeds prints one summary whose counts add up: every record read is either
+written out or dropped.
 """
 import contextlib
 import io
@@ -97,8 +100,14 @@ COMMANDS = {
     "report": ({"ratings.tsv": tsv(RATINGS)}, ["report", "{ratings.tsv}"]),
     "report-text": ({"ratings.tsv": tsv(RATINGS)}, ["report", "{ratings.tsv}", "--format", "text"]),
 }
+# The record commands again, writing their records to stdout.
+for name in ("analyze", "filter", "label", "bucket", "prompt-abs"):
+    files, template = COMMANDS[name]
+    COMMANDS[f"{name}-stdout"] = (files, template[:template.index("-o")])
+# The dataset commands: each prints a summary that counts the records of its first input file.
+STAGES = ("filter", "label", "bucket", "split", "pipeline")
 
-MUTATIONS = ["type", "not-object", "non-finite", "empty", "blank", "bytes", "columns"]
+MUTATIONS = ["type", "not-object", "non-finite", "empty", "blank", "bytes", "columns", "surrogate"]
 ODD_VALUES = [0, -1, 1.5, True, None, [], {}, ["a"], "x", 1e308]
 NON_FINITE = ["nan", "inf", "-inf", "1e308", "-1e308", "NaN", "Infinity"]
 
@@ -116,6 +125,8 @@ def mutated_line(draw, kind, valid, paths):
             obj[key] = draw(st.sampled_from([float("nan"), float("inf"), float("-inf")]))
         elif mutation == "empty":
             obj[key] = ""
+        elif mutation == "surrogate":
+            obj[key] = f"{obj[key]}\ud800"
         elif mutation == "columns":
             del obj[key]
         line = json.dumps(obj)
@@ -186,7 +197,8 @@ def test_mutated_inputs(command, data):
         paths = {f"{{{name}}}": str(indir / name) for name in files}
         paths.update({arg: str(outdir / arg[1:]) for arg in template if arg.startswith("@")})
         paths["@run"] = str(outdir / "run")
-        for name, content in data.draw(input_files(files, paths)).items():
+        inputs = data.draw(input_files(files, paths))
+        for name, content in inputs.items():
             (indir / name).write_bytes(content)
 
         code, stdout, stderr = _run([paths.get(arg, arg) for arg in template])
@@ -197,11 +209,24 @@ def test_mutated_inputs(command, data):
             assert stdout == ""
             assert stderr.startswith("error: ")
             assert list(outdir.iterdir()) == []
+            if code == 1:
+                assert any(paths[f"{{{name}}}"] in stderr for name in files)
             return
-        if stdout and command != "report-text":
+        if command.endswith("-stdout"):
+            for line in stdout.splitlines():
+                strict_json(line)
+        elif stdout and command != "report-text":
             strict_json(stdout)
         for line in stderr.splitlines():
             strict_json(line)
+        if template[0] in STAGES:
+            summary = strict_json(stderr)
+            records = inputs[next(iter(files))].splitlines()
+            assert summary["in"] == sum(1 for line in records if line.strip())
+            assert summary["in"] == summary["out"] + sum(summary["drops"].values())
+            if command == "pipeline":
+                manifest = strict_json((outdir / "run" / "manifest.json").read_text(encoding="utf-8"))
+                assert summary["drops"] == manifest["drop_reasons"]
         for path in outdir.rglob("*.jsonl"):
             for line in path.read_text(encoding="utf-8").splitlines():
                 strict_json(line)

@@ -66,6 +66,16 @@ class TestJsonl:
             list(read_jsonl(path))
         assert str(exc.value) == f"{path}:2: invalid JSON: {constant} is not a JSON number"
 
+    @pytest.mark.parametrize("escaped", [r"\ud800", r"\uDC00 b", r"\ude00\ud83d", r'{"\ud83d": 1}'])
+    def test_half_surrogate_pair_reports_line(self, tmp_path, escaped):
+        # json reads these into a str that no UTF-8 writer can write back.
+        path = tmp_path / "data.jsonl"
+        value = escaped if escaped.startswith("{") else f'"{escaped}"'
+        path.write_text('{"a": "\\ud83d\\ude00"}\n{"a": [' + value + "]}\n")
+        with pytest.raises(ParseError) as exc:
+            list(read_jsonl(path))
+        assert str(exc.value) == f"{path}:2: a \\u escape is half a surrogate pair"
+
 
 class TestReadPairs:
     def test_jsonl(self, tmp_path):
@@ -260,11 +270,13 @@ class TestOneInputDoor:
     # path:line rule for bad lines. A write-mode open() outside _output
     # bypasses its replace-only-on-success rule. A print to stdout outside
     # _print_report skips its NaN and infinity check, and can come before
-    # the command's files are written.
+    # the command's files are written. A print to stderr outside _summary
+    # and main is a summary of another shape, or an error without exit code.
     DOORS = {("dataio", "read_lines"), ("dataio", "file_sha256"),
              ("cli", "PipelineConfig.from_file")}
     WRITE_DOORS = {("cli", "_output")}
     PRINT_DOORS = {("cli", "_print_report")}
+    STDERR_DOORS = {("cli", "_summary"), ("cli", "main")}
 
     @classmethod
     def _calls(cls, node, name, scope=""):
@@ -302,3 +314,11 @@ class TestOneInputDoor:
                        for kw in call.keywords)
         }
         assert to_stdout == self.PRINT_DOORS
+
+    def test_stderr_prints_only_at_the_doors(self):
+        to_stderr = {
+            (mod, scope) for mod, scope, call in self._package_calls("print")
+            if any(kw.arg == "file" and ast.unparse(kw.value) == "sys.stderr"
+                   for kw in call.keywords)
+        }
+        assert to_stderr == self.STDERR_DOORS
