@@ -9,6 +9,9 @@ checkout's ``src/``). For seeds 1-3 the script builds the inputs of the
 own:
 
 - each workload's own commands;
+- ``pipeline`` on the ``pipeline-mixed`` input with each other similarity
+  source (``file``, ``builtin-lexical``, ``none``), and under ``cefr6``
+  with a predictions file;
 - a filter -> label -> bucket -> split -> prompt chain on the pipeline
   input, some of its steps writing to stdout;
 - ``analyze``, ``agree`` and ``classifier-eval``.
@@ -19,12 +22,14 @@ if there is one. Standard library only; the trees are run as subprocesses.
 """
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import shutil
 import subprocess
 import sys
 import tempfile
+import unicodedata
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -47,6 +52,47 @@ def classifier_files(ratings: list, workdir: Path) -> None:
         with open(workdir / name, "w", encoding="utf-8") as fh:
             for item in items:
                 fh.write(json.dumps({"id": item, "level": by_rater[rater][item]}) + "\n")
+
+
+def _hashed(text: str) -> int:
+    """A number from the first 48 bits of the SHA-256 of ``text``."""
+    return int(hashlib.sha256(text.encode("utf-8")).hexdigest()[:12], 16)
+
+
+def pipeline_variants(workdir: Path) -> list[list[str]]:
+    """Configs that run the workload's ``pipeline`` through every other front-end branch.
+
+    ``sims.jsonl`` keys a similarity unlike the column's by the input's own
+    ids, leaving every seventh id to fall back to the column; ``preds.jsonl``
+    keys a CEFR6 level by each text's ``text_sha256``, leaving every tenth
+    text without one. Both values come from a hash of the key.
+    """
+    base = json.loads((workdir / "config.json").read_text())
+    pairs = [json.loads(line) for line in (workdir / "input.jsonl").read_text(encoding="utf-8").splitlines()]
+    with open(workdir / "sims.jsonl", "w", encoding="utf-8") as fh:
+        for pair in pairs:
+            if _hashed(pair["id"]) % 7:
+                similarity = _hashed(pair["id"]) % 1001 / 1000
+                fh.write(json.dumps({"id": pair["id"], "similarity": similarity}) + "\n")
+    keys = sorted({hashlib.sha256(unicodedata.normalize("NFC", text).encode("utf-8")).hexdigest()
+                   for pair in pairs for text in (pair["source"], pair["target"])})
+    with open(workdir / "preds.jsonl", "w", encoding="utf-8") as fh:
+        fh.write(json.dumps({"scheme": "cefr6"}) + "\n")
+        for key in keys:
+            if int(key[:12], 16) % 10:
+                fh.write(json.dumps({"text_sha256": key, "level": CEFR6[int(key[12:24], 16) % 6]}) + "\n")
+    variants = {
+        "file": {"similarity_source": "file", "similarity_file": "sims.jsonl"},
+        "lexical": {"similarity_source": "builtin-lexical"},
+        "none": {"similarity_source": "none"},
+        "cefr6": {"scheme": "cefr6", "predictions": "preds.jsonl"},
+    }
+    commands = []
+    for name, settings in variants.items():
+        config = {**base, "output_dir": f"out-{name}", **settings}
+        (workdir / f"config-{name}.json").write_text(json.dumps(config))
+        commands.append(["pipeline", "--config", f"config-{name}.json"])
+    return commands
 
 
 def cases(seed: int, inputs: Path) -> dict[str, list[list[str]]]:
@@ -73,7 +119,7 @@ def cases(seed: int, inputs: Path) -> dict[str, list[list[str]]]:
         ["classifier-eval", "--gold", "gold.jsonl", "--pred", "pred.jsonl"],
     ]
     return {
-        "pipeline-mixed": prepared.commands + chain,
+        "pipeline-mixed": prepared.commands + pipeline_variants(mixed) + chain,
         "eval": scored.commands + reports,
     }
 

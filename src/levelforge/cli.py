@@ -187,25 +187,30 @@ def _filter_settings(fcfg: FilterConfig) -> FilterConfig:
 
 @contextmanager
 def _output(path: Optional[str]) -> Iterator[TextIO]:
-    """stdout for None or "-"; otherwise the file at ``path``, replaced only on success.
+    """stdout for None, "-" or stdout's own file; else the file at ``path``, replaced on success.
 
     The command writes a temporary file beside the target, renamed onto it
     when the command ends without an exception; on an exception it is
     deleted, so no half-written file is left and an existing one is
-    untouched. Stdout, and a target that exists and is not a regular file
-    (a pipe, device or directory, also when reached through ``/dev/fd``),
-    is opened before any work and gets a spooled copy of the output only on
-    success, so a failed command writes nothing there. An existing target
-    must be writable, as for ``open``; the new file gets its permission bits.
+    untouched. Stdout (so ``-o /dev/stdout >> log`` appends to the log), and a
+    target that exists and is not a regular file (a pipe, device or
+    directory, also when reached through ``/dev/fd``), is opened before any
+    work and gets a spooled copy of the output only on success, so a failed
+    command writes nothing there. An existing target must be writable, as
+    for ``open``; the new file gets its permission bits.
     """
-    if path is None or path == "-":
+    try:
+        st: Optional[os.stat_result] = None if path in (None, "-") else os.stat(path)
+    except FileNotFoundError:
+        st = None
+    try:  # stdout's own file is written through stdout, as "-" is
+        to_stdout = st is not None and os.path.samestat(st, os.fstat(sys.stdout.fileno()))
+    except (AttributeError, OSError, ValueError):  # no stdout, or one without a descriptor
+        to_stdout = False
+    if path in (None, "-") or to_stdout:
         with _spooled(sys.stdout) as fh:
             yield fh
         return
-    try:
-        st: Optional[os.stat_result] = os.stat(path)
-    except FileNotFoundError:
-        st = None
     if st is not None and not stat.S_ISREG(st.st_mode):
         with open(path, "w", encoding="utf-8") as stream, _spooled(stream) as fh:
             yield fh
@@ -305,16 +310,27 @@ def _run_stage(
     return EXIT_OK
 
 
-def _deduped(pairs: Iterable[ParaphrasePair]) -> Checked[ParaphrasePair]:
-    """Each pair, its id set to its pair key; DUPLICATE for a key seen before."""
+def _unique_pairs(cfg: PipelineConfig) -> Checked[ParaphrasePair]:
+    """Each pair of ``cfg.input``: DUPLICATE for a pair key seen before; otherwise the
+    pair with its similarity from ``cfg.similarity_source`` and its id set to its key."""
+    sims: dict[str, float] = {}
+    if cfg.similarity_source == "file":
+        sims = read_keyed(cfg.similarity_file, "similarity", lambda v: float(check_similarity(v)))
     seen = set()
-    for pair in pairs:
-        pair.id = pair_key(pair.source, pair.target)
-        if pair.id in seen:
+    for pair in read_pairs(cfg.input):
+        key = pair_key(pair.source, pair.target)
+        if key in seen:
             yield pair, DropReason.DUPLICATE
-        else:
-            seen.add(pair.id)
-            yield pair, None
+            continue
+        seen.add(key)
+        if cfg.similarity_source == "none":
+            pair.similarity = None
+        elif cfg.similarity_source == "builtin-lexical":
+            pair.similarity = lexical_similarity(pair.source, pair.target)
+        else:  # "column", or "file": the file's value by the input's own id, else the column's
+            pair.similarity = sims.get(pair.id, pair.similarity)
+        pair.id = key
+        yield pair, None
 
 
 def _filtered(pairs: Iterable[ParaphrasePair], fcfg: FilterConfig) -> Checked[ParaphrasePair]:
@@ -329,24 +345,6 @@ def _bucketed(
     for pair in pairs:
         label, reason = bucket(pair, scheme)
         yield (pair, label), reason
-
-
-def _apply_similarity(pairs: Iterable[ParaphrasePair], cfg: PipelineConfig) -> Iterator[ParaphrasePair]:
-    if cfg.similarity_source == "column":
-        yield from pairs
-    elif cfg.similarity_source == "none":
-        for p in pairs:
-            p.similarity = None
-            yield p
-    elif cfg.similarity_source == "builtin-lexical":
-        for p in pairs:
-            p.similarity = lexical_similarity(p.source, p.target)
-            yield p
-    else:
-        sims = read_keyed(cfg.similarity_file, "similarity", lambda v: float(check_similarity(v)))
-        for p in pairs:
-            p.similarity = sims.get(p.id, p.similarity)
-            yield p
 
 
 # ---------------------------------------------------------------- commands
@@ -390,7 +388,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 def _texts(path: str) -> Iterator[tuple[int, Optional[str]]]:
     """(lineno, text) per line: JSONL "text" or "source", else the first TSV column."""
-    if str(path).endswith(".jsonl"):
+    if Path(path).suffix.lower() == ".jsonl":
         for lineno, obj in read_jsonl(path):
             name = "text" if obj.get("text") else "source"
             text = obj.get(name)
@@ -571,8 +569,8 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
     fcfg = cfg.filter_config()
 
     predictions = _predictions(scheme, cfg.predictions, '"predictions"')
-    # Dedup first (stable pair key), then filter, label, bucket.
-    unique = _Kept(_deduped(_apply_similarity(read_pairs(cfg.input), cfg)))
+    # Dedup first (stable pair key), then similarity, filter, label, bucket.
+    unique = _Kept(_unique_pairs(cfg))
     kept = _Kept(_filtered(unique, fcfg))
     leveled = _Kept(attach_levels(kept, scheme, predictions))
     with _blaming(cfg.input):  # too few pairs for the task size

@@ -12,6 +12,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
+from fractions import Fraction
 from random import Random
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence, TypeVar
 
@@ -45,7 +46,7 @@ class TaskLabel(str, Enum):
 
 
 class DropReason(str, Enum):
-    # First-failing-rule order, cheapest test first.
+    # filter_pair's rules in the order it tests them, then label's, bucket's and dedup's reasons.
     TOO_SHORT = "TOO_SHORT"
     CONTAINMENT = "CONTAINMENT"
     SIM_MISSING = "SIM_MISSING"
@@ -303,15 +304,15 @@ def split_dataset(
 ) -> dict[str, list[T]]:
     """Seeded shuffle over items sorted by ``key``, then 80-10-10 style split.
 
-    Non-train splits get the floor of their share; the remainder goes to
-    train. Membership is disjoint and covers the dataset.
+    Non-train splits get the floor of their decimal share (0.29 of 100 is 29,
+    not 28); the remainder goes to train. Membership is disjoint and covers the dataset.
     """
     ratios = check_split_ratios(ratios)
     items = sorted(dataset, key=key)
     Random(seed).shuffle(items)
     n = len(items)
-    n_valid = int(n * ratios[1])
-    n_test = int(n * ratios[2])
+    n_valid = int(n * Fraction(repr(ratios[1])))
+    n_test = int(n * Fraction(repr(ratios[2])))
     n_train = n - n_valid - n_test
     return {
         "train": items[:n_train],

@@ -559,6 +559,15 @@ class TestAnalyzeCommand:
         rows = [json.loads(line) for line in out.read_text().splitlines()]
         assert [r["word_count"] for r in rows] == [6, 3]
 
+    def test_jsonl_suffix_in_any_case(self, tmp_path, capsys):
+        rows = {}
+        for name in ("t.jsonl", "t.JSONL", "u.Jsonl"):
+            write_jsonl_file(tmp_path / name, [{"text": "The cat sat on the mat. It was happy."}])
+            assert main(["analyze", str(tmp_path / name)]) == 0
+            rows[name] = json.loads(capsys.readouterr().out)
+        assert rows["t.jsonl"]["word_count"] == 9
+        assert rows["t.JSONL"] == rows["u.Jsonl"] == rows["t.jsonl"]
+
     def test_bad_json_line_names_path_and_line(self, tmp_path, capsys):
         data = tmp_path / "texts.jsonl"
         data.write_text('{"text": "The cat sat."}\nnot json\n')
@@ -941,6 +950,48 @@ class TestSimilaritySources:
         bucketed = sum(stats["bucket_counts"].values()) + stats["near_level_rejects"]
         assert bucketed == len(records) - sum(expected.values())
 
+    def test_lexical_similarity_only_for_unique_pairs(self, tmp_path, capsys, monkeypatch):
+        # Dedup comes first, so a dropped duplicate costs no trigram cosine.
+        corpus = tmp_path / "corpus.jsonl"
+        records = make_corpus(corpus)
+        write_jsonl_file(corpus, records + records[:5])
+        calls = []
+        lexical = cli.lexical_similarity
+
+        def counting(a, b):
+            calls.append((a, b))
+            return lexical(a, b)
+
+        monkeypatch.setattr(cli, "lexical_similarity", counting)
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"input": str(corpus), "output_dir": str(tmp_path / "out"),
+                                      "similarity_source": "builtin-lexical"}))
+        assert main(["pipeline", "--config", str(config)]) == 0
+        manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+        assert manifest["drop_reasons"]["DUPLICATE"] == 5
+        assert sorted(calls) == sorted((r["source"], r["target"]) for r in records)
+
+    def test_first_occurrence_id_picks_the_file_similarity(self, tmp_path, capsys):
+        # Two ids for one pair: the file maps them to values on either side of
+        # the band, and the column value (below it) is never used.
+        records = make_corpus(tmp_path / "unused.jsonl", n=40)
+        in_band = {**records[0], "id": "in-band", "similarity": 0.2}
+        too_high = {**records[0], "id": "too-high", "similarity": 0.2}
+        sims = tmp_path / "sims.jsonl"
+        write_jsonl_file(sims, [{"id": "in-band", "similarity": 0.7},
+                                {"id": "too-high", "similarity": 0.95}])
+        drops = []
+        for name, order in (("a", [in_band, *records[1:], too_high]),
+                            ("b", [too_high, *records[1:], in_band])):
+            write_jsonl_file(tmp_path / f"{name}.jsonl", order)
+            config = tmp_path / f"{name}.json"
+            config.write_text(json.dumps({
+                "input": str(tmp_path / f"{name}.jsonl"), "output_dir": str(tmp_path / name),
+                "similarity_source": "file", "similarity_file": str(sims)}))
+            assert main(["pipeline", "--config", str(config)]) == 0
+            drops.append(json.loads((tmp_path / name / "manifest.json").read_text())["drop_reasons"])
+        assert drops == [{"DUPLICATE": 1}, {"DUPLICATE": 1, "SIM_HIGH": 1}]
+
 
 class TestAnalyzeLevelsAndTextReport:
     def test_analyze_per_level_line(self, tmp_path, capsys):
@@ -1252,6 +1303,23 @@ class TestOutputsAreAllOrNothing:
                               timeout=60, env={**os.environ, "PYTHONPATH": str(src)})
         assert (proc.returncode, proc.stderr) == (0, "")
         assert [json.loads(line)["output"] for line in proc.stdout.splitlines()] == ["An easy one."]
+
+    def test_stdout_file_target_is_appended_to(self, tmp_path):
+        # `filter ok.jsonl -o /dev/stdout >> log`: /dev/stdout is the log file
+        # itself, which must be appended to through stdout, not replaced.
+        data = tmp_path / "pairs.jsonl"
+        write_jsonl_file(data, [self.PAIR])
+        log = tmp_path / "log.txt"
+        log.write_text("old\n")
+        src = Path(__file__).resolve().parent.parent / "src"
+        with open(log, "a", encoding="utf-8") as stdout:
+            proc = subprocess.run([sys.executable, "-m", "levelforge.cli", "filter", str(data),
+                                   "-o", "/dev/stdout"], stdout=stdout, stderr=subprocess.PIPE,
+                                  text=True, timeout=60, env={**os.environ, "PYTHONPATH": str(src)})
+        assert proc.returncode == 0, proc.stderr
+        old, record = log.read_text().splitlines()
+        assert (old, json.loads(record)["target"]) == ("old", self.PAIR["target"])
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["log.txt", "pairs.jsonl"]
 
     def test_read_only_target_is_refused(self, tmp_path, capsys, monkeypatch):
         data = tmp_path / "data.jsonl"

@@ -1,7 +1,7 @@
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from levelforge import textcore
@@ -304,6 +304,25 @@ class TestSplitDataset:
             split_dataset([make_pair(1)], ratios=(0.5, 0.3, 0.3))
         with pytest.raises(ValueError):
             split_dataset([make_pair(1)], ratios=(1.2, -0.1, -0.1))
+
+    def test_floor_of_the_decimal_share(self):
+        # 100 * 0.29 is 28.999999999999996 in floats; the share as written is 29.
+        splits = split_dataset([make_pair(i) for i in range(100)], ratios=(0.42, 0.29, 0.29))
+        assert {k: len(v) for k, v in splits.items()} == {"train": 42, "valid": 29, "test": 29}
+
+    @given(st.integers(min_value=0, max_value=1000), st.integers(min_value=0, max_value=1000),
+           st.integers(min_value=0, max_value=300))
+    @settings(max_examples=200, deadline=None)
+    @example(290, 290, 100)
+    def test_floor_of_decimal_shares_property(self, valid, test, n):
+        # Ratios with at most 3 decimal places: each non-train split holds
+        # exactly floor(n * share) items.
+        test = min(test, 1000 - valid)
+        ratios = ((1000 - valid - test) / 1000, valid / 1000, test / 1000)
+        splits = split_dataset([make_pair(i) for i in range(n)], ratios=ratios)
+        assert len(splits["valid"]) == n * valid // 1000
+        assert len(splits["test"]) == n * test // 1000
+        assert sum(map(len, splits.values())) == n
 
     @given(st.integers(min_value=0, max_value=200), st.integers(min_value=0, max_value=2**16))
     @settings(max_examples=50, deadline=None)
