@@ -13,7 +13,9 @@ own:
   source (``file``, ``builtin-lexical``, ``none``), and under ``cefr6``
   with a predictions file;
 - a filter -> label -> bucket -> split -> prompt chain on the pipeline
-  input, some of its steps writing to stdout;
+  input, some of its steps writing to stdout: without ``-o`` and with
+  ``-o -``, ``-o /dev/stdout`` and ``-o /dev/stderr``, which under the
+  captured streams are pipes;
 - ``analyze``, ``agree`` and ``classifier-eval``.
 
 It prints every stdout, stderr, exit code and written file that differs
@@ -111,6 +113,9 @@ def cases(seed: int, inputs: Path) -> dict[str, list[list[str]]]:
         ["prompt", "splits/train.jsonl", "--strategy", "rel", "--scheme", "fkgl", "-o", "prompted.jsonl"],
         ["bucket", "leveled.jsonl", "--scheme", "fkgl"],
         ["prompt", "splits/valid.jsonl", "--strategy", "abs", "--scheme", "fkgl"],
+        ["bucket", "leveled.jsonl", "--scheme", "fkgl", "-o", "-"],
+        ["prompt", "splits/valid.jsonl", "--strategy", "abs", "--scheme", "fkgl", "-o", "/dev/stdout"],
+        ["label", "kept.jsonl", "--scheme", "fkgl", "-o", "/dev/stderr"],
         ["analyze", "kept.jsonl", "-o", "analyzed.jsonl"],
     ]
     reports = [

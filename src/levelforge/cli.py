@@ -17,7 +17,7 @@ import stat
 import sys
 import tempfile
 from collections import Counter
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from dataclasses import MISSING, asdict, dataclass, fields
 from pathlib import Path
 from typing import Callable, Generic, Iterable, Iterator, Mapping, Optional, Sequence, TextIO, TypeVar
@@ -185,35 +185,39 @@ def _filter_settings(fcfg: FilterConfig) -> FilterConfig:
     return fcfg
 
 
+def _std_stream(st: Optional[os.stat_result]) -> Optional[TextIO]:
+    """stdout or stderr, whichever already has the file ``st`` open; None if neither has."""
+    for stream in (sys.stdout, sys.stderr):
+        try:
+            if st is not None and os.path.samestat(st, os.fstat(stream.fileno())):
+                return stream
+        except (AttributeError, OSError, ValueError):  # no stream, or one without a descriptor
+            pass
+    return None
+
+
 @contextmanager
 def _output(path: Optional[str]) -> Iterator[TextIO]:
-    """stdout for None, "-" or stdout's own file; else the file at ``path``, replaced on success.
+    """A file for one output, landed on ``path`` only if the block ends without an exception.
 
-    The command writes a temporary file beside the target, renamed onto it
-    when the command ends without an exception; on an exception it is
-    deleted, so no half-written file is left and an existing one is
-    untouched. Stdout (so ``-o /dev/stdout >> log`` appends to the log), and a
-    target that exists and is not a regular file (a pipe, device or
-    directory, also when reached through ``/dev/fd``), is opened before any
-    work and gets a spooled copy of the output only on success, so a failed
-    command writes nothing there. An existing target must be writable, as
-    for ``open``; the new file gets its permission bits.
+    A regular or new file is written beside itself and renamed into place,
+    keeping its permission bits; an existing one must be writable. Any other
+    target is a stream given a spooled copy: stdout for None or "-", stdout or
+    stderr when it has the target open (``-o /dev/stderr 2>> log`` appends),
+    else the target itself (a pipe, a device), opened before any work.
     """
     try:
         st: Optional[os.stat_result] = None if path in (None, "-") else os.stat(path)
     except FileNotFoundError:
         st = None
-    try:  # stdout's own file is written through stdout, as "-" is
-        to_stdout = st is not None and os.path.samestat(st, os.fstat(sys.stdout.fileno()))
-    except (AttributeError, OSError, ValueError):  # no stdout, or one without a descriptor
-        to_stdout = False
-    if path in (None, "-") or to_stdout:
-        with _spooled(sys.stdout) as fh:
-            yield fh
-        return
-    if st is not None and not stat.S_ISREG(st.st_mode):
-        with open(path, "w", encoding="utf-8") as stream, _spooled(stream) as fh:
-            yield fh
+    stream = sys.stdout if path in (None, "-") else _std_stream(st)
+    if stream or (st is not None and not stat.S_ISREG(st.st_mode)):
+        with nullcontext(stream) if stream else open(path, "w", encoding="utf-8") as stream, \
+                tempfile.TemporaryFile("w+", encoding="utf-8", newline="") as spool:
+            yield spool
+            spool.seek(0)
+            stream.writelines(spool)
+            stream.flush()
         return
     if st is not None and not os.access(path, os.W_OK):
         raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), path)
@@ -232,15 +236,6 @@ def _output(path: Optional[str]) -> Iterator[TextIO]:
     except BaseException:
         os.unlink(tmp)
         raise
-
-
-@contextmanager
-def _spooled(stream: TextIO) -> Iterator[TextIO]:
-    """A temporary file, copied to ``stream`` when the block ends without an exception."""
-    with tempfile.TemporaryFile("w+", encoding="utf-8", newline="") as spool:
-        yield spool
-        spool.seek(0)
-        stream.writelines(spool)
 
 
 def _write_splits(outdir: Path, prefix: str, chunks: Mapping[str, Iterable[dict]]) -> dict[str, int]:
@@ -450,6 +445,8 @@ def cmd_prompt(args: argparse.Namespace) -> int:
     scheme = Scheme(args.scheme)
     fixed = None
     if args.fixed_level is not None:
+        if strategy not in (Strategy.ABSOLUTE, Strategy.LLM_ABSOLUTE):
+            raise ConfigError(f"--fixed-level needs strategy abs or llm-abs, not {strategy.value}")
         # Under cefr6, inference prompts may use the collapsed A/B/C alphabet.
         collapsed = scheme is Scheme.CEFR6 and len(args.fixed_level) == 1
         with _blaming("--fixed-level", ConfigError):
@@ -536,6 +533,8 @@ def cmd_classifier_eval(args: argparse.Namespace) -> int:
 
 
 def cmd_agree(args: argparse.Namespace) -> int:
+    if args.gold_out and args.threshold is None:
+        raise ConfigError("--gold-out needs --threshold")
     matrix = RatingMatrix()
     for item_id, rater_id, _group, value in read_ratings_tsv(args.input):
         matrix.add(rater_id, item_id, value)

@@ -112,6 +112,8 @@ class FilterConfig:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, (int, float)) or not -math.inf < value < math.inf:
                 raise TypeError(f"{name} must be a number, got {value!r}")
+        if type(self.min_words) is not int:
+            raise TypeError(f"min_words must be an int, got {self.min_words!r}")
         if self.sim_low > self.sim_high:
             raise ValueError(
                 f"sim_low {self.sim_low} must not exceed sim_high {self.sim_high}"

@@ -84,19 +84,27 @@ def read_jsonl(
         yield lineno, obj
 
 
+def _put(values: dict[str, T], key: str, value: T, path: str | Path, lineno: int, name: str) -> None:
+    """``values[key] = value``; a key that already maps to another value is a ParseError."""
+    if values.setdefault(key, value) != value:
+        raise ParseError(path, lineno, f"{key!r} repeats with another {name}")
+
+
 def read_keyed(path: str | Path, name: str, convert: Callable[[object], T]) -> dict[str, T]:
     """Map each JSONL line's "id" to ``convert`` of its ``name`` field.
 
-    A line without both, or whose value ``convert`` rejects, is a ParseError.
+    A line without both, whose value ``convert`` rejects, or that repeats an
+    id with another value, is a ParseError.
     """
     values: dict[str, T] = {}
     for lineno, obj in read_jsonl(path):
         if "id" not in obj or name not in obj:
             raise ParseError(path, lineno, f'need "id" and "{name}"')
         try:
-            values[str(obj["id"])] = convert(obj[name])
+            value = convert(obj[name])
         except ValueError as exc:
             raise ParseError(path, lineno, str(exc)) from None
+        _put(values, str(obj["id"]), value, path, lineno, name)
     return values
 
 
@@ -164,7 +172,8 @@ def read_predictions(path: str | Path) -> tuple[Scheme, dict[str, ComplexityLeve
     """Read a level-prediction file.
 
     The first line is a header object declaring the scheme; each following
-    line is {"id" or "text_sha256", "level"}.
+    line is {"id" or "text_sha256", "level"}. A key may repeat with the same
+    level (one line per occurrence of a text), not with another.
     """
     rows = read_jsonl(path)
     try:
@@ -183,9 +192,10 @@ def read_predictions(path: str | Path) -> tuple[Scheme, dict[str, ComplexityLeve
         if key is None or "level" not in obj:
             raise ParseError(path, lineno, 'need "id" or "text_sha256" plus "level"')
         try:
-            predictions[str(key)] = ComplexityLevel.parse(scheme, obj["level"])
+            level = ComplexityLevel.parse(scheme, obj["level"])
         except ValueError as exc:
             raise ParseError(path, lineno, str(exc)) from None
+        _put(predictions, str(key), level, path, lineno, "level")
     return scheme, predictions
 
 

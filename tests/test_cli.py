@@ -206,6 +206,19 @@ class TestPromptCommand:
         assert code == 0
         assert out.read_text() == "change to level B: A hard sentence.\tAn easy one.\n"
 
+    @pytest.mark.parametrize("strategy", ["rel", "llm-rel", "baseline"])
+    def test_fixed_level_needs_an_absolute_strategy(self, tmp_path, capsys, strategy):
+        # Refused before the input is read: its bad line would be a data error (exit 1).
+        data = tmp_path / "data.jsonl"
+        data.write_text("{not json\n")
+        out = tmp_path / "prompted.jsonl"
+        argv = ["prompt", str(data), "--strategy", strategy, "--scheme", "cefr6",
+                "--fixed-level", "B", "-o", str(out)]
+        assert main(argv) == 2
+        assert capsys.readouterr() == (
+            "", f"error: --fixed-level needs strategy abs or llm-abs, not {strategy}\n")
+        assert not out.exists()
+
 
 class TestScoreCommand:
     def test_report_fields(self, tmp_path, capsys):
@@ -312,6 +325,14 @@ class TestScoreCommand:
 
 
 class TestClassifierEvalCommand:
+    def test_gold_with_two_levels_for_one_id(self, tmp_path, capsys):
+        gold = tmp_path / "gold.jsonl"
+        pred = tmp_path / "pred.jsonl"
+        write_jsonl_file(gold, [{"id": "x", "level": "A1"}, {"id": "x", "level": "C2"}])
+        write_jsonl_file(pred, [{"id": "x", "level": "C2"}])
+        assert main(["classifier-eval", "--gold", str(gold), "--pred", str(pred)]) == 1
+        assert capsys.readouterr() == ("", f"error: {gold}:2: 'x' repeats with another level\n")
+
     def test_metrics(self, tmp_path, capsys):
         gold = tmp_path / "gold.jsonl"
         pred = tmp_path / "pred.jsonl"
@@ -352,6 +373,14 @@ class TestAgreeCommand:
         assert result["resolved"] == 6
         assert -1.0 <= result["alpha"] <= 1.0
         assert len(gold_out.read_text().splitlines()) == 6
+
+    def test_gold_out_needs_threshold(self, tmp_path, capsys):
+        ratings = tmp_path / "ratings.tsv"
+        ratings.write_text("s1\tr1\tg\t1\ns1\tr2\tg\t1\n")
+        gold_out = tmp_path / "gold.jsonl"
+        assert main(["agree", str(ratings), "--gold-out", str(gold_out)]) == 2
+        assert capsys.readouterr() == ("", "error: --gold-out needs --threshold\n")
+        assert not gold_out.exists()
 
     def test_unpairable_is_data_error(self, tmp_path, capsys):
         ratings = tmp_path / "ratings.tsv"
@@ -605,7 +634,8 @@ class TestBadSettingsAreUsageErrors:
     @pytest.mark.parametrize(
         "setting, message",
         [({"min_words": 0}, "min_words must be >= 1, got 0"),
-         ({"sim_low": "a"}, "sim_low must be a number, got 'a'")],
+         ({"sim_low": "a"}, "sim_low must be a number, got 'a'"),
+         ({"min_words": 2.5}, "min_words must be an int, got 2.5")],
     )
     def test_bad_filter_setting_in_config(self, tmp_path, capsys, setting, message):
         corpus = tmp_path / "corpus.jsonl"
@@ -1321,6 +1351,54 @@ class TestOutputsAreAllOrNothing:
         assert (old, json.loads(record)["target"]) == ("old", self.PAIR["target"])
         assert sorted(p.name for p in tmp_path.iterdir()) == ["log.txt", "pairs.jsonl"]
 
+    def test_stderr_file_target_is_appended_to(self, tmp_path):
+        # `filter ok.jsonl -o /dev/stderr 2>> log`: the records go through
+        # stderr into the log, before the summary, and the log keeps its start.
+        data = tmp_path / "pairs.jsonl"
+        write_jsonl_file(data, [self.PAIR])
+        log = tmp_path / "log.txt"
+        log.write_text("old\n")
+        src = Path(__file__).resolve().parent.parent / "src"
+        with open(log, "a", encoding="utf-8") as stderr:
+            proc = subprocess.run([sys.executable, "-m", "levelforge.cli", "filter", str(data),
+                                   "-o", "/dev/stderr"], stdout=subprocess.PIPE, stderr=stderr,
+                                  text=True, timeout=60, env={**os.environ, "PYTHONPATH": str(src)})
+        assert (proc.returncode, proc.stdout) == (0, "")
+        old, record, summary = log.read_text().splitlines()
+        assert (old, json.loads(record)["target"]) == ("old", self.PAIR["target"])
+        assert json.loads(summary) == {"command": "filter", "in": 1, "out": 1, "drops": {}}
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["log.txt", "pairs.jsonl"]
+
+    def test_file_a_standard_stream_has_open_is_written_through_it(self, tmp_path, monkeypatch):
+        # In process, so that stdout is capture's stream without a descriptor.
+        data = tmp_path / "pairs.jsonl"
+        write_jsonl_file(data, [self.PAIR])
+        log = tmp_path / "log.txt"
+        log.write_text("old\n")
+        with open(log, "a", encoding="utf-8") as stderr, monkeypatch.context() as m:
+            m.setattr(sys, "stderr", stderr)
+            assert main(["filter", str(data), "-o", str(log)]) == 0
+        old, record, summary = log.read_text().splitlines()
+        assert (old, json.loads(record)["target"]) == ("old", self.PAIR["target"])
+        assert json.loads(summary)["out"] == 1
+
+    def test_summary_comes_after_the_records_in_a_shared_file(self, tmp_path):
+        # `filter pairs.jsonl > log 2>&1` with stdout buffered: the records,
+        # more than a buffer's worth, all reach the log before the summary.
+        data = tmp_path / "pairs.jsonl"
+        write_jsonl_file(data, [{**self.PAIR, "id": str(i)} for i in range(1000)])
+        log = tmp_path / "log.txt"
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        with open(log, "w", encoding="utf-8") as shared:
+            proc = subprocess.run([sys.executable, "-m", "levelforge.cli", "filter", str(data)],
+                                  stdout=shared, stderr=subprocess.STDOUT, timeout=60,
+                                  env={**env, "PYTHONPATH": str(src)})
+        assert proc.returncode == 0
+        *records, summary = log.read_text().splitlines()
+        assert [json.loads(line)["target"] for line in records] == [self.PAIR["target"]] * 1000
+        assert json.loads(summary)["out"] == 1000
+
     def test_read_only_target_is_refused(self, tmp_path, capsys, monkeypatch):
         data = tmp_path / "data.jsonl"
         write_jsonl_file(data, [self.GOOD])
@@ -1334,6 +1412,12 @@ class TestOutputsAreAllOrNothing:
         assert capsys.readouterr().err == f"error: [Errno 13] Permission denied: '{out}'\n"
         assert out.read_text() == "old contents\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["data.jsonl", "out.jsonl"]
+
+    def test_directory_target_is_refused_before_any_work(self, tmp_path, capsys):
+        # Opened as a stream before the input is read, whose bad line 2 would be exit 1.
+        data, argv, _ = self.filter_bad_at_line_2(tmp_path)
+        assert main([*argv, "-o", str(tmp_path)]) == 2
+        assert capsys.readouterr() == ("", f"error: [Errno 21] Is a directory: '{tmp_path}'\n")
 
     def test_missing_directory_names_the_target(self, tmp_path, capsys):
         data = tmp_path / "data.jsonl"

@@ -140,6 +140,18 @@ class TestReadPredictions:
         with pytest.raises(ParseError):
             read_predictions(path)
 
+    def test_repeated_key_must_keep_its_level(self, tmp_path):
+        # One line per occurrence of a text is fine; two levels for one text is not.
+        path = tmp_path / "preds.jsonl"
+        path.write_text('{"scheme": "cefr6"}\n{"text_sha256": "abc", "level": "B2"}\n'
+                        '{"text_sha256": "abc", "level": "b2"}\n')
+        assert read_predictions(path)[1] == {"abc": ComplexityLevel.cefr6("B2")}
+        with open(path, "a") as fh:
+            fh.write('{"text_sha256": "abc", "level": "C1"}\n')
+        with pytest.raises(ParseError) as exc:
+            read_predictions(path)
+        assert str(exc.value) == f"{path}:4: 'abc' repeats with another level"
+
 
 class TestReadRatingsTsv:
     def test_rows_and_header_skip(self, tmp_path):
@@ -233,6 +245,16 @@ class TestReadKeyed:
         with pytest.raises(ParseError) as exc:
             read_keyed(path, "level", convert)
         assert str(exc.value) == f"{path}:2: {message}"
+
+    def test_repeated_id_must_keep_its_value(self, tmp_path):
+        path = tmp_path / "keyed.jsonl"
+        path.write_text('{"id": "x", "level": "A1"}\n{"id": "x", "level": "a1"}\n')
+        assert read_keyed(path, "level", str.upper) == {"x": "A1"}
+        with open(path, "a") as fh:
+            fh.write('{"id": "x", "level": "C2"}\n')
+        with pytest.raises(ParseError) as exc:
+            read_keyed(path, "level", str.upper)
+        assert str(exc.value) == f"{path}:3: 'x' repeats with another level"
 
 
 class TestRareLines:
