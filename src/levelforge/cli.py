@@ -604,6 +604,7 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
             "pair_id": "sha256 of NFC(source, target)",
             "bucket_stats": stats,
             "split_rule": "floor non-train splits, remainder to train",
+            "filter_order": "SIM_MISSING, SIM_LOW, SIM_HIGH, TOO_SHORT, CONTAINMENT: first failing rule",
         },
         "tool_version": __version__,
         "config_hash": cfg.config_hash(),

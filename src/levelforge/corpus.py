@@ -47,11 +47,11 @@ class TaskLabel(str, Enum):
 
 class DropReason(str, Enum):
     # filter_pair's rules in the order it tests them, then label's, bucket's and dedup's reasons.
-    TOO_SHORT = "TOO_SHORT"
-    CONTAINMENT = "CONTAINMENT"
     SIM_MISSING = "SIM_MISSING"
     SIM_LOW = "SIM_LOW"
     SIM_HIGH = "SIM_HIGH"
+    TOO_SHORT = "TOO_SHORT"
+    CONTAINMENT = "CONTAINMENT"
     LEVEL_MISSING = "LEVEL_MISSING"
     NEAR_LEVEL = "NEAR_LEVEL"
     DUPLICATE = "DUPLICATE"
@@ -137,10 +137,17 @@ def filter_pair(
 ) -> tuple[bool, Optional[DropReason]]:
     """(keep, reason): reason names the first failing rule, None when kept.
 
-    Containment is tested on lowercase word tokens, not raw substrings, so
-    casing and punctuation variants still count as contained. The
-    similarity band [sim_low, sim_high] is inclusive on both ends.
+    The similarity rules run first, so a pair out of band is never tokenized;
+    the kept set does not depend on the order. Containment is on lowercase
+    word tokens, so case and punctuation variants count; the band is inclusive.
     """
+    if pair.similarity is None:
+        if cfg.require_similarity:
+            return False, DropReason.SIM_MISSING
+    elif pair.similarity < cfg.sim_low:
+        return False, DropReason.SIM_LOW
+    elif pair.similarity > cfg.sim_high:
+        return False, DropReason.SIM_HIGH
     src_words = words_of(pair.source)
     tgt_words = words_of(pair.target)
     if len(src_words) < cfg.min_words or len(tgt_words) < cfg.min_words:
@@ -152,14 +159,6 @@ def filter_pair(
     tgt = " ".join(("", *tgt_words, "")).lower()
     if src in tgt or tgt in src:
         return False, DropReason.CONTAINMENT
-    if pair.similarity is None:
-        if cfg.require_similarity:
-            return False, DropReason.SIM_MISSING
-        return True, None
-    if pair.similarity < cfg.sim_low:
-        return False, DropReason.SIM_LOW
-    if pair.similarity > cfg.sim_high:
-        return False, DropReason.SIM_HIGH
     return True, None
 
 

@@ -64,7 +64,7 @@ def is_token_sublist(needle, haystack):
 
 
 def length_or_containment(source, target, min_words):
-    """filter_pair's first two rules: "TOO_SHORT", "CONTAINMENT" or None."""
+    """filter_pair's two word rules, in its order: "TOO_SHORT", "CONTAINMENT" or None."""
     src = [t.lower() for t in word_tokens(tokenize(source))]
     tgt = [t.lower() for t in word_tokens(tokenize(target))]
     if len(src) < min_words or len(tgt) < min_words:

@@ -706,6 +706,21 @@ class TestSharedDropCounting:
         }
         assert filtered["in"] == piped["in"] == len(records) + 4
 
+    def test_similarity_rules_are_attributed_first(self, tmp_path, capsys):
+        corpus = tmp_path / "corpus.jsonl"
+        records = make_corpus(corpus)
+        write_jsonl_file(corpus, records + [
+            {"id": "short-and-low", "source": "Hi there.",
+             "target": "Hello my friend over there.", "similarity": 0.2},
+        ])
+        assert main(["filter", str(corpus), "-o", str(tmp_path / "kept.jsonl")]) == 0
+        filtered = json.loads(capsys.readouterr().err)
+        manifest = json.loads((run_pipeline(tmp_path, "run") / "manifest.json").read_text())
+        piped = json.loads(capsys.readouterr().err)
+        assert filtered["drops"] == piped["drops"] == manifest["drop_reasons"] == {"SIM_LOW": 1}
+        assert manifest["conventions"]["filter_order"] == (
+            "SIM_MISSING, SIM_LOW, SIM_HIGH, TOO_SHORT, CONTAINMENT: first failing rule")
+
 
 class TestDataErrorsNameTheirFile:
     REFS = '{"source": "A b c.", "references": ["A b."]}\n'

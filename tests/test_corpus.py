@@ -20,6 +20,7 @@ from levelforge.corpus import (
     text_sha256,
 )
 from levelforge.readability import ComplexityLevel, Scheme
+from oracles import textcore_ref
 
 
 def make_pair(i, source="The cat sat on the mat.", target="A cat was sitting there.", sim=0.7):
@@ -112,9 +113,17 @@ class TestFilterPair:
         assert filter_pair(p, relaxed) == (True, None)
 
     def test_first_failing_rule_wins(self):
-        # Both too short and out of band: length is checked first.
-        p = make_pair(1, source="Hi there.", target="Hello my good friend over there.", sim=0.1)
-        assert filter_pair(p, self.CFG) == (False, DropReason.TOO_SHORT)
+        # The similarity rules come first: too short and out of band is SIM_LOW.
+        short = {"source": "Hi there.", "target": "Hello my good friend over there."}
+        assert filter_pair(make_pair(1, sim=0.1, **short), self.CFG) == (False, DropReason.SIM_LOW)
+        # In band, the word rules decide.
+        assert filter_pair(make_pair(1, **short), self.CFG) == (False, DropReason.TOO_SHORT)
+        contained = {"source": "The cat sat on the mat.",
+                     "target": "Yesterday the cat sat on the mat again."}
+        assert filter_pair(make_pair(1, **contained), self.CFG) == (False, DropReason.CONTAINMENT)
+        # No similarity, none required: the word rules still run.
+        relaxed = FilterConfig(require_similarity=False)
+        assert filter_pair(make_pair(1, sim=None, **short), relaxed) == (False, DropReason.TOO_SHORT)
 
     def test_config_validate(self):
         with pytest.raises(ValueError):
@@ -128,6 +137,73 @@ class TestFilterPair:
         # A NaN bound compares false both ways, so it would keep every pair.
         with pytest.raises(TypeError, match="must be a number"):
             FilterConfig(**setting).validate()
+
+
+# Two vocabularies that share a few words, so that two independent sides
+# overlap without one often holding the other.
+SOURCE_TEXT, TARGET_TEXT = (
+    st.lists(st.sampled_from(words), min_size=1, max_size=6).map(" ".join)
+    for words in (["the", "Cat", "sat", "on", "a", "mat", "far", "home"],
+                  ["far", "home", "the", "DOG", "ran", "big", "red", "cat"])
+)
+
+
+def failing_rules(pair, cfg):
+    """Every filter rule the pair fails, each tested on its own."""
+    src, tgt = ([t.lower() for t in textcore_ref.word_tokens(textcore_ref.tokenize(text))]
+                for text in (pair.source, pair.target))
+    sim = pair.similarity
+    checks = {
+        DropReason.SIM_MISSING: sim is None and cfg.require_similarity,
+        DropReason.SIM_LOW: sim is not None and sim < cfg.sim_low,
+        DropReason.SIM_HIGH: sim is not None and sim > cfg.sim_high,
+        DropReason.TOO_SHORT: min(len(src), len(tgt)) < cfg.min_words,
+        DropReason.CONTAINMENT: textcore_ref.is_token_sublist(src, tgt)
+        or textcore_ref.is_token_sublist(tgt, src),
+    }
+    return {reason for reason, failed in checks.items() if failed}
+
+
+class TestFilterOrder:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(
+        st.one_of(
+            st.tuples(SOURCE_TEXT, TARGET_TEXT),
+            # One side inside the other, with its own case and punctuation: contained.
+            st.tuples(SOURCE_TEXT, TARGET_TEXT, SOURCE_TEXT).map(
+                lambda t: (f"{t[0]} {t[1]} {t[2]}!", f"{t[1].upper()}.")
+            ),
+        ),
+        st.one_of(st.none(), st.sampled_from([0.6, 0.8, 0.5999, 0.8001]),
+                  st.floats(0, 1)),
+        st.booleans(),
+        st.integers(1, 4),
+    )
+    def test_kept_set_does_not_depend_on_the_order(self, sides, sim, required, min_words):
+        pair = ParaphrasePair(id="p", source=sides[0], target=sides[1], similarity=sim)
+        cfg = FilterConfig(min_words=min_words, require_similarity=required)
+        keep, reason = filter_pair(pair, cfg)
+        failing = failing_rules(pair, cfg)
+        assert keep == (not failing)
+        if not keep:
+            assert reason in failing
+        sim_rules = {DropReason.SIM_MISSING, DropReason.SIM_LOW, DropReason.SIM_HIGH}
+        if failing & sim_rules:
+            assert reason in sim_rules
+
+    def test_out_of_band_pair_is_never_tokenized(self, monkeypatch):
+        tokenized = []
+        tokenize = textcore.tokenize
+        monkeypatch.setattr(textcore, "tokenize",
+                            lambda text: tokenized.append(text) or tokenize(text))
+        textcore.words_of.cache_clear()
+        for sim, reason in ((0.1, DropReason.SIM_LOW), (0.95, DropReason.SIM_HIGH),
+                            (None, DropReason.SIM_MISSING)):
+            assert filter_pair(make_pair(1, sim=sim), FilterConfig()) == (False, reason)
+        assert tokenized == []
+        kept = make_pair(2)
+        assert filter_pair(kept, FilterConfig()) == (True, None)
+        assert tokenized == [kept.source, kept.target]
 
 
 class TestEachSideTokenizedOnce:
