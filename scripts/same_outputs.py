@@ -15,12 +15,16 @@ own:
 - a filter -> label -> bucket -> split -> prompt chain on the pipeline
   input, some of its steps writing to stdout: without ``-o`` and with
   ``-o -``, ``-o /dev/stdout`` and ``-o /dev/stderr``, which under the
-  captured streams are pipes;
+  captured streams are pipes; its label and bucket steps run again under
+  ``cefr6`` with the predictions file;
 - ``analyze``, ``agree`` and ``classifier-eval``.
 
 It prints every stdout, stderr, exit code and written file that differs
 between the two trees, and any command that does not exit 0, and exits 1
-if there is one. Standard library only; the trees are run as subprocesses.
+if there is one. For each difference it lists every key path whose value
+differs when both sides parse as JSON (manifests, stderr summaries,
+reports), else every differing line, up to ``LINE_CAP`` of them.
+Standard library only; the trees are run as subprocesses.
 """
 from __future__ import annotations
 
@@ -32,7 +36,9 @@ import subprocess
 import sys
 import tempfile
 import unicodedata
+from itertools import zip_longest
 from pathlib import Path
+from typing import Iterator
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "perfbench"))
@@ -41,6 +47,8 @@ from workloads import evaluation, pipeline_mixed  # noqa: E402
 
 SEEDS = (1, 2, 3)
 CEFR6 = ("A1", "A2", "B1", "B2", "C1", "C2")
+LINE_CAP = 20
+ABSENT = object()  # a key or list item one side does not have
 
 
 def classifier_files(ratings: list, workdir: Path) -> None:
@@ -116,6 +124,9 @@ def cases(seed: int, inputs: Path) -> dict[str, list[list[str]]]:
         ["bucket", "leveled.jsonl", "--scheme", "fkgl", "-o", "-"],
         ["prompt", "splits/valid.jsonl", "--strategy", "abs", "--scheme", "fkgl", "-o", "/dev/stdout"],
         ["label", "kept.jsonl", "--scheme", "fkgl", "-o", "/dev/stderr"],
+        ["label", "kept.jsonl", "--scheme", "cefr6", "--predictions", "preds.jsonl",
+         "-o", "leveled-cefr6.jsonl"],
+        ["bucket", "leveled-cefr6.jsonl", "--scheme", "cefr6", "-o", "tasks-cefr6.jsonl"],
         ["analyze", "kept.jsonl", "-o", "analyzed.jsonl"],
     ]
     reports = [
@@ -143,15 +154,36 @@ def run_tree(src: Path, inputs: Path, workdir: Path, commands: list[list[str]]) 
     return results, files
 
 
-def first_difference(a: bytes, b: bytes) -> str:
-    """The first line that differs between ``a`` and ``b``, shown for both."""
-    lines_a, lines_b = a.splitlines(), b.splitlines()
-    for i in range(max(len(lines_a), len(lines_b))):
-        left = lines_a[i] if i < len(lines_a) else b"<none>"
-        right = lines_b[i] if i < len(lines_b) else b"<none>"
-        if left != right:
-            return f"line {i + 1}\n    parent: {left[:300]!r}\n    change: {right[:300]!r}"
-    return "same lines, other line endings"
+def _shown(value: object) -> str:
+    return "<none>" if value is ABSENT else repr(value)[:300]
+
+
+def json_differences(a: object, b: object, path: str = "$") -> Iterator[str]:
+    """Each key path under ``path`` whose value differs between JSON values ``a`` and ``b``."""
+    if isinstance(a, dict) and isinstance(b, dict):
+        for key in sorted(a.keys() | b.keys()):
+            yield from json_differences(a.get(key, ABSENT), b.get(key, ABSENT), f"{path}.{key}")
+    elif isinstance(a, list) and isinstance(b, list):
+        for i in range(max(len(a), len(b))):
+            yield from json_differences(a[i] if i < len(a) else ABSENT,
+                                        b[i] if i < len(b) else ABSENT, f"{path}[{i}]")
+    elif repr(a) != repr(b):  # repr, so 1 and 1.0 differ and NaN equals NaN
+        yield f"{path}: parent {_shown(a)}, change {_shown(b)}"
+
+
+def differences(a: bytes, b: bytes) -> str:
+    """Every difference between ``a`` and ``b``, one indented line each: the key paths whose
+    values differ when both parse as JSON, else the lines that differ, at most ``LINE_CAP``."""
+    try:
+        found = list(json_differences(json.loads(a), json.loads(b))) or ["same values, other formatting"]
+    except ValueError:  # not JSON, or not UTF-8
+        pairs = zip_longest(a.splitlines(), b.splitlines(), fillvalue=b"<none>")
+        found = [f"line {i + 1}: parent {left[:300]!r}, change {right[:300]!r}"
+                 for i, (left, right) in enumerate(pairs) if left != right]
+        found = found or ["same lines, other line endings"]
+        if len(found) > LINE_CAP:
+            found[LINE_CAP:] = [f"and {len(found) - LINE_CAP} more lines"]
+    return "".join(f"\n    {line}" for line in found)
 
 
 def compare(label: str, parent: tuple[list, dict], change: tuple[list, dict]) -> list[str]:
@@ -165,13 +197,13 @@ def compare(label: str, parent: tuple[list, dict], change: tuple[list, dict]) ->
             problems.append(f"{command}: exit code {code_p} in both trees")
         for stream, a, b in (("stdout", out_p, out_c), ("stderr", err_p, err_c)):
             if a != b:
-                problems.append(f"{command}: {stream} differs at {first_difference(a, b)}")
+                problems.append(f"{command}: {stream} differs:{differences(a, b)}")
     files_p, files_c = parent[1], change[1]
     for name in sorted(files_p.keys() | files_c.keys()):
         if name not in files_c or name not in files_p:
             problems.append(f"{label}: {name} written only by the {'parent' if name in files_p else 'change'}")
         elif files_p[name] != files_c[name]:
-            problems.append(f"{label}: {name} differs at {first_difference(files_p[name], files_c[name])}")
+            problems.append(f"{label}: {name} differs:{differences(files_p[name], files_c[name])}")
     return problems
 
 

@@ -28,6 +28,7 @@ __all__ = [
 ]
 
 UNRESOLVED = "UNRESOLVED"
+Z95 = 1.96  # the normal quantile of a two-sided 95% interval, as the report key ci95 says
 
 
 class UndefinedAlphaError(ValueError):
@@ -196,9 +197,7 @@ def majority_gold(matrix: RatingMatrix, threshold: int) -> dict:
     return resolved
 
 
-def likert_report(
-    groups: Mapping[str, RatingMatrix], confidence_z: float = 1.96
-) -> dict:
+def likert_report(groups: Mapping[str, RatingMatrix]) -> dict:
     """Per-group Likert summary: mean of per-item rater means, 95% CI, alpha.
 
     The CI is a normal approximation (mean +/- z * SE) over item means; the
@@ -218,7 +217,7 @@ def likert_report(
                 var = sum((x - mean) ** 2 for x in item_means) / (len(item_means) - 1)
             except OverflowError:  # a square past the float range
                 var = math.inf
-            ci = confidence_z * math.sqrt(var / len(item_means))
+            ci = Z95 * math.sqrt(var / len(item_means))
         else:
             ci = None
         try:

@@ -572,8 +572,11 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
     unique = _Kept(_unique_pairs(cfg))
     kept = _Kept(_filtered(unique, fcfg))
     leveled = _Kept(attach_levels(kept, scheme, predictions))
+    bucketed = _Kept(_bucketed(leveled, scheme))
     with _blaming(cfg.input):  # too few pairs for the task size
-        datasets, stats = build_datasets(leveled, scheme, cfg.seed, cfg.task_size)
+        datasets, stats = build_datasets(bucketed, cfg.seed, cfg.task_size)
+    # NEAR_LEVEL goes in bucket_stats, not drop_reasons: perfbench/checks.py adds the two.
+    stats["near_level_rejects"] = bucketed.drops[DropReason.NEAR_LEVEL.value]
     drops = unique.drops + kept.drops + leveled.drops
 
     # The old manifest goes before the first write and the new one comes last,
@@ -612,8 +615,7 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
     with _output(str(outdir / "manifest.json")) as fh:
         json.dump(manifest, fh, sort_keys=True, indent=2)
         fh.write("\n")
-    assembled = sum(stats["bucket_counts"].values()) + stats["near_level_rejects"]
-    _summary("pipeline", unique.entered, assembled, drops, tasks=task_counts, splits=split_counts)
+    _summary("pipeline", unique.entered, bucketed.entered, drops, tasks=task_counts, splits=split_counts)
     return EXIT_OK
 
 

@@ -216,12 +216,12 @@ def bucket(pair: ParaphrasePair, scheme: Scheme) -> tuple[Optional[TaskLabel], O
 
 
 def build_datasets(
-    pairs: Iterable[ParaphrasePair],
-    scheme: Scheme,
+    bucketed: Iterable[tuple[ParaphrasePair, TaskLabel]],
     seed: int,
     task_size: Optional[int] = None,
 ) -> tuple[dict[TaskLabel, list[ParaphrasePair]], dict]:
-    """Assemble equal-sized task datasets from bucketed pairs.
+    """Assemble equal-sized task datasets from the bucket stage's kept items,
+    each a pair with the task label ``bucket`` gave it.
 
     Different-level pairs are normalized to simplification orientation,
     shuffled with the seed over canonically sorted ids, and halved: the
@@ -232,12 +232,7 @@ def build_datasets(
     down_pool: list[ParaphrasePair] = []
     same_pool: list[ParaphrasePair] = []
     bucket_counts = {label: 0 for label in TaskLabel}
-    rejects = 0
-    for pair in pairs:
-        label, reason = bucket(pair, scheme)
-        if label is None:
-            rejects += 1
-            continue
+    for pair, label in bucketed:
         bucket_counts[label] += 1
         if label is TaskLabel.SAME:
             same_pool.append(pair)
@@ -276,7 +271,6 @@ def build_datasets(
     }
     stats = {
         "bucket_counts": {k.value: v for k, v in bucket_counts.items()},
-        "near_level_rejects": rejects,
         "task_size": size,
     }
     return datasets, stats

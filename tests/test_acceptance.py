@@ -177,7 +177,8 @@ def test_criterion_05_pipeline_properties():
     for pair in kept_pairs:
         pair.source_level = ComplexityLevel.cefr6(rng.choice(labels))
         pair.target_level = ComplexityLevel.cefr6(rng.choice(labels))
-    datasets, _stats = build_datasets(kept_pairs, Scheme.CEFR6, seed=11)
+    tasks = [(p, label) for p in kept_pairs if (label := bucket(p, Scheme.CEFR6)[0]) is not None]
+    datasets, _stats = build_datasets(tasks, seed=11)
     orientation_ok = (
         all(
             p.source_level.complexity_rank - p.target_level.complexity_rank >= 2

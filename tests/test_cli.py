@@ -7,6 +7,7 @@ import stat
 import subprocess
 import sys
 import threading
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -720,6 +721,73 @@ class TestSharedDropCounting:
         assert filtered["drops"] == piped["drops"] == manifest["drop_reasons"] == {"SIM_LOW": 1}
         assert manifest["conventions"]["filter_order"] == (
             "SIM_MISSING, SIM_LOW, SIM_HIGH, TOO_SHORT, CONTAINMENT: first failing rule")
+
+
+class TestOneFunnel:
+    @pytest.mark.parametrize("scheme", ["fkgl", "cefr6"])
+    def test_stage_commands_and_pipeline_agree(self, tmp_path, capsys, scheme):
+        corpus = tmp_path / "corpus.jsonl"
+        records = make_corpus(corpus)
+        write_jsonl_file(corpus, records + [
+            {"id": "short", "source": "Hi there.", "target": "Hello my friend over there.",
+             "similarity": 0.7},
+            {"id": "low", "source": "The cat sat on the mat.",
+             "target": "A cat was sitting there.", "similarity": 0.2},
+        ])
+        # Keyed by text only, as pipeline replaces ids with pair keys. By i % 5 a
+        # pair has an unleveled side, a one-level gap, or is same, down or up.
+        levels = [("B1", None), ("B1", "B2"), ("B1", "B1"), ("C1", "A1"), ("A1", "C1")]
+        preds = tmp_path / "preds.jsonl"
+        write_jsonl_file(preds, [{"scheme": "cefr6"}] + [
+            {"text_sha256": text_sha256(r[side]), "level": level}
+            for i, r in enumerate(records)
+            for side, level in zip(("source", "target"), levels[i % 5]) if level
+        ])
+        predicted = ["--predictions", str(preds)] if scheme == "cefr6" else []
+        summaries = []
+        for argv in (
+            ["filter", str(corpus), "-o", str(tmp_path / "kept.jsonl")],
+            ["label", str(tmp_path / "kept.jsonl"), "--scheme", scheme, *predicted,
+             "-o", str(tmp_path / "leveled.jsonl")],
+            ["bucket", str(tmp_path / "leveled.jsonl"), "--scheme", scheme,
+             "-o", str(tmp_path / "tasks.jsonl")],
+        ):
+            assert main(argv) == 0
+            summaries.append(json.loads(capsys.readouterr().err))
+        config = {"input": str(corpus), "output_dir": str(tmp_path / "out"), "scheme": scheme}
+        if scheme == "cefr6":
+            config["predictions"] = str(preds)
+        (tmp_path / "config.json").write_text(json.dumps(config))
+        assert main(["pipeline", "--config", str(tmp_path / "config.json")]) == 0
+        piped = json.loads(capsys.readouterr().err)
+        manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+        stats = manifest["conventions"]["bucket_stats"]
+
+        filtered, labeled, bucketed = summaries
+        # NEAR_LEVEL is counted in bucket_stats, not in pipeline's drops.
+        near_level = bucketed["drops"].pop("NEAR_LEVEL", 0)
+        stage_drops = Counter(filtered["drops"]) + Counter(labeled["drops"]) + Counter(bucketed["drops"])
+        assert piped["drops"] == dict(stage_drops)
+        assert stats["near_level_rejects"] == near_level
+        if scheme == "cefr6":
+            assert stage_drops["LEVEL_MISSING"] == near_level == 12
+        tasks = [json.loads(line) for line in (tmp_path / "tasks.jsonl").read_text().splitlines()]
+        assert stats["bucket_counts"] == {t: sum(r["task"] == t for r in tasks)
+                                          for t in ("down", "up", "same")}
+        assert piped["out"] == bucketed["in"]
+
+        by_text = {(r["source"], r["target"]): (r["source_level"], r["target_level"], r["task"])
+                   for r in tasks}
+        opposite = {"down": "up", "up": "down"}
+        written = [json.loads(line) for path in sorted((tmp_path / "out").glob("*.jsonl"))
+                   for line in path.read_text().splitlines()]
+        assert len(written) == sum(manifest["task_counts"].values()) > 0
+        for r in written:
+            if (r["source"], r["target"]) in by_text:
+                assert by_text[r["source"], r["target"]] == (r["source_level"], r["target_level"], r["task"])
+            else:  # build_datasets swapped the pair
+                assert by_text[r["target"], r["source"]] == (
+                    r["target_level"], r["source_level"], opposite[r["task"]])
 
 
 class TestDataErrorsNameTheirFile:

@@ -307,9 +307,14 @@ def synthetic_pool(n_diff=40, n_same=30):
     return pairs
 
 
+def bucketed(pairs):
+    """The bucket stage's kept items: each pair with its CEFR6 task label."""
+    return [(p, label) for p in pairs if (label := bucket(p, Scheme.CEFR6)[0]) is not None]
+
+
 class TestBuildDatasets:
     def test_shapes_and_orientation(self):
-        datasets, stats = build_datasets(synthetic_pool(), Scheme.CEFR6, seed=7)
+        datasets, stats = build_datasets(bucketed(synthetic_pool()), seed=7)
         size = stats["task_size"]
         assert size == 20
         assert all(len(datasets[t]) == size for t in TaskLabel)
@@ -321,42 +326,35 @@ class TestBuildDatasets:
             assert p.source_level == p.target_level
 
     def test_down_and_up_are_disjoint(self):
-        datasets, _ = build_datasets(synthetic_pool(), Scheme.CEFR6, seed=7)
+        datasets, _ = build_datasets(bucketed(synthetic_pool()), seed=7)
         down_ids = {p.id for p in datasets[TaskLabel.DOWN]}
         up_ids = {p.id for p in datasets[TaskLabel.UP]}
         assert not down_ids & up_ids
 
     def test_deterministic_and_seed_sensitive(self):
-        a, _ = build_datasets(synthetic_pool(), Scheme.CEFR6, seed=7)
-        b, _ = build_datasets(synthetic_pool(), Scheme.CEFR6, seed=7)
-        c, _ = build_datasets(synthetic_pool(), Scheme.CEFR6, seed=8)
+        a, _ = build_datasets(bucketed(synthetic_pool()), seed=7)
+        b, _ = build_datasets(bucketed(synthetic_pool()), seed=7)
+        c, _ = build_datasets(bucketed(synthetic_pool()), seed=8)
         ids = lambda d: [[p.id for p in d[t]] for t in TaskLabel]
         assert ids(a) == ids(b)
         assert ids(a) != ids(c)
 
     def test_input_order_irrelevant(self):
         pool = synthetic_pool()
-        a, _ = build_datasets(pool, Scheme.CEFR6, seed=7)
-        b, _ = build_datasets(list(reversed(pool)), Scheme.CEFR6, seed=7)
+        a, _ = build_datasets(bucketed(pool), seed=7)
+        b, _ = build_datasets(bucketed(reversed(pool)), seed=7)
         assert [[p.id for p in a[t]] for t in TaskLabel] == [
             [p.id for p in b[t]] for t in TaskLabel
         ]
 
     def test_explicit_task_size_too_big(self):
         with pytest.raises(ValueError):
-            build_datasets(synthetic_pool(n_diff=4, n_same=10), Scheme.CEFR6, seed=1, task_size=3)
+            build_datasets(bucketed(synthetic_pool(n_diff=4, n_same=10)), seed=1, task_size=3)
 
     def test_explicit_task_size_exceeds_same_pool(self):
         with pytest.raises(ValueError) as exc:
-            build_datasets(synthetic_pool(n_diff=10, n_same=2), Scheme.CEFR6, seed=1, task_size=3)
+            build_datasets(bucketed(synthetic_pool(n_diff=10, n_same=2)), seed=1, task_size=3)
         assert str(exc.value) == "need 3 same-level pairs, have 2"
-
-    def test_near_level_counted(self):
-        pool = synthetic_pool() + [
-            leveled(2000, ComplexityLevel.cefr6("B1"), ComplexityLevel.cefr6("B2"))
-        ]
-        _, stats = build_datasets(pool, Scheme.CEFR6, seed=7)
-        assert stats["near_level_rejects"] == 1
 
 
 class TestSplitDataset:
