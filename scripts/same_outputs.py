@@ -17,7 +17,8 @@ own:
   ``-o -``, ``-o /dev/stdout`` and ``-o /dev/stderr``, which under the
   captured streams are pipes; its label and bucket steps run again under
   ``cefr6`` with the predictions file;
-- ``analyze``, ``agree`` and ``classifier-eval``.
+- ``analyze``, ``classifier-eval``, and ``agree`` on one study system's
+  ratings (``agree`` pools every group, and the systems share item ids).
 
 It prints every stdout, stderr, exit code and written file that differs
 between the two trees, and any command that does not exit 0, and exits 1
@@ -51,12 +52,16 @@ LINE_CAP = 20
 ABSENT = object()  # a key or list item one side does not have
 
 
-def classifier_files(ratings: list, workdir: Path) -> None:
-    """gold.jsonl and pred.jsonl: raters r0 and r1 of one study system, as CEFR6 levels."""
+def study_files(ratings: list, workdir: Path) -> None:
+    """From one study system's ratings: ratings-system-0.tsv, and gold.jsonl and
+    pred.jsonl, raters r0 and r1 as CEFR6 levels."""
     by_rater: dict[str, dict[str, str]] = {"r0": {}, "r1": {}}
-    for item, rater, group, value in ratings:
-        if group == "system-0" and rater in by_rater:
-            by_rater[rater][item] = CEFR6[value - 1]
+    with open(workdir / "ratings-system-0.tsv", "w", encoding="utf-8") as fh:
+        for item, rater, group, value in ratings:
+            if group == "system-0":
+                fh.write(f"{item}\t{rater}\t{group}\t{value}\n")
+                if rater in by_rater:
+                    by_rater[rater][item] = CEFR6[value - 1]
     items = sorted(by_rater["r0"].keys() & by_rater["r1"].keys())
     for name, rater in (("gold.jsonl", "r0"), ("pred.jsonl", "r1")):
         with open(workdir / name, "w", encoding="utf-8") as fh:
@@ -112,7 +117,7 @@ def cases(seed: int, inputs: Path) -> dict[str, list[list[str]]]:
     evald.mkdir(parents=True)
     prepared = pipeline_mixed(seed, mixed)
     scored = evaluation(seed, evald)
-    classifier_files(scored.expect["ratings"], evald)
+    study_files(scored.expect["ratings"], evald)
     chain = [
         ["filter", "input.jsonl", "-o", "kept.jsonl"],
         ["label", "kept.jsonl", "--scheme", "fkgl", "-o", "leveled.jsonl"],
@@ -131,7 +136,7 @@ def cases(seed: int, inputs: Path) -> dict[str, list[list[str]]]:
     ]
     reports = [
         ["analyze", "outputs.txt"],
-        ["agree", "ratings.tsv", "--metric", "ordinal", "--threshold", "3", "--gold-out", "gold_out.jsonl"],
+        ["agree", "ratings-system-0.tsv", "--metric", "ordinal", "--threshold", "3", "--gold-out", "gold_out.jsonl"],
         ["classifier-eval", "--gold", "gold.jsonl", "--pred", "pred.jsonl"],
     ]
     return {

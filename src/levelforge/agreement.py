@@ -56,6 +56,9 @@ class RatingMatrix:
     cells: dict[tuple[Hashable, Hashable], Hashable] = field(default_factory=dict)
 
     def add(self, rater: Hashable, item: Hashable, value: Hashable) -> None:
+        """Record one rating; a second rating of a cell, even of the same value, is a ValueError."""
+        if (rater, item) in self.cells:
+            raise ValueError(f"item {item!r} is rated twice by rater {rater!r}")
         self.cells[(rater, item)] = value
 
     @property

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import errno
+import functools
 import hashlib
 import json
 import os
@@ -36,6 +37,7 @@ from .agreement import (
     weighted_f1,
 )
 from .corpus import (
+    SPLIT_RATIOS,
     DropReason,
     FilterConfig,
     ParaphrasePair,
@@ -103,14 +105,14 @@ class PipelineConfig:
     output_dir: str
     scheme: str = "fkgl"
     seed: int = 0
-    min_words: int = 3
-    sim_low: float = 0.60
-    sim_high: float = 0.80
+    min_words: int = FilterConfig.min_words
+    sim_low: float = FilterConfig.sim_low
+    sim_high: float = FilterConfig.sim_high
     similarity_source: str = "column"  # column | file | builtin-lexical | none
     similarity_file: Optional[str] = None
     predictions: Optional[str] = None
     task_size: Optional[int] = None
-    split_ratios: tuple[float, float, float] = (0.8, 0.1, 0.1)
+    split_ratios: tuple[float, float, float] = SPLIT_RATIOS
 
     @classmethod
     def from_file(cls, path: str) -> "PipelineConfig":
@@ -469,22 +471,6 @@ def cmd_prompt(args: argparse.Namespace) -> int:
 _NEED_EVAL_FIELDS = 'need "source" and "references"'
 
 
-def _eval_fields(obj: dict, path: str, lineno: int) -> tuple[str, tuple[str, ...]]:
-    """(source, references) of one eval line, or ParseError at path:line."""
-    if "source" not in obj or "references" not in obj:
-        raise ParseError(path, lineno, _NEED_EVAL_FIELDS)
-    source, references = obj["source"], obj["references"]
-    if not isinstance(source, str):
-        raise ParseError(path, lineno, f'"source" must be a string, got {type(source).__name__}')
-    if (
-        not isinstance(references, list)
-        or not references
-        or not all(isinstance(r, str) for r in references)
-    ):
-        raise ParseError(path, lineno, '"references" must be a non-empty list of strings')
-    return source, tuple(references)
-
-
 def cmd_score(args: argparse.Namespace) -> int:
     if args.repetition_n < 1:
         raise ConfigError(f"--repetition-n must be >= 1, got {args.repetition_n}")
@@ -496,8 +482,10 @@ def cmd_score(args: argparse.Namespace) -> int:
         )
     instances = []
     for out_text, (lineno, obj) in zip(outputs, refs):
-        source, references = _eval_fields(obj, args.refs, lineno)
-        instances.append(EvalInstance(source=source, output=out_text, references=references))
+        if "source" not in obj or "references" not in obj:
+            raise ParseError(args.refs, lineno, _NEED_EVAL_FIELDS)
+        with _blaming(f"{args.refs}:{lineno}"):
+            instances.append(EvalInstance(obj["source"], out_text, obj["references"]))
     with _blaming(args.outputs):  # no instances
         report = score_report(instances, repetition_n=args.repetition_n)
     if args.per_instance:
@@ -512,8 +500,9 @@ def cmd_score(args: argparse.Namespace) -> int:
 
 
 def cmd_classifier_eval(args: argparse.Namespace) -> int:
-    gold = read_keyed(args.gold, "level", ComplexityLevel.cefr6)
-    pred = read_keyed(args.pred, "level", ComplexityLevel.cefr6)
+    level = functools.partial(ComplexityLevel.parse, Scheme.CEFR6)
+    gold = read_keyed(args.gold, "level", level)
+    pred = read_keyed(args.pred, "level", level)
     if set(gold) != set(pred):
         missing = sorted(set(gold) ^ set(pred))[:5]
         raise DataError(f"ids differ between {args.gold} and {args.pred}, e.g. {missing}")
@@ -536,9 +525,9 @@ def cmd_agree(args: argparse.Namespace) -> int:
     if args.gold_out and args.threshold is None:
         raise ConfigError("--gold-out needs --threshold")
     matrix = RatingMatrix()
-    for item_id, rater_id, _group, value in read_ratings_tsv(args.input):
-        matrix.add(rater_id, item_id, value)
-    with _blaming(args.input):  # alpha undefined, or a threshold the raters cannot reach
+    with _blaming(args.input):  # a cell rated in two groups, alpha undefined, or a threshold out of reach
+        for item_id, rater_id, _group, value in read_ratings_tsv(args.input):
+            matrix.add(rater_id, item_id, value)
         result = {"alpha": krippendorff_alpha(matrix, metric=args.metric), "metric": args.metric}
         resolved = None if args.threshold is None else majority_gold(matrix, args.threshold)
     if resolved is not None:
@@ -554,7 +543,8 @@ def cmd_agree(args: argparse.Namespace) -> int:
 
 
 def cmd_report(args: argparse.Namespace) -> int:
-    groups = ratings_to_matrices(read_ratings_tsv(args.input))
+    with _blaming(args.input):  # a cell rated twice within a group
+        groups = ratings_to_matrices(read_ratings_tsv(args.input))
     if not groups:
         raise DataError(f"no ratings found in {args.input}")
     render = format_likert_table if args.format == "text" else None
@@ -643,9 +633,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("filter", help="apply pair filters, report drop reasons")
     p.add_argument("input")
     p.add_argument("-o", "--output")
-    p.add_argument("--min-words", type=int, default=3)
-    p.add_argument("--sim-low", type=float, default=0.60)
-    p.add_argument("--sim-high", type=float, default=0.80)
+    p.add_argument("--min-words", type=int, default=FilterConfig.min_words)
+    p.add_argument("--sim-low", type=float, default=FilterConfig.sim_low)
+    p.add_argument("--sim-high", type=float, default=FilterConfig.sim_high)
     p.add_argument("--allow-missing-similarity", action="store_true")
     p.set_defaults(func=cmd_filter)
 
@@ -664,7 +654,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("split", help="seeded train/valid/test split")
     p.add_argument("input")
-    p.add_argument("--ratios", type=float, nargs=3, default=[0.8, 0.1, 0.1])
+    p.add_argument("--ratios", type=float, nargs=3, default=SPLIT_RATIOS)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("-o", "--output-dir", required=True)
     p.set_defaults(func=cmd_split)

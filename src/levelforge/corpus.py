@@ -33,6 +33,7 @@ __all__ = [
     "split_dataset",
     "check_similarity",
     "check_split_ratios",
+    "SPLIT_RATIOS",
     "lexical_similarity",
     "pair_key",
     "text_sha256",
@@ -276,6 +277,10 @@ def build_datasets(
     return datasets, stats
 
 
+# The default train, valid and test shares.
+SPLIT_RATIOS = (0.8, 0.1, 0.1)
+
+
 def check_split_ratios(ratios: Sequence[float]) -> tuple[float, float, float]:
     """The split-ratio rule: three numbers, each >= 0, summing to 1."""
     values = tuple(ratios) if isinstance(ratios, (list, tuple)) else (ratios,)
@@ -293,7 +298,7 @@ def check_split_ratios(ratios: Sequence[float]) -> tuple[float, float, float]:
 
 def split_dataset(
     dataset: list[T],
-    ratios: tuple[float, float, float] = (0.8, 0.1, 0.1),
+    ratios: tuple[float, float, float] = SPLIT_RATIOS,
     seed: int = 0,
     key: Callable[[T], str] = lambda p: p.id,
 ) -> dict[str, list[T]]:

@@ -40,9 +40,15 @@ class EvalInstance:
     references: tuple[str, ...]
 
     def __post_init__(self) -> None:
-        if not self.references:
-            raise ValueError("EvalInstance needs at least one reference")
-        object.__setattr__(self, "references", tuple(self.references))
+        """The one check of an instance: str texts, and a non-empty list or tuple of str references."""
+        for name in ("source", "output"):
+            text = getattr(self, name)
+            if not isinstance(text, str):
+                raise ValueError(f'"{name}" must be a string, got {type(text).__name__}')
+        refs = self.references
+        if not isinstance(refs, (list, tuple)) or not refs or not all(isinstance(r, str) for r in refs):
+            raise ValueError('"references" must be a non-empty list of strings')
+        object.__setattr__(self, "references", tuple(refs))
 
     # Kept on the instance so every metric of one scoring run reuses one
     # tokenization per text and one SARI pass; the fields they derive from

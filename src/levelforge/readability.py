@@ -6,9 +6,9 @@ Cross-scheme comparison is an error, never a silent coercion.
 """
 from __future__ import annotations
 
-import math
+import sys
 from dataclasses import dataclass
-from decimal import ROUND_HALF_UP, Decimal
+from decimal import ROUND_HALF_UP, Context, Decimal
 from enum import Enum
 from typing import Iterable
 
@@ -52,11 +52,14 @@ _LABELS = {
 }
 
 _CENT = Decimal("0.01")
+_FLOAT_MAX = sys.float_info.max
+# Digits enough to quantize any finite float to 2 decimals; the default 28 fail from 1e26 up.
+_ROUND2 = Context(prec=400, rounding=ROUND_HALF_UP)
 
 
 def round2(value: float) -> float:
     """Round half-up to 2 decimals (labeling-time convention)."""
-    return float(Decimal(repr(value)).quantize(_CENT, rounding=ROUND_HALF_UP))
+    return float(Decimal(repr(value)).quantize(_CENT, context=_ROUND2))
 
 
 @dataclass(frozen=True, order=False)
@@ -65,26 +68,15 @@ class ComplexityLevel:
     value: float
 
     def __post_init__(self) -> None:
+        """The one check of a level: FKGL takes a number finite as a float, rounded
+        to 2 decimals; any other scheme an int index of its labels. A bool is neither."""
+        value = self.value
         if self.scheme is Scheme.FKGL:
-            object.__setattr__(self, "value", round2(float(self.value)))
-        elif self.value not in range(len(_LABELS[self.scheme])):
-            raise ValueError(f"{self.scheme.name} index out of range, got {self.value}")
-
-    @classmethod
-    def cefr6(cls, label: str) -> "ComplexityLevel":
-        return cls.parse(Scheme.CEFR6, label)
-
-    @classmethod
-    def cefr3(cls, label: str) -> "ComplexityLevel":
-        return cls.parse(Scheme.CEFR3, label)
-
-    @classmethod
-    def newsela(cls, level: int) -> "ComplexityLevel":
-        return cls.parse(Scheme.NEWSELA, level)
-
-    @classmethod
-    def fkgl(cls, score: float) -> "ComplexityLevel":
-        return cls(Scheme.FKGL, score)
+            if isinstance(value, bool) or not isinstance(value, (int, float)) or not abs(value) <= _FLOAT_MAX:
+                raise ValueError(f"FKGL level must be a finite number, got {value!r}")
+            object.__setattr__(self, "value", round2(float(value)))
+        elif isinstance(value, bool) or not isinstance(value, int) or value not in range(len(_LABELS[self.scheme])):
+            raise ValueError(f"{self.scheme.name} index out of range, got {value!r}")
 
     @classmethod
     def parse(cls, scheme: Scheme, raw: object) -> "ComplexityLevel":
@@ -93,11 +85,10 @@ class ComplexityLevel:
         try:
             if scheme is not Scheme.FKGL:
                 return cls(scheme, _LABELS[scheme].index(str(raw).upper()))
-            if not isinstance(raw, bool) and math.isfinite(float(raw)):
-                return cls(scheme, float(raw))
+            # A number goes to the constructor as it is, so that it alone judges numbers.
+            return cls(scheme, raw if isinstance(raw, (int, float)) else float(raw))
         except (TypeError, ValueError):
-            pass
-        raise ValueError(f"bad {scheme.value} level {raw!r}")
+            raise ValueError(f"bad {scheme.value} level {raw!r}") from None
 
     @property
     def label(self) -> str:
@@ -156,8 +147,8 @@ def corpus_fkgl(texts: Iterable[str]) -> float:
 def level_of(text: str) -> ComplexityLevel:
     """The FKGL level of raw text. FKGL is the only computed scheme; CEFR and
     Newsela levels come from ingested predictions."""
-    # ComplexityLevel.fkgl rounds to 2 decimals on construction.
-    return ComplexityLevel.fkgl(fkgl(text))
+    # ComplexityLevel rounds an FKGL value to 2 decimals on construction.
+    return ComplexityLevel(Scheme.FKGL, fkgl(text))
 
 
 def cefr6_to_cefr3(level: ComplexityLevel) -> ComplexityLevel:
@@ -178,6 +169,6 @@ def level_delta(a: ComplexityLevel, b: ComplexityLevel) -> float:
             f"cannot compare levels across schemes: {a.scheme.value} vs {b.scheme.value}"
         )
     delta = a.complexity_rank - b.complexity_rank
-    if a.scheme is Scheme.FKGL:
+    if a.scheme is Scheme.FKGL and abs(delta) <= _FLOAT_MAX:  # two finite levels can differ by inf
         return round2(delta)
     return delta

@@ -175,8 +175,8 @@ def test_criterion_05_pipeline_properties():
     # every emitted pair.
     labels = ("A1", "A2", "B1", "B2", "C1", "C2")
     for pair in kept_pairs:
-        pair.source_level = ComplexityLevel.cefr6(rng.choice(labels))
-        pair.target_level = ComplexityLevel.cefr6(rng.choice(labels))
+        pair.source_level = ComplexityLevel.parse(Scheme.CEFR6, rng.choice(labels))
+        pair.target_level = ComplexityLevel.parse(Scheme.CEFR6, rng.choice(labels))
     tasks = [(p, label) for p in kept_pairs if (label := bucket(p, Scheme.CEFR6)[0]) is not None]
     datasets, _stats = build_datasets(tasks, seed=11)
     orientation_ok = (
@@ -264,7 +264,7 @@ def test_criterion_06_pipeline_determinism(tmp_path, monkeypatch, capsys):
 def test_criterion_07_classifier_metric_oracle():
     def p(gold, pred):
         return LabeledPrediction(
-            gold=ComplexityLevel.cefr6(gold), predicted=ComplexityLevel.cefr6(pred)
+            gold=ComplexityLevel.parse(Scheme.CEFR6, gold), predicted=ComplexityLevel.parse(Scheme.CEFR6, pred)
         )
 
     # 10 items, confusion fully specified: gold A1 x9 predicted A1, gold C2
@@ -374,7 +374,7 @@ def test_criterion_08_krippendorff_oracle():
 
 
 def test_criterion_09_prompt_byte_exactness():
-    cefr_b2 = ComplexityLevel.cefr6("B2")
+    cefr_b2 = ComplexityLevel.parse(Scheme.CEFR6, "B2")
     expected = {
         PromptSpec(Strategy.RELATIVE, task=TaskLabel.DOWN): "level down: ",
         PromptSpec(Strategy.RELATIVE, task=TaskLabel.UP): "level up: ",

@@ -25,7 +25,8 @@ from oracles.alpha_ref import alpha as alpha_ref
 
 def pred(gold, predicted):
     return LabeledPrediction(
-        gold=ComplexityLevel.cefr6(gold), predicted=ComplexityLevel.cefr6(predicted)
+        gold=ComplexityLevel.parse(Scheme.CEFR6, gold),
+        predicted=ComplexityLevel.parse(Scheme.CEFR6, predicted),
     )
 
 
@@ -39,7 +40,7 @@ def matrix_from(rows):
 class TestRejectedInputs:
     def test_prediction_needs_cefr6_levels(self):
         with pytest.raises(ValueError) as exc:
-            LabeledPrediction(gold=ComplexityLevel.cefr6("A1"),
+            LabeledPrediction(gold=ComplexityLevel.parse(Scheme.CEFR6, "A1"),
                               predicted=ComplexityLevel.parse(Scheme.CEFR3, "A"))
         assert str(exc.value) == "LabeledPrediction requires CEFR6 levels on both sides"
 
@@ -129,6 +130,13 @@ class TestMae:
         assert mae([pred("B2", "B2")]) == 0.0
 
 
+class TestRatingMatrix:
+    def test_second_rating_of_a_cell_is_refused(self):
+        m = matrix_from([("r1", 1, "a")])
+        with pytest.raises(ValueError, match="item 1 is rated twice by rater 'r1'"):
+            m.add("r1", 1, "a")  # even with the same value: a rating is an observation
+
+
 class TestKrippendorffAlpha:
     def test_perfect_agreement(self):
         m = matrix_from([("r1", i, "yes") for i in range(5)] + [("r2", i, "yes") for i in range(5)])
@@ -194,7 +202,8 @@ class TestKrippendorffAlpha:
                 st.integers(min_value=1, max_value=5),
             ),
             min_size=4,
-            max_size=30,
+            max_size=21,
+            unique_by=lambda row: row[:2],  # one rating per (rater, item) cell
         )
     )
     @settings(max_examples=50, deadline=None)

@@ -129,6 +129,15 @@ class TestLabelAndBucketCommands:
         assert main(["bucket", str(labeled), "--scheme", "fkgl", "-o", str(bucketed)]) == 0
         assert json.loads(bucketed.read_text())["task"] == "down"
 
+    def test_fkgl_level_past_decimal_default_precision(self, tmp_path, capsys):
+        # 1e30 is a finite FKGL level; rounding it needs more than Decimal's default 28 digits.
+        leveled = tmp_path / "leveled.jsonl"
+        write_jsonl_file(leveled, [{"id": "p1", "source": "a b c", "target": "d e f",
+                                    "source_level": 1e30, "target_level": "3.25"}])
+        assert main(["bucket", str(leveled), "--scheme", "fkgl"]) == 0
+        rec = json.loads(capsys.readouterr().out)
+        assert (rec["source_level"], rec["task"]) == (f"{1e30:.2f}", "down")
+
     def test_cefr_label_with_predictions(self, tmp_path, capsys):
         src, tgt = "The committee reviewed the proposal.", "The group read the plan."
         pairs = tmp_path / "pairs.jsonl"
@@ -206,6 +215,14 @@ class TestPromptCommand:
         ])
         assert code == 0
         assert out.read_text() == "change to level B: A hard sentence.\tAn easy one.\n"
+
+    def test_abs_fixed_fkgl_level_past_decimal_default_precision(self, tmp_path, capsys):
+        data = tmp_path / "data.jsonl"
+        write_jsonl_file(data, [{"source": "A hard sentence.", "target": "An easy one."}])
+        argv = ["prompt", str(data), "--strategy", "abs", "--scheme", "fkgl",
+                "--fixed-level", "1e30", "--format", "tsv"]
+        assert main(argv) == 0
+        assert capsys.readouterr().out == f"change to level {1e30:.2f}: A hard sentence.\tAn easy one.\n"
 
     @pytest.mark.parametrize("strategy", ["rel", "llm-rel", "baseline"])
     def test_fixed_level_needs_an_absolute_strategy(self, tmp_path, capsys, strategy):
@@ -388,6 +405,22 @@ class TestAgreeCommand:
         ratings.write_text("s1\tr1\tg\t1\ns2\tr2\tg\t2\n")
         assert main(["agree", str(ratings)]) == 1
 
+    def test_groups_sharing_an_item_are_a_data_error(self, tmp_path, capsys):
+        # agree pools every group: s1 rated by r1 in both would keep only one rating.
+        ratings = tmp_path / "ratings.tsv"
+        ratings.write_text("s1\tr1\tg1\t1\ns1\tr2\tg1\t1\ns1\tr1\tg2\t2\ns1\tr2\tg2\t2\n")
+        gold_out = tmp_path / "gold.jsonl"
+        assert main(["agree", str(ratings), "--threshold", "2", "--gold-out", str(gold_out)]) == 1
+        assert capsys.readouterr() == ("", f"error: {ratings}: item 's1' is rated twice by rater 'r1'\n")
+        assert not gold_out.exists()
+
+    def test_groups_with_disjoint_items_pool(self, tmp_path, capsys):
+        ratings = tmp_path / "ratings.tsv"
+        ratings.write_text("s1\tr1\tg1\t1\ns1\tr2\tg1\t1\ns2\tr1\tg2\t2\ns2\tr2\tg2\t1\n")
+        assert main(["agree", str(ratings), "--threshold", "2"]) == 0
+        result = json.loads(capsys.readouterr().out)
+        assert (result["items"], result["resolved"]) == (2, 1)
+
 
 class TestReportCommand:
     def test_json_report(self, tmp_path, capsys):
@@ -402,6 +435,12 @@ class TestReportCommand:
         report = json.loads(capsys.readouterr().out)
         assert report["model-a/fluency"]["items"] == 2
         assert report["model-a/fluency"]["mean"] == pytest.approx(4.0)
+
+    def test_cell_rated_twice_in_a_group_is_a_data_error(self, tmp_path, capsys):
+        ratings = tmp_path / "ratings.tsv"
+        ratings.write_text("s1\tr1\tg\t4\ns1\tr2\tg\t5\ns1\tr1\tg\t4\n")
+        assert main(["report", str(ratings)]) == 1
+        assert capsys.readouterr() == ("", f"error: {ratings}: item 's1' is rated twice by rater 'r1'\n")
 
     def test_non_finite_report_is_data_error(self, tmp_path, capsys):
         # Each rating is finite; their mean is not.

@@ -33,6 +33,9 @@ PAIRS = [
 LEVELED = [dict(p, source_level=s, target_level=t)
            for p, (s, t) in zip(PAIRS, [("C1", "A2"), ("B1", "B1"), ("A2", "C1")])]
 TASKED = [dict(p, task=t) for p, t in zip(LEVELED, ["down", "same", "up"])]
+# FKGL levels are any finite numbers, and 1e30 is past the 28 digits of Decimal's default context.
+FKGL_TASKED = [dict(p, source_level=s, target_level=t, task=task) for p, (s, t, task)
+               in zip(PAIRS, [("11.50", "1e30", "up"), ("7.25", "7.25", "same"), ("11.50", "3.25", "down")])]
 LEVELS = [{"id": f"s{i}", "level": level} for i, level in enumerate(["A1", "B2", "C1"])]
 PREDICTIONS = [{"id": f"{p['id']}:{role}", "level": level}
                for p in PAIRS for role, level in (("source", "C1"), ("target", "A2"))]
@@ -78,11 +81,16 @@ COMMANDS = {
                    ["label", "{pairs.jsonl}", "--scheme", "fkgl", "-o", "@labeled.jsonl"]),
     "bucket": ({"leveled.jsonl": jsonl(LEVELED)},
                ["bucket", "{leveled.jsonl}", "--scheme", "cefr6", "-o", "@tasks.jsonl"]),
+    "bucket-fkgl": ({"leveled.jsonl": jsonl(FKGL_TASKED)},
+                    ["bucket", "{leveled.jsonl}", "--scheme", "fkgl", "-o", "@tasks.jsonl"]),
     "split": ({"tasks.jsonl": jsonl(TASKED)},
               ["split", "{tasks.jsonl}", "--seed", "3", "-o", "@splits"]),
     "prompt-abs": ({"tasks.jsonl": jsonl(TASKED)},
                    ["prompt", "{tasks.jsonl}", "--strategy", "abs", "--scheme", "cefr6",
                     "-o", "@prompted.jsonl"]),
+    "prompt-abs-fkgl": ({"tasks.jsonl": jsonl(FKGL_TASKED)},
+                        ["prompt", "{tasks.jsonl}", "--strategy", "abs", "--scheme", "fkgl",
+                         "-o", "@prompted.jsonl"]),
     "prompt-rel": ({"tasks.jsonl": jsonl(TASKED)},
                    ["prompt", "{tasks.jsonl}", "--strategy", "rel", "--scheme", "cefr6",
                     "-o", "@prompted.jsonl"]),

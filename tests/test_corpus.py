@@ -49,12 +49,12 @@ class TestParaphrasePair:
                 id="x",
                 source="a b c",
                 target="d e f",
-                source_level=ComplexityLevel.cefr6("A1"),
-                target_level=ComplexityLevel.fkgl(3.0),
+                source_level=ComplexityLevel.parse(Scheme.CEFR6, "A1"),
+                target_level=ComplexityLevel(Scheme.FKGL, 3.0),
             )
 
     def test_swapped(self):
-        p = leveled(1, ComplexityLevel.cefr6("C1"), ComplexityLevel.cefr6("A1"))
+        p = leveled(1, ComplexityLevel.parse(Scheme.CEFR6, "C1"), ComplexityLevel.parse(Scheme.CEFR6, "A1"))
         s = p.swapped()
         assert (s.source, s.target) == (p.target, p.source)
         assert s.source_level == p.target_level
@@ -235,8 +235,8 @@ class TestAttachLevels:
     def test_predictions_by_hash(self):
         p = make_pair(1)
         preds = {
-            text_sha256(p.source): ComplexityLevel.cefr6("B2"),
-            text_sha256(p.target): ComplexityLevel.cefr6("A2"),
+            text_sha256(p.source): ComplexityLevel.parse(Scheme.CEFR6, "B2"),
+            text_sha256(p.target): ComplexityLevel.parse(Scheme.CEFR6, "A2"),
         }
         pair, reason = next(iter(attach_levels([p], Scheme.CEFR6, preds)))
         assert reason is None
@@ -246,8 +246,8 @@ class TestAttachLevels:
     def test_predictions_by_id_fallback(self):
         p = make_pair(1)
         preds = {
-            f"{p.id}:source": ComplexityLevel.cefr6("C1"),
-            f"{p.id}:target": ComplexityLevel.cefr6("A1"),
+            f"{p.id}:source": ComplexityLevel.parse(Scheme.CEFR6, "C1"),
+            f"{p.id}:target": ComplexityLevel.parse(Scheme.CEFR6, "A1"),
         }
         pair, reason = next(iter(attach_levels([p], Scheme.CEFR6, preds)))
         assert reason is None
@@ -255,7 +255,7 @@ class TestAttachLevels:
 
     def test_missing_prediction_flagged(self):
         p = make_pair(1)
-        preds = {text_sha256(p.source): ComplexityLevel.cefr6("B2")}
+        preds = {text_sha256(p.source): ComplexityLevel.parse(Scheme.CEFR6, "B2")}
         pair, reason = next(iter(attach_levels([p], Scheme.CEFR6, preds)))
         assert reason is DropReason.LEVEL_MISSING
 
@@ -266,28 +266,28 @@ class TestAttachLevels:
 
 class TestBucket:
     def test_cefr_gap_two_is_different_level(self):
-        p = leveled(1, ComplexityLevel.cefr6("B1"), ComplexityLevel.cefr6("A1"))
+        p = leveled(1, ComplexityLevel.parse(Scheme.CEFR6, "B1"), ComplexityLevel.parse(Scheme.CEFR6, "A1"))
         assert bucket(p, Scheme.CEFR6) == (TaskLabel.DOWN, None)
 
     def test_cefr_gap_one_rejected(self):
-        p = leveled(1, ComplexityLevel.cefr6("B1"), ComplexityLevel.cefr6("A2"))
+        p = leveled(1, ComplexityLevel.parse(Scheme.CEFR6, "B1"), ComplexityLevel.parse(Scheme.CEFR6, "A2"))
         assert bucket(p, Scheme.CEFR6) == (None, DropReason.NEAR_LEVEL)
 
     def test_cefr_same(self):
-        p = leveled(1, ComplexityLevel.cefr6("B1"), ComplexityLevel.cefr6("B1"))
+        p = leveled(1, ComplexityLevel.parse(Scheme.CEFR6, "B1"), ComplexityLevel.parse(Scheme.CEFR6, "B1"))
         assert bucket(p, Scheme.CEFR6) == (TaskLabel.SAME, None)
 
     def test_fkgl_any_difference_counts(self):
-        p = leveled(1, ComplexityLevel.fkgl(5.01), ComplexityLevel.fkgl(5.02))
+        p = leveled(1, ComplexityLevel(Scheme.FKGL, 5.01), ComplexityLevel(Scheme.FKGL, 5.02))
         assert bucket(p, Scheme.FKGL) == (TaskLabel.UP, None)
 
     def test_fkgl_exact_tie_is_same(self):
-        p = leveled(1, ComplexityLevel.fkgl(5.01), ComplexityLevel.fkgl(5.01))
+        p = leveled(1, ComplexityLevel(Scheme.FKGL, 5.01), ComplexityLevel(Scheme.FKGL, 5.01))
         assert bucket(p, Scheme.FKGL) == (TaskLabel.SAME, None)
 
     def test_newsela_direction(self):
         # Newsela 0 is the complex original; 0 -> 3 is a simplification.
-        p = leveled(1, ComplexityLevel.newsela(0), ComplexityLevel.newsela(3))
+        p = leveled(1, ComplexityLevel(Scheme.NEWSELA, 0), ComplexityLevel(Scheme.NEWSELA, 3))
         assert bucket(p, Scheme.NEWSELA) == (TaskLabel.DOWN, None)
 
     def test_levels_required(self):
@@ -298,11 +298,11 @@ class TestBucket:
 def synthetic_pool(n_diff=40, n_same=30):
     pairs = []
     for i in range(n_diff):
-        src = ComplexityLevel.cefr6("C1") if i % 2 == 0 else ComplexityLevel.cefr6("A1")
-        tgt = ComplexityLevel.cefr6("A1") if i % 2 == 0 else ComplexityLevel.cefr6("C1")
+        c1, a1 = ComplexityLevel.parse(Scheme.CEFR6, "C1"), ComplexityLevel.parse(Scheme.CEFR6, "A1")
+        src, tgt = (c1, a1) if i % 2 == 0 else (a1, c1)
         pairs.append(leveled(i, src, tgt))
     for i in range(n_same):
-        lvl = ComplexityLevel.cefr6("B1")
+        lvl = ComplexityLevel.parse(Scheme.CEFR6, "B1")
         pairs.append(leveled(1000 + i, lvl, lvl))
     return pairs
 

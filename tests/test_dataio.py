@@ -119,7 +119,7 @@ class TestReadPredictions:
         )
         scheme, preds = read_predictions(path)
         assert scheme is Scheme.CEFR6
-        assert preds["s1"] == ComplexityLevel.cefr6("B2")
+        assert preds["s1"] == ComplexityLevel.parse(Scheme.CEFR6, "B2")
         assert preds["abc123"].label == "A1"
 
     def test_missing_header(self, tmp_path):
@@ -145,7 +145,7 @@ class TestReadPredictions:
         path = tmp_path / "preds.jsonl"
         path.write_text('{"scheme": "cefr6"}\n{"text_sha256": "abc", "level": "B2"}\n'
                         '{"text_sha256": "abc", "level": "b2"}\n')
-        assert read_predictions(path)[1] == {"abc": ComplexityLevel.cefr6("B2")}
+        assert read_predictions(path)[1] == {"abc": ComplexityLevel.parse(Scheme.CEFR6, "B2")}
         with open(path, "a") as fh:
             fh.write('{"text_sha256": "abc", "level": "C1"}\n')
         with pytest.raises(ParseError) as exc:
@@ -183,8 +183,8 @@ class TestPairToRecord:
             id="p1",
             source="a b c",
             target="d e f",
-            source_level=ComplexityLevel.cefr6("B2"),
-            target_level=ComplexityLevel.cefr6("A2"),
+            source_level=ComplexityLevel.parse(Scheme.CEFR6, "B2"),
+            target_level=ComplexityLevel.parse(Scheme.CEFR6, "A2"),
         )
         record = pair_to_record(pair, task="down")
         assert record == {

@@ -42,6 +42,21 @@ class TestEvalInstance:
         with pytest.raises(ValueError):
             EvalInstance(source="a b c", output="a b", references=())
 
+    @pytest.mark.parametrize("source, output, references, message", [
+        (5, "a", ("r",), '"source" must be a string, got int'),
+        ("a", None, ("r",), '"output" must be a string, got NoneType'),
+        ("a b", "a", "abc", '"references" must be a non-empty list of strings'),  # not three references
+        ("a b", "a", [], '"references" must be a non-empty list of strings'),
+        ("a b", "a", ["r", 5], '"references" must be a non-empty list of strings'),
+    ])
+    def test_rejects(self, source, output, references, message):
+        with pytest.raises(ValueError) as info:
+            EvalInstance(source, output, references)
+        assert str(info.value) == message
+
+    def test_list_references_become_a_tuple(self):
+        assert EvalInstance("a b", "a", ["a", "b"]).references == ("a", "b")
+
 
 class TestSari:
     def test_fixture_suite(self, sari_fixture):

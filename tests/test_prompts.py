@@ -18,15 +18,15 @@ ALL_SPECS = [
     PromptSpec(Strategy.RELATIVE, task=TaskLabel.DOWN),
     PromptSpec(Strategy.RELATIVE, task=TaskLabel.UP),
     PromptSpec(Strategy.RELATIVE, task=TaskLabel.SAME),
-    PromptSpec(Strategy.ABSOLUTE, target_level=ComplexityLevel.cefr6("B2")),
-    PromptSpec(Strategy.ABSOLUTE, target_level=ComplexityLevel.fkgl(5.25)),
-    PromptSpec(Strategy.ABSOLUTE, target_level=ComplexityLevel.newsela(2)),
+    PromptSpec(Strategy.ABSOLUTE, target_level=ComplexityLevel.parse(Scheme.CEFR6, "B2")),
+    PromptSpec(Strategy.ABSOLUTE, target_level=ComplexityLevel(Scheme.FKGL, 5.25)),
+    PromptSpec(Strategy.ABSOLUTE, target_level=ComplexityLevel(Scheme.NEWSELA, 2)),
     PromptSpec(Strategy.BASELINE),
     PromptSpec(Strategy.LLM_RELATIVE, task=TaskLabel.DOWN),
     PromptSpec(Strategy.LLM_RELATIVE, task=TaskLabel.UP),
     PromptSpec(Strategy.LLM_RELATIVE, task=TaskLabel.SAME),
-    PromptSpec(Strategy.LLM_ABSOLUTE, target_level=ComplexityLevel.cefr6("C1")),
-    PromptSpec(Strategy.LLM_ABSOLUTE, target_level=ComplexityLevel.fkgl(6.0)),
+    PromptSpec(Strategy.LLM_ABSOLUTE, target_level=ComplexityLevel.parse(Scheme.CEFR6, "C1")),
+    PromptSpec(Strategy.LLM_ABSOLUTE, target_level=ComplexityLevel(Scheme.FKGL, 6.0)),
 ]
 
 
@@ -38,15 +38,15 @@ class TestPromptConstants:
         assert BASELINE_PROMPT == "paraphrase: "
 
     def test_abs_prefix_cefr_collapses(self):
-        spec = PromptSpec(Strategy.ABSOLUTE, target_level=ComplexityLevel.cefr6("B2"))
+        spec = PromptSpec(Strategy.ABSOLUTE, target_level=ComplexityLevel.parse(Scheme.CEFR6, "B2"))
         assert spec.prefix == "change to level B: "
 
     def test_abs_prefix_fkgl_two_decimals(self):
-        spec = PromptSpec(Strategy.ABSOLUTE, target_level=ComplexityLevel.fkgl(5.2))
+        spec = PromptSpec(Strategy.ABSOLUTE, target_level=ComplexityLevel(Scheme.FKGL, 5.2))
         assert spec.prefix == "change to level 5.20: "
 
     def test_abs_prefix_newsela(self):
-        spec = PromptSpec(Strategy.ABSOLUTE, target_level=ComplexityLevel.newsela(3))
+        spec = PromptSpec(Strategy.ABSOLUTE, target_level=ComplexityLevel(Scheme.NEWSELA, 3))
         assert spec.prefix == "change to level 3: "
 
     def test_llm_rel_prefixes(self):
@@ -64,8 +64,8 @@ class TestPromptConstants:
         )
 
     def test_llm_abs_prefixes(self):
-        cefr = PromptSpec(Strategy.LLM_ABSOLUTE, target_level=ComplexityLevel.cefr6("C1"))
-        fkgl = PromptSpec(Strategy.LLM_ABSOLUTE, target_level=ComplexityLevel.fkgl(6.0))
+        cefr = PromptSpec(Strategy.LLM_ABSOLUTE, target_level=ComplexityLevel.parse(Scheme.CEFR6, "C1"))
+        fkgl = PromptSpec(Strategy.LLM_ABSOLUTE, target_level=ComplexityLevel(Scheme.FKGL, 6.0))
         assert cefr.prefix == (
             "Please rewrite the following text so that its CEFR level is C: "
         )
@@ -92,7 +92,7 @@ class TestPromptSpecValidation:
             PromptSpec(
                 Strategy.ABSOLUTE,
                 task=TaskLabel.SAME,
-                target_level=ComplexityLevel.cefr6("B1"),
+                target_level=ComplexityLevel.parse(Scheme.CEFR6, "B1"),
             )
 
 
@@ -137,7 +137,7 @@ class TestRenderDataset:
         assert out[1]["input_prompted"] == "change to level C: A simple one."
 
     def test_absolute_fixed_level_inference(self):
-        out = self.render_all(Strategy.ABSOLUTE, fixed_level=ComplexityLevel.cefr6("B1"))
+        out = self.render_all(Strategy.ABSOLUTE, fixed_level=ComplexityLevel.parse(Scheme.CEFR6, "B1"))
         assert all(r["input_prompted"].startswith("change to level B: ") for r in out)
 
     def test_baseline_ignores_fields(self):
