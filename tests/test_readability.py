@@ -147,8 +147,8 @@ class TestComplexityLevel:
             (Scheme.FKGL, "x"),     # not a number
             (Scheme.FKGL, "nan"),   # not finite
             (Scheme.FKGL, True),    # a bool is not a number
-            pytest.param(Scheme.FKGL, 10**400, id="fkgl-int-past-the-float-range"),
             (Scheme.FKGL, [7]),     # wrong type
+            pytest.param(Scheme.FKGL, 10**400, id="fkgl-int-past-the-float-range"),
         ],
     )
     def test_parse_rejects(self, scheme, raw):
