@@ -18,7 +18,10 @@ own:
   captured streams are pipes; its label and bucket steps run again under
   ``cefr6`` with the predictions file;
 - ``analyze``, ``classifier-eval``, and ``agree`` on one study system's
-  ratings (``agree`` pools every group, and the systems share item ids).
+  ratings (``agree`` pools every group, and the systems share item ids);
+- ``analyze`` on ``SPLITTER_EDGES``, texts at the edges of the sentence
+  splitter and the tokenizer, so their sentence, word and syllable counts
+  are compared too.
 
 It prints every stdout, stderr, exit code and written file that differs
 between the two trees, and any command that does not exit 0, and exits 1
@@ -50,6 +53,43 @@ SEEDS = (1, 2, 3)
 CEFR6 = ("A1", "A2", "B1", "B2", "C1", "C2")
 LINE_CAP = 20
 ABSENT = object()  # a key or list item one side does not have
+
+SPLITTER_EDGES = (
+    # abbreviations, one before a period that follows a newline as a regex ``$`` would skip
+    "Dr. Smith met Mr. Jones, e.g. at St. Mark's etc. on time.",
+    "He met Dr\n. Smith today.",
+    "Go to st\n\n. now.",
+    "See fig. 3, vol. 2 and pp. 4-5. Then i.e. this.",
+    "It ends with etc.",
+    "Mr.\nSmith left. A.B.C. went home.",
+    # closers after the terminal punctuation
+    '"Stop!" she said.',
+    "He said (yes.) Then left. 'Why?!' Because.\u201d Right.\u2019",
+    "Wait... what?! Really.",
+    # a terminal inside a token
+    "It costs 3.5 dollars.",
+    "Use e.g.x here. Fine.",
+    "3.5",
+    "e.g.x",
+    # whitespace that is not ASCII
+    "One\u00a0word. Next\u00a0one.\u00a0",
+    "Line\u2028break. After.\u2029Then.",
+    "Sep\x1carated. Text.\x1f",
+    "He left.\u3000Next. Last.\x85",
+    # not in NFC
+    "Cafe\u0301 is open. Re\u0301sume\u0301 here.",
+    "A\u030angstro\u0308m. Done",
+    # leading and trailing whitespace, no terminal, punctuation only
+    "   Start here. End",
+    "Done.  \n\n  ",
+    "no terminal here",
+    "...",
+    "?! .",
+    # whitespace-only and empty texts, which analyze skips
+    " \n\t ",
+    "\u00a0\u2028\x1c",
+    "",
+)
 
 
 def study_files(ratings: list, workdir: Path) -> None:
@@ -118,6 +158,8 @@ def cases(seed: int, inputs: Path) -> dict[str, list[list[str]]]:
     prepared = pipeline_mixed(seed, mixed)
     scored = evaluation(seed, evald)
     study_files(scored.expect["ratings"], evald)
+    with open(mixed / "splitter-edges.jsonl", "w", encoding="utf-8") as fh:
+        fh.writelines(json.dumps({"text": text}) + "\n" for text in SPLITTER_EDGES)
     chain = [
         ["filter", "input.jsonl", "-o", "kept.jsonl"],
         ["label", "kept.jsonl", "--scheme", "fkgl", "-o", "leveled.jsonl"],
@@ -133,6 +175,7 @@ def cases(seed: int, inputs: Path) -> dict[str, list[list[str]]]:
          "-o", "leveled-cefr6.jsonl"],
         ["bucket", "leveled-cefr6.jsonl", "--scheme", "cefr6", "-o", "tasks-cefr6.jsonl"],
         ["analyze", "kept.jsonl", "-o", "analyzed.jsonl"],
+        ["analyze", "splitter-edges.jsonl", "-o", "splitter-edges-analyzed.jsonl"],
     ]
     reports = [
         ["analyze", "outputs.txt"],

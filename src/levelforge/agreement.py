@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
-from typing import Hashable, Iterable, Mapping, Sequence
+from typing import Hashable, Mapping, Sequence
 
 from .readability import ComplexityLevel, Scheme, cefr6_to_cefr3
 
@@ -248,12 +248,3 @@ def format_likert_table(report: Mapping[str, dict]) -> str:
         )
     return "\n".join(lines)
 
-
-def ratings_to_matrices(
-    rows: Iterable[tuple[str, str, str, float]]
-) -> dict[str, RatingMatrix]:
-    """Group (item_id, rater_id, group, value) rows into per-group matrices."""
-    groups: dict[str, RatingMatrix] = defaultdict(RatingMatrix)
-    for item_id, rater_id, group, value in rows:
-        groups[group].add(rater_id, item_id, value)
-    return dict(groups)

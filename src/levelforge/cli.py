@@ -17,7 +17,7 @@ import os
 import stat
 import sys
 import tempfile
-from collections import Counter
+from collections import Counter, defaultdict
 from contextlib import contextmanager, nullcontext
 from dataclasses import MISSING, asdict, dataclass, fields
 from pathlib import Path
@@ -33,7 +33,6 @@ from .agreement import (
     likert_report,
     majority_gold,
     mae,
-    ratings_to_matrices,
     weighted_f1,
 )
 from .corpus import (
@@ -344,6 +343,16 @@ def _bucketed(
         yield (pair, label), reason
 
 
+def _rate(path: str, matrix_of: Callable[[str], RatingMatrix]) -> None:
+    """Add each row of the ratings TSV at ``path`` to the matrix ``matrix_of(group)``;
+    a cell that matrix already holds is a ParseError naming the row's line."""
+    for lineno, item_id, rater_id, group, value in read_ratings_tsv(path):
+        try:
+            matrix_of(group).add(rater_id, item_id, value)
+        except ValueError as exc:
+            raise ParseError(path, lineno, str(exc)) from None
+
+
 # ---------------------------------------------------------------- commands
 
 
@@ -525,9 +534,8 @@ def cmd_agree(args: argparse.Namespace) -> int:
     if args.gold_out and args.threshold is None:
         raise ConfigError("--gold-out needs --threshold")
     matrix = RatingMatrix()
-    with _blaming(args.input):  # a cell rated in two groups, alpha undefined, or a threshold out of reach
-        for item_id, rater_id, _group, value in read_ratings_tsv(args.input):
-            matrix.add(rater_id, item_id, value)
+    _rate(args.input, lambda _group: matrix)  # pools every group
+    with _blaming(args.input):  # alpha undefined, or a threshold out of reach
         result = {"alpha": krippendorff_alpha(matrix, metric=args.metric), "metric": args.metric}
         resolved = None if args.threshold is None else majority_gold(matrix, args.threshold)
     if resolved is not None:
@@ -543,8 +551,8 @@ def cmd_agree(args: argparse.Namespace) -> int:
 
 
 def cmd_report(args: argparse.Namespace) -> int:
-    with _blaming(args.input):  # a cell rated twice within a group
-        groups = ratings_to_matrices(read_ratings_tsv(args.input))
+    groups: defaultdict[str, RatingMatrix] = defaultdict(RatingMatrix)
+    _rate(args.input, groups.__getitem__)
     if not groups:
         raise DataError(f"no ratings found in {args.input}")
     render = format_likert_table if args.format == "text" else None

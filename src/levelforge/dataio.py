@@ -199,8 +199,8 @@ def read_predictions(path: str | Path) -> tuple[Scheme, dict[str, ComplexityLeve
     return scheme, predictions
 
 
-def read_ratings_tsv(path: str | Path) -> Iterator[tuple[str, str, str, float]]:
-    """Yield (item_id, rater_id, group, value) rows, skipping a header row; values are finite."""
+def read_ratings_tsv(path: str | Path) -> Iterator[tuple[int, str, str, str, float]]:
+    """Yield (lineno, item_id, rater_id, group, value) rows, skipping a header row; values are finite."""
     for lineno, line in read_lines(path):
         if not line:
             continue
@@ -215,7 +215,7 @@ def read_ratings_tsv(path: str | Path) -> Iterator[tuple[str, str, str, float]]:
             value = math.nan
         if not math.isfinite(value):
             raise ParseError(path, lineno, f"bad rating value {cols[3]!r}")
-        yield cols[0], cols[1], cols[2], value
+        yield lineno, cols[0], cols[1], cols[2], value
 
 
 def pair_to_record(pair: ParaphrasePair, task: Optional[str] = None) -> dict:

@@ -71,6 +71,8 @@ class ComplexityLevel:
         """The one check of a level: FKGL takes a number finite as a float, rounded
         to 2 decimals; any other scheme an int index of its labels. A bool is neither."""
         value = self.value
+        if not isinstance(self.scheme, Scheme):
+            raise ValueError(f"unknown level scheme {self.scheme!r}")
         if self.scheme is Scheme.FKGL:
             if isinstance(value, bool) or not isinstance(value, (int, float)) or not abs(value) <= _FLOAT_MAX:
                 raise ValueError(f"FKGL level must be a finite number, got {value!r}")
@@ -159,7 +161,7 @@ def cefr6_to_cefr3(level: ComplexityLevel) -> ComplexityLevel:
 
 
 def level_delta(a: ComplexityLevel, b: ComplexityLevel) -> float:
-    """Signed difference a - b on the shared complexity axis.
+    """Signed difference a - b on the shared complexity axis, not rounded again for FKGL.
 
     Positive means ``a`` is more complex than ``b`` in every scheme,
     including Newsela where raw level numbers run the other way.
@@ -168,7 +170,4 @@ def level_delta(a: ComplexityLevel, b: ComplexityLevel) -> float:
         raise SchemeMismatchError(
             f"cannot compare levels across schemes: {a.scheme.value} vs {b.scheme.value}"
         )
-    delta = a.complexity_rank - b.complexity_rank
-    if a.scheme is Scheme.FKGL and abs(delta) <= _FLOAT_MAX:  # two finite levels can differ by inf
-        return round2(delta)
-    return delta
+    return a.complexity_rank - b.complexity_rank

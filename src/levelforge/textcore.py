@@ -31,6 +31,7 @@ __all__ = [
 _TOKEN_RE = re.compile(r"\d+(?:[.,]\d+)*|\w+(?:[-'’]\w+)*|[^\w\s]", re.UNICODE)
 
 _SENT_END_RE = re.compile(r"[.!?]+[\"'”’)\]]*")
+_NON_SPACE_RE = re.compile(r"\S")
 
 # Trailing-period abbreviations that do not end a sentence.
 _ABBREVIATIONS = frozenset(
@@ -60,9 +61,6 @@ class Sentence:
 
 def normalize(text: str) -> str:
     """NFC-normalize input so identical content hashes identically."""
-    # ASCII is NFC by construction; skip the unicodedata call for it.
-    if text.isascii():
-        return text
     return unicodedata.normalize("NFC", text)
 
 
@@ -72,8 +70,6 @@ def tokenize(text: str) -> list[str]:
     Deterministic and case-preserving; metrics lowercase downstream.
     Empty input yields an empty list.
     """
-    if not text:
-        return []
     # Same tokens as _TOKEN_RE over the whole text: no token holds
     # whitespace, `\s` is exactly str.isspace, and an all-letter chunk is one
     # `\w+` match, so only the other chunks need the regex.
@@ -130,7 +126,8 @@ def split_sentences(text: str) -> list[tuple[int, int]]:
     non-whitespace content; text without a terminal forms one span.
     """
     text = normalize(text)
-    boundaries: list[int] = []
+    spans: list[tuple[int, int]] = []
+    cursor = 0  # just past the last accepted boundary
     for m in _SENT_END_RE.finditer(text):
         end = m.end()
         # Mid-token punctuation ("3.5", "e.g.x") is not a boundary.
@@ -140,17 +137,12 @@ def split_sentences(text: str) -> list[tuple[int, int]]:
             word = _trailing_word(text, m.start()).lower().rstrip(".")
             if word in _ABBREVIATIONS:
                 continue
-        boundaries.append(end)
-
-    spans: list[tuple[int, int]] = []
-    cursor = 0
-    for b in boundaries + [len(text)]:  # the last chunk is the tail
-        chunk = text[cursor:b]
-        stripped = chunk.strip()
-        if stripped:
-            start = cursor + chunk.index(stripped[0])
-            spans.append((start, start + len(stripped)))
-        cursor = b
+        # The boundary's own punctuation is non-space, so the search stops before ``end``.
+        spans.append((_NON_SPACE_RE.search(text, cursor).start(), end))
+        cursor = end
+    tail = _NON_SPACE_RE.search(text, cursor)
+    if tail:
+        spans.append((tail.start(), len(text.rstrip())))
     return spans
 
 

@@ -15,7 +15,6 @@ from levelforge.agreement import (
     likert_report,
     mae,
     majority_gold,
-    ratings_to_matrices,
     weighted_f1,
 )
 from levelforge.readability import ComplexityLevel, Scheme
@@ -267,15 +266,3 @@ class TestLikertReport:
         text = format_likert_table(likert_report({"g": m}))
         assert "g" in text and "mean" in text
         assert len(text.splitlines()) == 2
-
-
-class TestRatingsToMatrices:
-    def test_grouping(self):
-        rows = [
-            ("s1", "r1", "fluency", 4.0),
-            ("s1", "r2", "fluency", 5.0),
-            ("s1", "r1", "adequacy", 3.0),
-        ]
-        groups = ratings_to_matrices(rows)
-        assert set(groups) == {"fluency", "adequacy"}
-        assert groups["fluency"].cells[("r1", "s1")] == 4.0

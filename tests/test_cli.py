@@ -411,7 +411,7 @@ class TestAgreeCommand:
         ratings.write_text("s1\tr1\tg1\t1\ns1\tr2\tg1\t1\ns1\tr1\tg2\t2\ns1\tr2\tg2\t2\n")
         gold_out = tmp_path / "gold.jsonl"
         assert main(["agree", str(ratings), "--threshold", "2", "--gold-out", str(gold_out)]) == 1
-        assert capsys.readouterr() == ("", f"error: {ratings}: item 's1' is rated twice by rater 'r1'\n")
+        assert capsys.readouterr() == ("", f"error: {ratings}:3: item 's1' is rated twice by rater 'r1'\n")
         assert not gold_out.exists()
 
     def test_groups_with_disjoint_items_pool(self, tmp_path, capsys):
@@ -436,11 +436,19 @@ class TestReportCommand:
         assert report["model-a/fluency"]["items"] == 2
         assert report["model-a/fluency"]["mean"] == pytest.approx(4.0)
 
+    def test_grouping(self, tmp_path, capsys):
+        ratings = tmp_path / "ratings.tsv"
+        ratings.write_text("s1\tr1\tfluency\t4\ns1\tr2\tfluency\t5\ns1\tr1\tadequacy\t3\n")
+        assert main(["report", str(ratings)]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert set(report) == {"fluency", "adequacy"}
+        assert (report["fluency"]["mean"], report["adequacy"]["mean"]) == (4.5, 3.0)
+
     def test_cell_rated_twice_in_a_group_is_a_data_error(self, tmp_path, capsys):
         ratings = tmp_path / "ratings.tsv"
         ratings.write_text("s1\tr1\tg\t4\ns1\tr2\tg\t5\ns1\tr1\tg\t4\n")
         assert main(["report", str(ratings)]) == 1
-        assert capsys.readouterr() == ("", f"error: {ratings}: item 's1' is rated twice by rater 'r1'\n")
+        assert capsys.readouterr() == ("", f"error: {ratings}:3: item 's1' is rated twice by rater 'r1'\n")
 
     def test_non_finite_report_is_data_error(self, tmp_path, capsys):
         # Each rating is finite; their mean is not.

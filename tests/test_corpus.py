@@ -19,7 +19,7 @@ from levelforge.corpus import (
     split_dataset,
     text_sha256,
 )
-from levelforge.readability import ComplexityLevel, Scheme
+from levelforge.readability import ComplexityLevel, Scheme, round2
 from oracles import textcore_ref
 
 
@@ -293,6 +293,26 @@ class TestBucket:
     def test_levels_required(self):
         with pytest.raises(ValueError):
             bucket(make_pair(1), Scheme.FKGL)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.floats(allow_nan=False, allow_infinity=False), st.floats(allow_nan=False, allow_infinity=False))
+    @example(2.675, 1.005)
+    @example(2.675, 2.665)
+    @example(1.005, -0.125)
+    @example(-0.125, -0.125)
+    @example(1e308, -1e308)
+    @example(-1e308, 1e308)
+    @example(5e-324, 0.0)
+    @example(5e-324, -5e-324)
+    def test_fkgl_task_as_if_the_difference_were_rounded(self, a, b):
+        # The reference rounds the difference of the two rounded levels half-up
+        # to 2 decimals when it is finite; bucket reads it unrounded.
+        source, target = ComplexityLevel(Scheme.FKGL, a), ComplexityLevel(Scheme.FKGL, b)
+        delta = source.value - target.value
+        if math.isfinite(delta):
+            delta = round2(delta)
+        task = TaskLabel.SAME if delta == 0 else TaskLabel.DOWN if delta > 0 else TaskLabel.UP
+        assert bucket(leveled(1, source, target), Scheme.FKGL) == (task, None)
 
 
 def synthetic_pool(n_diff=40, n_same=30):

@@ -162,7 +162,7 @@ class TestReadRatingsTsv:
             "s1\tr2\tfluency\t5\n"
         )
         rows = list(read_ratings_tsv(path))
-        assert rows == [("s1", "r1", "fluency", 4.0), ("s1", "r2", "fluency", 5.0)]
+        assert rows == [(2, "s1", "r1", "fluency", 4.0), (3, "s1", "r2", "fluency", 5.0)]
 
     def test_bad_column_count(self, tmp_path):
         path = tmp_path / "ratings.tsv"
@@ -284,7 +284,7 @@ class TestRareLines:
     def test_ratings_blank_lines_skipped(self, tmp_path):
         path = tmp_path / "ratings.tsv"
         path.write_text("s1\tr1\tg\t4\n\ns1\tr2\tg\t5\n")
-        assert list(read_ratings_tsv(path)) == [("s1", "r1", "g", 4.0), ("s1", "r2", "g", 5.0)]
+        assert list(read_ratings_tsv(path)) == [(1, "s1", "r1", "g", 4.0), (3, "s1", "r2", "g", 5.0)]
 
 
 class TestOneInputDoor:

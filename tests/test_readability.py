@@ -123,6 +123,8 @@ class TestComplexityLevel:
             (Scheme.CEFR6, 1.0),      # an index is an int
             (Scheme.CEFR6, "A1"),
             (Scheme.NEWSELA, -1),
+            pytest.param("fkgl", 7.5, id="scheme-a-str-fkgl"),    # not a Scheme member
+            pytest.param("cefr6", 2, id="scheme-a-str-cefr6"),
         ],
     )
     def test_constructor_rejects(self, scheme, value):

@@ -275,6 +275,17 @@ class TestLinearTime:
         assert len(spans) == 10_000
         assert elapsed < 1.0
 
+    def test_split_sentences_long_whitespace_runs(self):
+        # Each span's start is searched forward from the last boundary, and
+        # the tail's from the last one: every whitespace run is walked once.
+        text = ("Done." + " \n" * 50) * 10_000 + " " * 1_000_000
+        start = time.perf_counter()
+        spans = split_sentences(text)
+        elapsed = time.perf_counter() - start
+        assert len(spans) == 10_000
+        assert spans[-1] == (len(text) - 1_000_000 - 105, len(text) - 1_000_100)
+        assert elapsed < 1.0
+
     def test_filter_pair_64k_word_sides(self):
         # A repetitive long side is the worst case for a search that
         # restarts at every offset.
