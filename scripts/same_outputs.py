@@ -16,9 +16,12 @@ own:
   input, some of its steps writing to stdout: without ``-o`` and with
   ``-o -``, ``-o /dev/stdout`` and ``-o /dev/stderr``, which under the
   captured streams are pipes; its label and bucket steps run again under
-  ``cefr6`` with the predictions file;
-- ``analyze``, ``classifier-eval``, and ``agree`` on one study system's
-  ratings (``agree`` pools every group, and the systems share item ids);
+  ``cefr6`` with the predictions file, and its prompt step under every
+  strategy and as TSV;
+- ``filter`` and then ``label`` on a TSV copy of the pipeline input;
+- ``analyze``, ``classifier-eval``, ``report --format text``, and
+  ``agree`` on one study system's ratings (``agree`` pools every group, and
+  the systems share item ids);
 - ``analyze`` on ``SPLITTER_EDGES``, texts at the edges of the sentence
   splitter and the tokenizer, so their sentence, word and syllable counts
   are compared too.
@@ -160,12 +163,20 @@ def cases(seed: int, inputs: Path) -> dict[str, list[list[str]]]:
     study_files(scored.expect["ratings"], evald)
     with open(mixed / "splitter-edges.jsonl", "w", encoding="utf-8") as fh:
         fh.writelines(json.dumps({"text": text}) + "\n" for text in SPLITTER_EDGES)
+    with open(mixed / "input.tsv", "w", encoding="utf-8") as fh:  # no text holds a tab or line break
+        for line in (mixed / "input.jsonl").read_text(encoding="utf-8").splitlines():
+            pair = json.loads(line)
+            fh.write(f"{pair['source']}\t{pair['target']}\t{pair['similarity']!r}\n")
     chain = [
         ["filter", "input.jsonl", "-o", "kept.jsonl"],
         ["label", "kept.jsonl", "--scheme", "fkgl", "-o", "leveled.jsonl"],
         ["bucket", "leveled.jsonl", "--scheme", "fkgl", "-o", "tasks.jsonl"],
         ["split", "tasks.jsonl", "--seed", str(seed), "-o", "splits"],
         ["prompt", "splits/train.jsonl", "--strategy", "rel", "--scheme", "fkgl", "-o", "prompted.jsonl"],
+        ["prompt", "splits/train.jsonl", "--strategy", "rel", "--scheme", "fkgl", "--format", "tsv",
+         "-o", "prompted.tsv"],
+        *(["prompt", "splits/train.jsonl", "--strategy", strategy, "--scheme", "fkgl",
+           "-o", f"prompted-{strategy}.jsonl"] for strategy in ("llm-rel", "llm-abs", "baseline")),
         ["bucket", "leveled.jsonl", "--scheme", "fkgl"],
         ["prompt", "splits/valid.jsonl", "--strategy", "abs", "--scheme", "fkgl"],
         ["bucket", "leveled.jsonl", "--scheme", "fkgl", "-o", "-"],
@@ -176,11 +187,14 @@ def cases(seed: int, inputs: Path) -> dict[str, list[list[str]]]:
         ["bucket", "leveled-cefr6.jsonl", "--scheme", "cefr6", "-o", "tasks-cefr6.jsonl"],
         ["analyze", "kept.jsonl", "-o", "analyzed.jsonl"],
         ["analyze", "splitter-edges.jsonl", "-o", "splitter-edges-analyzed.jsonl"],
+        ["filter", "input.tsv", "-o", "kept-tsv.jsonl"],
+        ["label", "kept-tsv.jsonl", "--scheme", "fkgl", "-o", "leveled-tsv.jsonl"],
     ]
     reports = [
         ["analyze", "outputs.txt"],
         ["agree", "ratings-system-0.tsv", "--metric", "ordinal", "--threshold", "3", "--gold-out", "gold_out.jsonl"],
         ["classifier-eval", "--gold", "gold.jsonl", "--pred", "pred.jsonl"],
+        ["report", "ratings-system-0.tsv", "--format", "text"],
     ]
     return {
         "pipeline-mixed": prepared.commands + pipeline_variants(mixed) + chain,

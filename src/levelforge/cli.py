@@ -300,7 +300,7 @@ def _run_stage(
     """Run a stage command: write to ``args.output`` the records of what ``checked``, a stream
     over the pairs of ``args.input``, keeps; then print the summary."""
     kept = _Kept(checked)
-    with _output(args.output) as out, _blaming(args.input):  # a side without words has no FKGL
+    with _output(args.output) as out:
         n = write_jsonl(map(record, kept), out)
     _summary(args.command, kept.entered, n, kept.drops)
     return EXIT_OK
@@ -393,10 +393,10 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def _texts(path: str) -> Iterator[tuple[int, Optional[str]]]:
-    """(lineno, text) per line: JSONL "text" or "source", else the first TSV column."""
+    """(lineno, text) per line: JSONL "text" ("source" if it is absent, null or ""), else TSV column 1."""
     if Path(path).suffix.lower() == ".jsonl":
         for lineno, obj in read_jsonl(path):
-            name = "text" if obj.get("text") else "source"
+            name = "text" if obj.get("text") not in (None, "") else "source"
             text = obj.get(name)
             if type(text) not in (str, type(None)):
                 raise ParseError(path, lineno, f'"{name}" must be a string, got {type(text).__name__}')
@@ -423,10 +423,7 @@ def _predictions(scheme: Scheme, path: Optional[str], name: str) -> Optional[dic
         return None
     if not path:
         raise ConfigError(f"scheme {scheme.value} requires {name}")
-    pred_scheme, predictions = read_predictions(path)
-    if pred_scheme is not scheme:
-        raise DataError(f"{path} declares scheme {pred_scheme.value}, expected {scheme.value}")
-    return predictions
+    return read_predictions(path, scheme)
 
 
 def cmd_label(args: argparse.Namespace) -> int:

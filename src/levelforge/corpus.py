@@ -170,26 +170,22 @@ def attach_levels(
 ) -> Iterator[tuple[ParaphrasePair, Optional[DropReason]]]:
     """Attach per-side levels; FKGL is computed, other schemes are ingested.
 
-    ``predictions`` maps sentence keys to levels; a sentence is looked up
-    by its text hash first, then by "<pair_id>:source"/":target". Pairs
-    with an unresolvable side come back with reason LEVEL_MISSING.
+    ``predictions`` maps sentence keys to levels, looked up by text hash
+    first, then by "<pair_id>:source"/":target". A pair with a side of no
+    level (under FKGL, no words) comes back unleveled with LEVEL_MISSING.
     """
+    if scheme is not Scheme.FKGL and predictions is None:
+        raise ValueError(f"{scheme.value} labeling requires a prediction file")
     for pair in pairs:
-        if scheme is Scheme.FKGL:
-            try:
-                pair.source_level = level_of(pair.source)
-                pair.target_level = level_of(pair.target)
-            except ValueError as exc:  # a side without words
-                raise ValueError(f"pair {pair.id}: {exc}") from None
-            yield pair, None
-            continue
-        if predictions is None:
-            raise ValueError(f"{scheme.value} labeling requires a prediction file")
         resolved = []
         for text, role in ((pair.source, "source"), (pair.target, "target")):
-            level = predictions.get(text_sha256(text)) or predictions.get(
-                f"{pair.id}:{role}"
-            )
+            if scheme is Scheme.FKGL:
+                try:
+                    level = level_of(text)
+                except ValueError:  # a side without words has no FKGL
+                    level = None
+            else:
+                level = predictions.get(text_sha256(text)) or predictions.get(f"{pair.id}:{role}")
             resolved.append(level)
         if resolved[0] is None or resolved[1] is None:
             yield pair, DropReason.LEVEL_MISSING

@@ -121,17 +121,16 @@ def write_jsonl(records: Iterable[dict], out: TextIO) -> int:
 def read_pairs(path: str | Path, scheme: Optional[Scheme] = None) -> Iterator[ParaphrasePair]:
     """Read paraphrase pairs from JSONL or TSV.
 
-    JSONL objects carry {"id", "source", "target", "similarity"?}. TSV
-    rows are source<TAB>target[<TAB>similarity] with ids auto-assigned
-    from line numbers. With a ``scheme`` the pairs are leveled: the file
+    JSONL objects carry {"id", "source", "target", "similarity"?}. A TSV
+    row source<TAB>target[<TAB>similarity] reads as such an object, its id
+    the line number; a record no pair can be built from is a "bad pair
+    record" ParseError. With a ``scheme`` the pairs are leveled: the file
     is read as JSONL whatever its suffix, and each object also carries
     "source_level" and "target_level" labels of that scheme.
     """
     path = Path(path)
-    if scheme is None and path.suffix.lower() == ".tsv":
-        yield from _read_pairs_tsv(path)
-        return
-    for lineno, obj in read_jsonl(path):
+    tsv = scheme is None and path.suffix.lower() == ".tsv"
+    for lineno, obj in _tsv_rows(path) if tsv else read_jsonl(path):
         try:
             pair = ParaphrasePair(
                 id=str(obj["id"]),
@@ -147,31 +146,28 @@ def read_pairs(path: str | Path, scheme: Optional[Scheme] = None) -> Iterator[Pa
         yield pair
 
 
-def _read_pairs_tsv(path: Path) -> Iterator[ParaphrasePair]:
+def _tsv_rows(path: Path) -> Iterator[tuple[int, dict]]:
+    """(lineno, pair record) per non-empty TSV row, its id the line number."""
     for lineno, line in read_lines(path):
         if not line:
             continue
         cols = line.split("\t")
         if len(cols) < 2:
             raise ParseError(path, lineno, "expected source<TAB>target")
-        similarity = None
+        record = {"id": lineno, "source": cols[0], "target": cols[1]}
         if len(cols) >= 3 and cols[2]:
             try:
-                similarity = float(cols[2])
+                record["similarity"] = float(cols[2])
             except ValueError as exc:
                 raise ParseError(path, lineno, f"bad similarity: {cols[2]!r}") from exc
-        try:
-            yield ParaphrasePair(
-                id=str(lineno), source=cols[0], target=cols[1], similarity=similarity
-            )
-        except ValueError as exc:
-            raise ParseError(path, lineno, str(exc)) from exc
+        yield lineno, record
 
 
-def read_predictions(path: str | Path) -> tuple[Scheme, dict[str, ComplexityLevel]]:
-    """Read a level-prediction file.
+def read_predictions(path: str | Path, scheme: Scheme) -> dict[str, ComplexityLevel]:
+    """Read a level-prediction file of ``scheme``.
 
-    The first line is a header object declaring the scheme; each following
+    The first line is a header object declaring the scheme: another scheme
+    than ``scheme`` is a ParseError at the header's line. Each following
     line is {"id" or "text_sha256", "level"}. A key may repeat with the same
     level (one line per occurrence of a text), not with another.
     """
@@ -183,9 +179,11 @@ def read_predictions(path: str | Path) -> tuple[Scheme, dict[str, ComplexityLeve
     if "scheme" not in header:
         raise ParseError(path, lineno, 'missing {"scheme": ...} header line')
     try:
-        scheme = Scheme(header["scheme"])
+        declared = Scheme(header["scheme"])
     except ValueError as exc:
         raise ParseError(path, lineno, f"unknown scheme {header['scheme']!r}") from exc
+    if declared is not scheme:
+        raise ParseError(path, lineno, f"declares scheme {declared.value}, expected {scheme.value}")
     predictions: dict[str, ComplexityLevel] = {}
     for lineno, obj in rows:
         key = obj.get("text_sha256") or obj.get("id")
@@ -196,7 +194,7 @@ def read_predictions(path: str | Path) -> tuple[Scheme, dict[str, ComplexityLeve
         except ValueError as exc:
             raise ParseError(path, lineno, str(exc)) from None
         _put(predictions, str(key), level, path, lineno, "level")
-    return scheme, predictions
+    return predictions
 
 
 def read_ratings_tsv(path: str | Path) -> Iterator[tuple[int, str, str, str, float]]:

@@ -969,7 +969,7 @@ class TestLevelLabels:
         }[command]
         assert main(argv) == 1
         assert capsys.readouterr().err == (
-            f"error: {preds} declares scheme cefr3, expected cefr6\n"
+            f"error: {preds}:1: declares scheme cefr3, expected cefr6\n"
         )
         assert not (tmp_path / "out").exists()
 
@@ -1007,23 +1007,28 @@ class TestConfigFieldTypes:
 
 
 class TestLocatedDataErrors:
-    def test_analyze_non_string_text(self, tmp_path, capsys):
+    # "text" falls back to "source" only when it is null or "", so no other value is skipped.
+    @pytest.mark.parametrize("text, shown", [(5, "int"), ([], "list"), (0, "int"), (False, "bool"),
+                                             ({}, "dict")], ids=["int", "list", "zero", "false", "dict"])
+    def test_analyze_non_string_text(self, tmp_path, capsys, text, shown):
         data = tmp_path / "texts.jsonl"
-        write_jsonl_file(data, [{"text": 5}])
+        write_jsonl_file(data, [{"text": text, "source": "A dog ran."}])
         assert main(["analyze", str(data), "-o", str(tmp_path / "stats.jsonl")]) == 1
-        assert capsys.readouterr().err == f'error: {data}:1: "text" must be a string, got int\n'
+        assert capsys.readouterr().err == f'error: {data}:1: "text" must be a string, got {shown}\n'
 
     def test_label_side_without_words(self, tmp_path, capsys):
+        # Not a data error: like a CEFR side without a prediction, it is a LEVEL_MISSING drop.
         pairs = tmp_path / "pairs.jsonl"
         write_jsonl_file(pairs, [
             {"id": "p1", "source": "The cat sat on the mat.", "target": "A cat sat there."},
             {"id": "p2", "source": "... !!!", "target": "The cat sat on the mat."},
         ])
-        argv = ["label", str(pairs), "--scheme", "fkgl", "-o", str(tmp_path / "labeled.jsonl")]
-        assert main(argv) == 1
+        labeled = tmp_path / "labeled.jsonl"
+        assert main(["label", str(pairs), "--scheme", "fkgl", "-o", str(labeled)]) == 0
         assert capsys.readouterr().err == (
-            f"error: {pairs}: pair p2: FKGL undefined for word_count=0, sentence_count=2\n"
+            '{"command": "label", "drops": {"LEVEL_MISSING": 1}, "in": 2, "out": 1}\n'
         )
+        assert [json.loads(line)["id"] for line in labeled.read_text().splitlines()] == ["p1"]
 
 
 CEFR6 = ("A1", "A2", "B1", "B2", "C1", "C2")

@@ -8,7 +8,9 @@ exit 0, 1 or 2; a run that fails must leave stdout empty and write no
 output, and on exit 1 name one of its input files; and every JSON it prints
 or writes must parse with NaN and Infinity refused. A dataset command that
 succeeds prints one summary whose counts add up: every record read is either
-written out or dropped.
+written out or dropped. A deterministic sweep holds the same invariants on
+one-line inputs that give each key of a JSONL command's first record each
+odd value, NaN and the infinities.
 """
 import contextlib
 import io
@@ -120,12 +122,24 @@ ODD_VALUES = [0, -1, 1.5, True, None, [], {}, ["a"], "x", 1e308]
 NON_FINITE = ["nan", "inf", "-inf", "1e308", "-1e308", "NaN", "Infinity"]
 
 
+def resolved(record, paths):
+    """``record`` with each value that names a "{file}" or "@output" replaced by its path."""
+    return {k: paths.get(v, v) if isinstance(v, str) else v for k, v in record.items()}
+
+
+def plain_line(kind, line, paths):
+    """One unmutated line of ``kind`` as bytes."""
+    if kind == "jsonl":
+        return json.dumps(resolved(line, paths)).encode("utf-8")
+    return ("\t".join(line) if kind == "tsv" else line).encode("utf-8")
+
+
 @st.composite
 def mutated_line(draw, kind, valid, paths):
     """One line of ``kind`` as bytes: ``valid``, or (one time in four) a mutation of it."""
     mutation = draw(st.sampled_from([None] * 3 * len(MUTATIONS) + MUTATIONS))
     if kind == "jsonl":
-        obj = {k: paths.get(v, v) if isinstance(v, str) else v for k, v in valid.items()}
+        obj = resolved(valid, paths)
         key = draw(st.sampled_from(sorted(obj)))
         if mutation == "type":
             obj[key] = draw(st.sampled_from(ODD_VALUES))
@@ -193,10 +207,9 @@ def _run(argv):
     return code, stdout.getvalue(), stderr.getvalue()
 
 
-@pytest.mark.parametrize("command", sorted(COMMANDS))
-@settings(max_examples=30, deadline=None, derandomize=True)
-@given(data=st.data())
-def test_mutated_inputs(command, data):
+def check_run(command, inputs_of):
+    """Run ``command`` on the input files ``inputs_of(paths)`` gives as {name: bytes}, ``paths``
+    mapping each "{name}" and "@name" of its template to a file, and hold every invariant."""
     files, template = COMMANDS[command]
     with tempfile.TemporaryDirectory() as tmp:
         indir, outdir = Path(tmp, "in"), Path(tmp, "out")
@@ -205,7 +218,7 @@ def test_mutated_inputs(command, data):
         paths = {f"{{{name}}}": str(indir / name) for name in files}
         paths.update({arg: str(outdir / arg[1:]) for arg in template if arg.startswith("@")})
         paths["@run"] = str(outdir / "run")
-        inputs = data.draw(input_files(files, paths))
+        inputs = inputs_of(paths)
         for name, content in inputs.items():
             (indir / name).write_bytes(content)
 
@@ -240,3 +253,34 @@ def test_mutated_inputs(command, data):
                 strict_json(line)
         for path in outdir.rglob("*.json"):
             strict_json(path.read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_mutated_inputs(command, data):
+    files = COMMANDS[command][0]
+    check_run(command, lambda paths: data.draw(input_files(files, paths)))
+
+
+# Random mutations give one key one odd value about once per thousand lines; this
+# sweep gives each key of a JSONL command's first record each odd value once.
+@pytest.mark.parametrize("command", sorted(c for c, (files, _) in COMMANDS.items()
+                                           if next(iter(files.values()))[0] == "jsonl"))
+def test_each_key_takes_each_odd_value(command):
+    files = COMMANDS[command][0]
+    first, (_, _, valid) = next(iter(files.items()))
+
+    def one_line_each(key, value):
+        """Each file as its header lines and its first valid line, that of ``first`` with
+        ``key`` set to ``value``."""
+        def inputs_of(paths):
+            lines = {name: [*header, body[0]] for name, (_, header, body) in files.items()}
+            lines[first][-1] = {**valid[0], key: value}
+            return {name: b"".join(plain_line(files[name][0], line, paths) + b"\n" for line in rows)
+                    for name, rows in lines.items()}
+        return inputs_of
+
+    for key in sorted(valid[0]):
+        for value in [*ODD_VALUES, float("nan"), float("inf"), float("-inf")]:
+            check_run(command, one_line_each(key, value))

@@ -259,6 +259,12 @@ class TestAttachLevels:
         pair, reason = next(iter(attach_levels([p], Scheme.CEFR6, preds)))
         assert reason is DropReason.LEVEL_MISSING
 
+    def test_fkgl_side_without_words_is_level_missing(self):
+        p = make_pair(1, source="... !!!")
+        pair, reason = next(iter(attach_levels([p], Scheme.FKGL)))
+        assert reason is DropReason.LEVEL_MISSING
+        assert pair.source_level is None and pair.target_level is None
+
     def test_predictions_required_for_cefr(self):
         with pytest.raises(ValueError):
             list(attach_levels([make_pair(1)], Scheme.CEFR6))

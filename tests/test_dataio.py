@@ -1,9 +1,12 @@
 import ast
 import io
 import json
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import levelforge
 from levelforge.corpus import ParaphrasePair
@@ -20,6 +23,9 @@ from levelforge.dataio import (
     write_jsonl,
 )
 from levelforge.readability import ComplexityLevel, Scheme
+
+# A TSV field: any text without a tab or a line break.
+TSV_FIELD = st.text(st.characters(exclude_characters="\t\n\r"), max_size=12)
 
 
 class TestJsonl:
@@ -108,6 +114,28 @@ class TestReadPairs:
         with pytest.raises(ParseError):
             list(read_pairs(path))
 
+    # Sides may be empty and similarities out of [0, 1]: the two files then fail alike.
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(TSV_FIELD, TSV_FIELD, st.none() | st.floats(-0.5, 1.5)),
+                    min_size=1, max_size=4))
+    def test_tsv_reads_as_the_jsonl_of_its_rows(self, rows):
+        def read(path):
+            try:
+                return list(read_pairs(path))
+            except ParseError as exc:
+                return str(exc)[len(str(path)):]
+
+        with tempfile.TemporaryDirectory() as tmp:
+            tsv, jsonl = Path(tmp, "pairs.tsv"), Path(tmp, "pairs.jsonl")
+            with open(tsv, "w", encoding="utf-8") as fh:
+                for source, target, similarity in rows:
+                    cols = [source, target] + ([] if similarity is None else [repr(similarity)])
+                    fh.write("\t".join(cols) + "\n")
+            with open(jsonl, "w", encoding="utf-8") as fh:
+                write_jsonl(({"id": i, "source": source, "target": target, "similarity": similarity}
+                             for i, (source, target, similarity) in enumerate(rows, start=1)), fh)
+            assert read(tsv) == read(jsonl)
+
 
 class TestReadPredictions:
     def test_header_and_rows(self, tmp_path):
@@ -117,8 +145,7 @@ class TestReadPredictions:
             '{"id": "s1", "level": "B2"}\n'
             '{"text_sha256": "abc123", "level": "A1"}\n'
         )
-        scheme, preds = read_predictions(path)
-        assert scheme is Scheme.CEFR6
+        preds = read_predictions(path, Scheme.CEFR6)
         assert preds["s1"] == ComplexityLevel.parse(Scheme.CEFR6, "B2")
         assert preds["abc123"].label == "A1"
 
@@ -126,31 +153,38 @@ class TestReadPredictions:
         path = tmp_path / "preds.jsonl"
         path.write_text('{"id": "s1", "level": "B2"}\n')
         with pytest.raises(ParseError):
-            read_predictions(path)
+            read_predictions(path, Scheme.CEFR6)
 
     def test_unknown_scheme(self, tmp_path):
         path = tmp_path / "preds.jsonl"
         path.write_text('{"scheme": "grade"}\n')
         with pytest.raises(ParseError):
-            read_predictions(path)
+            read_predictions(path, Scheme.CEFR6)
 
     def test_empty_file(self, tmp_path):
         path = tmp_path / "preds.jsonl"
         path.write_text("")
         with pytest.raises(ParseError):
-            read_predictions(path)
+            read_predictions(path, Scheme.CEFR6)
 
     def test_repeated_key_must_keep_its_level(self, tmp_path):
         # One line per occurrence of a text is fine; two levels for one text is not.
         path = tmp_path / "preds.jsonl"
         path.write_text('{"scheme": "cefr6"}\n{"text_sha256": "abc", "level": "B2"}\n'
                         '{"text_sha256": "abc", "level": "b2"}\n')
-        assert read_predictions(path)[1] == {"abc": ComplexityLevel.parse(Scheme.CEFR6, "B2")}
+        assert read_predictions(path, Scheme.CEFR6) == {"abc": ComplexityLevel.parse(Scheme.CEFR6, "B2")}
         with open(path, "a") as fh:
             fh.write('{"text_sha256": "abc", "level": "C1"}\n')
         with pytest.raises(ParseError) as exc:
-            read_predictions(path)
+            read_predictions(path, Scheme.CEFR6)
         assert str(exc.value) == f"{path}:4: 'abc' repeats with another level"
+
+    def test_other_scheme_fails_at_the_header(self, tmp_path):
+        path = tmp_path / "preds.jsonl"
+        path.write_text('\n{"scheme": "cefr3"}\n{"id": "s1", "level": "A"}\n')
+        with pytest.raises(ParseError) as exc:
+            read_predictions(path, Scheme.CEFR6)
+        assert str(exc.value) == f"{path}:2: declares scheme cefr3, expected cefr6"
 
 
 class TestReadRatingsTsv:
@@ -265,7 +299,7 @@ class TestRareLines:
 
     @pytest.mark.parametrize("line, message", [
         ("a b c\td e f\thigh", "bad similarity: 'high'"),
-        ("\td e f", "pair 1: source and target must be non-empty"),
+        ("\td e f", "bad pair record: pair 1: source and target must be non-empty"),
     ])
     def test_bad_tsv_pair(self, tmp_path, line, message):
         path = tmp_path / "pairs.tsv"
@@ -278,7 +312,7 @@ class TestRareLines:
         path = tmp_path / "preds.jsonl"
         path.write_text('{"scheme": "cefr6"}\n{"id": "s1"}\n')
         with pytest.raises(ParseError) as exc:
-            read_predictions(path)
+            read_predictions(path, Scheme.CEFR6)
         assert str(exc.value) == f'{path}:2: need "id" or "text_sha256" plus "level"'
 
     def test_ratings_blank_lines_skipped(self, tmp_path):
