@@ -127,13 +127,6 @@ def resolved(record, paths):
     return {k: paths.get(v, v) if isinstance(v, str) else v for k, v in record.items()}
 
 
-def plain_line(kind, line, paths):
-    """One unmutated line of ``kind`` as bytes."""
-    if kind == "jsonl":
-        return json.dumps(resolved(line, paths)).encode("utf-8")
-    return ("\t".join(line) if kind == "tsv" else line).encode("utf-8")
-
-
 @st.composite
 def mutated_line(draw, kind, valid, paths):
     """One line of ``kind`` as bytes: ``valid``, or (one time in four) a mutation of it."""
@@ -266,7 +259,7 @@ def test_mutated_inputs(command, data):
 # Random mutations give one key one odd value about once per thousand lines; this
 # sweep gives each key of a JSONL command's first record each odd value once.
 @pytest.mark.parametrize("command", sorted(c for c, (files, _) in COMMANDS.items()
-                                           if next(iter(files.values()))[0] == "jsonl"))
+                                           if all(kind == "jsonl" for kind, _, _ in files.values())))
 def test_each_key_takes_each_odd_value(command):
     files = COMMANDS[command][0]
     first, (_, _, valid) = next(iter(files.items()))
@@ -277,7 +270,7 @@ def test_each_key_takes_each_odd_value(command):
         def inputs_of(paths):
             lines = {name: [*header, body[0]] for name, (_, header, body) in files.items()}
             lines[first][-1] = {**valid[0], key: value}
-            return {name: b"".join(plain_line(files[name][0], line, paths) + b"\n" for line in rows)
+            return {name: b"".join(json.dumps(resolved(line, paths)).encode() + b"\n" for line in rows)
                     for name, rows in lines.items()}
         return inputs_of
 
