@@ -17,11 +17,14 @@ own:
   ``-o -``, ``-o /dev/stdout`` and ``-o /dev/stderr``, which under the
   captured streams are pipes; its label and bucket steps run again under
   ``cefr6`` with the predictions file, and its prompt step under every
-  strategy and as TSV;
+  strategy and as TSV, and under ``cefr6`` as ``abs`` and ``llm-abs``;
+- ``analyze`` on the kept pairs, bare and with a ``--levels`` file that
+  mixes CEFR labels, integers and decimals;
 - ``filter`` and then ``label`` on a TSV copy of the pipeline input;
 - ``analyze``, ``classifier-eval``, ``report --format text``, and
   ``agree`` on one study system's ratings (``agree`` pools every group, and
-  the systems share item ids);
+  the systems share item ids), and ``agree`` again with every seventh item
+  rated once, so that alpha's choice of pairable items is compared;
 - ``analyze`` on ``SPLITTER_EDGES``, texts at the edges of the sentence
   splitter and the tokenizer, so their sentence, word and syllable counts
   are compared too.
@@ -96,15 +99,22 @@ SPLITTER_EDGES = (
 
 
 def study_files(ratings: list, workdir: Path) -> None:
-    """From one study system's ratings: ratings-system-0.tsv, and gold.jsonl and
-    pred.jsonl, raters r0 and r1 as CEFR6 levels."""
+    """From one study system's ratings: ratings-system-0.tsv; ratings-single.tsv, the
+    same with every seventh item rated once; and gold.jsonl and pred.jsonl, raters r0
+    and r1 as CEFR6 levels."""
     by_rater: dict[str, dict[str, str]] = {"r0": {}, "r1": {}}
-    with open(workdir / "ratings-system-0.tsv", "w", encoding="utf-8") as fh:
-        for item, rater, group, value in ratings:
-            if group == "system-0":
-                fh.write(f"{item}\t{rater}\t{group}\t{value}\n")
-                if rater in by_rater:
-                    by_rater[rater][item] = CEFR6[value - 1]
+    rows = [row for row in ratings if row[2] == "system-0"]
+    order = {item: k for k, item in enumerate(dict.fromkeys(item for item, *_ in rows))}
+    rated: set[str] = set()
+    with open(workdir / "ratings-system-0.tsv", "w", encoding="utf-8") as fh, \
+            open(workdir / "ratings-single.tsv", "w", encoding="utf-8") as single:
+        for item, rater, group, value in rows:
+            fh.write(f"{item}\t{rater}\t{group}\t{value}\n")
+            if order[item] % 7 or item not in rated:
+                single.write(f"{item}\t{rater}\t{group}\t{value}\n")
+                rated.add(item)
+            if rater in by_rater:
+                by_rater[rater][item] = CEFR6[value - 1]
     items = sorted(by_rater["r0"].keys() & by_rater["r1"].keys())
     for name, rater in (("gold.jsonl", "r0"), ("pred.jsonl", "r1")):
         with open(workdir / name, "w", encoding="utf-8") as fh:
@@ -163,6 +173,11 @@ def cases(seed: int, inputs: Path) -> dict[str, list[list[str]]]:
     study_files(scored.expect["ratings"], evald)
     with open(mixed / "splitter-edges.jsonl", "w", encoding="utf-8") as fh:
         fh.writelines(json.dumps({"text": text}) + "\n" for text in SPLITTER_EDGES)
+    with open(mixed / "levels.jsonl", "w", encoding="utf-8") as fh:  # a label per line of kept.jsonl
+        for lineno in range(1, prepared.items + 1):
+            kind = _hashed(f"level {lineno}")
+            label = (CEFR6[kind % 6], kind % 13, kind % 130 / 10)[kind // 6 % 3]
+            fh.write(json.dumps({"level": label}) + "\n")
     with open(mixed / "input.tsv", "w", encoding="utf-8") as fh:  # no text holds a tab or line break
         for line in (mixed / "input.jsonl").read_text(encoding="utf-8").splitlines():
             pair = json.loads(line)
@@ -185,7 +200,10 @@ def cases(seed: int, inputs: Path) -> dict[str, list[list[str]]]:
         ["label", "kept.jsonl", "--scheme", "cefr6", "--predictions", "preds.jsonl",
          "-o", "leveled-cefr6.jsonl"],
         ["bucket", "leveled-cefr6.jsonl", "--scheme", "cefr6", "-o", "tasks-cefr6.jsonl"],
+        *(["prompt", "tasks-cefr6.jsonl", "--strategy", strategy, "--scheme", "cefr6",
+           "-o", f"prompted-cefr6-{strategy}.jsonl"] for strategy in ("llm-abs", "abs")),
         ["analyze", "kept.jsonl", "-o", "analyzed.jsonl"],
+        ["analyze", "kept.jsonl", "--levels", "levels.jsonl", "-o", "analyzed-levels.jsonl"],
         ["analyze", "splitter-edges.jsonl", "-o", "splitter-edges-analyzed.jsonl"],
         ["filter", "input.tsv", "-o", "kept-tsv.jsonl"],
         ["label", "kept-tsv.jsonl", "--scheme", "fkgl", "-o", "leveled-tsv.jsonl"],
@@ -193,6 +211,7 @@ def cases(seed: int, inputs: Path) -> dict[str, list[list[str]]]:
     reports = [
         ["analyze", "outputs.txt"],
         ["agree", "ratings-system-0.tsv", "--metric", "ordinal", "--threshold", "3", "--gold-out", "gold_out.jsonl"],
+        ["agree", "ratings-single.tsv", "--metric", "ordinal"],
         ["classifier-eval", "--gold", "gold.jsonl", "--pred", "pred.jsonl"],
         ["report", "ratings-system-0.tsv", "--format", "text"],
     ]

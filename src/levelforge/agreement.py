@@ -71,12 +71,6 @@ class RatingMatrix:
             grouped[item].append(value)
         return grouped
 
-    def validate(self) -> None:
-        if len(self.raters) < 2:
-            raise ValueError("RatingMatrix needs at least 2 raters")
-        if not any(len(v) >= 2 for v in self.by_item().values()):
-            raise UndefinedAlphaError("alpha undefined: no item carries two or more ratings")
-
 
 def _per_class_f1(confusion: Mapping[tuple, int], labels: Sequence) -> dict:
     scores = {}
@@ -139,13 +133,15 @@ def krippendorff_alpha(matrix: RatingMatrix, metric: str = "nominal") -> float:
     """
     if metric not in ("nominal", "ordinal"):
         raise ValueError(f"metric must be nominal or ordinal, got {metric!r}")
-    matrix.validate()
+    if len(matrix.raters) < 2:
+        raise ValueError("RatingMatrix needs at least 2 raters")
+    pairable = [values for values in matrix.by_item().values() if len(values) >= 2]
+    if not pairable:
+        raise UndefinedAlphaError("alpha undefined: no item carries two or more ratings")
 
     coincidence: Counter = Counter()
-    for values in matrix.by_item().values():
+    for values in pairable:
         m = len(values)
-        if m < 2:
-            continue
         for i, a in enumerate(values):
             for j, b in enumerate(values):
                 if i != j:

@@ -25,6 +25,7 @@ from typing import Callable, Generic, Iterable, Iterator, Mapping, Optional, Seq
 
 from . import __version__
 from .agreement import (
+    UNRESOLVED,
     LabeledPrediction,
     RatingMatrix,
     adjacent_accuracy,
@@ -64,7 +65,7 @@ from .dataio import (
     write_jsonl,
 )
 from .genmetrics import EvalInstance, is_copy, sari, sari_r, score_report
-from .prompts import Strategy, render_record
+from .prompts import LLM_ABS_METRICS, Strategy, render_record
 from .readability import ComplexityLevel, Scheme, fkgl, level_of
 from .textcore import sentence_stats
 
@@ -360,9 +361,13 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     levels: dict[int, str] = {}
     if args.levels:
         for lineno, obj in read_jsonl(args.levels):
-            if "level" not in obj:
+            label = obj.get("level")
+            if label is None:
                 raise ParseError(args.levels, lineno, 'need "level"')
-            levels[lineno] = str(obj["level"])
+            if type(label) not in (str, int, float):
+                msg = f'"level" must be a string or a number, got {type(label).__name__}'
+                raise ParseError(args.levels, lineno, msg)
+            levels[lineno] = str(label)
     per_level: dict[str, list[float]] = {}
     with _output(args.output) as out:
         for lineno, text in _texts(args.input):
@@ -451,6 +456,8 @@ def cmd_split(args: argparse.Namespace) -> int:
 def cmd_prompt(args: argparse.Namespace) -> int:
     strategy = Strategy(args.strategy)
     scheme = Scheme(args.scheme)
+    if strategy is Strategy.LLM_ABSOLUTE and scheme not in LLM_ABS_METRICS:
+        raise ConfigError("--strategy llm-abs names an FKGL or CEFR level, not a newsela one")
     fixed = None
     if args.fixed_level is not None:
         if strategy not in (Strategy.ABSOLUTE, Strategy.LLM_ABSOLUTE):
@@ -474,14 +481,11 @@ def cmd_prompt(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-_NEED_EVAL_FIELDS = 'need "source" and "references"'
-
-
 def cmd_score(args: argparse.Namespace) -> int:
     if args.repetition_n < 1:
         raise ConfigError(f"--repetition-n must be >= 1, got {args.repetition_n}")
     outputs = [line for _, line in read_lines(args.outputs)]
-    refs = list(read_jsonl(args.refs, not_object=_NEED_EVAL_FIELDS))
+    refs = list(read_jsonl(args.refs))
     if len(outputs) != len(refs):
         raise DataError(
             f"line-count mismatch: {len(outputs)} lines in {args.outputs}, {len(refs)} in {args.refs}"
@@ -489,7 +493,7 @@ def cmd_score(args: argparse.Namespace) -> int:
     instances = []
     for out_text, (lineno, obj) in zip(outputs, refs):
         if "source" not in obj or "references" not in obj:
-            raise ParseError(args.refs, lineno, _NEED_EVAL_FIELDS)
+            raise ParseError(args.refs, lineno, 'need "source" and "references"')
         with _blaming(f"{args.refs}:{lineno}"):
             instances.append(EvalInstance(obj["source"], out_text, obj["references"]))
     with _blaming(args.outputs):  # no instances
@@ -536,7 +540,7 @@ def cmd_agree(args: argparse.Namespace) -> int:
         result = {"alpha": krippendorff_alpha(matrix, metric=args.metric), "metric": args.metric}
         resolved = None if args.threshold is None else majority_gold(matrix, args.threshold)
     if resolved is not None:
-        gold = {k: v for k, v in resolved.items() if v != "UNRESOLVED"}
+        gold = {k: v for k, v in resolved.items() if v != UNRESOLVED}
         result["resolved"] = len(gold)
         result["items"] = len(resolved)
         if args.gold_out:

@@ -128,9 +128,8 @@ def text_sha256(text: str) -> str:
 
 
 def pair_key(source: str, target: str) -> str:
-    """Stable pair identity: hash of NFC-normalized source and target."""
-    payload = normalize(source) + "\x00" + normalize(target)
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+    """Stable pair identity: hash of NFC source, NUL, NFC target (NFC never crosses a NUL)."""
+    return text_sha256(f"{source}\x00{target}")
 
 
 def filter_pair(

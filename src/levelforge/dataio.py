@@ -59,14 +59,8 @@ def _not_json(constant: str) -> float:
 _DECODER = json.JSONDecoder(parse_constant=_not_json)
 
 
-def read_jsonl(
-    path: str | Path, not_object: str = "expected a JSON object, got {}"
-) -> Iterator[tuple[int, dict]]:
-    """Yield (lineno, object) for each non-empty line.
-
-    A line holding any other JSON value is a ParseError with the message
-    ``not_object``, formatted with the value's type name.
-    """
+def read_jsonl(path: str | Path) -> Iterator[tuple[int, dict]]:
+    """Yield (lineno, object) for each non-empty line; any other JSON value is a ParseError."""
     for lineno, line in read_lines(path):
         line = line.strip()
         if not line:
@@ -80,8 +74,15 @@ def read_jsonl(
         except ValueError as exc:
             raise ParseError(path, lineno, f"invalid JSON: {exc}") from exc
         if not isinstance(obj, dict):
-            raise ParseError(path, lineno, not_object.format(type(obj).__name__))
+            raise ParseError(path, lineno, f"expected a JSON object, got {type(obj).__name__}")
         yield lineno, obj
+
+
+def _id(value: object) -> str:
+    """A record's id: a JSON string, or an integer read as its digits."""
+    if type(value) not in (str, int):  # not bool, a subclass of int
+        raise ValueError(f"an id must be a string or an integer, got {type(value).__name__}")
+    return str(value)
 
 
 def _put(values: dict[str, T], key: str, value: T, path: str | Path, lineno: int, name: str) -> None:
@@ -93,18 +94,18 @@ def _put(values: dict[str, T], key: str, value: T, path: str | Path, lineno: int
 def read_keyed(path: str | Path, name: str, convert: Callable[[object], T]) -> dict[str, T]:
     """Map each JSONL line's "id" to ``convert`` of its ``name`` field.
 
-    A line without both, whose value ``convert`` rejects, or that repeats an
-    id with another value, is a ParseError.
+    A line without both, whose id ``_id`` or value ``convert`` rejects, or
+    that repeats an id with another value, is a ParseError.
     """
     values: dict[str, T] = {}
     for lineno, obj in read_jsonl(path):
         if "id" not in obj or name not in obj:
             raise ParseError(path, lineno, f'need "id" and "{name}"')
         try:
-            value = convert(obj[name])
+            key, value = _id(obj["id"]), convert(obj[name])
         except ValueError as exc:
             raise ParseError(path, lineno, str(exc)) from None
-        _put(values, str(obj["id"]), value, path, lineno, name)
+        _put(values, key, value, path, lineno, name)
     return values
 
 
@@ -133,7 +134,7 @@ def read_pairs(path: str | Path, scheme: Optional[Scheme] = None) -> Iterator[Pa
     for lineno, obj in _tsv_rows(path) if tsv else read_jsonl(path):
         try:
             pair = ParaphrasePair(
-                id=str(obj["id"]),
+                id=_id(obj["id"]),
                 source=obj["source"],
                 target=obj["target"],
                 similarity=obj.get("similarity"),
@@ -190,10 +191,10 @@ def read_predictions(path: str | Path, scheme: Scheme) -> dict[str, ComplexityLe
         if key is None or "level" not in obj:
             raise ParseError(path, lineno, 'need "id" or "text_sha256" plus "level"')
         try:
-            level = ComplexityLevel.parse(scheme, obj["level"])
+            key, level = _id(key), ComplexityLevel.parse(scheme, obj["level"])
         except ValueError as exc:
             raise ParseError(path, lineno, str(exc)) from None
-        _put(predictions, str(key), level, path, lineno, "level")
+        _put(predictions, key, level, path, lineno, "level")
     return predictions
 
 

@@ -38,6 +38,7 @@ LLM_REL_PROMPTS = {
     TaskLabel.SAME: "Please rewrite the following text to the same English level: ",
 }
 LLM_ABS_TEMPLATE = "Please rewrite the following text so that its {metric} level is {level}: "
+LLM_ABS_METRICS = {Scheme.FKGL: "FKGL", Scheme.CEFR6: "CEFR", Scheme.CEFR3: "CEFR"}  # no Newsela
 
 
 class Strategy(str, Enum):
@@ -68,6 +69,8 @@ class PromptSpec:
         if self.strategy in (Strategy.ABSOLUTE, Strategy.LLM_ABSOLUTE):
             if self.target_level is None:
                 raise ValueError(f"{self.strategy.value} prompting requires a target level")
+            if self.strategy is Strategy.LLM_ABSOLUTE and self.target_level.scheme not in LLM_ABS_METRICS:
+                raise ValueError("llm-abs prompting names an FKGL or CEFR level, not a newsela one")
             if self.task is TaskLabel.SAME and self.strategy is Strategy.ABSOLUTE:
                 raise ValueError(
                     "absolute prompting is not trained for single-task same-level data"
@@ -84,8 +87,7 @@ class PromptSpec:
         level = _abs_level_token(self.target_level)
         if self.strategy is Strategy.ABSOLUTE:
             return ABS_TEMPLATE.format(level=level)
-        metric = "FKGL" if self.target_level.scheme is Scheme.FKGL else "CEFR"
-        return LLM_ABS_TEMPLATE.format(metric=metric, level=level)
+        return LLM_ABS_TEMPLATE.format(metric=LLM_ABS_METRICS[self.target_level.scheme], level=level)
 
 
 def render(spec: PromptSpec, text: str) -> str:

@@ -141,8 +141,6 @@ def corpus_fkgl(texts: Iterable[str]) -> float:
         words += stats.word_count
         sentences += stats.sentence_count
         syllables += stats.syllable_count
-    if words == 0:
-        raise ValueError("corpus_fkgl needs at least one non-empty text")
     return fkgl_from_counts(words, sentences, syllables)
 
 

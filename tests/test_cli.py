@@ -237,6 +237,16 @@ class TestPromptCommand:
             "", f"error: --fixed-level needs strategy abs or llm-abs, not {strategy}\n")
         assert not out.exists()
 
+    @pytest.mark.parametrize("fixed", [[], ["--fixed-level", "3"]])
+    def test_llm_abs_names_no_newsela_level(self, tmp_path, capsys, fixed):
+        # Refused before the input is read: its bad line would be a data error (exit 1).
+        data = tmp_path / "data.jsonl"
+        data.write_text("{not json\n")
+        argv = ["prompt", str(data), "--strategy", "llm-abs", "--scheme", "newsela", *fixed]
+        assert main(argv) == 2
+        assert capsys.readouterr() == (
+            "", "error: --strategy llm-abs names an FKGL or CEFR level, not a newsela one\n")
+
 
 class TestScoreCommand:
     def test_report_fields(self, tmp_path, capsys):
@@ -329,7 +339,7 @@ class TestScoreCommand:
             ({"source": "a b c.", "references": []},
              '"references" must be a non-empty list of strings'),
             ({"source": 5, "references": ["a b."]}, '"source" must be a string, got int'),
-            (["a b c.", ["a b."]], 'need "source" and "references"'),
+            (["a b c.", ["a b."]], "expected a JSON object, got list"),
             ({"source": "a b c."}, 'need "source" and "references"'),
         ],
     )
@@ -653,14 +663,22 @@ class TestAnalyzeCommand:
             f"error: {data}:2: invalid JSON: Expecting value: line 1 column 1 (char 0)\n"
         )
 
-    def test_level_line_without_level_is_data_error(self, tmp_path, capsys):
+    @pytest.mark.parametrize("line, message", [
+        ({"lvl": "B1"}, 'need "level"'),
+        # A null label is a missing one; a label is a string or a number.
+        ({"level": None}, 'need "level"'),
+        ({"level": [1]}, '"level" must be a string or a number, got list'),
+        ({"level": {"a": 1}}, '"level" must be a string or a number, got dict'),
+        ({"level": True}, '"level" must be a string or a number, got bool'),
+    ])
+    def test_level_line_without_level_is_data_error(self, tmp_path, capsys, line, message):
         data = tmp_path / "texts.txt"
         data.write_text("The cat sat.\nA dog ran.\n")
         levels = tmp_path / "levels.jsonl"
-        write_jsonl_file(levels, [{"level": "A1"}, {"lvl": "B1"}])
+        write_jsonl_file(levels, [{"level": "A1"}, line])
         argv = ["analyze", str(data), "--levels", str(levels), "-o", str(tmp_path / "o.jsonl")]
         assert main(argv) == 1
-        assert capsys.readouterr().err == f'error: {levels}:2: need "level"\n'
+        assert capsys.readouterr().err == f"error: {levels}:2: {message}\n"
 
 
 class TestBadSettingsAreUsageErrors:
@@ -864,6 +882,26 @@ class TestDataErrorsNameTheirFile:
                                    {"input": "corpus.jsonl", "output_dir": "out", "task_size": 3})},
                                ["pipeline", "--config", "config.json"],
                                "corpus.jsonl: need 6 different-level pairs for task size 3, have 0"),
+        # An id is a JSON string or an integer, in every file that keys by one.
+        "filter-null-id": ({"pairs.jsonl": PAIR.replace('"p1"', "null")}, ["filter", "pairs.jsonl"],
+                           "pairs.jsonl:1: bad pair record: an id must be a string or an integer, got NoneType"),
+        "filter-list-id": ({"pairs.jsonl": PAIR.replace('"p1"', "[1]")}, ["filter", "pairs.jsonl"],
+                           "pairs.jsonl:1: bad pair record: an id must be a string or an integer, got list"),
+        "filter-bool-id": ({"pairs.jsonl": PAIR.replace('"p1"', "true")}, ["filter", "pairs.jsonl"],
+                           "pairs.jsonl:1: bad pair record: an id must be a string or an integer, got bool"),
+        "pipeline-similarity-id": ({"corpus.jsonl": PAIR, "sims.jsonl": '{"id": null, "similarity": 0.7}\n',
+                                    "config.json": json.dumps({"input": "corpus.jsonl", "output_dir": "out",
+                                                               "similarity_source": "file",
+                                                               "similarity_file": "sims.jsonl"})},
+                                   ["pipeline", "--config", "config.json"],
+                                   "sims.jsonl:1: an id must be a string or an integer, got NoneType"),
+        "classifier-eval-id": ({"gold.jsonl": '{"id": true, "level": "A1"}\n', "pred.jsonl": ""},
+                               ["classifier-eval", "--gold", "gold.jsonl", "--pred", "pred.jsonl"],
+                               "gold.jsonl:1: an id must be a string or an integer, got bool"),
+        "label-predictions-key": ({"corpus.jsonl": PAIR,
+                                   "preds.jsonl": '{"scheme": "cefr6"}\n{"text_sha256": [1], "level": "B1"}\n'},
+                                  ["label", "corpus.jsonl", "--scheme", "cefr6", "--predictions", "preds.jsonl"],
+                                  "preds.jsonl:2: an id must be a string or an integer, got list"),
     }
 
     @pytest.mark.parametrize("case", sorted(CASES))

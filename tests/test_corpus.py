@@ -1,4 +1,6 @@
+import hashlib
 import math
+import unicodedata
 
 import pytest
 from hypothesis import example, given, settings
@@ -73,6 +75,23 @@ class TestPairKey:
 
     def test_separator_prevents_ambiguity(self):
         assert pair_key("ab", "c") != pair_key("a", "bc")
+
+    # Letters, combining marks, Hangul syllables and jamo (which compose across
+    # characters), NUL, and any other character.
+    COMPOSING = st.one_of(
+        st.sampled_from("aeoAE\u00e9\u0300\u0301\u0308\u0327\u0323\u0345"
+                        "\u1100\u1161\u11a8\uac00\uac01\x00"),
+        st.characters(exclude_categories=("Cs",)),
+    )
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.text(COMPOSING), st.text(COMPOSING))
+    def test_key_is_the_hash_of_each_side_normalized_alone(self, source, target):
+        def nfc(text):
+            return unicodedata.normalize("NFC", text)
+
+        payload = (nfc(source) + "\x00" + nfc(target)).encode("utf-8")
+        assert pair_key(source, target) == hashlib.sha256(payload).hexdigest()
 
     def test_text_sha256_normalized(self):
         assert text_sha256("café") == text_sha256("café")

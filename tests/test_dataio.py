@@ -24,8 +24,9 @@ from levelforge.dataio import (
 )
 from levelforge.readability import ComplexityLevel, Scheme
 
-# A TSV field: any text without a tab or a line break.
-TSV_FIELD = st.text(st.characters(exclude_characters="\t\n\r"), max_size=12)
+# A TSV field: any text without a tab, a line break or a lone surrogate, which
+# no UTF-8 file can hold (TestReadLines covers a file that is not UTF-8).
+TSV_FIELD = st.text(st.characters(exclude_categories=("Cs",), exclude_characters="\t\n\r"), max_size=12)
 
 
 class TestJsonl:
@@ -108,6 +109,13 @@ class TestReadPairs:
         with pytest.raises(ParseError):
             list(read_pairs(path))
 
+    def test_id_neither_string_nor_integer_rejected(self, tmp_path):
+        path = tmp_path / "pairs.jsonl"
+        path.write_text(json.dumps({"id": None, "source": "a b c", "target": "d e f"}) + "\n")
+        with pytest.raises(ParseError) as exc:
+            list(read_pairs(path))
+        assert str(exc.value) == f"{path}:1: bad pair record: an id must be a string or an integer, got NoneType"
+
     def test_tsv_single_column_rejected(self, tmp_path):
         path = tmp_path / "pairs.tsv"
         path.write_text("only one column\n")
@@ -178,6 +186,15 @@ class TestReadPredictions:
         with pytest.raises(ParseError) as exc:
             read_predictions(path, Scheme.CEFR6)
         assert str(exc.value) == f"{path}:4: 'abc' repeats with another level"
+
+    def test_chosen_key_must_be_string_or_integer(self, tmp_path):
+        # text_sha256 is chosen over a valid id, and only the chosen key is checked.
+        path = tmp_path / "preds.jsonl"
+        path.write_text('{"scheme": "cefr6"}\n{"id": 7, "level": "B2"}\n'
+                        '{"text_sha256": [1], "id": "s1", "level": "B2"}\n')
+        with pytest.raises(ParseError) as exc:
+            read_predictions(path, Scheme.CEFR6)
+        assert str(exc.value) == f"{path}:3: an id must be a string or an integer, got list"
 
     def test_other_scheme_fails_at_the_header(self, tmp_path):
         path = tmp_path / "preds.jsonl"
@@ -266,8 +283,16 @@ class TestReadKeyed:
         path.write_text('{"id": 1, "level": "A1"}\n\n{"id": "s2", "level": "B2"}\n')
         assert read_keyed(path, "level", str.lower) == {"1": "a1", "s2": "b2"}
 
-    @pytest.mark.parametrize("line, message", [('{"id": "s2"}', 'need "id" and "level"'),
-                                               ('{"id": "s2", "level": "x"}', "bad x")])
+    @pytest.mark.parametrize("line, message", [
+        ('{"id": "s2"}', 'need "id" and "level"'),
+        ('{"id": "s2", "level": "x"}', "bad x"),
+        # An id is a string or an integer: no other JSON value reads as one.
+        ('{"id": null, "level": "B1"}', "an id must be a string or an integer, got NoneType"),
+        ('{"id": [1], "level": "B1"}', "an id must be a string or an integer, got list"),
+        ('{"id": {"a": 1}, "level": "B1"}', "an id must be a string or an integer, got dict"),
+        ('{"id": true, "level": "B1"}', "an id must be a string or an integer, got bool"),
+        ('{"id": 2.0, "level": "B1"}', "an id must be a string or an integer, got float"),
+    ])
     def test_bad_line_located(self, tmp_path, line, message):
         def convert(value):
             if value == "x":

@@ -66,9 +66,11 @@ class TestPromptConstants:
     def test_llm_abs_prefixes(self):
         cefr = PromptSpec(Strategy.LLM_ABSOLUTE, target_level=ComplexityLevel.parse(Scheme.CEFR6, "C1"))
         fkgl = PromptSpec(Strategy.LLM_ABSOLUTE, target_level=ComplexityLevel(Scheme.FKGL, 6.0))
+        cefr3 = PromptSpec(Strategy.LLM_ABSOLUTE, target_level=ComplexityLevel.parse(Scheme.CEFR3, "A"))
         assert cefr.prefix == (
             "Please rewrite the following text so that its CEFR level is C: "
         )
+        assert cefr3.prefix == "Please rewrite the following text so that its CEFR level is A: "
         assert fkgl.prefix == (
             "Please rewrite the following text so that its FKGL level is 6.00: "
         )
@@ -94,6 +96,12 @@ class TestPromptSpecValidation:
                 task=TaskLabel.SAME,
                 target_level=ComplexityLevel.parse(Scheme.CEFR6, "B1"),
             )
+
+
+    def test_llm_absolute_names_no_newsela_level(self):
+        # Its template names a level as FKGL or CEFR; a Newsela level is neither.
+        with pytest.raises(ValueError, match="not a newsela one"):
+            PromptSpec(Strategy.LLM_ABSOLUTE, target_level=ComplexityLevel(Scheme.NEWSELA, 3))
 
 
 class TestRenderAndStrip:

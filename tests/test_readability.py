@@ -77,7 +77,7 @@ class TestCorpusFkgl:
         assert corpus_fkgl([a, b]) == pytest.approx(fkgl(a + " " + b))
 
     def test_empty_corpus_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="FKGL undefined for word_count=0, sentence_count=0"):
             corpus_fkgl([])
 
 
