@@ -21,6 +21,9 @@ own:
 - ``analyze`` on the kept pairs, bare and with a ``--levels`` file that
   mixes CEFR labels, integers and decimals;
 - ``filter`` and then ``label`` on a TSV copy of the pipeline input;
+- ``score --per-instance`` again on copies of the eval references cut to
+  the first 1 and the first 3 of each instance's references, so SARI's
+  scaling by the number of references is compared at more than one count;
 - ``analyze``, ``classifier-eval``, ``report --format text``, and
   ``agree`` on one study system's ratings (``agree`` pools every group, and
   the systems share item ids), and ``agree`` again with every seventh item
@@ -58,6 +61,7 @@ from workloads import evaluation, pipeline_mixed  # noqa: E402
 SEEDS = (1, 2, 3)
 CEFR6 = ("A1", "A2", "B1", "B2", "C1", "C2")
 LINE_CAP = 20
+REFERENCE_CUTS = (1, 3)  # eval's references per instance, cut to the first 1 and the first 3
 ABSENT = object()  # a key or list item one side does not have
 
 SPLITTER_EDGES = (
@@ -171,6 +175,11 @@ def cases(seed: int, inputs: Path) -> dict[str, list[list[str]]]:
     prepared = pipeline_mixed(seed, mixed)
     scored = evaluation(seed, evald)
     study_files(scored.expect["ratings"], evald)
+    for keep in REFERENCE_CUTS:
+        with open(evald / f"refs-{keep}.jsonl", "w", encoding="utf-8") as fh:
+            for line in (evald / "refs.jsonl").read_text(encoding="utf-8").splitlines():
+                record = json.loads(line)
+                fh.write(json.dumps({**record, "references": record["references"][:keep]}) + "\n")
     with open(mixed / "splitter-edges.jsonl", "w", encoding="utf-8") as fh:
         fh.writelines(json.dumps({"text": text}) + "\n" for text in SPLITTER_EDGES)
     with open(mixed / "levels.jsonl", "w", encoding="utf-8") as fh:  # a label per line of kept.jsonl
@@ -209,6 +218,8 @@ def cases(seed: int, inputs: Path) -> dict[str, list[list[str]]]:
         ["label", "kept-tsv.jsonl", "--scheme", "fkgl", "-o", "leveled-tsv.jsonl"],
     ]
     reports = [
+        *(["score", "--outputs", "outputs.txt", "--refs", f"refs-{keep}.jsonl",
+           "--per-instance", f"per_instance-{keep}.tsv"] for keep in REFERENCE_CUTS),
         ["analyze", "outputs.txt"],
         ["agree", "ratings-system-0.tsv", "--metric", "ordinal", "--threshold", "3", "--gold-out", "gold_out.jsonl"],
         ["agree", "ratings-single.tsv", "--metric", "ordinal"],

@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import errno
 import functools
-import hashlib
 import json
 import os
 import stat
@@ -51,6 +50,7 @@ from .corpus import (
     lexical_similarity,
     pair_key,
     split_dataset,
+    text_sha256,
 )
 from .dataio import (
     ParseError,
@@ -174,8 +174,8 @@ class PipelineConfig:
         )
 
     def config_hash(self) -> str:
-        payload = json.dumps(self.__dict__, sort_keys=True, default=str)
-        return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+        # json.dumps escapes non-ASCII by default, so NFC leaves the payload as it is.
+        return text_sha256(json.dumps(self.__dict__, sort_keys=True, default=str))
 
 
 def _filter_settings(fcfg: FilterConfig) -> FilterConfig:

@@ -7,7 +7,6 @@ with identical inputs and config reproduces identical bytes.
 """
 from __future__ import annotations
 
-import hashlib
 import math
 from collections import Counter
 from dataclasses import dataclass
@@ -124,6 +123,7 @@ class FilterConfig:
 
 
 def text_sha256(text: str) -> str:
+    import hashlib  # here, not at the top: it loads OpenSSL, which only hashing commands need
     return hashlib.sha256(normalize(text).encode("utf-8")).hexdigest()
 
 

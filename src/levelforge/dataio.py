@@ -1,7 +1,6 @@
 """Streaming readers and writers for the JSONL/TSV interchange formats."""
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 from pathlib import Path
@@ -233,6 +232,7 @@ def pair_to_record(pair: ParaphrasePair, task: Optional[str] = None) -> dict:
 
 
 def file_sha256(path: str | Path) -> str:
+    import hashlib  # here, not at the top: it loads OpenSSL, which only hashing commands need
     digest = hashlib.sha256()
     with open(path, "rb") as fh:
         for chunk in iter(lambda: fh.read(1 << 20), b""):

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from itertools import chain
 from typing import Iterable, Sequence
 
@@ -76,7 +76,7 @@ class SariBreakdown:
 
 def _folded_tokens(text: str) -> list[str]:
     """Case-folded tokens: the form SARI and the copy check compare."""
-    return [t.lower() for t in tokenize(text)]
+    return list(map(str.lower, tokenize(text)))
 
 
 def _component_scores(
@@ -93,17 +93,18 @@ def _component_scores(
     keep_r_terms: list[float] = []
     del_terms: list[float] = []
     n_keep_cand = n_keep_all = n_del_cand = 0
+    out_get, ref_get = out.get, ref_pool.get
     for g, count in src.items():
         s = count * numref
-        o = out.get(g, 0) * numref
-        r = ref_pool.get(g, 0)
-        keep_all = min(s, r)
+        o = out_get(g, 0) * numref
+        r = ref_get(g, 0)
+        keep_all = s if s < r else r
         if keep_all:
             n_keep_all += 1
-        keep_cand = min(s, o)
+        keep_cand = s if s < o else o
         if keep_cand:
             n_keep_cand += 1
-            keep_good = min(keep_cand, r)
+            keep_good = keep_cand if keep_cand < r else r
             if keep_good:
                 keep_p_terms.append(keep_good / keep_cand)
                 keep_r_terms.append(keep_good / keep_all)
@@ -124,10 +125,10 @@ def _component_scores(
 
     # Add: F1 over distinct new grams.
     add_cand = out.keys() - src.keys()
-    add_good = add_cand & ref_pool.keys()
-    add_all = ref_pool.keys() - src.keys()
-    add_p = len(add_good) / len(add_cand) if add_cand else 0.0
-    add_r = len(add_good) / len(add_all) if add_all else 0.0
+    add_good = len(add_cand & ref_pool.keys())
+    add_all = len(ref_pool) - len(ref_pool.keys() & src.keys())
+    add_p = add_good / len(add_cand) if add_cand else 0.0
+    add_r = add_good / add_all if add_all else 0.0
     add = 2 * add_p * add_r / (add_p + add_r) if add_p + add_r > 0 else 0.0
 
     return keep, delete, add
@@ -150,10 +151,12 @@ def _sari_kernel(instance: EvalInstance) -> SariBreakdown:
 
     per_n: dict[int, tuple[float, float, float]] = {}
     for n in range(1, _SARI_MAX_N + 1):
+        # Order-1 grams are the tokens themselves: str keys, not 1-tuples.
+        cut = iter if n == 1 else partial(windows, n=n)
         per_n[n] = _component_scores(
-            Counter(windows(src_tokens, n)),
-            Counter(windows(out_tokens, n)),
-            Counter(chain.from_iterable(windows(r, n) for r in ref_tokens)),
+            Counter(cut(src_tokens)),
+            Counter(cut(out_tokens)),
+            Counter(chain.from_iterable(map(cut, ref_tokens))),
             numref,
         )
     keep = 100.0 * sum(s[0] for s in per_n.values()) / _SARI_MAX_N

@@ -609,6 +609,17 @@ class TestPipelineConfig:
         b = PipelineConfig.from_file(str(path))
         assert a.config_hash() == b.config_hash()
 
+    @pytest.mark.parametrize("output_dir", ["out", "cafe\u0301 out"])  # the second is not NFC
+    def test_manifest_config_hash_is_sha256_of_sorted_json(self, tmp_path, capsys, output_dir):
+        make_corpus(tmp_path / "corpus.jsonl", n=20)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"input": str(tmp_path / "corpus.jsonl"),
+                                    "output_dir": str(tmp_path / output_dir), "seed": 5}))
+        payload = json.dumps(vars(PipelineConfig.from_file(str(path))), sort_keys=True, default=str)
+        assert main(["pipeline", "--config", str(path)]) == 0
+        manifest = json.loads((tmp_path / output_dir / "manifest.json").read_text())
+        assert manifest["config_hash"] == hashlib.sha256(payload.encode("utf-8")).hexdigest()
+
 
 class TestNonObjectJsonlLines:
     @pytest.mark.parametrize(
@@ -1750,3 +1761,35 @@ class TestInputOrder:
         _, dropped_first = self._run(tmp_path / "b", [too_high, *records[1:], in_band], monkeypatch)
         assert kept_first["drop_reasons"] == {"DUPLICATE": 1}
         assert dropped_first["drop_reasons"] == {"DUPLICATE": 1, "SIM_HIGH": 1}
+
+
+class TestOpenSSLOnlyWhereHashed:
+    # hashlib maps OpenSSL's libcrypto (~3 MB of a process's peak RSS), so only
+    # a command that takes a hash may import it.
+    SCRIPT = (
+        "import json, sys\n"
+        "from levelforge.cli import main\n"
+        "seen = [(main(argv), '_hashlib' in sys.modules) for argv in json.loads(sys.argv[1])]\n"
+        "print(json.dumps(seen))\n"
+    )
+
+    def test_only_pipeline_loads_openssl(self, tmp_path):
+        make_corpus(tmp_path / "corpus.jsonl", n=20)
+        write_jsonl_file(tmp_path / "refs.jsonl", [{"source": "The cat sat on the mat.",
+                                                     "references": ["The cat sat."]}])
+        (tmp_path / "outputs.txt").write_text("The cat sat.\n")
+        (tmp_path / "ratings.tsv").write_text("s1\tr1\tg\t4\ns1\tr2\tg\t5\n")
+        (tmp_path / "cfg.json").write_text(json.dumps({"input": "corpus.jsonl", "output_dir": "out"}))
+        commands = [
+            ["score", "--outputs", "outputs.txt", "--refs", "refs.jsonl", "--per-instance", "rows.tsv"],
+            ["report", "ratings.tsv"],
+            ["filter", "corpus.jsonl", "-o", "kept.jsonl"],
+            ["pipeline", "--config", "cfg.json"],  # the first command that hashes
+        ]
+        src = Path(__file__).resolve().parent.parent / "src"
+        proc = subprocess.run([sys.executable, "-c", self.SCRIPT, json.dumps(commands)],
+                              cwd=tmp_path, capture_output=True, text=True, timeout=60,
+                              env={**os.environ, "PYTHONPATH": str(src)})
+        assert proc.returncode == 0, proc.stderr
+        seen = json.loads(proc.stdout.splitlines()[-1])
+        assert seen == [[0, False], [0, False], [0, False], [0, True]]

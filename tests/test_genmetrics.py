@@ -1,4 +1,6 @@
+import hashlib
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -95,6 +97,53 @@ class TestSari:
         assert sari(instance(src, out, refs)).sari == pytest.approx(
             sari(instance(src, out, list(reversed(refs)))).sari
         )
+
+
+# Few forms, so grams repeat; "The"/"the" fold together, and NFD marks, a
+# precomposed twin and "İ" (which lowercases to two code points) test folding.
+FROZEN_VOCAB = (
+    "the", "The", "cat", "sat", "on", "mat", "a", "big", "dog", "ran", ".", ",",
+    "Cafe\u0301", "café", "İstanbul", "re\u0301sume\u0301",
+)
+
+
+def frozen_sari_instances(count=300, seed=2023):
+    """Seeded instances: copies, empty, one-token and looped outputs, 1-8 references."""
+    rng = random.Random(seed)
+
+    def text(low, high):
+        return " ".join(rng.choice(FROZEN_VOCAB) for _ in range(rng.randint(low, high)))
+
+    instances = []
+    for k in range(count):
+        source = text(1, 20)
+        kind = k % 8
+        if kind == 0:
+            output = source
+        elif kind == 1:
+            output = ""
+        elif kind == 2:
+            output = rng.choice(FROZEN_VOCAB)
+        elif kind == 3:
+            output = " ".join([text(1, 4)] * rng.randint(2, 6))
+        else:
+            output = text(0, 20)
+        refs = [source if rng.random() < 0.1 else text(0, 20) for _ in range(rng.randint(1, 8))]
+        instances.append(instance(source, output, refs))
+    return instances
+
+
+class TestFrozenSari:
+    # SHA-256 of every breakdown and sari_r value of frozen_sari_instances():
+    # a changed bit of any float changes it. Only a declared change of SARI's
+    # values may update it.
+    DIGEST = "b1ced35c1437b4d5286e9e305384ffff97aefa6111b8bcc03a7eb34bc4074ef6"
+
+    def test_bits_are_frozen(self):
+        digest = hashlib.sha256()
+        for inst in frozen_sari_instances():
+            digest.update(f"{sari(inst)!r} {sari_r(inst)!r}\n".encode("utf-8"))
+        assert digest.hexdigest() == self.DIGEST
 
 
 class TestCorpusSari:
