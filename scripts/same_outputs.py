@@ -23,11 +23,15 @@ own:
 - ``filter`` and then ``label`` on a TSV copy of the pipeline input;
 - ``score --per-instance`` again on copies of the eval references cut to
   the first 1 and the first 3 of each instance's references, so SARI's
-  scaling by the number of references is compared at more than one count;
+  scaling by the number of references is compared at more than one count,
+  and with ``--repetition-n 100``, an order past every eval output;
 - ``analyze``, ``classifier-eval``, ``report --format text``, and
   ``agree`` on one study system's ratings (``agree`` pools every group, and
   the systems share item ids), and ``agree`` again with every seventh item
   rated once, so that alpha's choice of pairable items is compared;
+- ``report`` and ``agree --metric ordinal`` on that system's ratings moved
+  off the integers by up to 0.29, about 150 distinct values, so ordinal
+  alpha is compared over many more values than the five Likert points;
 - ``analyze`` on ``SPLITTER_EDGES``, texts at the edges of the sentence
   splitter and the tokenizer, so their sentence, word and syllable counts
   are compared too.
@@ -104,16 +108,19 @@ SPLITTER_EDGES = (
 
 def study_files(ratings: list, workdir: Path) -> None:
     """From one study system's ratings: ratings-system-0.tsv; ratings-single.tsv, the
-    same with every seventh item rated once; and gold.jsonl and pred.jsonl, raters r0
-    and r1 as CEFR6 levels."""
+    same with every seventh item rated once; ratings-decimal.tsv, the same with each
+    value moved up by a hashed 0-0.29; and gold.jsonl and pred.jsonl, raters r0 and r1
+    as CEFR6 levels."""
     by_rater: dict[str, dict[str, str]] = {"r0": {}, "r1": {}}
     rows = [row for row in ratings if row[2] == "system-0"]
     order = {item: k for k, item in enumerate(dict.fromkeys(item for item, *_ in rows))}
     rated: set[str] = set()
     with open(workdir / "ratings-system-0.tsv", "w", encoding="utf-8") as fh, \
-            open(workdir / "ratings-single.tsv", "w", encoding="utf-8") as single:
+            open(workdir / "ratings-single.tsv", "w", encoding="utf-8") as single, \
+            open(workdir / "ratings-decimal.tsv", "w", encoding="utf-8") as decimal:
         for item, rater, group, value in rows:
             fh.write(f"{item}\t{rater}\t{group}\t{value}\n")
+            decimal.write(f"{item}\t{rater}\t{group}\t{value + _hashed(f'{item} {rater}') % 30 / 100:.2f}\n")
             if order[item] % 7 or item not in rated:
                 single.write(f"{item}\t{rater}\t{group}\t{value}\n")
                 rated.add(item)
@@ -220,11 +227,15 @@ def cases(seed: int, inputs: Path) -> dict[str, list[list[str]]]:
     reports = [
         *(["score", "--outputs", "outputs.txt", "--refs", f"refs-{keep}.jsonl",
            "--per-instance", f"per_instance-{keep}.tsv"] for keep in REFERENCE_CUTS),
+        ["score", "--outputs", "outputs.txt", "--refs", "refs.jsonl", "--per-instance", "per_instance-rep100.tsv",
+         "--repetition-n", "100"],
         ["analyze", "outputs.txt"],
         ["agree", "ratings-system-0.tsv", "--metric", "ordinal", "--threshold", "3", "--gold-out", "gold_out.jsonl"],
         ["agree", "ratings-single.tsv", "--metric", "ordinal"],
         ["classifier-eval", "--gold", "gold.jsonl", "--pred", "pred.jsonl"],
         ["report", "ratings-system-0.tsv", "--format", "text"],
+        ["report", "ratings-decimal.tsv"],
+        ["agree", "ratings-decimal.tsv", "--metric", "ordinal"],
     ]
     return {
         "pipeline-mixed": prepared.commands + pipeline_variants(mixed) + chain,

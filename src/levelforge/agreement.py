@@ -159,14 +159,14 @@ def krippendorff_alpha(matrix: RatingMatrix, metric: str = "nominal") -> float:
     if metric == "nominal":
         delta2 = {(a, b): 0.0 if a == b else 1.0 for a in values for b in values}
     else:
-        rank = {v: k for k, v in enumerate(values)}
         delta2 = {}
-        for a in values:
-            for b in values:
-                lo, hi = sorted((rank[a], rank[b]))
-                span = sum(marginals[values[g]] for g in range(lo, hi + 1))
+        for i, a in enumerate(values):
+            # The marginals from a up to b, grown by one as b moves up.
+            span = 0.0
+            for b in values[i:]:
+                span += marginals[b]
                 d = span - (marginals[a] + marginals[b]) / 2.0
-                delta2[(a, b)] = d * d
+                delta2[(a, b)] = delta2[(b, a)] = d * d
 
     d_o = sum(c * delta2[pair] for pair, c in coincidence.items()) / n_total
     d_e = sum(

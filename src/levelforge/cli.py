@@ -66,7 +66,7 @@ from .dataio import (
 )
 from .genmetrics import EvalInstance, is_copy, sari, sari_r, score_report
 from .prompts import LLM_ABS_METRICS, Strategy, render_record
-from .readability import ComplexityLevel, Scheme, fkgl, level_of
+from .readability import ComplexityLevel, Scheme, fkgl_from_counts
 from .textcore import sentence_stats
 
 T = TypeVar("T")
@@ -373,13 +373,8 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         for lineno, text in _texts(args.input):
             if text is None or not text.strip():
                 continue
-            stats = sentence_stats(text)
-            row = {
-                "word_count": stats.word_count,
-                "syllable_count": stats.syllable_count,
-                "sentence_count": stats.sentence_count,
-                "fkgl": fkgl(stats) if stats.word_count else None,
-            }
+            row = asdict(sentence_stats(text))
+            row["fkgl"] = fkgl_from_counts(**row) if row["word_count"] else None
             if lineno in levels:
                 row["level"] = levels[lineno]
                 if row["fkgl"] is not None:

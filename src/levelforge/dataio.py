@@ -186,7 +186,7 @@ def read_predictions(path: str | Path, scheme: Scheme) -> dict[str, ComplexityLe
         raise ParseError(path, lineno, f"declares scheme {declared.value}, expected {scheme.value}")
     predictions: dict[str, ComplexityLevel] = {}
     for lineno, obj in rows:
-        key = obj.get("text_sha256") or obj.get("id")
+        key = obj["text_sha256"] if obj.get("text_sha256") is not None else obj.get("id")
         if key is None or "level" not in obj:
             raise ParseError(path, lineno, 'need "id" or "text_sha256" plus "level"')
         try:
@@ -198,14 +198,15 @@ def read_predictions(path: str | Path, scheme: Scheme) -> dict[str, ComplexityLe
 
 
 def read_ratings_tsv(path: str | Path) -> Iterator[tuple[int, str, str, str, float]]:
-    """Yield (lineno, item_id, rater_id, group, value) rows, skipping a header row; values are finite."""
-    for lineno, line in read_lines(path):
-        if not line:
-            continue
-        cols = line.split("\t")
+    """Yield (lineno, item_id, rater_id, group, value) rows; values are finite.
+
+    The first non-empty row is skipped when it is a header, its first column "item" or "item_id".
+    """
+    rows = ((lineno, line.split("\t")) for lineno, line in read_lines(path) if line)
+    for k, (lineno, cols) in enumerate(rows):
         if len(cols) != 4:
             raise ParseError(path, lineno, "expected item_id, rater_id, group, value")
-        if lineno == 1 and cols[0].lower() in ("item", "item_id"):
+        if k == 0 and cols[0].lower() in ("item", "item_id"):
             continue
         try:
             value = float(cols[3])

@@ -87,11 +87,10 @@ def _component_scores(
     ``ref_pool`` counts the order's n-grams over all references together.
     """
     # Keep and delete in one pass over the source grams. Counts are scaled
-    # by numref; terms are summed in source order, as the Counter algebra
-    # of the reference implementation visits them.
-    keep_p_terms: list[float] = []
-    keep_r_terms: list[float] = []
-    del_terms: list[float] = []
+    # by numref; terms are added in source order, as the Counter algebra
+    # of the reference implementation visits them, into running floats and
+    # not through sum(), whose rounding changed in Python 3.12.
+    keep_p = keep_r = delete = 0.0
     n_keep_cand = n_keep_all = n_del_cand = 0
     out_get, ref_get = out.get, ref_pool.get
     for g, count in src.items():
@@ -106,22 +105,22 @@ def _component_scores(
             n_keep_cand += 1
             keep_good = keep_cand if keep_cand < r else r
             if keep_good:
-                keep_p_terms.append(keep_good / keep_cand)
-                keep_r_terms.append(keep_good / keep_all)
+                keep_p += keep_good / keep_cand
+                keep_r += keep_good / keep_all
         del_cand = s - o
         if del_cand > 0:
             n_del_cand += 1
             del_good = del_cand - r
             if del_good > 0:
-                del_terms.append(del_good / del_cand)
+                delete += del_good / del_cand
 
     # Keep: F1 over grams retained from the source.
-    keep_p = sum(keep_p_terms) / n_keep_cand if n_keep_cand else 0.0
-    keep_r = sum(keep_r_terms) / n_keep_all if n_keep_all else 0.0
+    keep_p = keep_p / n_keep_cand if n_keep_cand else 0.0
+    keep_r = keep_r / n_keep_all if n_keep_all else 0.0
     keep = 2 * keep_p * keep_r / (keep_p + keep_r) if keep_p + keep_r > 0 else 0.0
 
     # Delete: precision only, per the reference convention.
-    delete = sum(del_terms) / n_del_cand if n_del_cand else 0.0
+    delete = delete / n_del_cand if n_del_cand else 0.0
 
     # Add: F1 over distinct new grams.
     add_cand = out.keys() - src.keys()
@@ -149,19 +148,20 @@ def _sari_kernel(instance: EvalInstance) -> SariBreakdown:
     ref_tokens = [_folded_tokens(r) for r in instance.references]
     numref = len(ref_tokens)
 
-    per_n: dict[int, tuple[float, float, float]] = {}
+    keep = delete = add = 0.0
     for n in range(1, _SARI_MAX_N + 1):
         # Order-1 grams are the tokens themselves: str keys, not 1-tuples.
         cut = iter if n == 1 else partial(windows, n=n)
-        per_n[n] = _component_scores(
+        k, d, a = _component_scores(
             Counter(cut(src_tokens)),
             Counter(cut(out_tokens)),
             Counter(chain.from_iterable(map(cut, ref_tokens))),
             numref,
         )
-    keep = 100.0 * sum(s[0] for s in per_n.values()) / _SARI_MAX_N
-    delete = 100.0 * sum(s[1] for s in per_n.values()) / _SARI_MAX_N
-    add = 100.0 * sum(s[2] for s in per_n.values()) / _SARI_MAX_N
+        keep, delete, add = keep + k, delete + d, add + a
+    keep = 100.0 * keep / _SARI_MAX_N
+    delete = 100.0 * delete / _SARI_MAX_N
+    add = 100.0 * add / _SARI_MAX_N
     return SariBreakdown(
         add_score=add,
         keep_score=keep,
@@ -217,19 +217,16 @@ def score_report(instances: Sequence[EvalInstance], repetition_n: int = 4) -> di
     """Corpus-level metrics dict for a scored system."""
     if not instances:
         raise ValueError("score_report needs at least one instance")
-    reps = [repetition_score(inst.output, repetition_n) for inst in instances]
-    sari_rs = [sari_r(inst, repetition_n) for inst in instances]
-    outputs = [inst.output for inst in instances]
     try:
-        fkgl_value = corpus_fkgl(outputs)
+        fkgl_value = corpus_fkgl(inst.output for inst in instances)
     except ValueError:
         fkgl_value = None
     return {
         "sari": corpus_sari(instances),
-        "sari_r": sum(sari_rs) / len(sari_rs),
+        "sari_r": sum(sari_r(inst, repetition_n) for inst in instances) / len(instances),
         "fkgl": fkgl_value,
         "fkgl_convention": "corpus-pooled counts",
         "copy_rate": copy_rate(instances),
-        "mean_repetition": sum(reps) / len(reps),
+        "mean_repetition": sum(repetition_score(inst.output, repetition_n) for inst in instances) / len(instances),
         "instances": len(instances),
     }

@@ -12,7 +12,7 @@ from decimal import ROUND_HALF_UP, Context, Decimal
 from enum import Enum
 from typing import Iterable
 
-from .textcore import Sentence, sentence_stats
+from .textcore import sentence_stats
 
 __all__ = [
     "Scheme",
@@ -123,9 +123,9 @@ def fkgl_from_counts(word_count: int, sentence_count: int, syllable_count: int) 
     )
 
 
-def fkgl(doc: Sentence | str) -> float:
-    """FKGL of one text or precomputed stats aggregate."""
-    stats = sentence_stats(doc) if isinstance(doc, str) else doc
+def fkgl(text: str) -> float:
+    """FKGL of one text."""
+    stats = sentence_stats(text)
     return fkgl_from_counts(stats.word_count, stats.sentence_count, stats.syllable_count)
 
 

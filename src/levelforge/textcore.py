@@ -190,15 +190,12 @@ def ngrams(tokens: Iterable[str], n: int) -> Counter:
 def distinct_ratio(tokens: Iterable[str], max_n: int = 4, min_n: int = 1) -> float:
     """Distinct / total n-grams pooled over orders min_n..max_n; 1.0 when none."""
     toks = list(tokens)
-    total = 0
-    distinct = 0
-    for n in range(min_n, max_n + 1):
-        grams = ngrams(toks, n)
-        total += sum(grams.values())
-        distinct += len(grams)
-    if total == 0:
-        return 1.0
-    return distinct / total
+    total = distinct = 0
+    # Order n has len(toks) - n + 1 n-grams, and none past the text's length.
+    for n in range(min_n, min(max_n, len(toks)) + 1):
+        total += len(toks) - n + 1
+        distinct += len(ngrams(toks, n))
+    return distinct / total if total else 1.0
 
 
 def sentence_stats(text: str) -> Sentence:

@@ -1,4 +1,5 @@
 import math
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -175,6 +176,16 @@ class TestKrippendorffAlpha:
             {i: [v for r, it, v in rows if it == i] for i in range(1, 6)}, "ordinal"
         )
         assert krippendorff_alpha(m, "ordinal") == pytest.approx(expected, abs=1e-12)
+
+    @pytest.mark.timing
+    def test_ordinal_is_quadratic_in_distinct_values(self):
+        # 800 distinct ratings: rater r2 is half a step above r1 on each of 400 items.
+        m = matrix_from([("r1", i, float(i)) for i in range(400)] + [("r2", i, i + 0.5) for i in range(400)])
+        start = time.perf_counter()
+        alpha = krippendorff_alpha(m, "ordinal")
+        elapsed = time.perf_counter() - start
+        assert 0.99 < alpha < 1.0
+        assert elapsed < 5.0
 
     def test_single_rating_items_excluded(self):
         base = [("r1", 1, "a"), ("r2", 1, "a"), ("r1", 2, "b"), ("r2", 2, "b")]

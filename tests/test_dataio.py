@@ -187,14 +187,26 @@ class TestReadPredictions:
             read_predictions(path, Scheme.CEFR6)
         assert str(exc.value) == f"{path}:4: 'abc' repeats with another level"
 
-    def test_chosen_key_must_be_string_or_integer(self, tmp_path):
-        # text_sha256 is chosen over a valid id, and only the chosen key is checked.
+    @pytest.mark.parametrize("key, kind", [("[1]", "list"), ("[]", "list"), ("{}", "dict"), ("false", "bool")],
+                             ids=["list", "empty-list", "empty-object", "false"])
+    def test_chosen_key_must_be_string_or_integer(self, tmp_path, key, kind):
+        # A text_sha256 that is not null is chosen over a valid id, even when
+        # it is falsy, and only the chosen key is checked.
         path = tmp_path / "preds.jsonl"
         path.write_text('{"scheme": "cefr6"}\n{"id": 7, "level": "B2"}\n'
-                        '{"text_sha256": [1], "id": "s1", "level": "B2"}\n')
+                        f'{{"text_sha256": {key}, "id": "s1", "level": "B2"}}\n')
         with pytest.raises(ParseError) as exc:
             read_predictions(path, Scheme.CEFR6)
-        assert str(exc.value) == f"{path}:3: an id must be a string or an integer, got list"
+        assert str(exc.value) == f"{path}:3: an id must be a string or an integer, got {kind}"
+
+    def test_null_key_falls_back_to_id_and_zero_is_a_key(self, tmp_path):
+        path = tmp_path / "preds.jsonl"
+        path.write_text('{"scheme": "cefr6"}\n{"text_sha256": null, "id": "s1", "level": "B2"}\n'
+                        '{"text_sha256": 0, "id": "s2", "level": "C1"}\n')
+        assert read_predictions(path, Scheme.CEFR6) == {
+            "s1": ComplexityLevel.parse(Scheme.CEFR6, "B2"),
+            "0": ComplexityLevel.parse(Scheme.CEFR6, "C1"),
+        }
 
     def test_other_scheme_fails_at_the_header(self, tmp_path):
         path = tmp_path / "preds.jsonl"
@@ -214,6 +226,16 @@ class TestReadRatingsTsv:
         )
         rows = list(read_ratings_tsv(path))
         assert rows == [(2, "s1", "r1", "fluency", 4.0), (3, "s1", "r2", "fluency", 5.0)]
+
+    def test_header_after_blank_lines_is_skipped(self, tmp_path):
+        # The header is the first non-empty row, wherever it sits; a later one is a bad value.
+        path = tmp_path / "ratings.tsv"
+        path.write_text("\n\nitem_id\trater_id\tgroup\tvalue\ns1\tr1\tfluency\t4\n")
+        assert list(read_ratings_tsv(path)) == [(4, "s1", "r1", "fluency", 4.0)]
+        path.write_text("s1\tr1\tfluency\t4\nitem_id\trater_id\tgroup\tvalue\n")
+        with pytest.raises(ParseError) as exc:
+            list(read_ratings_tsv(path))
+        assert str(exc.value) == f"{path}:2: bad rating value 'value'"
 
     def test_bad_column_count(self, tmp_path):
         path = tmp_path / "ratings.tsv"
