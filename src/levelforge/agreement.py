@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 from typing import Hashable, Mapping, Sequence
 
 from .readability import ComplexityLevel, Scheme, cefr6_to_cefr3
+from .textcore import total
 
 __all__ = [
     "LabeledPrediction",
@@ -105,8 +106,8 @@ def weighted_f1(preds: Sequence[LabeledPrediction], collapse: int = 6) -> float:
     support = Counter(g for g, _ in pairs)
     labels = sorted(support)
     f1s = _per_class_f1(confusion, labels)
-    total = sum(support.values())
-    return 100.0 * sum(support[l] / total * f1s[l] for l in labels)
+    n = sum(support.values())
+    return 100.0 * total(support[l] / n * f1s[l] for l in labels)
 
 
 def adjacent_accuracy(preds: Sequence[LabeledPrediction]) -> float:
@@ -151,7 +152,7 @@ def krippendorff_alpha(matrix: RatingMatrix, metric: str = "nominal") -> float:
     for (a, _), c in coincidence.items():
         marginals[a] += c
     values = sorted(marginals)
-    n_total = sum(marginals.values())
+    n_total = total(marginals.values())
     if len(values) == 1:
         # A single observed value: no expected disagreement, perfect agreement.
         return 1.0
@@ -168,8 +169,8 @@ def krippendorff_alpha(matrix: RatingMatrix, metric: str = "nominal") -> float:
                 d = span - (marginals[a] + marginals[b]) / 2.0
                 delta2[(a, b)] = delta2[(b, a)] = d * d
 
-    d_o = sum(c * delta2[pair] for pair, c in coincidence.items()) / n_total
-    d_e = sum(
+    d_o = total(c * delta2[pair] for pair, c in coincidence.items()) / n_total
+    d_e = total(
         marginals[a] * marginals[b] * delta2[(a, b)]
         for a in values
         for b in values
@@ -205,15 +206,15 @@ def likert_report(groups: Mapping[str, RatingMatrix]) -> dict:
     report = {}
     for name, matrix in sorted(groups.items()):
         item_means = [
-            sum(float(v) for v in values) / len(values)
+            total(float(v) for v in values) / len(values)
             for values in matrix.by_item().values()
         ]
         if not item_means:
             raise ValueError(f"group {name!r} has no ratings")
-        mean = sum(item_means) / len(item_means)
+        mean = total(item_means) / len(item_means)
         if len(item_means) > 1:
             try:
-                var = sum((x - mean) ** 2 for x in item_means) / (len(item_means) - 1)
+                var = total((x - mean) ** 2 for x in item_means) / (len(item_means) - 1)
             except OverflowError:  # a square past the float range
                 var = math.inf
             ci = Z95 * math.sqrt(var / len(item_means))
@@ -221,7 +222,7 @@ def likert_report(groups: Mapping[str, RatingMatrix]) -> dict:
             ci = None
         try:
             alpha = krippendorff_alpha(matrix, metric="ordinal")
-        except (UndefinedAlphaError, ValueError):
+        except ValueError:
             alpha = None
         report[name] = {
             "mean": mean,

@@ -67,7 +67,7 @@ from .dataio import (
 from .genmetrics import EvalInstance, is_copy, sari, sari_r, score_report
 from .prompts import LLM_ABS_METRICS, Strategy, render_record
 from .readability import ComplexityLevel, Scheme, fkgl_from_counts
-from .textcore import sentence_stats
+from .textcore import sentence_stats, total
 
 T = TypeVar("T")
 U = TypeVar("U")
@@ -383,7 +383,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         if per_level:
             aggregates = {
                 level: {
-                    "mean_fkgl": sum(v) / len(v),
+                    "mean_fkgl": total(v) / len(v),
                     "texts": len(v),
                 }
                 for level, v in sorted(per_level.items())

@@ -16,7 +16,7 @@ from random import Random
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence, TypeVar
 
 from .readability import ComplexityLevel, Scheme, level_delta, level_of
-from .textcore import normalize, words_of
+from .textcore import normalize, total, words_of
 
 T = TypeVar("T")
 
@@ -283,7 +283,7 @@ def check_split_ratios(ratios: Sequence[float]) -> tuple[float, float, float]:
     if (
         len(values) != 3
         or not all(type(r) in (int, float) and r >= 0 for r in values)
-        or abs(sum(values) - 1.0) > 1e-9
+        or abs(total(values) - 1.0) > 1e-9
     ):
         raise ValueError(
             f"split ratios must be 3 non-negative numbers summing to 1, got {values}"

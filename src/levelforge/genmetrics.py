@@ -15,7 +15,7 @@ from itertools import chain
 from typing import Iterable, Sequence
 
 from .readability import corpus_fkgl
-from .textcore import distinct_ratio, tokenize, windows
+from .textcore import distinct_ratio, tokenize, total, windows
 
 __all__ = [
     "EvalInstance",
@@ -175,7 +175,7 @@ def corpus_sari(instances: Iterable[EvalInstance]) -> float:
     scores = [sari(inst).sari for inst in instances]
     if not scores:
         raise ValueError("corpus_sari needs at least one instance")
-    return sum(scores) / len(scores)
+    return total(scores) / len(scores)
 
 
 def is_copy(instance: EvalInstance) -> bool:
@@ -223,10 +223,10 @@ def score_report(instances: Sequence[EvalInstance], repetition_n: int = 4) -> di
         fkgl_value = None
     return {
         "sari": corpus_sari(instances),
-        "sari_r": sum(sari_r(inst, repetition_n) for inst in instances) / len(instances),
+        "sari_r": total(sari_r(inst, repetition_n) for inst in instances) / len(instances),
         "fkgl": fkgl_value,
         "fkgl_convention": "corpus-pooled counts",
         "copy_rate": copy_rate(instances),
-        "mean_repetition": sum(repetition_score(inst.output, repetition_n) for inst in instances) / len(instances),
+        "mean_repetition": total(repetition_score(inst.output, repetition_n) for inst in instances) / len(instances),
         "instances": len(instances),
     }

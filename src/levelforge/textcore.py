@@ -24,6 +24,7 @@ __all__ = [
     "sentence_stats",
     "word_tokens",
     "words_of",
+    "total",
 ]
 
 # Words keep internal hyphens/apostrophes ("state-of-the-art", "don't");
@@ -196,6 +197,14 @@ def distinct_ratio(tokens: Iterable[str], max_n: int = 4, min_n: int = 1) -> flo
         total += len(toks) - n + 1
         distinct += len(ngrams(toks, n))
     return distinct / total if total else 1.0
+
+
+def total(values: Iterable[float]) -> float:
+    """Floats added left to right from 0.0: ``sum()``'s bits before Python 3.12, on every version."""
+    result = 0.0
+    for value in values:
+        result += value
+    return result
 
 
 def sentence_stats(text: str) -> Sentence:

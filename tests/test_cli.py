@@ -7,6 +7,7 @@ import stat
 import subprocess
 import sys
 import threading
+import time
 from collections import Counter
 from pathlib import Path
 
@@ -1669,6 +1670,55 @@ class TestOutputsAreAllOrNothing:
         assert after["train.jsonl"] != before["train.jsonl"]  # the one file that was written
         assert [after[n] for n in ("valid.jsonl", "test.jsonl")] == [
             before[n] for n in ("valid.jsonl", "test.jsonl")]
+
+
+class TestKilledPipeline:
+    """A ``pipeline`` child killed with SIGKILL never leaves a manifest that its files disagree with."""
+
+    @staticmethod
+    def manifest_agrees(outdir):
+        """False when a manifest's ``split_counts`` miss a task file's line count; True otherwise.
+
+        A directory without ``manifest.json`` agrees: it claims nothing. The
+        ``*.tmp`` files a kill leaves behind are listed in no manifest, and
+        are ignored.
+        """
+        manifest = outdir / "manifest.json"
+        if not manifest.exists():
+            return True
+        expected = {f"{task}.{split}.jsonl": n
+                    for task, splits in json.loads(manifest.read_text())["split_counts"].items()
+                    for split, n in splits.items()}
+        found = {p.name: p.read_bytes().count(b"\n") for p in outdir.glob("*.jsonl")}
+        return found == expected
+
+    def test_killed_runs_leave_no_disagreeing_manifest(self, tmp_path):
+        corpus = tmp_path / "corpus.jsonl"
+        make_corpus(corpus, n=2000)
+        outdir = tmp_path / "out"
+        for seed in (1, 2):
+            (tmp_path / f"config-{seed}.json").write_text(json.dumps(
+                {"input": str(corpus), "output_dir": str(outdir), "seed": seed}))
+        env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
+
+        def start(seed):
+            return subprocess.Popen(
+                [sys.executable, "-m", "levelforge.cli", "pipeline", "--config", str(tmp_path / f"config-{seed}.json")],
+                stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL, env=env)
+
+        began = time.perf_counter()
+        assert start(1).wait(timeout=60) == 0
+        run_s = time.perf_counter() - began
+        assert (outdir / "manifest.json").exists() and self.manifest_agrees(outdir)
+        rng = random.Random(24)
+        for k in range(10):
+            # Three kills anywhere in a run; seven near its end, where the files are written.
+            delay = run_s * (rng.uniform(0.0, 1.0) if k < 3 else rng.uniform(0.75, 1.05))
+            proc = start(2)
+            time.sleep(delay)
+            proc.kill()
+            proc.wait(timeout=60)
+            assert self.manifest_agrees(outdir), f"kill {k} at {delay:.3f}s of a {run_s:.3f}s run"
 
 
 class TestPromptTsvRows:

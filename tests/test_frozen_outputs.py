@@ -1,17 +1,23 @@
-"""Frozen SHA-256 digests of every file that ``pipeline`` and ``score --per-instance`` write.
+"""Frozen SHA-256 digests of every file that ``pipeline`` and ``score --per-instance`` write,
+and of what ``score``, ``report`` and ``agree`` print.
 
 The inputs are built here from a seeded generator. Every command runs from
 one directory with relative paths, so the manifests' config hashes and
 input keys do not depend on where the test runs. A changed output byte
-fails the test; a declared output change updates ``DIGESTS`` in the same
-change. The ``score`` report on stdout is left out: its means go through
-``sum()``, which rounds differently from Python 3.12 on.
+fails the test; a declared output change updates ``DIGESTS`` or
+``STDOUT_DIGESTS`` in the same change. The printed means and alphas add
+their floats left to right, so they keep their bits on Python 3.12 and
+later, where ``sum()`` compensates its rounding as ``math.fsum`` does.
 """
 import hashlib
 import json
+import math
 import random
 import unicodedata
 
+import pytest
+
+from levelforge import agreement, cli, genmetrics
 from levelforge.cli import main
 from levelforge.corpus import text_sha256
 
@@ -132,3 +138,60 @@ def test_written_files_are_frozen(tmp_path, monkeypatch):
         if p.is_file() and p.relative_to(tmp_path).parts[0] not in inputs
     }
     assert written == DIGESTS
+
+
+def ratings(rng, groups=("system-a", "system-b", "system-c"), items=25):
+    """Ratings TSV text: each group's items rated 1-5 by two to four of five raters, one item by one."""
+    lines = ["item_id\trater_id\tgroup\tvalue"]
+    for group in groups:
+        for k in range(items):
+            raters = rng.sample(range(5), 1 if k == 0 else rng.randint(2, 4))
+            lines += [f"{group}-{k}\tr{r}\t{group}\t{rng.randint(1, 5)}" for r in raters]
+    return "".join(line + "\n" for line in lines)
+
+
+STDOUT_COMMANDS = {
+    "score": ["score", "--outputs", "outputs.txt", "--refs", "refs.jsonl"],
+    "report": ["report", "ratings.tsv"],
+    "report --format text": ["report", "ratings.tsv", "--format", "text"],
+    "agree --metric ordinal": ["agree", "ratings.tsv", "--metric", "ordinal"],
+}
+# SHA-256 of each command's stdout.
+STDOUT_DIGESTS = {
+    "agree --metric ordinal": "79a0e5cb864b374de18f13380a3e559cd90145c2db89a074959e4becb171f916",
+    "report": "212ad47172f890a5e09ea78f1e3b3ae7f3ba014f1f265f4cdacfc012986b6244",
+    "report --format text": "bcafbcfe8f8b9567b924ba52ee5de1bc0027bf257f0ab6ae4e94986395f72d33",
+    "score": "5ab831b2dbda340998a4b932779bd947baa43e281604e63aadf824d58910e3bb",
+}
+
+
+@pytest.fixture
+def stdout_digests(tmp_path, monkeypatch, capsys):
+    """Run each of ``STDOUT_COMMANDS`` on seeded inputs; the SHA-256 of its stdout, by name."""
+    rng = random.Random(405)
+    outputs, refs = eval_inputs(rng)
+    (tmp_path / "outputs.txt").write_text("".join(o + "\n" for o in outputs), encoding="utf-8")
+    write_jsonl(tmp_path / "refs.jsonl", refs)
+    (tmp_path / "ratings.tsv").write_text(ratings(rng), encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+
+    def run():
+        digests = {}
+        for name, argv in STDOUT_COMMANDS.items():
+            capsys.readouterr()
+            assert main(argv) == 0
+            digests[name] = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+        return digests
+
+    return run
+
+
+def test_printed_reports_are_frozen(stdout_digests):
+    assert stdout_digests() == STDOUT_DIGESTS
+
+
+def test_printed_reports_do_not_follow_sum(stdout_digests, monkeypatch):
+    # sum() of floats rounds as math.fsum does from Python 3.12 on.
+    for module in (genmetrics, agreement, cli):
+        monkeypatch.setattr(module, "sum", math.fsum, raising=False)
+    assert stdout_digests() == STDOUT_DIGESTS
