@@ -9,8 +9,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter, defaultdict
-from dataclasses import dataclass, field
-from typing import Hashable, Mapping, Sequence
+from typing import Hashable, Mapping, Optional, Sequence
 
 from .readability import ComplexityLevel, Scheme, cefr6_to_cefr3
 from .textcore import total
@@ -36,25 +35,28 @@ class UndefinedAlphaError(ValueError):
     """No pairable values: alpha has no defined value."""
 
 
-@dataclass(frozen=True)
 class LabeledPrediction:
-    gold: ComplexityLevel
-    predicted: ComplexityLevel
+    """A gold and a predicted CEFR6 level of one item, set once."""
 
-    def __post_init__(self) -> None:
-        if self.gold.scheme is not Scheme.CEFR6 or self.predicted.scheme is not Scheme.CEFR6:
+    def __init__(self, gold: ComplexityLevel, predicted: ComplexityLevel) -> None:
+        if gold.scheme is not Scheme.CEFR6 or predicted.scheme is not Scheme.CEFR6:
             raise ValueError("LabeledPrediction requires CEFR6 levels on both sides")
+        object.__setattr__(self, "gold", gold)
+        object.__setattr__(self, "predicted", predicted)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
 
 
-@dataclass
 class RatingMatrix:
     """Raters x items ratings with missing cells allowed.
 
-    ``cells`` maps (rater_id, item_id) -> value. Values are hashable;
-    ordinal alpha additionally requires them to be orderable.
+    ``cells`` maps (rater_id, item_id) -> value, a new empty dict by default.
+    Values are hashable; ordinal alpha additionally requires them to be orderable.
     """
 
-    cells: dict[tuple[Hashable, Hashable], Hashable] = field(default_factory=dict)
+    def __init__(self, cells: Optional[dict[tuple[Hashable, Hashable], Hashable]] = None) -> None:
+        self.cells = {} if cells is None else cells
 
     def add(self, rater: Hashable, item: Hashable, value: Hashable) -> None:
         """Record one rating; a second rating of a cell, even of the same value, is a ValueError."""

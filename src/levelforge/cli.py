@@ -18,7 +18,6 @@ import sys
 import tempfile
 from collections import Counter, defaultdict
 from contextlib import contextmanager, nullcontext
-from dataclasses import MISSING, asdict, dataclass, fields
 from pathlib import Path
 from typing import Callable, Generic, Iterable, Iterator, Mapping, Optional, Sequence, TextIO, TypeVar
 
@@ -99,20 +98,34 @@ def parallel_map(fn: Callable[[T], U], items: Iterable[T]) -> Iterator[U]:
         yield fn(item)
 
 
-@dataclass
 class PipelineConfig:
-    input: str
-    output_dir: str
-    scheme: str = "fkgl"
-    seed: int = 0
-    min_words: int = FilterConfig.min_words
-    sim_low: float = FilterConfig.sim_low
-    sim_high: float = FilterConfig.sim_high
-    similarity_source: str = "column"  # column | file | builtin-lexical | none
-    similarity_file: Optional[str] = None
-    predictions: Optional[str] = None
-    task_size: Optional[int] = None
-    split_ratios: tuple[float, float, float] = SPLIT_RATIOS
+    def __init__(
+        self,
+        input: str,
+        output_dir: str,
+        scheme: str = "fkgl",
+        seed: int = 0,
+        min_words: int = FilterConfig.min_words,
+        sim_low: float = FilterConfig.sim_low,
+        sim_high: float = FilterConfig.sim_high,
+        similarity_source: str = "column",  # column | file | builtin-lexical | none
+        similarity_file: Optional[str] = None,
+        predictions: Optional[str] = None,
+        task_size: Optional[int] = None,
+        split_ratios: tuple[float, float, float] = SPLIT_RATIOS,
+    ) -> None:
+        self.input = input
+        self.output_dir = output_dir
+        self.scheme = scheme
+        self.seed = seed
+        self.min_words = min_words
+        self.sim_low = sim_low
+        self.sim_high = sim_high
+        self.similarity_source = similarity_source
+        self.similarity_file = similarity_file
+        self.predictions = predictions
+        self.task_size = task_size
+        self.split_ratios = split_ratios
 
     @classmethod
     def from_file(cls, path: str) -> "PipelineConfig":
@@ -124,10 +137,13 @@ class PipelineConfig:
             raise ConfigError(f"cannot read config {path}: {exc}") from exc
         if not isinstance(raw, dict):
             raise ConfigError(f"config {path} must be a JSON object, got {type(raw).__name__}")
-        unknown = set(raw) - {f.name for f in fields(cls)}
+        # The keys are the parameters of __init__; those without a default are required.
+        init = cls.__init__
+        keys = init.__code__.co_varnames[1 : init.__code__.co_argcount]
+        unknown = set(raw) - set(keys)
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        missing = [f.name for f in fields(cls) if f.default is MISSING and f.name not in raw]
+        missing = [k for k in keys[: len(keys) - len(init.__defaults__)] if k not in raw]
         if missing:
             raise ConfigError(f"missing config keys: {missing}")
         cfg = cls(**raw)
@@ -373,7 +389,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         for lineno, text in _texts(args.input):
             if text is None or not text.strip():
                 continue
-            row = asdict(sentence_stats(text))
+            row = sentence_stats(text)._asdict()
             row["fkgl"] = fkgl_from_counts(**row) if row["word_count"] else None
             if lineno in levels:
                 row["level"] = levels[lineno]
@@ -529,6 +545,8 @@ def cmd_classifier_eval(args: argparse.Namespace) -> int:
 def cmd_agree(args: argparse.Namespace) -> int:
     if args.gold_out and args.threshold is None:
         raise ConfigError("--gold-out needs --threshold")
+    if args.threshold is not None and args.threshold < 1:
+        raise ConfigError(f"--threshold must be >= 1, got {args.threshold}")
     matrix = RatingMatrix()
     _rate(args.input, lambda _group: matrix)  # pools every group
     with _blaming(args.input):  # alpha undefined, or a threshold out of reach
@@ -574,10 +592,18 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
     drops = unique.drops + kept.drops + leveled.drops
 
     # The old manifest goes before the first write and the new one comes last,
-    # so a directory with a manifest is complete.
+    # so a directory with a manifest is complete. The `<output>.<pid>.tmp`
+    # files that killed runs left behind (see _output) go with it.
     outdir = Path(cfg.output_dir)
     (outdir / "manifest.json").unlink(missing_ok=True)
     task_names = {TaskLabel.DOWN: "simplification", TaskLabel.UP: "complexification", TaskLabel.SAME: "same_level"}
+    outputs = {"manifest.json"} | {
+        f"{name}.{split}.jsonl" for name in task_names.values() for split in ("train", "valid", "test")
+    }
+    for tmp in outdir.glob("*.tmp"):
+        output, _, pid = tmp.name[: -len(".tmp")].rpartition(".")
+        if output in outputs and pid.isdigit():
+            tmp.unlink(missing_ok=True)
     split_counts: dict[str, dict[str, int]] = {}
     task_counts: dict[str, int] = {}
     for label, dataset in datasets.items():
@@ -591,7 +617,7 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
     manifest = {
         "scheme": scheme.value,
         "seed": cfg.seed,
-        "filter_settings": {**asdict(fcfg), "similarity_source": cfg.similarity_source},
+        "filter_settings": {**vars(fcfg), "similarity_source": cfg.similarity_source},
         "task_counts": task_counts,
         "split_counts": split_counts,
         "drop_reasons": dict(sorted(drops.items())),

@@ -9,9 +9,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
 from random import Random
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence, TypeVar
 
@@ -66,28 +64,35 @@ def check_similarity(value: object) -> float:
     return value
 
 
-@dataclass
 class ParaphrasePair:
-    id: str
-    source: str
-    target: str
-    similarity: Optional[float] = None
-    source_level: Optional[ComplexityLevel] = None
-    target_level: Optional[ComplexityLevel] = None
+    def __init__(
+        self,
+        id: str,
+        source: str,
+        target: str,
+        similarity: Optional[float] = None,
+        source_level: Optional[ComplexityLevel] = None,
+        target_level: Optional[ComplexityLevel] = None,
+    ) -> None:
+        if not isinstance(source, str) or not isinstance(target, str):
+            raise ValueError(f"pair {id}: source and target must be strings")
+        if not source or not target:
+            raise ValueError(f"pair {id}: source and target must be non-empty")
+        if similarity is not None:
+            check_similarity(similarity)
+        if source_level is not None and target_level is not None and source_level.scheme is not target_level.scheme:
+            raise ValueError(f"pair {id}: source/target level schemes differ")
+        self.id = id
+        self.source = source
+        self.target = target
+        self.similarity = similarity
+        self.source_level = source_level
+        self.target_level = target_level
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.source, str) or not isinstance(self.target, str):
-            raise ValueError(f"pair {self.id}: source and target must be strings")
-        if not self.source or not self.target:
-            raise ValueError(f"pair {self.id}: source and target must be non-empty")
-        if self.similarity is not None:
-            check_similarity(self.similarity)
-        if (
-            self.source_level is not None
-            and self.target_level is not None
-            and self.source_level.scheme is not self.target_level.scheme
-        ):
-            raise ValueError(f"pair {self.id}: source/target level schemes differ")
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return vars(self) == vars(other)
 
     def swapped(self) -> "ParaphrasePair":
         return ParaphrasePair(
@@ -100,12 +105,24 @@ class ParaphrasePair:
         )
 
 
-@dataclass
 class FilterConfig:
-    min_words: int = 3
-    sim_low: float = 0.60
-    sim_high: float = 0.80
-    require_similarity: bool = True
+    # The defaults, also read from the class by the CLI's options and PipelineConfig.
+    min_words = 3
+    sim_low = 0.60
+    sim_high = 0.80
+    require_similarity = True
+
+    def __init__(
+        self,
+        min_words: int = min_words,
+        sim_low: float = sim_low,
+        sim_high: float = sim_high,
+        require_similarity: bool = require_similarity,
+    ) -> None:
+        self.min_words = min_words
+        self.sim_low = sim_low
+        self.sim_high = sim_high
+        self.require_similarity = require_similarity
 
     def validate(self) -> None:
         for name in ("min_words", "sim_low", "sim_high"):
@@ -302,6 +319,8 @@ def split_dataset(
     Non-train splits get the floor of their decimal share (0.29 of 100 is 29,
     not 28); the remainder goes to train. Membership is disjoint and covers the dataset.
     """
+    from fractions import Fraction  # here, not at the top: only the commands that split need it
+
     ratios = check_split_ratios(ratios)
     items = sorted(dataset, key=key)
     Random(seed).shuffle(items)

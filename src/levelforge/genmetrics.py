@@ -9,10 +9,9 @@ a committed fixture of oracle outputs.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from functools import cached_property, partial
 from itertools import chain
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .readability import corpus_fkgl
 from .textcore import distinct_ratio, tokenize, total, windows
@@ -33,22 +32,24 @@ __all__ = [
 _SARI_MAX_N = 4
 
 
-@dataclass(frozen=True)
 class EvalInstance:
-    source: str
-    output: str
-    references: tuple[str, ...]
+    """A source, one system output and its references (kept as a tuple); set once, here."""
 
-    def __post_init__(self) -> None:
+    def __init__(self, source: str, output: str, references: Sequence[str]) -> None:
         """The one check of an instance: str texts, and a non-empty list or tuple of str references."""
-        for name in ("source", "output"):
-            text = getattr(self, name)
+        for name, text in (("source", source), ("output", output)):
             if not isinstance(text, str):
                 raise ValueError(f'"{name}" must be a string, got {type(text).__name__}')
-        refs = self.references
-        if not isinstance(refs, (list, tuple)) or not refs or not all(isinstance(r, str) for r in refs):
+        if not isinstance(references, (list, tuple)) or not references or not all(
+            isinstance(r, str) for r in references
+        ):
             raise ValueError('"references" must be a non-empty list of strings')
-        object.__setattr__(self, "references", tuple(refs))
+        object.__setattr__(self, "source", source)
+        object.__setattr__(self, "output", output)
+        object.__setattr__(self, "references", tuple(references))
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
 
     # Kept on the instance so every metric of one scoring run reuses one
     # tokenization per text and one SARI pass; the fields they derive from
@@ -66,8 +67,7 @@ class EvalInstance:
         return _sari_kernel(self)
 
 
-@dataclass(frozen=True)
-class SariBreakdown:
+class SariBreakdown(NamedTuple):
     add_score: float
     keep_score: float
     del_score: float

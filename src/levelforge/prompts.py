@@ -7,7 +7,6 @@ round trip.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
 
@@ -56,25 +55,33 @@ def _abs_level_token(level: ComplexityLevel) -> str:
     return level.label
 
 
-@dataclass(frozen=True)
 class PromptSpec:
-    strategy: Strategy
-    task: Optional[TaskLabel] = None
-    target_level: Optional[ComplexityLevel] = None
+    """A prompting strategy with the task or target level it needs, set once."""
 
-    def __post_init__(self) -> None:
-        if self.strategy in (Strategy.RELATIVE, Strategy.LLM_RELATIVE):
-            if self.task is None:
-                raise ValueError(f"{self.strategy.value} prompting requires a task")
-        if self.strategy in (Strategy.ABSOLUTE, Strategy.LLM_ABSOLUTE):
-            if self.target_level is None:
-                raise ValueError(f"{self.strategy.value} prompting requires a target level")
-            if self.strategy is Strategy.LLM_ABSOLUTE and self.target_level.scheme not in LLM_ABS_METRICS:
+    def __init__(
+        self,
+        strategy: Strategy,
+        task: Optional[TaskLabel] = None,
+        target_level: Optional[ComplexityLevel] = None,
+    ) -> None:
+        if strategy in (Strategy.RELATIVE, Strategy.LLM_RELATIVE):
+            if task is None:
+                raise ValueError(f"{strategy.value} prompting requires a task")
+        if strategy in (Strategy.ABSOLUTE, Strategy.LLM_ABSOLUTE):
+            if target_level is None:
+                raise ValueError(f"{strategy.value} prompting requires a target level")
+            if strategy is Strategy.LLM_ABSOLUTE and target_level.scheme not in LLM_ABS_METRICS:
                 raise ValueError("llm-abs prompting names an FKGL or CEFR level, not a newsela one")
-            if self.task is TaskLabel.SAME and self.strategy is Strategy.ABSOLUTE:
+            if task is TaskLabel.SAME and strategy is Strategy.ABSOLUTE:
                 raise ValueError(
                     "absolute prompting is not trained for single-task same-level data"
                 )
+        object.__setattr__(self, "strategy", strategy)
+        object.__setattr__(self, "task", task)
+        object.__setattr__(self, "target_level", target_level)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
 
     @property
     def prefix(self) -> str:

@@ -7,7 +7,6 @@ Cross-scheme comparison is an error, never a silent coercion.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Context, Decimal
 from enum import Enum
 from typing import Iterable
@@ -62,23 +61,37 @@ def round2(value: float) -> float:
     return float(Decimal(repr(value)).quantize(_CENT, context=_ROUND2))
 
 
-@dataclass(frozen=True, order=False)
 class ComplexityLevel:
-    scheme: Scheme
-    value: float
+    """A level of one scheme, set once. Levels are equal and hash alike over
+    (scheme, value), and have no order: ``<`` raises TypeError."""
 
-    def __post_init__(self) -> None:
+    def __init__(self, scheme: Scheme, value: float) -> None:
         """The one check of a level: FKGL takes a number finite as a float, rounded
         to 2 decimals; any other scheme an int index of its labels. A bool is neither."""
-        value = self.value
-        if not isinstance(self.scheme, Scheme):
-            raise ValueError(f"unknown level scheme {self.scheme!r}")
-        if self.scheme is Scheme.FKGL:
+        if not isinstance(scheme, Scheme):
+            raise ValueError(f"unknown level scheme {scheme!r}")
+        if scheme is Scheme.FKGL:
             if isinstance(value, bool) or not isinstance(value, (int, float)) or not abs(value) <= _FLOAT_MAX:
                 raise ValueError(f"FKGL level must be a finite number, got {value!r}")
-            object.__setattr__(self, "value", round2(float(value)))
-        elif isinstance(value, bool) or not isinstance(value, int) or value not in range(len(_LABELS[self.scheme])):
-            raise ValueError(f"{self.scheme.name} index out of range, got {value!r}")
+            value = round2(float(value))
+        elif isinstance(value, bool) or not isinstance(value, int) or value not in range(len(_LABELS[scheme])):
+            raise ValueError(f"{scheme.name} index out of range, got {value!r}")
+        object.__setattr__(self, "scheme", scheme)
+        object.__setattr__(self, "value", value)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.scheme, self.value) == (other.scheme, other.value)
+
+    def __hash__(self) -> int:
+        return hash((self.scheme, self.value))
+
+    def __repr__(self) -> str:
+        return f"ComplexityLevel(scheme={self.scheme!r}, value={self.value!r})"
 
     @classmethod
     def parse(cls, scheme: Scheme, raw: object) -> "ComplexityLevel":

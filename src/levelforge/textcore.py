@@ -9,9 +9,8 @@ from __future__ import annotations
 import re
 import unicodedata
 from collections import Counter
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 __all__ = [
     "Sentence",
@@ -47,8 +46,7 @@ _VOWEL_GROUP_RE = re.compile(r"[aeiouy]+")
 _NON_ALPHA_RE = re.compile(r"[^a-z]")
 
 
-@dataclass(frozen=True)
-class Sentence:
+class Sentence(NamedTuple):
     """Per-text counts feeding readability formulas.
 
     Words are word tokens only (tokens containing at least one alphanumeric

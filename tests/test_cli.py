@@ -411,6 +411,12 @@ class TestAgreeCommand:
         assert capsys.readouterr() == ("", "error: --gold-out needs --threshold\n")
         assert not gold_out.exists()
 
+    @pytest.mark.parametrize("threshold", ["0", "-1"])
+    def test_threshold_below_one_is_usage_error(self, tmp_path, capsys, threshold):
+        # The ratings do not exist: the option is checked before they are read.
+        assert main(["agree", str(tmp_path / "ratings.tsv"), "--threshold", threshold]) == 2
+        assert capsys.readouterr() == ("", f"error: --threshold must be >= 1, got {threshold}\n")
+
     def test_unpairable_is_data_error(self, tmp_path, capsys):
         ratings = tmp_path / "ratings.tsv"
         ratings.write_text("s1\tr1\tg\t1\ns2\tr2\tg\t2\n")
@@ -1644,6 +1650,18 @@ class TestOutputsAreAllOrNothing:
         assert not [name for name in names if name.endswith(".tmp")]
         assert len(names) == 9
 
+    def test_pipeline_removes_the_temporary_files_of_killed_runs(self, tmp_path, capsys):
+        corpus = tmp_path / "corpus.jsonl"
+        make_corpus(corpus)
+        out = tmp_path / "out"
+        out.mkdir()
+        stale = ["manifest.json.99999.tmp", "simplification.train.jsonl.1.tmp", "same_level.test.jsonl.42.tmp"]
+        kept = ["notes.txt.7.tmp", "manifest.json.tmp", "other.jsonl.3.tmp"]
+        for name in stale + kept:
+            (out / name).write_text("partial")
+        assert self.pipeline(tmp_path, corpus, seed=1) == 0
+        assert sorted(p.name for p in out.glob("*.tmp")) == sorted(kept)
+
     def test_pipeline_failing_before_writing_leaves_the_last_run(self, tmp_path, capsys):
         corpus = tmp_path / "corpus.jsonl"
         make_corpus(corpus)
@@ -1719,6 +1737,9 @@ class TestKilledPipeline:
             proc.kill()
             proc.wait(timeout=60)
             assert self.manifest_agrees(outdir), f"kill {k} at {delay:.3f}s of a {run_s:.3f}s run"
+        # A complete run removes what the killed ones left.
+        assert start(2).wait(timeout=60) == 0
+        assert self.manifest_agrees(outdir) and not list(outdir.glob("*.tmp"))
 
 
 class TestPromptTsvRows:

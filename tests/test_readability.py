@@ -1,4 +1,5 @@
 import math
+import operator
 from decimal import ROUND_HALF_UP, Decimal, InvalidOperation
 
 import pytest
@@ -168,6 +169,34 @@ class TestComplexityLevel:
             assert (level.value, level.label) == (index, label)
         with pytest.raises(ValueError):
             ComplexityLevel(scheme, index + 1)
+
+    @pytest.mark.parametrize("a, b", [
+        (ComplexityLevel(Scheme.FKGL, 7.125), ComplexityLevel(Scheme.FKGL, 7.13)),  # equal once rounded
+        (ComplexityLevel(Scheme.CEFR6, 3), ComplexityLevel.parse(Scheme.CEFR6, "b2")),
+        (ComplexityLevel(Scheme.NEWSELA, 0), ComplexityLevel.parse(Scheme.NEWSELA, "0")),
+    ])
+    def test_equal_levels_are_equal_and_hash_alike(self, a, b):
+        assert a == b and not a != b
+        assert hash(a) == hash(b)
+        assert {a: "x"}[b] == "x"
+
+    @pytest.mark.parametrize("a, b", [
+        (ComplexityLevel(Scheme.CEFR6, 3), ComplexityLevel(Scheme.CEFR6, 2)),
+        (ComplexityLevel(Scheme.CEFR3, 1), ComplexityLevel(Scheme.CEFR6, 1)),  # same index, other scheme
+    ])
+    def test_other_levels_differ(self, a, b):
+        assert a != b and not a == b
+
+    @pytest.mark.parametrize("level", [ComplexityLevel(Scheme.FKGL, 7.5), ComplexityLevel(Scheme.CEFR6, 2)])
+    def test_a_level_is_not_its_tuple(self, level):
+        assert level != (level.scheme, level.value)
+        assert (level.scheme, level.value) != level
+
+    @pytest.mark.parametrize("compare", [operator.lt, operator.le, operator.gt, operator.ge])
+    def test_levels_have_no_order(self, compare):
+        with pytest.raises(TypeError):
+            compare(ComplexityLevel(Scheme.CEFR6, 1), ComplexityLevel(Scheme.CEFR6, 2))
+
 
 class TestLevelOf:
     def test_fkgl_computed(self):
