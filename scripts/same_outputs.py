@@ -2,245 +2,51 @@
 
     python scripts/same_outputs.py PARENT_SRC CHANGE_SRC
 
-Each argument is a directory that holds the ``levelforge`` package (a
-checkout's ``src/``). For seeds 1-3 the script builds the inputs of the
-``pipeline-mixed`` and ``eval`` benchmark workloads with
-``perfbench/workloads.py`` and runs, under each tree, in a directory of its
-own:
-
-- each workload's own commands;
-- ``pipeline`` on the ``pipeline-mixed`` input with each other similarity
-  source (``file``, ``builtin-lexical``, ``none``), and under ``cefr6``
-  with a predictions file;
-- a filter -> label -> bucket -> split -> prompt chain on the pipeline
-  input, some of its steps writing to stdout: without ``-o`` and with
-  ``-o -``, ``-o /dev/stdout`` and ``-o /dev/stderr``, which under the
-  captured streams are pipes; its label and bucket steps run again under
-  ``cefr6`` with the predictions file, and its prompt step under every
-  strategy and as TSV, and under ``cefr6`` as ``abs`` and ``llm-abs``;
-- ``analyze`` on the kept pairs, bare and with a ``--levels`` file that
-  mixes CEFR labels, integers and decimals;
-- ``filter`` and then ``label`` on a TSV copy of the pipeline input;
-- ``score --per-instance`` again on copies of the eval references cut to
-  the first 1 and the first 3 of each instance's references, so SARI's
-  scaling by the number of references is compared at more than one count,
-  and with ``--repetition-n 100``, an order past every eval output;
-- ``analyze``, ``classifier-eval``, ``report --format text``, and
-  ``agree`` on one study system's ratings (``agree`` pools every group, and
-  the systems share item ids), and ``agree`` again with every seventh item
-  rated once, so that alpha's choice of pairable items is compared;
-- ``report`` and ``agree --metric ordinal`` on that system's ratings moved
-  off the integers by up to 0.29, about 150 distinct values, so ordinal
-  alpha is compared over many more values than the five Likert points;
-- ``analyze`` on ``SPLITTER_EDGES``, texts at the edges of the sentence
-  splitter and the tokenizer, so their sentence, word and syllable counts
-  are compared too.
-
-It prints every stdout, stderr, exit code and written file that differs
-between the two trees, and any command that does not exit 0, and exits 1
-if there is one. For each difference it lists every key path whose value
-differs when both sides parse as JSON (manifests, stderr summaries,
-reports), else every differing line, up to ``LINE_CAP`` of them.
+Each argument is a directory that holds the ``levelforge`` package (a checkout's
+``src/``). For seeds 1-3 the script builds the inputs of the ``pipeline-mixed`` and
+``eval`` benchmark workloads with ``perfbench/workloads.py`` and runs every command of
+the command matrix (``tests/matrix.py``) on them under each tree, in a directory of its
+own, and ``STREAMS`` too, which need the real pipes that a child's captured streams are.
+It prints every stdout, stderr, exit code and written file that differs between the two
+trees, and any command that does not exit 0, and exits 1 if there is one. For each
+difference it lists every key path whose value differs when both sides parse as JSON
+(manifests, stderr summaries, reports), else every differing line, up to ``LINE_CAP``.
 Standard library only; the trees are run as subprocesses.
 """
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 import shutil
 import subprocess
 import sys
 import tempfile
-import unicodedata
 from itertools import zip_longest
 from pathlib import Path
 from typing import Iterator
 
 ROOT = Path(__file__).resolve().parent.parent
-sys.path.insert(0, str(ROOT / "perfbench"))
+sys.path[:0] = [str(ROOT / "perfbench"), str(ROOT / "tests")]
 
+import matrix  # noqa: E402
 from workloads import evaluation, pipeline_mixed  # noqa: E402
 
 SEEDS = (1, 2, 3)
-CEFR6 = ("A1", "A2", "B1", "B2", "C1", "C2")
 LINE_CAP = 20
-REFERENCE_CUTS = (1, 3)  # eval's references per instance, cut to the first 1 and the first 3
 ABSENT = object()  # a key or list item one side does not have
-
-SPLITTER_EDGES = (
-    # abbreviations, one before a period that follows a newline as a regex ``$`` would skip
-    "Dr. Smith met Mr. Jones, e.g. at St. Mark's etc. on time.",
-    "He met Dr\n. Smith today.",
-    "Go to st\n\n. now.",
-    "See fig. 3, vol. 2 and pp. 4-5. Then i.e. this.",
-    "It ends with etc.",
-    "Mr.\nSmith left. A.B.C. went home.",
-    # closers after the terminal punctuation
-    '"Stop!" she said.',
-    "He said (yes.) Then left. 'Why?!' Because.\u201d Right.\u2019",
-    "Wait... what?! Really.",
-    # a terminal inside a token
-    "It costs 3.5 dollars.",
-    "Use e.g.x here. Fine.",
-    "3.5",
-    "e.g.x",
-    # whitespace that is not ASCII
-    "One\u00a0word. Next\u00a0one.\u00a0",
-    "Line\u2028break. After.\u2029Then.",
-    "Sep\x1carated. Text.\x1f",
-    "He left.\u3000Next. Last.\x85",
-    # not in NFC
-    "Cafe\u0301 is open. Re\u0301sume\u0301 here.",
-    "A\u030angstro\u0308m. Done",
-    # leading and trailing whitespace, no terminal, punctuation only
-    "   Start here. End",
-    "Done.  \n\n  ",
-    "no terminal here",
-    "...",
-    "?! .",
-    # whitespace-only and empty texts, which analyze skips
-    " \n\t ",
-    "\u00a0\u2028\x1c",
-    "",
-)
-
-
-def study_files(ratings: list, workdir: Path) -> None:
-    """From one study system's ratings: ratings-system-0.tsv; ratings-single.tsv, the
-    same with every seventh item rated once; ratings-decimal.tsv, the same with each
-    value moved up by a hashed 0-0.29; and gold.jsonl and pred.jsonl, raters r0 and r1
-    as CEFR6 levels."""
-    by_rater: dict[str, dict[str, str]] = {"r0": {}, "r1": {}}
-    rows = [row for row in ratings if row[2] == "system-0"]
-    order = {item: k for k, item in enumerate(dict.fromkeys(item for item, *_ in rows))}
-    rated: set[str] = set()
-    with open(workdir / "ratings-system-0.tsv", "w", encoding="utf-8") as fh, \
-            open(workdir / "ratings-single.tsv", "w", encoding="utf-8") as single, \
-            open(workdir / "ratings-decimal.tsv", "w", encoding="utf-8") as decimal:
-        for item, rater, group, value in rows:
-            fh.write(f"{item}\t{rater}\t{group}\t{value}\n")
-            decimal.write(f"{item}\t{rater}\t{group}\t{value + _hashed(f'{item} {rater}') % 30 / 100:.2f}\n")
-            if order[item] % 7 or item not in rated:
-                single.write(f"{item}\t{rater}\t{group}\t{value}\n")
-                rated.add(item)
-            if rater in by_rater:
-                by_rater[rater][item] = CEFR6[value - 1]
-    items = sorted(by_rater["r0"].keys() & by_rater["r1"].keys())
-    for name, rater in (("gold.jsonl", "r0"), ("pred.jsonl", "r1")):
-        with open(workdir / name, "w", encoding="utf-8") as fh:
-            for item in items:
-                fh.write(json.dumps({"id": item, "level": by_rater[rater][item]}) + "\n")
-
-
-def _hashed(text: str) -> int:
-    """A number from the first 48 bits of the SHA-256 of ``text``."""
-    return int(hashlib.sha256(text.encode("utf-8")).hexdigest()[:12], 16)
-
-
-def pipeline_variants(workdir: Path) -> list[list[str]]:
-    """Configs that run the workload's ``pipeline`` through every other front-end branch.
-
-    ``sims.jsonl`` keys a similarity unlike the column's by the input's own
-    ids, leaving every seventh id to fall back to the column; ``preds.jsonl``
-    keys a CEFR6 level by each text's ``text_sha256``, leaving every tenth
-    text without one. Both values come from a hash of the key.
-    """
-    base = json.loads((workdir / "config.json").read_text())
-    pairs = [json.loads(line) for line in (workdir / "input.jsonl").read_text(encoding="utf-8").splitlines()]
-    with open(workdir / "sims.jsonl", "w", encoding="utf-8") as fh:
-        for pair in pairs:
-            if _hashed(pair["id"]) % 7:
-                similarity = _hashed(pair["id"]) % 1001 / 1000
-                fh.write(json.dumps({"id": pair["id"], "similarity": similarity}) + "\n")
-    keys = sorted({hashlib.sha256(unicodedata.normalize("NFC", text).encode("utf-8")).hexdigest()
-                   for pair in pairs for text in (pair["source"], pair["target"])})
-    with open(workdir / "preds.jsonl", "w", encoding="utf-8") as fh:
-        fh.write(json.dumps({"scheme": "cefr6"}) + "\n")
-        for key in keys:
-            if int(key[:12], 16) % 10:
-                fh.write(json.dumps({"text_sha256": key, "level": CEFR6[int(key[12:24], 16) % 6]}) + "\n")
-    variants = {
-        "file": {"similarity_source": "file", "similarity_file": "sims.jsonl"},
-        "lexical": {"similarity_source": "builtin-lexical"},
-        "none": {"similarity_source": "none"},
-        "cefr6": {"scheme": "cefr6", "predictions": "preds.jsonl"},
-    }
-    commands = []
-    for name, settings in variants.items():
-        config = {**base, "output_dir": f"out-{name}", **settings}
-        (workdir / f"config-{name}.json").write_text(json.dumps(config))
-        commands.append(["pipeline", "--config", f"config-{name}.json"])
-    return commands
+STREAMS = [
+    ["prompt", "splits/valid.jsonl", "--strategy", "abs", "--scheme", "fkgl", "-o", "/dev/stdout"],
+    ["label", "kept.jsonl", "--scheme", "fkgl", "-o", "/dev/stderr"],
+]
 
 
 def cases(seed: int, inputs: Path) -> dict[str, list[list[str]]]:
     """Per case name, the levelforge argv lists it runs in order, its inputs made under ``inputs``."""
-    mixed, evald = inputs / "pipeline-mixed", inputs / "eval"
-    mixed.mkdir(parents=True)
-    evald.mkdir(parents=True)
-    prepared = pipeline_mixed(seed, mixed)
-    scored = evaluation(seed, evald)
-    study_files(scored.expect["ratings"], evald)
-    for keep in REFERENCE_CUTS:
-        with open(evald / f"refs-{keep}.jsonl", "w", encoding="utf-8") as fh:
-            for line in (evald / "refs.jsonl").read_text(encoding="utf-8").splitlines():
-                record = json.loads(line)
-                fh.write(json.dumps({**record, "references": record["references"][:keep]}) + "\n")
-    with open(mixed / "splitter-edges.jsonl", "w", encoding="utf-8") as fh:
-        fh.writelines(json.dumps({"text": text}) + "\n" for text in SPLITTER_EDGES)
-    with open(mixed / "levels.jsonl", "w", encoding="utf-8") as fh:  # a label per line of kept.jsonl
-        for lineno in range(1, prepared.items + 1):
-            kind = _hashed(f"level {lineno}")
-            label = (CEFR6[kind % 6], kind % 13, kind % 130 / 10)[kind // 6 % 3]
-            fh.write(json.dumps({"level": label}) + "\n")
-    with open(mixed / "input.tsv", "w", encoding="utf-8") as fh:  # no text holds a tab or line break
-        for line in (mixed / "input.jsonl").read_text(encoding="utf-8").splitlines():
-            pair = json.loads(line)
-            fh.write(f"{pair['source']}\t{pair['target']}\t{pair['similarity']!r}\n")
-    chain = [
-        ["filter", "input.jsonl", "-o", "kept.jsonl"],
-        ["label", "kept.jsonl", "--scheme", "fkgl", "-o", "leveled.jsonl"],
-        ["bucket", "leveled.jsonl", "--scheme", "fkgl", "-o", "tasks.jsonl"],
-        ["split", "tasks.jsonl", "--seed", str(seed), "-o", "splits"],
-        ["prompt", "splits/train.jsonl", "--strategy", "rel", "--scheme", "fkgl", "-o", "prompted.jsonl"],
-        ["prompt", "splits/train.jsonl", "--strategy", "rel", "--scheme", "fkgl", "--format", "tsv",
-         "-o", "prompted.tsv"],
-        *(["prompt", "splits/train.jsonl", "--strategy", strategy, "--scheme", "fkgl",
-           "-o", f"prompted-{strategy}.jsonl"] for strategy in ("llm-rel", "llm-abs", "baseline")),
-        ["bucket", "leveled.jsonl", "--scheme", "fkgl"],
-        ["prompt", "splits/valid.jsonl", "--strategy", "abs", "--scheme", "fkgl"],
-        ["bucket", "leveled.jsonl", "--scheme", "fkgl", "-o", "-"],
-        ["prompt", "splits/valid.jsonl", "--strategy", "abs", "--scheme", "fkgl", "-o", "/dev/stdout"],
-        ["label", "kept.jsonl", "--scheme", "fkgl", "-o", "/dev/stderr"],
-        ["label", "kept.jsonl", "--scheme", "cefr6", "--predictions", "preds.jsonl",
-         "-o", "leveled-cefr6.jsonl"],
-        ["bucket", "leveled-cefr6.jsonl", "--scheme", "cefr6", "-o", "tasks-cefr6.jsonl"],
-        *(["prompt", "tasks-cefr6.jsonl", "--strategy", strategy, "--scheme", "cefr6",
-           "-o", f"prompted-cefr6-{strategy}.jsonl"] for strategy in ("llm-abs", "abs")),
-        ["analyze", "kept.jsonl", "-o", "analyzed.jsonl"],
-        ["analyze", "kept.jsonl", "--levels", "levels.jsonl", "-o", "analyzed-levels.jsonl"],
-        ["analyze", "splitter-edges.jsonl", "-o", "splitter-edges-analyzed.jsonl"],
-        ["filter", "input.tsv", "-o", "kept-tsv.jsonl"],
-        ["label", "kept-tsv.jsonl", "--scheme", "fkgl", "-o", "leveled-tsv.jsonl"],
-    ]
-    reports = [
-        *(["score", "--outputs", "outputs.txt", "--refs", f"refs-{keep}.jsonl",
-           "--per-instance", f"per_instance-{keep}.tsv"] for keep in REFERENCE_CUTS),
-        ["score", "--outputs", "outputs.txt", "--refs", "refs.jsonl", "--per-instance", "per_instance-rep100.tsv",
-         "--repetition-n", "100"],
-        ["analyze", "outputs.txt"],
-        ["agree", "ratings-system-0.tsv", "--metric", "ordinal", "--threshold", "3", "--gold-out", "gold_out.jsonl"],
-        ["agree", "ratings-single.tsv", "--metric", "ordinal"],
-        ["classifier-eval", "--gold", "gold.jsonl", "--pred", "pred.jsonl"],
-        ["report", "ratings-system-0.tsv", "--format", "text"],
-        ["report", "ratings-decimal.tsv"],
-        ["agree", "ratings-decimal.tsv", "--metric", "ordinal"],
-    ]
-    return {
-        "pipeline-mixed": prepared.commands + pipeline_variants(mixed) + chain,
-        "eval": scored.commands + reports,
-    }
+    for case, workload in (("pipeline", pipeline_mixed), ("eval", evaluation)):
+        (inputs / case).mkdir(parents=True)
+        workload(seed, inputs / case)
+    return {"pipeline": matrix.pipeline_case(inputs / "pipeline") + STREAMS,
+            "eval": matrix.eval_case(inputs / "eval")}
 
 
 def run_tree(src: Path, inputs: Path, workdir: Path, commands: list[list[str]]) -> tuple[list, dict]:

@@ -12,7 +12,7 @@ from collections import Counter, defaultdict
 from typing import Hashable, Mapping, Optional, Sequence
 
 from .readability import ComplexityLevel, Scheme, cefr6_to_cefr3
-from .textcore import total
+from .textcore import SetOnce, total
 
 __all__ = [
     "LabeledPrediction",
@@ -35,7 +35,7 @@ class UndefinedAlphaError(ValueError):
     """No pairable values: alpha has no defined value."""
 
 
-class LabeledPrediction:
+class LabeledPrediction(SetOnce):
     """A gold and a predicted CEFR6 level of one item, set once."""
 
     def __init__(self, gold: ComplexityLevel, predicted: ComplexityLevel) -> None:
@@ -43,9 +43,6 @@ class LabeledPrediction:
             raise ValueError("LabeledPrediction requires CEFR6 levels on both sides")
         object.__setattr__(self, "gold", gold)
         object.__setattr__(self, "predicted", predicted)
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError(f"cannot assign to field {name!r}")
 
 
 class RatingMatrix:

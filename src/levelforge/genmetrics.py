@@ -14,7 +14,7 @@ from itertools import chain
 from typing import Iterable, NamedTuple, Sequence
 
 from .readability import corpus_fkgl
-from .textcore import distinct_ratio, tokenize, total, windows
+from .textcore import SetOnce, distinct_ratio, tokenize, total, windows
 
 __all__ = [
     "EvalInstance",
@@ -32,7 +32,7 @@ __all__ = [
 _SARI_MAX_N = 4
 
 
-class EvalInstance:
+class EvalInstance(SetOnce):
     """A source, one system output and its references (kept as a tuple); set once, here."""
 
     def __init__(self, source: str, output: str, references: Sequence[str]) -> None:
@@ -47,9 +47,6 @@ class EvalInstance:
         object.__setattr__(self, "source", source)
         object.__setattr__(self, "output", output)
         object.__setattr__(self, "references", tuple(references))
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError(f"cannot assign to field {name!r}")
 
     # Kept on the instance so every metric of one scoring run reuses one
     # tokenization per text and one SARI pass; the fields they derive from

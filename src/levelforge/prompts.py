@@ -12,6 +12,7 @@ from typing import Optional
 
 from .corpus import TaskLabel
 from .readability import ComplexityLevel, Scheme, cefr6_to_cefr3
+from .textcore import SetOnce
 
 __all__ = [
     "Strategy",
@@ -55,7 +56,7 @@ def _abs_level_token(level: ComplexityLevel) -> str:
     return level.label
 
 
-class PromptSpec:
+class PromptSpec(SetOnce):
     """A prompting strategy with the task or target level it needs, set once."""
 
     def __init__(
@@ -79,9 +80,6 @@ class PromptSpec:
         object.__setattr__(self, "strategy", strategy)
         object.__setattr__(self, "task", task)
         object.__setattr__(self, "target_level", target_level)
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError(f"cannot assign to field {name!r}")
 
     @property
     def prefix(self) -> str:

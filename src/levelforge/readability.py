@@ -11,7 +11,7 @@ from decimal import ROUND_HALF_UP, Context, Decimal
 from enum import Enum
 from typing import Iterable
 
-from .textcore import sentence_stats
+from .textcore import SetOnce, sentence_stats
 
 __all__ = [
     "Scheme",
@@ -61,7 +61,7 @@ def round2(value: float) -> float:
     return float(Decimal(repr(value)).quantize(_CENT, context=_ROUND2))
 
 
-class ComplexityLevel:
+class ComplexityLevel(SetOnce):
     """A level of one scheme, set once. Levels are equal and hash alike over
     (scheme, value), and have no order: ``<`` raises TypeError."""
 
@@ -78,9 +78,6 @@ class ComplexityLevel:
             raise ValueError(f"{scheme.name} index out of range, got {value!r}")
         object.__setattr__(self, "scheme", scheme)
         object.__setattr__(self, "value", value)
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError(f"cannot assign to field {name!r}")
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:

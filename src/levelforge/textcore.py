@@ -24,6 +24,7 @@ __all__ = [
     "word_tokens",
     "words_of",
     "total",
+    "SetOnce",
 ]
 
 # Words keep internal hyphens/apostrophes ("state-of-the-art", "don't");
@@ -44,6 +45,14 @@ _ABBREVIATIONS = frozenset(
 
 _VOWEL_GROUP_RE = re.compile(r"[aeiouy]+")
 _NON_ALPHA_RE = re.compile(r"[^a-z]")
+
+
+class SetOnce:
+    """A record whose ``__init__`` sets each field once, with ``object.__setattr__``; assignment raises."""
+
+    # Not ``vars(self).update``: that gives each instance a dict object, over twice a two-field record's memory.
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
 
 
 class Sentence(NamedTuple):

@@ -62,6 +62,7 @@ class TestParaphrasePair:
         assert s.source_level == p.target_level
         assert s.target_level == p.source_level
         assert s.id == p.id
+        assert s.swapped() == p and p != vars(p)  # equal only to a pair
 
 
 class TestPairKey:

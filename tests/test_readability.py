@@ -102,6 +102,7 @@ class TestComplexityLevel:
     def test_fkgl_value_rounded(self):
         assert ComplexityLevel(Scheme.FKGL, 3.14159).value == 3.14
         assert ComplexityLevel(Scheme.FKGL, 2.675).value == 2.68
+        assert repr(ComplexityLevel(Scheme.FKGL, 7.254)) == "ComplexityLevel(scheme=<Scheme.FKGL: 'fkgl'>, value=7.25)"
 
     def test_invalid_cefr6(self):
         with pytest.raises(ValueError):
