@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter, defaultdict
-from typing import Hashable, Mapping, Optional, Sequence
+from typing import Hashable, Mapping, Sequence
 
 from .readability import ComplexityLevel, Scheme, cefr6_to_cefr3
 from .textcore import SetOnce, total
@@ -48,12 +48,12 @@ class LabeledPrediction(SetOnce):
 class RatingMatrix:
     """Raters x items ratings with missing cells allowed.
 
-    ``cells`` maps (rater_id, item_id) -> value, a new empty dict by default.
+    ``cells`` maps (rater_id, item_id) -> value; a matrix starts empty, and ``add`` fills it.
     Values are hashable; ordinal alpha additionally requires them to be orderable.
     """
 
-    def __init__(self, cells: Optional[dict[tuple[Hashable, Hashable], Hashable]] = None) -> None:
-        self.cells = {} if cells is None else cells
+    def __init__(self) -> None:
+        self.cells: dict[tuple[Hashable, Hashable], Hashable] = {}
 
     def add(self, rater: Hashable, item: Hashable, value: Hashable) -> None:
         """Record one rating; a second rating of a cell, even of the same value, is a ValueError."""

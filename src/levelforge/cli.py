@@ -19,7 +19,7 @@ import tempfile
 from collections import Counter, defaultdict
 from contextlib import contextmanager, nullcontext
 from pathlib import Path
-from typing import Callable, Generic, Iterable, Iterator, Mapping, Optional, Sequence, TextIO, TypeVar
+from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence, TextIO, TypeVar
 
 from . import __version__
 from .agreement import (
@@ -99,33 +99,22 @@ def parallel_map(fn: Callable[[T], U], items: Iterable[T]) -> Iterator[U]:
 
 
 class PipelineConfig:
-    def __init__(
-        self,
-        input: str,
-        output_dir: str,
-        scheme: str = "fkgl",
-        seed: int = 0,
-        min_words: int = FilterConfig.min_words,
-        sim_low: float = FilterConfig.sim_low,
-        sim_high: float = FilterConfig.sim_high,
-        similarity_source: str = "column",  # column | file | builtin-lexical | none
-        similarity_file: Optional[str] = None,
-        predictions: Optional[str] = None,
-        task_size: Optional[int] = None,
-        split_ratios: tuple[float, float, float] = SPLIT_RATIOS,
-    ) -> None:
-        self.input = input
-        self.output_dir = output_dir
-        self.scheme = scheme
-        self.seed = seed
-        self.min_words = min_words
-        self.sim_low = sim_low
-        self.sim_high = sim_high
-        self.similarity_source = similarity_source
-        self.similarity_file = similarity_file
-        self.predictions = predictions
-        self.task_size = task_size
-        self.split_ratios = split_ratios
+    """A pipeline run's settings, one attribute per key of its JSON document; built by ``from_file``."""
+
+    # The config's keys: these must be given, and the others default to these values.
+    REQUIRED = ("input", "output_dir")
+    DEFAULTS = {
+        "scheme": "fkgl",
+        "seed": 0,
+        "min_words": FilterConfig.min_words,
+        "sim_low": FilterConfig.sim_low,
+        "sim_high": FilterConfig.sim_high,
+        "similarity_source": "column",  # column | file | builtin-lexical | none
+        "similarity_file": None,
+        "predictions": None,
+        "task_size": None,
+        "split_ratios": SPLIT_RATIOS,
+    }
 
     @classmethod
     def from_file(cls, path: str) -> "PipelineConfig":
@@ -137,16 +126,14 @@ class PipelineConfig:
             raise ConfigError(f"cannot read config {path}: {exc}") from exc
         if not isinstance(raw, dict):
             raise ConfigError(f"config {path} must be a JSON object, got {type(raw).__name__}")
-        # The keys are the parameters of __init__; those without a default are required.
-        init = cls.__init__
-        keys = init.__code__.co_varnames[1 : init.__code__.co_argcount]
-        unknown = set(raw) - set(keys)
+        unknown = set(raw) - set(cls.REQUIRED) - set(cls.DEFAULTS)
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        missing = [k for k in keys[: len(keys) - len(init.__defaults__)] if k not in raw]
+        missing = [k for k in cls.REQUIRED if k not in raw]
         if missing:
             raise ConfigError(f"missing config keys: {missing}")
-        cfg = cls(**raw)
+        cfg = cls()
+        vars(cfg).update(cls.DEFAULTS, **raw)
         cfg.validate()
         return cfg
 
@@ -294,21 +281,16 @@ def _summary(command: str, entered: int, out: int, drops: Mapping[str, int], **e
     print(json.dumps(line, sort_keys=True), file=sys.stderr)
 
 
-class _Kept(Generic[T]):
-    """The kept items of a stage's stream; counts every item that enters and, by reason, each drop."""
+def _kept(checked: Checked[T], drops: Counter) -> Iterator[T]:
+    """The kept items of a stage's stream; each drop is added, by reason, to ``drops``.
 
-    def __init__(self, checked: Checked[T]) -> None:
-        self.checked = checked
-        self.entered = 0
-        self.drops: Counter = Counter()
-
-    def __iter__(self) -> Iterator[T]:
-        for item, reason in self.checked:
-            self.entered += 1
-            if reason is None:
-                yield item
-            else:
-                self.drops[reason.value] += 1
+    Items in are never counted: they are the items out plus ``drops.total()``.
+    """
+    for item, reason in checked:
+        if reason is None:
+            yield item
+        else:
+            drops[reason.value] += 1
 
 
 def _run_stage(
@@ -316,10 +298,10 @@ def _run_stage(
 ) -> int:
     """Run a stage command: write to ``args.output`` the records of what ``checked``, a stream
     over the pairs of ``args.input``, keeps; then print the summary."""
-    kept = _Kept(checked)
+    drops: Counter = Counter()
     with _output(args.output) as out:
-        n = write_jsonl(map(record, kept), out)
-    _summary(args.command, kept.entered, n, kept.drops)
+        n = write_jsonl(map(record, _kept(checked, drops)), out)
+    _summary(args.command, n + drops.total(), n, drops)
     return EXIT_OK
 
 
@@ -581,15 +563,17 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
 
     predictions = _predictions(scheme, cfg.predictions, '"predictions"')
     # Dedup first (stable pair key), then similarity, filter, label, bucket.
-    unique = _Kept(_unique_pairs(cfg))
-    kept = _Kept(_filtered(unique, fcfg))
-    leveled = _Kept(attach_levels(kept, scheme, predictions))
-    bucketed = _Kept(_bucketed(leveled, scheme))
+    drops: Counter = Counter()
+    # NEAR_LEVEL goes in bucket_stats, not drop_reasons: perfbench/checks.py adds the two.
+    near_level: Counter = Counter()
+    unique = _kept(_unique_pairs(cfg), drops)
+    kept = _kept(_filtered(unique, fcfg), drops)
+    leveled = _kept(attach_levels(kept, scheme, predictions), drops)
+    bucketed = _kept(_bucketed(leveled, scheme), near_level)
     with _blaming(cfg.input):  # too few pairs for the task size
         datasets, stats = build_datasets(bucketed, cfg.seed, cfg.task_size)
-    # NEAR_LEVEL goes in bucket_stats, not drop_reasons: perfbench/checks.py adds the two.
-    stats["near_level_rejects"] = bucketed.drops[DropReason.NEAR_LEVEL.value]
-    drops = unique.drops + kept.drops + leveled.drops
+    stats["near_level_rejects"] = near_level[DropReason.NEAR_LEVEL.value]
+    reached_bucket = sum(stats["bucket_counts"].values()) + stats["near_level_rejects"]
 
     # The old manifest goes before the first write and the new one comes last,
     # so a directory with a manifest is complete. The `<output>.<pid>.tmp`
@@ -635,7 +619,8 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
     with _output(str(outdir / "manifest.json")) as fh:
         json.dump(manifest, fh, sort_keys=True, indent=2)
         fh.write("\n")
-    _summary("pipeline", unique.entered, bucketed.entered, drops, tasks=task_counts, splits=split_counts)
+    _summary("pipeline", reached_bucket + drops.total(), reached_bucket, drops,
+             tasks=task_counts, splits=split_counts)
     return EXIT_OK
 
 

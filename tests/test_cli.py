@@ -590,9 +590,33 @@ class TestPipelineConfig:
         from levelforge.cli import ConfigError
 
         path = tmp_path / "cfg.json"
-        path.write_text(json.dumps({"input": "x", "output_dir": "y", "bogus": 1}))
-        with pytest.raises(ConfigError):
+        path.write_text(json.dumps({"input": "x", "output_dir": "y", "bogus": 1, "Seed": 2}))
+        with pytest.raises(ConfigError) as err:
             PipelineConfig.from_file(str(path))
+        assert str(err.value) == "unknown config keys: ['Seed', 'bogus']"
+
+    def test_missing_keys_named(self, tmp_path):
+        from levelforge.cli import ConfigError
+
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"seed": 1}))
+        with pytest.raises(ConfigError) as err:
+            PipelineConfig.from_file(str(path))
+        assert str(err.value) == "missing config keys: ['input', 'output_dir']"
+
+    def test_minimal_document_takes_every_default(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        Path("c.jsonl").write_text("")
+        Path("cfg.json").write_text(json.dumps({"input": "c.jsonl", "output_dir": "o"}))
+        cfg = PipelineConfig.from_file("cfg.json")
+        # What config_hash hashes, and so what the manifest's config_hash pins.
+        assert vars(cfg) == {
+            "input": "c.jsonl", "output_dir": "o", "scheme": "fkgl", "seed": 0,
+            "min_words": 3, "sim_low": 0.6, "sim_high": 0.8,
+            "similarity_source": "column", "similarity_file": None, "predictions": None,
+            "task_size": None, "split_ratios": (0.8, 0.1, 0.1),
+        }
+        assert cfg.config_hash() == "1c1b79a69551e91dd9fa404ae6ba39969aa39e3fcc91f1e35622ba38503079be"
 
     def test_bad_scheme_rejected(self, tmp_path):
         from levelforge.cli import ConfigError

@@ -1,4 +1,5 @@
 import hashlib
+import json
 import math
 import unicodedata
 
@@ -7,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from levelforge import textcore
+from levelforge.cli import main
 from levelforge.corpus import (
     DropReason,
     FilterConfig,
@@ -240,6 +242,24 @@ class TestEachSideTokenizedOnce:
         leveled = [p for p, _ in attach_levels(kept, Scheme.FKGL)]
         assert [p.id for p in leveled] == ["p00001", "p00002"]
         assert tokenized == [pairs[0].source, pairs[0].target, pairs[1].source, pairs[1].target]
+
+    def test_pipeline_labels_each_pair_right_after_filtering_it(self, tmp_path, monkeypatch, capsys):
+        tokenized = []
+        tokenize = textcore.tokenize
+        monkeypatch.setattr(textcore, "tokenize",
+                            lambda text: tokenized.append(text) or tokenize(text))
+        textcore.words_of.cache_clear()
+        # Every third pair is out of band, so the filter drops it before tokenizing.
+        pairs = [make_pair(i, source=f"The cat number {i} sat on the mat.",
+                           target=f"A cat called {i} was sitting there.", sim=0.9 if i % 3 == 0 else 0.7)
+                 for i in range(9)]
+        corpus = tmp_path / "corpus.jsonl"
+        corpus.write_text("".join(json.dumps({"id": p.id, "source": p.source, "target": p.target,
+                                              "similarity": p.similarity}) + "\n" for p in pairs))
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"input": str(corpus), "output_dir": str(tmp_path / "out")}))
+        assert main(["pipeline", "--config", str(config)]) == 0
+        assert tokenized == [side for p in pairs if p.similarity == 0.7 for side in (p.source, p.target)]
 
     def test_shared_words_cannot_be_mutated(self):
         assert isinstance(textcore.words_of("The cat sat."), tuple)

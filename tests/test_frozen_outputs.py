@@ -86,25 +86,40 @@ def test_outputs_are_frozen():
     assert runpy.run_path(str(SCRIPT))["digests"]() == DIGESTS
 
 
+MINORS = ["3.10", "3.11", "3.12", "3.13"]
+
+
 @pytest.fixture(scope="module")
-def child_env():
-    """No bytecode written, and every pyenv version selectable: a shim runs one only if ``PYENV_VERSION`` names it."""
+def children():
+    """The script running under each ``python3.10``-``python3.13`` on ``PATH``, all started at once,
+    by minor version. No bytecode is written, and every pyenv version is selectable: a shim runs
+    one only if ``PYENV_VERSION`` names it."""
     env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1"}
     if shutil.which("pyenv"):
         versions = subprocess.run(["pyenv", "versions", "--bare"], capture_output=True, text=True, check=True)
         env["PYENV_VERSION"] = ":".join(versions.stdout.split())
-    return env
+    procs = {}
+    for minor in MINORS:
+        python = shutil.which(f"python{minor}")
+        if python is not None:
+            procs[minor] = subprocess.Popen([python, str(SCRIPT)], env=env, text=True,
+                                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    yield procs
+    for proc in procs.values():
+        if proc.returncode is None:  # no test waited it out: deselected, or timed out
+            proc.kill()
+            proc.communicate()
 
 
-@pytest.mark.parametrize("minor", ["3.10", "3.11", "3.12", "3.13"])
-def test_outputs_are_frozen_under(minor, child_env):
-    python = shutil.which(f"python{minor}")
-    if python is None:
+@pytest.mark.parametrize("minor", MINORS)
+def test_outputs_are_frozen_under(minor, children):
+    if minor not in children:
         pytest.skip(f"python{minor} is not on PATH")
-    proc = subprocess.run([python, str(SCRIPT)], env=child_env, capture_output=True, text=True, timeout=300)
+    proc = children[minor]
+    stdout, stderr = proc.communicate(timeout=300)
     if proc.returncode == 127:  # a pyenv shim with no such version installed
-        pytest.skip(f"python{minor}: {proc.stderr.strip()}")
-    assert proc.returncode == 0, proc.stderr
-    version, *lines = proc.stdout.splitlines()
+        pytest.skip(f"python{minor}: {stderr.strip()}")
+    assert proc.returncode == 0, stderr
+    version, *lines = stdout.splitlines()
     assert version.startswith(f"{minor}.")
     assert dict(reversed(line.split("  ", 1)) for line in lines) == DIGESTS
