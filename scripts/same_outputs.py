@@ -7,10 +7,13 @@ Each argument is a directory that holds the ``levelforge`` package (a checkout's
 ``eval`` benchmark workloads with ``perfbench/workloads.py`` and runs every command of
 the command matrix (``tests/matrix.py``) on them under each tree, in a directory of its
 own, and ``STREAMS`` too, which need the real pipes that a child's captured streams are.
-It prints every stdout, stderr, exit code and written file that differs between the two
-trees, and any command that does not exit 0, and exits 1 if there is one. For each
-difference it lists every key path whose value differs when both sides parse as JSON
-(manifests, stderr summaries, reports), else every differing line, up to ``LINE_CAP``.
+Then it runs ``levelforge --help`` and ``levelforge <command> --help`` for every command
+of the matrix under each tree: help text differs between interpreters, so it is not in
+the frozen digests, but two trees on one interpreter must print the same. It prints
+every stdout, stderr, exit code and written file that differs between the two trees,
+and any command that does not exit 0, and exits 1 if there is one. For each difference
+it lists every key path whose value differs when both sides parse as JSON (manifests,
+stderr summaries, reports), else every differing line, up to ``LINE_CAP``.
 Standard library only; the trees are run as subprocesses.
 """
 from __future__ import annotations
@@ -122,17 +125,24 @@ def main(argv: list[str]) -> int:
         return 2
     parent_src, change_src = (Path(a).resolve() for a in argv)
     problems = []
+
+    def check(label: str, inputs: Path, workdir: Path, commands: list[list[str]]) -> None:
+        runs = [run_tree(src, inputs, workdir / side, commands)
+                for side, src in (("parent", parent_src), ("change", change_src))]
+        found = compare(label, *runs)
+        print(f"{label}: {len(commands)} commands, {len(runs[0][1])} files, {len(found)} differences", flush=True)
+        problems.extend(found)
+
     with tempfile.TemporaryDirectory(prefix="same_outputs.") as tmp:
+        names: dict[str, None] = {}  # every command the matrix runs, in first-run order
         for seed in SEEDS:
             inputs = Path(tmp, f"seed{seed}", "inputs")
             for name, commands in cases(seed, inputs).items():
-                label = f"seed {seed} {name}"
-                runs = [run_tree(src, inputs / name, Path(tmp, f"seed{seed}", side, name), commands)
-                        for side, src in (("parent", parent_src), ("change", change_src))]
-                found = compare(label, *runs)
-                print(f"{label}: {len(commands)} commands, {len(runs[0][1])} files, "
-                      f"{len(found)} differences", flush=True)
-                problems += found
+                names.update(dict.fromkeys(argv[0] for argv in commands))
+                check(f"seed {seed} {name}", inputs / name, Path(tmp, f"seed{seed}", name), commands)
+        no_inputs = Path(tmp, "help", "inputs")
+        no_inputs.mkdir(parents=True)
+        check("help", no_inputs, Path(tmp, "help"), [["--help"], *([name, "--help"] for name in names)])
     for line in problems:
         print(line)
     print(f"{len(problems)} differences" if problems else "no differences")

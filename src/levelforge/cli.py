@@ -1,7 +1,6 @@
 """Operator-facing command surface.
 
-Subcommands mirror the pipeline stages: analyze, pipeline, filter, label,
-bucket, split, prompt, score, classifier-eval, agree, report. Exit codes:
+Each subcommand is declared once, by ``_command`` on its runner. Exit codes:
 0 success, 1 data error, 2 usage/config error. All randomness flows from
 the single --seed / config seed. Per-pair work runs in one thread, in input
 order; LEVELFORGE_THREADS is accepted and ignored (a no-op).
@@ -209,7 +208,8 @@ def _output(path: Optional[str]) -> Iterator[TextIO]:
     keeping its permission bits; an existing one must be writable. Any other
     target is a stream given a spooled copy: stdout for None or "-", stdout or
     stderr when it has the target open (``-o /dev/stderr 2>> log`` appends),
-    else the target itself (a pipe, a device), opened before any work.
+    else the target itself (a pipe, a device), opened before any work. A
+    failed write or rename names ``path``, or "<stdout>" (see ``_naming``).
     """
     try:
         st: Optional[os.stat_result] = None if path in (None, "-") else os.stat(path)
@@ -217,7 +217,8 @@ def _output(path: Optional[str]) -> Iterator[TextIO]:
         st = None
     stream = sys.stdout if path in (None, "-") else _std_stream(st)
     if stream or (st is not None and not stat.S_ISREG(st.st_mode)):
-        with nullcontext(stream) if stream else open(path, "w", encoding="utf-8") as stream, \
+        with _naming("<stdout>" if path in (None, "-") else path), \
+                nullcontext(stream) if stream else open(path, "w", encoding="utf-8") as stream, \
                 tempfile.TemporaryFile("w+", encoding="utf-8", newline="") as spool:
             yield spool
             spool.seek(0)
@@ -228,19 +229,28 @@ def _output(path: Optional[str]) -> Iterator[TextIO]:
         raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), path)
     target = os.path.realpath(path)
     tmp = f"{target}.{os.getpid()}.tmp"
-    try:
+    with _naming(path, tmp):  # the temporary file is reported as ``path``
         fh = open(tmp, "w", encoding="utf-8")
-    except OSError as exc:  # reported as the open of ``path`` would be
-        raise OSError(exc.errno, exc.strerror, path) from None
+        try:
+            with fh:
+                yield fh
+            if st is not None:
+                os.chmod(tmp, stat.S_IMODE(st.st_mode))
+            os.replace(tmp, target)
+        except BaseException:
+            os.unlink(tmp)
+            raise
+
+
+@contextmanager
+def _naming(target: str, *stand_ins: str) -> Iterator[None]:
+    """An OSError in the block that names no file, or one of ``stand_ins``, names ``target``."""
     try:
-        with fh:
-            yield fh
-        if st is not None:
-            os.chmod(tmp, stat.S_IMODE(st.st_mode))
-        os.replace(tmp, target)
-    except BaseException:
-        os.unlink(tmp)
-        raise
+        yield
+    except OSError as exc:
+        if exc.filename is not None and exc.filename not in stand_ins:
+            raise
+        raise OSError(exc.errno, exc.strerror, target) from None
 
 
 def _write_splits(outdir: Path, prefix: str, chunks: Mapping[str, Iterable[dict]]) -> dict[str, int]:
@@ -354,7 +364,32 @@ def _rate(path: str, matrix_of: Callable[[str], RatingMatrix]) -> None:
 
 # ---------------------------------------------------------------- commands
 
+Option = tuple[tuple[str, ...], dict]  # the arguments of one add_argument call
+# Each subcommand, in --help order: its runner's name, help line and options; filled by _command.
+COMMANDS: dict[str, tuple[str, str, tuple[Option, ...]]] = {}
+Runner = TypeVar("Runner", bound=Callable[[argparse.Namespace], int])
 
+
+def _arg(*names: str, **kw: object) -> Option:
+    return names, kw
+
+
+def _command(name: str, help_line: str, *options: Option) -> Callable[[Runner], Runner]:
+    """Declare the decorated runner as the subcommand ``name``, with its help line and options."""
+    def declare(runner: Runner) -> Runner:
+        COMMANDS[name] = (runner.__name__, help_line, options)
+        return runner
+    return declare
+
+
+INPUT = _arg("input")
+OUTPUT = _arg("-o", "--output")
+SCHEME = _arg("--scheme", required=True, choices=[s.value for s in Scheme])
+RATINGS = _arg("input", help="ratings TSV: item_id, rater_id, group, value")
+
+
+@_command("analyze", "per-line word/syllable/sentence/FKGL stats",
+          INPUT, _arg("--levels", help="JSONL level file aligned by line number"), OUTPUT)
 def cmd_analyze(args: argparse.Namespace) -> int:
     levels: dict[int, str] = {}
     if args.levels:
@@ -404,158 +439,8 @@ def _texts(path: str) -> Iterator[tuple[int, Optional[str]]]:
         yield lineno, line.split("\t", 1)[0]
 
 
-def cmd_filter(args: argparse.Namespace) -> int:
-    fcfg = _filter_settings(FilterConfig(
-        min_words=args.min_words,
-        sim_low=args.sim_low,
-        sim_high=args.sim_high,
-        require_similarity=not args.allow_missing_similarity,
-    ))
-    return _run_stage(args, _filtered(read_pairs(args.input), fcfg))
-
-
-def _predictions(scheme: Scheme, path: Optional[str], name: str) -> Optional[dict]:
-    """The level predictions ``scheme`` needs, read from ``path`` (the option
-    ``name``); None for FKGL, the one computed scheme."""
-    if scheme is Scheme.FKGL:
-        return None
-    if not path:
-        raise ConfigError(f"scheme {scheme.value} requires {name}")
-    return read_predictions(path, scheme)
-
-
-def cmd_label(args: argparse.Namespace) -> int:
-    scheme = Scheme(args.scheme)
-    predictions = _predictions(scheme, args.predictions, "--predictions")
-    return _run_stage(args, attach_levels(read_pairs(args.input), scheme, predictions))
-
-
-def cmd_bucket(args: argparse.Namespace) -> int:
-    scheme = Scheme(args.scheme)
-    tasks = _bucketed(read_pairs(args.input, scheme), scheme)
-    return _run_stage(args, tasks, lambda kept: pair_to_record(kept[0], task=kept[1].value))
-
-
-def cmd_split(args: argparse.Namespace) -> int:
-    with _blaming("--ratios", ConfigError):
-        ratios = check_split_ratios(args.ratios)
-    records = [obj for _, obj in read_jsonl(args.input)]
-    chunks = split_dataset(records, ratios, args.seed, key=lambda r: str(r.get("id", "")))
-    counts = _write_splits(Path(args.output_dir), "", chunks)
-    _summary("split", len(records), sum(counts.values()), {}, splits=counts)
-    return EXIT_OK
-
-
-def cmd_prompt(args: argparse.Namespace) -> int:
-    strategy = Strategy(args.strategy)
-    scheme = Scheme(args.scheme)
-    if strategy is Strategy.LLM_ABSOLUTE and scheme not in LLM_ABS_METRICS:
-        raise ConfigError("--strategy llm-abs names an FKGL or CEFR level, not a newsela one")
-    fixed = None
-    if args.fixed_level is not None:
-        if strategy not in (Strategy.ABSOLUTE, Strategy.LLM_ABSOLUTE):
-            raise ConfigError(f"--fixed-level needs strategy abs or llm-abs, not {strategy.value}")
-        # Under cefr6, inference prompts may use the collapsed A/B/C alphabet.
-        collapsed = scheme is Scheme.CEFR6 and len(args.fixed_level) == 1
-        with _blaming("--fixed-level", ConfigError):
-            fixed = ComplexityLevel.parse(Scheme.CEFR3 if collapsed else scheme, args.fixed_level)
-    with _output(args.output) as out:
-        for lineno, record in read_jsonl(args.input):
-            with _blaming(f"{args.input}:{lineno}"):
-                rec = render_record(record, strategy, scheme, fixed_level=fixed)
-            if args.format == "tsv":
-                row = (rec["input_prompted"], rec["output"])
-                if any(c in value for value in row for c in "\t\n\r"):
-                    msg = "a tab or line break in source or target cannot go in a TSV row"
-                    raise ParseError(args.input, lineno, msg)
-                out.write("\t".join(row) + "\n")
-            else:
-                write_jsonl([rec], out)
-    return EXIT_OK
-
-
-def cmd_score(args: argparse.Namespace) -> int:
-    if args.repetition_n < 1:
-        raise ConfigError(f"--repetition-n must be >= 1, got {args.repetition_n}")
-    outputs = [line for _, line in read_lines(args.outputs)]
-    refs = list(read_jsonl(args.refs))
-    if len(outputs) != len(refs):
-        raise DataError(
-            f"line-count mismatch: {len(outputs)} lines in {args.outputs}, {len(refs)} in {args.refs}"
-        )
-    instances = []
-    for out_text, (lineno, obj) in zip(outputs, refs):
-        if "source" not in obj or "references" not in obj:
-            raise ParseError(args.refs, lineno, 'need "source" and "references"')
-        with _blaming(f"{args.refs}:{lineno}"):
-            instances.append(EvalInstance(obj["source"], out_text, obj["references"]))
-    with _blaming(args.outputs):  # no instances
-        report = score_report(instances, repetition_n=args.repetition_n)
-    if args.per_instance:
-        with _output(args.per_instance) as fh:
-            fh.write("sari\tsari_r\tcopy\n")
-            for inst in instances:
-                s = sari(inst).sari
-                sr = sari_r(inst, args.repetition_n)
-                fh.write(f"{s:.4f}\t{sr:.4f}\t{int(is_copy(inst))}\n")
-    _print_report(report, args.outputs)
-    return EXIT_OK
-
-
-def cmd_classifier_eval(args: argparse.Namespace) -> int:
-    level = functools.partial(ComplexityLevel.parse, Scheme.CEFR6)
-    gold = read_keyed(args.gold, "level", level)
-    pred = read_keyed(args.pred, "level", level)
-    if set(gold) != set(pred):
-        missing = sorted(set(gold) ^ set(pred))[:5]
-        raise DataError(f"ids differ between {args.gold} and {args.pred}, e.g. {missing}")
-    preds = [
-        LabeledPrediction(gold=gold[k], predicted=pred[k]) for k in sorted(gold)
-    ]
-    with _blaming(args.gold):  # no items
-        report = {
-            "f1_6": weighted_f1(preds, collapse=6),
-            "f1_3": weighted_f1(preds, collapse=3),
-            "adj_acc": adjacent_accuracy(preds),
-            "mae": mae(preds),
-            "items": len(preds),
-        }
-    _print_report(report, args.pred)
-    return EXIT_OK
-
-
-def cmd_agree(args: argparse.Namespace) -> int:
-    if args.gold_out and args.threshold is None:
-        raise ConfigError("--gold-out needs --threshold")
-    if args.threshold is not None and args.threshold < 1:
-        raise ConfigError(f"--threshold must be >= 1, got {args.threshold}")
-    matrix = RatingMatrix()
-    _rate(args.input, lambda _group: matrix)  # pools every group
-    with _blaming(args.input):  # alpha undefined, or a threshold out of reach
-        result = {"alpha": krippendorff_alpha(matrix, metric=args.metric), "metric": args.metric}
-        resolved = None if args.threshold is None else majority_gold(matrix, args.threshold)
-    if resolved is not None:
-        gold = {k: v for k, v in resolved.items() if v != UNRESOLVED}
-        result["resolved"] = len(gold)
-        result["items"] = len(resolved)
-        if args.gold_out:
-            with _output(args.gold_out) as fh:
-                items = sorted(gold.items(), key=lambda kv: str(kv[0]))
-                write_jsonl(({"item": str(k), "label": v} for k, v in items), fh)
-    _print_report(result, args.input)
-    return EXIT_OK
-
-
-def cmd_report(args: argparse.Namespace) -> int:
-    groups: defaultdict[str, RatingMatrix] = defaultdict(RatingMatrix)
-    _rate(args.input, groups.__getitem__)
-    if not groups:
-        raise DataError(f"no ratings found in {args.input}")
-    render = format_likert_table if args.format == "text" else None
-    _print_report(likert_report(groups), args.input, render)
-    return EXIT_OK
-
-
+@_command("pipeline", "full filter/label/bucket/build/split run",
+          _arg("--config", required=True, help="JSON PipelineConfig document"))
 def cmd_pipeline(args: argparse.Namespace) -> int:
     cfg = PipelineConfig.from_file(args.config)
     scheme = Scheme(cfg.scheme)
@@ -624,7 +509,182 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-# ------------------------------------------------------------------ parser
+@_command("filter", "apply pair filters, report drop reasons", INPUT, OUTPUT,
+          _arg("--min-words", type=int, default=FilterConfig.min_words),
+          _arg("--sim-low", type=float, default=FilterConfig.sim_low),
+          _arg("--sim-high", type=float, default=FilterConfig.sim_high),
+          _arg("--allow-missing-similarity", action="store_true"))
+def cmd_filter(args: argparse.Namespace) -> int:
+    fcfg = _filter_settings(FilterConfig(
+        min_words=args.min_words,
+        sim_low=args.sim_low,
+        sim_high=args.sim_high,
+        require_similarity=not args.allow_missing_similarity,
+    ))
+    return _run_stage(args, _filtered(read_pairs(args.input), fcfg))
+
+
+def _predictions(scheme: Scheme, path: Optional[str], name: str) -> Optional[dict]:
+    """The level predictions ``scheme`` needs, read from ``path`` (the option
+    ``name``); None for FKGL, the one computed scheme."""
+    if scheme is Scheme.FKGL:
+        return None
+    if not path:
+        raise ConfigError(f"scheme {scheme.value} requires {name}")
+    return read_predictions(path, scheme)
+
+
+@_command("label", "attach complexity levels to pairs",
+          INPUT, SCHEME, _arg("--predictions", help="prediction JSONL (non-FKGL schemes)"), OUTPUT)
+def cmd_label(args: argparse.Namespace) -> int:
+    scheme = Scheme(args.scheme)
+    predictions = _predictions(scheme, args.predictions, "--predictions")
+    return _run_stage(args, attach_levels(read_pairs(args.input), scheme, predictions))
+
+
+@_command("bucket", "assign up/down/same task labels", INPUT, SCHEME, OUTPUT)
+def cmd_bucket(args: argparse.Namespace) -> int:
+    scheme = Scheme(args.scheme)
+    tasks = _bucketed(read_pairs(args.input, scheme), scheme)
+    return _run_stage(args, tasks, lambda kept: pair_to_record(kept[0], task=kept[1].value))
+
+
+@_command("split", "seeded train/valid/test split", INPUT,
+          _arg("--ratios", type=float, nargs=3, default=SPLIT_RATIOS),
+          _arg("--seed", type=int, default=0), _arg("-o", "--output-dir", required=True))
+def cmd_split(args: argparse.Namespace) -> int:
+    with _blaming("--ratios", ConfigError):
+        ratios = check_split_ratios(args.ratios)
+    records = [obj for _, obj in read_jsonl(args.input)]
+    chunks = split_dataset(records, ratios, args.seed, key=lambda r: str(r.get("id", "")))
+    counts = _write_splits(Path(args.output_dir), "", chunks)
+    _summary("split", len(records), sum(counts.values()), {}, splits=counts)
+    return EXIT_OK
+
+
+@_command("prompt", "render prompted training/inference files",
+          INPUT, _arg("--strategy", required=True, choices=[s.value for s in Strategy]), SCHEME,
+          _arg("--fixed-level", help="one X for every line (inference mode)"),
+          _arg("--format", choices=["jsonl", "tsv"], default="jsonl"), OUTPUT)
+def cmd_prompt(args: argparse.Namespace) -> int:
+    strategy = Strategy(args.strategy)
+    scheme = Scheme(args.scheme)
+    if strategy is Strategy.LLM_ABSOLUTE and scheme not in LLM_ABS_METRICS:
+        raise ConfigError("--strategy llm-abs names an FKGL or CEFR level, not a newsela one")
+    fixed = None
+    if args.fixed_level is not None:
+        if strategy not in (Strategy.ABSOLUTE, Strategy.LLM_ABSOLUTE):
+            raise ConfigError(f"--fixed-level needs strategy abs or llm-abs, not {strategy.value}")
+        # Under cefr6, inference prompts may use the collapsed A/B/C alphabet.
+        collapsed = scheme is Scheme.CEFR6 and len(args.fixed_level) == 1
+        with _blaming("--fixed-level", ConfigError):
+            fixed = ComplexityLevel.parse(Scheme.CEFR3 if collapsed else scheme, args.fixed_level)
+    with _output(args.output) as out:
+        for lineno, record in read_jsonl(args.input):
+            with _blaming(f"{args.input}:{lineno}"):
+                rec = render_record(record, strategy, scheme, fixed_level=fixed)
+            if args.format == "tsv":
+                row = (rec["input_prompted"], rec["output"])
+                if any(c in value for value in row for c in "\t\n\r"):
+                    msg = "a tab or line break in source or target cannot go in a TSV row"
+                    raise ParseError(args.input, lineno, msg)
+                out.write("\t".join(row) + "\n")
+            else:
+                write_jsonl([rec], out)
+    return EXIT_OK
+
+
+@_command("score", "SARI/FKGL/copy-rate/repetition report",
+          _arg("--outputs", required=True, help="system outputs, one per line"),
+          _arg("--refs", required=True, help='JSONL {"source","references"}'),
+          _arg("--repetition-n", type=int, default=4), _arg("--per-instance", help="write per-instance TSV here"))
+def cmd_score(args: argparse.Namespace) -> int:
+    if args.repetition_n < 1:
+        raise ConfigError(f"--repetition-n must be >= 1, got {args.repetition_n}")
+    outputs = [line for _, line in read_lines(args.outputs)]
+    refs = list(read_jsonl(args.refs))
+    if len(outputs) != len(refs):
+        raise DataError(
+            f"line-count mismatch: {len(outputs)} lines in {args.outputs}, {len(refs)} in {args.refs}"
+        )
+    instances = []
+    for out_text, (lineno, obj) in zip(outputs, refs):
+        if "source" not in obj or "references" not in obj:
+            raise ParseError(args.refs, lineno, 'need "source" and "references"')
+        with _blaming(f"{args.refs}:{lineno}"):
+            instances.append(EvalInstance(obj["source"], out_text, obj["references"]))
+    with _blaming(args.outputs):  # no instances
+        report = score_report(instances, repetition_n=args.repetition_n)
+    if args.per_instance:
+        with _output(args.per_instance) as fh:
+            fh.write("sari\tsari_r\tcopy\n")
+            for inst in instances:
+                s = sari(inst).sari
+                sr = sari_r(inst, args.repetition_n)
+                fh.write(f"{s:.4f}\t{sr:.4f}\t{int(is_copy(inst))}\n")
+    _print_report(report, args.outputs)
+    return EXIT_OK
+
+
+@_command("classifier-eval", "6-F1 / 3-F1 / Adj-Acc / MAE",
+          _arg("--gold", required=True), _arg("--pred", required=True))
+def cmd_classifier_eval(args: argparse.Namespace) -> int:
+    level = functools.partial(ComplexityLevel.parse, Scheme.CEFR6)
+    gold = read_keyed(args.gold, "level", level)
+    pred = read_keyed(args.pred, "level", level)
+    if set(gold) != set(pred):
+        missing = sorted(set(gold) ^ set(pred))[:5]
+        raise DataError(f"ids differ between {args.gold} and {args.pred}, e.g. {missing}")
+    preds = [
+        LabeledPrediction(gold=gold[k], predicted=pred[k]) for k in sorted(gold)
+    ]
+    with _blaming(args.gold):  # no items
+        report = {
+            "f1_6": weighted_f1(preds, collapse=6),
+            "f1_3": weighted_f1(preds, collapse=3),
+            "adj_acc": adjacent_accuracy(preds),
+            "mae": mae(preds),
+            "items": len(preds),
+        }
+    _print_report(report, args.pred)
+    return EXIT_OK
+
+
+@_command("agree", "Krippendorff alpha and majority gold", RATINGS,
+          _arg("--metric", choices=["nominal", "ordinal"], default="nominal"),
+          _arg("--threshold", type=int), _arg("--gold-out"))
+def cmd_agree(args: argparse.Namespace) -> int:
+    if args.gold_out and args.threshold is None:
+        raise ConfigError("--gold-out needs --threshold")
+    if args.threshold is not None and args.threshold < 1:
+        raise ConfigError(f"--threshold must be >= 1, got {args.threshold}")
+    matrix = RatingMatrix()
+    _rate(args.input, lambda _group: matrix)  # pools every group
+    with _blaming(args.input):  # alpha undefined, or a threshold out of reach
+        result = {"alpha": krippendorff_alpha(matrix, metric=args.metric), "metric": args.metric}
+        resolved = None if args.threshold is None else majority_gold(matrix, args.threshold)
+    if resolved is not None:
+        gold = {k: v for k, v in resolved.items() if v != UNRESOLVED}
+        result["resolved"] = len(gold)
+        result["items"] = len(resolved)
+        if args.gold_out:
+            with _output(args.gold_out) as fh:
+                items = sorted(gold.items(), key=lambda kv: str(kv[0]))
+                write_jsonl(({"item": str(k), "label": v} for k, v in items), fh)
+    _print_report(result, args.input)
+    return EXIT_OK
+
+
+@_command("report", "Likert means, 95%% CIs, ordinal alpha per group",
+          RATINGS, _arg("--format", choices=["json", "text"], default="json"))
+def cmd_report(args: argparse.Namespace) -> int:
+    groups: defaultdict[str, RatingMatrix] = defaultdict(RatingMatrix)
+    _rate(args.input, groups.__getitem__)
+    if not groups:
+        raise DataError(f"no ratings found in {args.input}")
+    render = format_likert_table if args.format == "text" else None
+    _print_report(likert_report(groups), args.input, render)
+    return EXIT_OK
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -634,93 +694,32 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("analyze", help="per-line word/syllable/sentence/FKGL stats")
-    p.add_argument("input")
-    p.add_argument("--levels", help="JSONL level file aligned by line number")
-    p.add_argument("-o", "--output")
-    p.set_defaults(func=cmd_analyze)
-
-    p = sub.add_parser("pipeline", help="full filter/label/bucket/build/split run")
-    p.add_argument("--config", required=True, help="JSON PipelineConfig document")
-    p.set_defaults(func=cmd_pipeline)
-
-    p = sub.add_parser("filter", help="apply pair filters, report drop reasons")
-    p.add_argument("input")
-    p.add_argument("-o", "--output")
-    p.add_argument("--min-words", type=int, default=FilterConfig.min_words)
-    p.add_argument("--sim-low", type=float, default=FilterConfig.sim_low)
-    p.add_argument("--sim-high", type=float, default=FilterConfig.sim_high)
-    p.add_argument("--allow-missing-similarity", action="store_true")
-    p.set_defaults(func=cmd_filter)
-
-    p = sub.add_parser("label", help="attach complexity levels to pairs")
-    p.add_argument("input")
-    p.add_argument("--scheme", required=True, choices=[s.value for s in Scheme])
-    p.add_argument("--predictions", help="prediction JSONL (non-FKGL schemes)")
-    p.add_argument("-o", "--output")
-    p.set_defaults(func=cmd_label)
-
-    p = sub.add_parser("bucket", help="assign up/down/same task labels")
-    p.add_argument("input")
-    p.add_argument("--scheme", required=True, choices=[s.value for s in Scheme])
-    p.add_argument("-o", "--output")
-    p.set_defaults(func=cmd_bucket)
-
-    p = sub.add_parser("split", help="seeded train/valid/test split")
-    p.add_argument("input")
-    p.add_argument("--ratios", type=float, nargs=3, default=SPLIT_RATIOS)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("-o", "--output-dir", required=True)
-    p.set_defaults(func=cmd_split)
-
-    p = sub.add_parser("prompt", help="render prompted training/inference files")
-    p.add_argument("input")
-    p.add_argument("--strategy", required=True, choices=[s.value for s in Strategy])
-    p.add_argument("--scheme", required=True, choices=[s.value for s in Scheme])
-    p.add_argument("--fixed-level", help="one X for every line (inference mode)")
-    p.add_argument("--format", choices=["jsonl", "tsv"], default="jsonl")
-    p.add_argument("-o", "--output")
-    p.set_defaults(func=cmd_prompt)
-
-    p = sub.add_parser("score", help="SARI/FKGL/copy-rate/repetition report")
-    p.add_argument("--outputs", required=True, help="system outputs, one per line")
-    p.add_argument("--refs", required=True, help='JSONL {"source","references"}')
-    p.add_argument("--repetition-n", type=int, default=4)
-    p.add_argument("--per-instance", help="write per-instance TSV here")
-    p.set_defaults(func=cmd_score)
-
-    p = sub.add_parser("classifier-eval", help="6-F1 / 3-F1 / Adj-Acc / MAE")
-    p.add_argument("--gold", required=True)
-    p.add_argument("--pred", required=True)
-    p.set_defaults(func=cmd_classifier_eval)
-
-    p = sub.add_parser("agree", help="Krippendorff alpha and majority gold")
-    p.add_argument("input", help="ratings TSV: item_id, rater_id, group, value")
-    p.add_argument("--metric", choices=["nominal", "ordinal"], default="nominal")
-    p.add_argument("--threshold", type=int)
-    p.add_argument("--gold-out")
-    p.set_defaults(func=cmd_agree)
-
-    p = sub.add_parser("report", help="Likert means, 95%% CIs, ordinal alpha per group")
-    p.add_argument("input", help="ratings TSV: item_id, rater_id, group, value")
-    p.add_argument("--format", choices=["json", "text"], default="json")
-    p.set_defaults(func=cmd_report)
-
+    for name, (runner, help_line, options) in COMMANDS.items():
+        p = sub.add_parser(name, help=help_line)
+        for names, kw in options:
+            p.add_argument(*names, **kw)
+        # Looked up now, not held since import: perfbench/tracer.py rebinds cli.cmd_pipeline and cli.cmd_score.
+        p.set_defaults(func=globals()[runner])
     return parser
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        with _naming("<stdout>"):
+            sys.stdout.flush()  # a failed print fails here, not in the interpreter's flush at exit
+        return code
     except (ConfigError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        code, error = EXIT_USAGE, exc
     except (DataError, ValueError) as exc:  # ParseError is a ValueError
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
+        code, error = EXIT_DATA, exc
+    print(f"error: {error}", file=sys.stderr)
+    try:
+        sys.stdout.flush()
+    except OSError:  # stdout is closed or full: leave the flush at exit nothing to retry
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    return code
 
 
 if __name__ == "__main__":

@@ -19,6 +19,9 @@ from levelforge.corpus import text_sha256
 from levelforge.genmetrics import EvalInstance, is_copy, sari, sari_r
 
 
+ENOSPC = f"[Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}"
+
+
 def write_jsonl_file(path, records):
     with open(path, "w", encoding="utf-8") as fh:
         for r in records:
@@ -1668,7 +1671,10 @@ class TestOutputsAreAllOrNothing:
         make_corpus(corpus)
         assert self.pipeline(tmp_path, corpus, seed=1) == 0
         self.fail_write_jsonl_call(monkeypatch, 5)
+        capsys.readouterr()
         assert self.pipeline(tmp_path, corpus, seed=2) == 2
+        fifth = tmp_path / "out" / "complexification.valid.jsonl"
+        assert capsys.readouterr().err == f"error: {ENOSPC}: '{fifth}'\n"
         names = sorted(p.name for p in (tmp_path / "out").iterdir())
         assert "manifest.json" not in names
         assert not [name for name in names if name.endswith(".tmp")]
@@ -1706,12 +1712,71 @@ class TestOutputsAreAllOrNothing:
         assert main(["split", str(data), "-o", str(outdir), "--seed", "1"]) == 0
         before = {p.name: p.read_bytes() for p in outdir.iterdir()}
         self.fail_write_jsonl_call(monkeypatch, 2)
+        capsys.readouterr()
         assert main(["split", str(data), "-o", str(outdir), "--seed", "2"]) == 2
+        assert capsys.readouterr().err == f"error: {ENOSPC}: '{outdir / 'valid.jsonl'}'\n"
         after = {p.name: p.read_bytes() for p in outdir.iterdir()}
         assert sorted(after) == ["test.jsonl", "train.jsonl", "valid.jsonl"]
         assert after["train.jsonl"] != before["train.jsonl"]  # the one file that was written
         assert [after[n] for n in ("valid.jsonl", "test.jsonl")] == [
             before[n] for n in ("valid.jsonl", "test.jsonl")]
+
+
+class TestFailedWrites:
+    """A write that fails, with stdout buffered as users run it, exits 2 with one error line that
+    names its target; nothing is left for the interpreter's flush at exit to fail on again."""
+
+    ARGV = {
+        "filter": ["filter", "pairs.jsonl"],
+        "score": ["score", "--outputs", "outputs.txt", "--refs", "refs.jsonl"],
+        "report": ["report", "ratings.tsv"],
+    }
+    needs_dev_full = pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+
+    @pytest.fixture
+    def workdir(self, tmp_path):
+        pair = TestOutputsAreAllOrNothing.PAIR
+        write_jsonl_file(tmp_path / "pairs.jsonl", [pair])
+        (tmp_path / "outputs.txt").write_text(pair["target"] + "\n")
+        write_jsonl_file(tmp_path / "refs.jsonl", [{"source": pair["source"], "references": [pair["target"]]}])
+        ratings = (f"s{i}\tr{r}\tg\t{i + r + 1}\n" for i in range(2) for r in range(3))
+        (tmp_path / "ratings.tsv").write_text("".join(ratings))
+        return tmp_path
+
+    @staticmethod
+    def run(workdir, argv, stdout):
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        return subprocess.run([sys.executable, "-m", "levelforge.cli", *argv], cwd=workdir, stdout=stdout,
+                              stderr=subprocess.PIPE, text=True, timeout=60, env={**env, "PYTHONPATH": str(src)})
+
+    @staticmethod
+    def assert_failed(proc, workdir, code, target):
+        assert (proc.returncode, proc.stderr) == (2, f"error: [Errno {code}] {os.strerror(code)}: '{target}'\n")
+        assert not list(workdir.rglob("*.tmp"))
+
+    @pytest.mark.parametrize("command", ["filter", "score", "report"])
+    def test_closed_stdout_pipe(self, workdir, command):
+        read, write = os.pipe()
+        os.close(read)  # as `| head` has once it has read enough
+        try:
+            proc = self.run(workdir, self.ARGV[command], write)
+        finally:
+            os.close(write)
+        self.assert_failed(proc, workdir, errno.EPIPE, "<stdout>")
+
+    @needs_dev_full
+    def test_full_stdout(self, workdir):
+        with open("/dev/full", "w") as full:
+            proc = self.run(workdir, self.ARGV["report"], full)
+        self.assert_failed(proc, workdir, errno.ENOSPC, "<stdout>")
+
+    @needs_dev_full
+    @pytest.mark.parametrize("command, option", [("filter", "-o"), ("score", "--per-instance")])
+    def test_full_target(self, workdir, command, option):
+        proc = self.run(workdir, [*self.ARGV[command], option, "/dev/full"], subprocess.PIPE)
+        self.assert_failed(proc, workdir, errno.ENOSPC, "/dev/full")
+        assert proc.stdout == ""
 
 
 class TestKilledPipeline:
@@ -1791,21 +1856,27 @@ class TestPromptTsvRows:
         assert json.loads(capsys.readouterr().out)["input_prompted"].endswith("A b\tc.\nNew line.")
 
 
-SUBCOMMANDS = ("analyze", "pipeline", "filter", "label", "bucket", "split", "prompt",
-               "score", "classifier-eval", "agree", "report")
-
-
 class TestHelp:
     def test_top_level_help_names_every_subcommand(self):
+        # Exactly the command table's names, in its order: in the choices and one row each.
         src = Path(__file__).resolve().parent.parent / "src"
         proc = subprocess.run([sys.executable, "-m", "levelforge.cli", "--help"],
                               capture_output=True, text=True, timeout=60,
                               env={**os.environ, "PYTHONPATH": str(src)})
         assert (proc.returncode, proc.stderr) == (0, "")
-        listed = proc.stdout.split("positional arguments:")[1].split()
-        assert set(SUBCOMMANDS) <= set(listed)
+        choices, *rows = proc.stdout.split("positional arguments:\n")[1].split("\n\n")[0].splitlines()
+        assert choices.strip() == "{" + ",".join(cli.COMMANDS) + "}"
+        assert [row.split()[0] for row in rows if row[4] != " "] == list(cli.COMMANDS)
 
-    @pytest.mark.parametrize("command", SUBCOMMANDS)
+    def test_every_command_is_pinned_and_fuzzed(self, tmp_path):
+        import matrix
+        import test_cli_fuzz
+        matrix.small_inputs(tmp_path)
+        pinned = {argv[0] for case, commands in matrix.CASES.items() for argv in commands(tmp_path / case)}
+        fuzzed = {template[0] for _, template in test_cli_fuzz.COMMANDS.values()}
+        assert (set(cli.COMMANDS) - pinned, set(cli.COMMANDS) - fuzzed) == (set(), set())
+
+    @pytest.mark.parametrize("command", cli.COMMANDS)
     def test_subcommand_help(self, command, capsys):
         with pytest.raises(SystemExit) as exc:
             main([command, "--help"])
