@@ -1,9 +1,11 @@
 """Operator-facing command surface.
 
 Each subcommand is declared once, by ``_command`` on its runner. Exit codes:
-0 success, 1 data error, 2 usage/config error. All randomness flows from
-the single --seed / config seed. Per-pair work runs in one thread, in input
-order; LEVELFORGE_THREADS is accepted and ignored (a no-op).
+0 success, 1 data error, 2 usage or config error or a failed write, a full or
+closed stdout or stderr included; --help or --version that cannot be written
+exits 0 and prints nothing. All randomness flows from the single --seed /
+config seed. Per-pair work runs in one thread, in input order;
+LEVELFORGE_THREADS is accepted and ignored (a no-op).
 """
 from __future__ import annotations
 
@@ -75,10 +77,6 @@ Checked = Iterable[tuple[T, Optional[DropReason]]]
 EXIT_OK = 0
 EXIT_DATA = 1
 EXIT_USAGE = 2
-
-
-class DataError(Exception):
-    """User-data problem: bad contents, mismatched files. Exit code 1."""
 
 
 class ConfigError(Exception):
@@ -265,18 +263,20 @@ def _write_splits(outdir: Path, prefix: str, chunks: Mapping[str, Iterable[dict]
 
 def _print_report(report: dict, source: str, render: Optional[Callable[[dict], str]] = None) -> None:
     """The one print of a result to stdout, after every file: ``report`` as JSON, or as
-    ``render`` shows it; a NaN or infinity in it is a DataError naming ``source``."""
+    ``render`` shows it; a NaN or infinity in it is a ValueError naming ``source``."""
     try:
         text = json.dumps(report, sort_keys=True, indent=2, allow_nan=False)
     except ValueError:
-        raise DataError(f"{source}: the report holds a NaN or infinity, which JSON cannot hold") from None
-    print(render(report) if render else text)
+        raise ValueError(f"{source}: the report holds a NaN or infinity, which JSON cannot hold") from None
+    with _naming("<stdout>"):
+        print(render(report) if render else text)
+        sys.stdout.flush()  # a failed print fails here, not in the interpreter's flush at exit
 
 
 @contextmanager
-def _blaming(culprit: str, error: type[Exception] = DataError) -> Iterator[None]:
-    """A ValueError in the block becomes ``error`` naming ``culprit``, a file or a setting;
-    a ParseError already names its line."""
+def _blaming(culprit: str, error: type[Exception] = ValueError) -> Iterator[None]:
+    """A ValueError in the block becomes ``error`` naming ``culprit``, a file or a setting; a
+    ParseError already names its line. Blocks never nest: a ValueError would be named twice."""
     try:
         yield
     except ParseError:
@@ -285,17 +285,14 @@ def _blaming(culprit: str, error: type[Exception] = DataError) -> Iterator[None]
         raise error(f"{culprit}: {exc}") from None
 
 
-def _summary(command: str, entered: int, out: int, drops: Mapping[str, int], **extra: object) -> None:
-    """The one stderr line of a dataset command: items in and out, and the drops by reason."""
-    line = {"command": command, "in": entered, "out": out, "drops": drops, **extra}
+def _summary(command: str, out: int, drops: Mapping[str, int], **extra: object) -> None:
+    """The one stderr line of a dataset command: items out, drops by reason, and in, their sum."""
+    line = {"command": command, "in": out + sum(drops.values()), "out": out, "drops": drops, **extra}
     print(json.dumps(line, sort_keys=True), file=sys.stderr)
 
 
 def _kept(checked: Checked[T], drops: Counter) -> Iterator[T]:
-    """The kept items of a stage's stream; each drop is added, by reason, to ``drops``.
-
-    Items in are never counted: they are the items out plus ``drops.total()``.
-    """
+    """The kept items of a stage's stream; each drop is added, by reason, to ``drops``."""
     for item, reason in checked:
         if reason is None:
             yield item
@@ -311,7 +308,7 @@ def _run_stage(
     drops: Counter = Counter()
     with _output(args.output) as out:
         n = write_jsonl(map(record, _kept(checked, drops)), out)
-    _summary(args.command, n + drops.total(), n, drops)
+    _summary(args.command, n, drops)
     return EXIT_OK
 
 
@@ -504,8 +501,7 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
     with _output(str(outdir / "manifest.json")) as fh:
         json.dump(manifest, fh, sort_keys=True, indent=2)
         fh.write("\n")
-    _summary("pipeline", reached_bucket + drops.total(), reached_bucket, drops,
-             tasks=task_counts, splits=split_counts)
+    _summary("pipeline", reached_bucket, drops, tasks=task_counts, splits=split_counts)
     return EXIT_OK
 
 
@@ -558,7 +554,7 @@ def cmd_split(args: argparse.Namespace) -> int:
     records = [obj for _, obj in read_jsonl(args.input)]
     chunks = split_dataset(records, ratios, args.seed, key=lambda r: str(r.get("id", "")))
     counts = _write_splits(Path(args.output_dir), "", chunks)
-    _summary("split", len(records), sum(counts.values()), {}, splits=counts)
+    _summary("split", sum(counts.values()), {}, splits=counts)
     return EXIT_OK
 
 
@@ -604,7 +600,7 @@ def cmd_score(args: argparse.Namespace) -> int:
     outputs = [line for _, line in read_lines(args.outputs)]
     refs = list(read_jsonl(args.refs))
     if len(outputs) != len(refs):
-        raise DataError(
+        raise ValueError(
             f"line-count mismatch: {len(outputs)} lines in {args.outputs}, {len(refs)} in {args.refs}"
         )
     instances = []
@@ -634,7 +630,7 @@ def cmd_classifier_eval(args: argparse.Namespace) -> int:
     pred = read_keyed(args.pred, "level", level)
     if set(gold) != set(pred):
         missing = sorted(set(gold) ^ set(pred))[:5]
-        raise DataError(f"ids differ between {args.gold} and {args.pred}, e.g. {missing}")
+        raise ValueError(f"ids differ between {args.gold} and {args.pred}, e.g. {missing}")
     preds = [
         LabeledPrediction(gold=gold[k], predicted=pred[k]) for k in sorted(gold)
     ]
@@ -681,7 +677,7 @@ def cmd_report(args: argparse.Namespace) -> int:
     groups: defaultdict[str, RatingMatrix] = defaultdict(RatingMatrix)
     _rate(args.input, groups.__getitem__)
     if not groups:
-        raise DataError(f"no ratings found in {args.input}")
+        raise ValueError(f"no ratings found in {args.input}")
     render = format_likert_table if args.format == "text" else None
     _print_report(likert_report(groups), args.input, render)
     return EXIT_OK
@@ -704,21 +700,22 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    error: Optional[Exception] = None
     try:
-        code = args.func(args)
-        with _naming("<stdout>"):
-            sys.stdout.flush()  # a failed print fails here, not in the interpreter's flush at exit
-        return code
+        args = build_parser().parse_args(argv)
+        return args.func(args)
     except (ConfigError, OSError) as exc:
         code, error = EXIT_USAGE, exc
-    except (DataError, ValueError) as exc:  # ParseError is a ValueError
+    except ValueError as exc:  # ParseError is a ValueError
         code, error = EXIT_DATA, exc
-    print(f"error: {error}", file=sys.stderr)
-    try:
-        sys.stdout.flush()
-    except OSError:  # stdout is closed or full: leave the flush at exit nothing to retry
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    finally:  # also on SystemExit, from --help, --version or a usage error
+        for stream in filter(None, (sys.stderr, sys.stdout)):  # None: started with that descriptor closed
+            try:
+                if stream is sys.stderr and error is not None:
+                    print(f"error: {error}", file=sys.stderr)
+                stream.flush()
+            except OSError:  # closed or full: leave the flush at exit nothing to retry
+                os.dup2(os.open(os.devnull, os.O_WRONLY), stream.fileno())
     return code
 
 

@@ -3,12 +3,15 @@ import hashlib
 import json
 import os
 import random
+import resource
+import signal
 import stat
 import subprocess
 import sys
 import threading
 import time
 from collections import Counter
+from contextlib import contextmanager
 from pathlib import Path
 
 import pytest
@@ -1724,7 +1727,8 @@ class TestOutputsAreAllOrNothing:
 
 class TestFailedWrites:
     """A write that fails, with stdout buffered as users run it, exits 2 with one error line that
-    names its target; nothing is left for the interpreter's flush at exit to fail on again."""
+    names its target; nothing is left for the interpreter's flush at exit to fail on again (it
+    would print "Exception ignored" and exit 120)."""
 
     ARGV = {
         "filter": ["filter", "pairs.jsonl"],
@@ -1744,11 +1748,28 @@ class TestFailedWrites:
         return tmp_path
 
     @staticmethod
-    def run(workdir, argv, stdout):
+    def run(workdir, argv, stdout, stderr=subprocess.PIPE):
         src = Path(__file__).resolve().parent.parent / "src"
         env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
         return subprocess.run([sys.executable, "-m", "levelforge.cli", *argv], cwd=workdir, stdout=stdout,
-                              stderr=subprocess.PIPE, text=True, timeout=60, env={**env, "PYTHONPATH": str(src)})
+                              stderr=stderr, text=True, timeout=60, env={**env, "PYTHONPATH": str(src)})
+
+    @staticmethod
+    @contextmanager
+    def unwritable(kind):
+        """A descriptor no write gets through: /dev/full, or a "closed" pipe, whose read end is
+        closed as `| head`'s is once it has read enough."""
+        if kind == "full":
+            if not os.path.exists("/dev/full"):
+                pytest.skip("no /dev/full")
+            fd = os.open("/dev/full", os.O_WRONLY)
+        else:
+            read, fd = os.pipe()
+            os.close(read)
+        try:
+            yield fd
+        finally:
+            os.close(fd)
 
     @staticmethod
     def assert_failed(proc, workdir, code, target):
@@ -1757,13 +1778,28 @@ class TestFailedWrites:
 
     @pytest.mark.parametrize("command", ["filter", "score", "report"])
     def test_closed_stdout_pipe(self, workdir, command):
-        read, write = os.pipe()
-        os.close(read)  # as `| head` has once it has read enough
-        try:
-            proc = self.run(workdir, self.ARGV[command], write)
-        finally:
-            os.close(write)
+        with self.unwritable("closed") as stdout:
+            proc = self.run(workdir, self.ARGV[command], stdout)
         self.assert_failed(proc, workdir, errno.EPIPE, "<stdout>")
+
+    @pytest.mark.parametrize("kind", ["full", "closed"])
+    @pytest.mark.parametrize("argv", [
+        ["filter", "pairs.jsonl", "-o", "/dev/null"], ["report", "nope.tsv"], ["bogus"],
+    ], ids=["summary-line", "error-line", "usage-error"])
+    def test_failed_stderr(self, workdir, kind, argv):
+        # What the run could not write is lost with stderr; its exit code still says it failed.
+        with self.unwritable(kind) as stderr:
+            proc = self.run(workdir, argv, subprocess.PIPE, stderr)
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert not list(workdir.rglob("*.tmp"))
+
+    @pytest.mark.parametrize("kind", ["full", "closed"])
+    @pytest.mark.parametrize("argv", [["--help"], ["score", "--help"], ["--version"]], ids=" ".join)
+    def test_unwritable_help_exits_0(self, workdir, kind, argv):
+        with self.unwritable(kind) as stdout:
+            proc = self.run(workdir, argv, stdout)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert not list(workdir.rglob("*.tmp"))
 
     @needs_dev_full
     def test_full_stdout(self, workdir):
@@ -1829,6 +1865,66 @@ class TestKilledPipeline:
         # A complete run removes what the killed ones left.
         assert start(2).wait(timeout=60) == 0
         assert self.manifest_agrees(outdir) and not list(outdir.glob("*.tmp"))
+
+
+class TestWriteLimits:
+    """A child whose files may not grow past a limit (RLIMIT_FSIZE, with SIGXFSZ ignored) fails on
+    the first output that outgrows it: exit 2, one error line naming that output, nothing on
+    stdout, no ``*.tmp`` file, and no manifest that disagrees with its files."""
+
+    TOO_LARGE = f"[Errno {errno.EFBIG}] {os.strerror(errno.EFBIG)}"
+    TASKS = [f"out/{task}.{split}.jsonl" for task in ("simplification", "complexification", "same_level")
+             for split in ("train", "valid", "test")]
+    # Each command: its arguments and its outputs, relative to the working directory.
+    RUNS = {
+        "pipeline": (["pipeline", "--config", "config.json"], [*TASKS, "out/manifest.json"]),
+        "split": (["split", "corpus.jsonl", "-o", "splits"],
+                  [f"splits/{split}.jsonl" for split in ("train", "valid", "test")]),
+        "filter": (["filter", "corpus.jsonl", "-o", "kept.jsonl"], ["kept.jsonl"]),
+        "score": (["score", "--outputs", "outputs.txt", "--refs", "refs.jsonl", "--per-instance", "scores.tsv"],
+                  ["scores.tsv"]),
+        "agree": (["agree", "ratings.tsv", "--threshold", "2", "--gold-out", "gold.jsonl"], ["gold.jsonl"]),
+    }
+
+    @pytest.fixture(scope="class")
+    def workdir(self, tmp_path_factory):
+        workdir = tmp_path_factory.mktemp("limits")
+        records = make_corpus(workdir / "corpus.jsonl", n=400)
+        (workdir / "config.json").write_text(json.dumps({"input": "corpus.jsonl", "output_dir": "out"}))
+        (workdir / "outputs.txt").write_text("".join(r["target"] + "\n" for r in records[:300]))
+        write_jsonl_file(workdir / "refs.jsonl", [
+            {"source": r["source"], "references": [r["target"], r["source"]]} for r in records[:300]])
+        ratings = (f"s{i}\tr{r}\tg\t{1 + (i + r // 2) % 5}\n" for i in range(300) for r in range(3))
+        (workdir / "ratings.tsv").write_text("".join(ratings))
+        return workdir
+
+    @staticmethod
+    def run(workdir, argv, limit=None):
+        def limited():
+            signal.signal(signal.SIGXFSZ, signal.SIG_IGN)
+            resource.setrlimit(resource.RLIMIT_FSIZE, (limit, limit))
+        env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
+        return subprocess.run([sys.executable, "-m", "levelforge.cli", *argv], cwd=workdir, env=env,
+                              capture_output=True, text=True, timeout=60,
+                              preexec_fn=None if limit is None else limited)
+
+    @pytest.mark.parametrize("command", RUNS)
+    def test_limited_runs_fail_cleanly(self, workdir, command, monkeypatch):
+        argv, outputs = self.RUNS[command]
+        monkeypatch.chdir(workdir)
+        assert main(argv) == 0
+        written = {name: (workdir / name).read_bytes() for name in outputs if (workdir / name).exists()}
+        largest = max(map(len, written.values()))
+        limit = random.Random(f"limit-{command}").randrange(largest)  # seeded: 11% to 73% of the largest output
+        proc = self.run(workdir, argv, limit)
+        # Under the limit, _output's stdout spool is a regular file too.
+        named = [f"error: {self.TOO_LARGE}: '{name}'\n" for name in [*outputs, "<stdout>"]]
+        assert (proc.returncode, proc.stdout, proc.stderr in named) == (2, "", True), (limit, proc.stderr)
+        assert TestKilledPipeline.manifest_agrees(workdir / "out") and not list(workdir.rglob("*.tmp"))
+        proc = self.run(workdir, argv)
+        assert proc.returncode == 0, proc.stderr
+        assert {name: (workdir / name).read_bytes() for name in written} == written
+        assert TestKilledPipeline.manifest_agrees(workdir / "out") and not list(workdir.rglob("*.tmp"))
 
 
 class TestPromptTsvRows:
