@@ -1,11 +1,12 @@
 """Operator-facing command surface.
 
-Each subcommand is declared once, by ``_command`` on its runner. Exit codes:
-0 success, 1 data error, 2 usage or config error or a failed write, a full or
-closed stdout or stderr included; --help or --version that cannot be written
-exits 0 and prints nothing. All randomness flows from the single --seed /
-config seed. Per-pair work runs in one thread, in input order;
-LEVELFORGE_THREADS is accepted and ignored (a no-op).
+Each subcommand is declared once, by ``_command`` on its runner, which returns
+its summary or None. ``main`` alone writes stderr and sets the exit code: 0
+success, 1 data error, 2 usage or config error or a failed write, a full or
+closed stdout or stderr and a missing stdout included; --help or --version that
+cannot be written exits 0 and prints nothing. ``_output`` alone writes stdout.
+All randomness flows from the single --seed / config seed. Per-pair work runs
+in one thread, in input order; LEVELFORGE_THREADS is accepted and ignored.
 """
 from __future__ import annotations
 
@@ -206,16 +207,20 @@ def _output(path: Optional[str]) -> Iterator[TextIO]:
     keeping its permission bits; an existing one must be writable. Any other
     target is a stream given a spooled copy: stdout for None or "-", stdout or
     stderr when it has the target open (``-o /dev/stderr 2>> log`` appends),
-    else the target itself (a pipe, a device), opened before any work. A
-    failed write or rename names ``path``, or "<stdout>" (see ``_naming``).
+    else the target itself (a pipe, a device), opened before any work. A file
+    first removes the ``<real path>.<digits>.tmp`` files killed runs left.
+    A failed write or rename names ``path``, or "<stdout>" (see ``_naming``).
     """
+    to_stdout = path in (None, "-")
+    if to_stdout and sys.stdout is None:  # started with descriptor 1 closed
+        raise OSError(errno.EBADF, os.strerror(errno.EBADF), "<stdout>")
     try:
-        st: Optional[os.stat_result] = None if path in (None, "-") else os.stat(path)
+        st: Optional[os.stat_result] = None if to_stdout else os.stat(path)
     except FileNotFoundError:
         st = None
-    stream = sys.stdout if path in (None, "-") else _std_stream(st)
+    stream = sys.stdout if to_stdout else _std_stream(st)
     if stream or (st is not None and not stat.S_ISREG(st.st_mode)):
-        with _naming("<stdout>" if path in (None, "-") else path), \
+        with _naming("<stdout>" if to_stdout else path), \
                 nullcontext(stream) if stream else open(path, "w", encoding="utf-8") as stream, \
                 tempfile.TemporaryFile("w+", encoding="utf-8", newline="") as spool:
             yield spool
@@ -226,17 +231,20 @@ def _output(path: Optional[str]) -> Iterator[TextIO]:
     if st is not None and not os.access(path, os.W_OK):
         raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), path)
     target = os.path.realpath(path)
+    folder, name = os.path.split(target)
     tmp = f"{target}.{os.getpid()}.tmp"
-    with _naming(path, tmp):  # the temporary file is reported as ``path``
-        fh = open(tmp, "w", encoding="utf-8")
+    with _naming(path, tmp, folder):  # the temporary file and the listed folder are reported as ``path``
+        for stale in os.listdir(folder):
+            if stale.startswith(f"{name}.") and stale.endswith(".tmp") and stale[len(name) + 1 : -4].isdigit():
+                Path(folder, stale).unlink(missing_ok=True)
         try:
-            with fh:
+            with open(tmp, "w", encoding="utf-8") as fh:
                 yield fh
             if st is not None:
                 os.chmod(tmp, stat.S_IMODE(st.st_mode))
             os.replace(tmp, target)
         except BaseException:
-            os.unlink(tmp)
+            Path(tmp).unlink(missing_ok=True)  # not there if open failed or a later writer removed it
             raise
 
 
@@ -262,15 +270,14 @@ def _write_splits(outdir: Path, prefix: str, chunks: Mapping[str, Iterable[dict]
 
 
 def _print_report(report: dict, source: str, render: Optional[Callable[[dict], str]] = None) -> None:
-    """The one print of a result to stdout, after every file: ``report`` as JSON, or as
-    ``render`` shows it; a NaN or infinity in it is a ValueError naming ``source``."""
+    """A command's result to stdout, after every file: ``report`` as JSON, or as ``render``
+    shows it; a NaN or infinity in it is a ValueError naming ``source``."""
     try:
         text = json.dumps(report, sort_keys=True, indent=2, allow_nan=False)
     except ValueError:
         raise ValueError(f"{source}: the report holds a NaN or infinity, which JSON cannot hold") from None
-    with _naming("<stdout>"):
-        print(render(report) if render else text)
-        sys.stdout.flush()  # a failed print fails here, not in the interpreter's flush at exit
+    with _output(None) as out:
+        out.write((render(report) if render else text) + "\n")
 
 
 @contextmanager
@@ -285,10 +292,9 @@ def _blaming(culprit: str, error: type[Exception] = ValueError) -> Iterator[None
         raise error(f"{culprit}: {exc}") from None
 
 
-def _summary(command: str, out: int, drops: Mapping[str, int], **extra: object) -> None:
-    """The one stderr line of a dataset command: items out, drops by reason, and in, their sum."""
-    line = {"command": command, "in": out + sum(drops.values()), "out": out, "drops": drops, **extra}
-    print(json.dumps(line, sort_keys=True), file=sys.stderr)
+def _summary(command: str, out: int, drops: Mapping[str, int], **extra: object) -> dict:
+    """A dataset command's summary, which ``main`` prints: items out, drops by reason, and in, their sum."""
+    return {"command": command, "in": out + sum(drops.values()), "out": out, "drops": drops, **extra}
 
 
 def _kept(checked: Checked[T], drops: Counter) -> Iterator[T]:
@@ -300,16 +306,13 @@ def _kept(checked: Checked[T], drops: Counter) -> Iterator[T]:
             drops[reason.value] += 1
 
 
-def _run_stage(
-    args: argparse.Namespace, checked: Checked[T], record: Callable[[T], dict] = pair_to_record
-) -> int:
+def _run_stage(args: argparse.Namespace, checked: Checked[T], record: Callable[[T], dict] = pair_to_record) -> dict:
     """Run a stage command: write to ``args.output`` the records of what ``checked``, a stream
-    over the pairs of ``args.input``, keeps; then print the summary."""
+    over the pairs of ``args.input``, keeps; return the summary."""
     drops: Counter = Counter()
     with _output(args.output) as out:
         n = write_jsonl(map(record, _kept(checked, drops)), out)
-    _summary(args.command, n, drops)
-    return EXIT_OK
+    return _summary(args.command, n, drops)
 
 
 def _unique_pairs(cfg: PipelineConfig) -> Checked[ParaphrasePair]:
@@ -364,7 +367,7 @@ def _rate(path: str, matrix_of: Callable[[str], RatingMatrix]) -> None:
 Option = tuple[tuple[str, ...], dict]  # the arguments of one add_argument call
 # Each subcommand, in --help order: its runner's name, help line and options; filled by _command.
 COMMANDS: dict[str, tuple[str, str, tuple[Option, ...]]] = {}
-Runner = TypeVar("Runner", bound=Callable[[argparse.Namespace], int])
+Runner = TypeVar("Runner", bound=Callable[[argparse.Namespace], Optional[dict]])  # returns its summary
 
 
 def _arg(*names: str, **kw: object) -> Option:
@@ -387,7 +390,7 @@ RATINGS = _arg("input", help="ratings TSV: item_id, rater_id, group, value")
 
 @_command("analyze", "per-line word/syllable/sentence/FKGL stats",
           INPUT, _arg("--levels", help="JSONL level file aligned by line number"), OUTPUT)
-def cmd_analyze(args: argparse.Namespace) -> int:
+def cmd_analyze(args: argparse.Namespace) -> None:
     levels: dict[int, str] = {}
     if args.levels:
         for lineno, obj in read_jsonl(args.levels):
@@ -419,7 +422,6 @@ def cmd_analyze(args: argparse.Namespace) -> int:
                 for level, v in sorted(per_level.items())
             }
             out.write(json.dumps({"per_level": aggregates}, sort_keys=True) + "\n")
-    return EXIT_OK
 
 
 def _texts(path: str) -> Iterator[tuple[int, Optional[str]]]:
@@ -438,7 +440,7 @@ def _texts(path: str) -> Iterator[tuple[int, Optional[str]]]:
 
 @_command("pipeline", "full filter/label/bucket/build/split run",
           _arg("--config", required=True, help="JSON PipelineConfig document"))
-def cmd_pipeline(args: argparse.Namespace) -> int:
+def cmd_pipeline(args: argparse.Namespace) -> dict:
     cfg = PipelineConfig.from_file(args.config)
     scheme = Scheme(cfg.scheme)
     fcfg = cfg.filter_config()
@@ -458,18 +460,10 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
     reached_bucket = sum(stats["bucket_counts"].values()) + stats["near_level_rejects"]
 
     # The old manifest goes before the first write and the new one comes last,
-    # so a directory with a manifest is complete. The `<output>.<pid>.tmp`
-    # files that killed runs left behind (see _output) go with it.
+    # so a directory with a manifest is complete.
     outdir = Path(cfg.output_dir)
     (outdir / "manifest.json").unlink(missing_ok=True)
     task_names = {TaskLabel.DOWN: "simplification", TaskLabel.UP: "complexification", TaskLabel.SAME: "same_level"}
-    outputs = {"manifest.json"} | {
-        f"{name}.{split}.jsonl" for name in task_names.values() for split in ("train", "valid", "test")
-    }
-    for tmp in outdir.glob("*.tmp"):
-        output, _, pid = tmp.name[: -len(".tmp")].rpartition(".")
-        if output in outputs and pid.isdigit():
-            tmp.unlink(missing_ok=True)
     split_counts: dict[str, dict[str, int]] = {}
     task_counts: dict[str, int] = {}
     for label, dataset in datasets.items():
@@ -501,8 +495,7 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
     with _output(str(outdir / "manifest.json")) as fh:
         json.dump(manifest, fh, sort_keys=True, indent=2)
         fh.write("\n")
-    _summary("pipeline", reached_bucket, drops, tasks=task_counts, splits=split_counts)
-    return EXIT_OK
+    return _summary("pipeline", reached_bucket, drops, tasks=task_counts, splits=split_counts)
 
 
 @_command("filter", "apply pair filters, report drop reasons", INPUT, OUTPUT,
@@ -510,7 +503,7 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
           _arg("--sim-low", type=float, default=FilterConfig.sim_low),
           _arg("--sim-high", type=float, default=FilterConfig.sim_high),
           _arg("--allow-missing-similarity", action="store_true"))
-def cmd_filter(args: argparse.Namespace) -> int:
+def cmd_filter(args: argparse.Namespace) -> dict:
     fcfg = _filter_settings(FilterConfig(
         min_words=args.min_words,
         sim_low=args.sim_low,
@@ -532,14 +525,14 @@ def _predictions(scheme: Scheme, path: Optional[str], name: str) -> Optional[dic
 
 @_command("label", "attach complexity levels to pairs",
           INPUT, SCHEME, _arg("--predictions", help="prediction JSONL (non-FKGL schemes)"), OUTPUT)
-def cmd_label(args: argparse.Namespace) -> int:
+def cmd_label(args: argparse.Namespace) -> dict:
     scheme = Scheme(args.scheme)
     predictions = _predictions(scheme, args.predictions, "--predictions")
     return _run_stage(args, attach_levels(read_pairs(args.input), scheme, predictions))
 
 
 @_command("bucket", "assign up/down/same task labels", INPUT, SCHEME, OUTPUT)
-def cmd_bucket(args: argparse.Namespace) -> int:
+def cmd_bucket(args: argparse.Namespace) -> dict:
     scheme = Scheme(args.scheme)
     tasks = _bucketed(read_pairs(args.input, scheme), scheme)
     return _run_stage(args, tasks, lambda kept: pair_to_record(kept[0], task=kept[1].value))
@@ -548,21 +541,20 @@ def cmd_bucket(args: argparse.Namespace) -> int:
 @_command("split", "seeded train/valid/test split", INPUT,
           _arg("--ratios", type=float, nargs=3, default=SPLIT_RATIOS),
           _arg("--seed", type=int, default=0), _arg("-o", "--output-dir", required=True))
-def cmd_split(args: argparse.Namespace) -> int:
+def cmd_split(args: argparse.Namespace) -> dict:
     with _blaming("--ratios", ConfigError):
         ratios = check_split_ratios(args.ratios)
     records = [obj for _, obj in read_jsonl(args.input)]
     chunks = split_dataset(records, ratios, args.seed, key=lambda r: str(r.get("id", "")))
     counts = _write_splits(Path(args.output_dir), "", chunks)
-    _summary("split", sum(counts.values()), {}, splits=counts)
-    return EXIT_OK
+    return _summary("split", sum(counts.values()), {}, splits=counts)
 
 
 @_command("prompt", "render prompted training/inference files",
           INPUT, _arg("--strategy", required=True, choices=[s.value for s in Strategy]), SCHEME,
           _arg("--fixed-level", help="one X for every line (inference mode)"),
           _arg("--format", choices=["jsonl", "tsv"], default="jsonl"), OUTPUT)
-def cmd_prompt(args: argparse.Namespace) -> int:
+def cmd_prompt(args: argparse.Namespace) -> None:
     strategy = Strategy(args.strategy)
     scheme = Scheme(args.scheme)
     if strategy is Strategy.LLM_ABSOLUTE and scheme not in LLM_ABS_METRICS:
@@ -587,14 +579,13 @@ def cmd_prompt(args: argparse.Namespace) -> int:
                 out.write("\t".join(row) + "\n")
             else:
                 write_jsonl([rec], out)
-    return EXIT_OK
 
 
 @_command("score", "SARI/FKGL/copy-rate/repetition report",
           _arg("--outputs", required=True, help="system outputs, one per line"),
           _arg("--refs", required=True, help='JSONL {"source","references"}'),
           _arg("--repetition-n", type=int, default=4), _arg("--per-instance", help="write per-instance TSV here"))
-def cmd_score(args: argparse.Namespace) -> int:
+def cmd_score(args: argparse.Namespace) -> None:
     if args.repetition_n < 1:
         raise ConfigError(f"--repetition-n must be >= 1, got {args.repetition_n}")
     outputs = [line for _, line in read_lines(args.outputs)]
@@ -619,12 +610,11 @@ def cmd_score(args: argparse.Namespace) -> int:
                 sr = sari_r(inst, args.repetition_n)
                 fh.write(f"{s:.4f}\t{sr:.4f}\t{int(is_copy(inst))}\n")
     _print_report(report, args.outputs)
-    return EXIT_OK
 
 
 @_command("classifier-eval", "6-F1 / 3-F1 / Adj-Acc / MAE",
           _arg("--gold", required=True), _arg("--pred", required=True))
-def cmd_classifier_eval(args: argparse.Namespace) -> int:
+def cmd_classifier_eval(args: argparse.Namespace) -> None:
     level = functools.partial(ComplexityLevel.parse, Scheme.CEFR6)
     gold = read_keyed(args.gold, "level", level)
     pred = read_keyed(args.pred, "level", level)
@@ -643,13 +633,12 @@ def cmd_classifier_eval(args: argparse.Namespace) -> int:
             "items": len(preds),
         }
     _print_report(report, args.pred)
-    return EXIT_OK
 
 
 @_command("agree", "Krippendorff alpha and majority gold", RATINGS,
           _arg("--metric", choices=["nominal", "ordinal"], default="nominal"),
           _arg("--threshold", type=int), _arg("--gold-out"))
-def cmd_agree(args: argparse.Namespace) -> int:
+def cmd_agree(args: argparse.Namespace) -> None:
     if args.gold_out and args.threshold is None:
         raise ConfigError("--gold-out needs --threshold")
     if args.threshold is not None and args.threshold < 1:
@@ -668,19 +657,17 @@ def cmd_agree(args: argparse.Namespace) -> int:
                 items = sorted(gold.items(), key=lambda kv: str(kv[0]))
                 write_jsonl(({"item": str(k), "label": v} for k, v in items), fh)
     _print_report(result, args.input)
-    return EXIT_OK
 
 
 @_command("report", "Likert means, 95%% CIs, ordinal alpha per group",
           RATINGS, _arg("--format", choices=["json", "text"], default="json"))
-def cmd_report(args: argparse.Namespace) -> int:
+def cmd_report(args: argparse.Namespace) -> None:
     groups: defaultdict[str, RatingMatrix] = defaultdict(RatingMatrix)
     _rate(args.input, groups.__getitem__)
     if not groups:
         raise ValueError(f"no ratings found in {args.input}")
     render = format_likert_table if args.format == "text" else None
     _print_report(likert_report(groups), args.input, render)
-    return EXIT_OK
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -700,21 +687,23 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    error: Optional[Exception] = None
+    code, line = EXIT_OK, None
     try:
         args = build_parser().parse_args(argv)
-        return args.func(args)
+        if summary := args.func(args):
+            line = json.dumps(summary, sort_keys=True)
     except (ConfigError, OSError) as exc:
-        code, error = EXIT_USAGE, exc
+        code, line = EXIT_USAGE, f"error: {exc}"
     except ValueError as exc:  # ParseError is a ValueError
-        code, error = EXIT_DATA, exc
+        code, line = EXIT_DATA, f"error: {exc}"
     finally:  # also on SystemExit, from --help, --version or a usage error
         for stream in filter(None, (sys.stderr, sys.stdout)):  # None: started with that descriptor closed
             try:
-                if stream is sys.stderr and error is not None:
-                    print(f"error: {error}", file=sys.stderr)
+                if stream is sys.stderr and line is not None:
+                    print(line, file=sys.stderr)
                 stream.flush()
-            except OSError:  # closed or full: leave the flush at exit nothing to retry
+            except OSError:  # closed or full: a failed run keeps its code, and the flush at exit has nothing to retry
+                code = code or EXIT_USAGE
                 os.dup2(os.open(os.devnull, os.O_WRONLY), stream.fileno())
     return code
 

@@ -1695,6 +1695,40 @@ class TestOutputsAreAllOrNothing:
         assert self.pipeline(tmp_path, corpus, seed=1) == 0
         assert sorted(p.name for p in out.glob("*.tmp")) == sorted(kept)
 
+    # Arguments run in tmp_path, and the files they write into out/.
+    WRITES = {
+        "filter": (["filter", "pairs.jsonl", "-o", "out/kept.jsonl"], ["kept.jsonl"]),
+        "split": (["split", "pairs.jsonl", "-o", "out"], ["train.jsonl", "valid.jsonl", "test.jsonl"]),
+        "score": (["score", "--outputs", "outputs.txt", "--refs", "refs.jsonl", "--per-instance", "out/scores.tsv"],
+                  ["scores.tsv"]),
+    }
+
+    @pytest.mark.parametrize("linked", [False, True], ids=["file", "symlink"])
+    @pytest.mark.parametrize("command", WRITES)
+    def test_writes_remove_the_temporary_files_of_killed_runs(self, tmp_path, capsys, monkeypatch, command, linked):
+        # Only <target>.<digits>.tmp goes, beside the real target: for a symlink, the file it points to.
+        write_jsonl_file(tmp_path / "pairs.jsonl", [{**self.PAIR, "id": str(i)} for i in range(10)])
+        (tmp_path / "outputs.txt").write_text(self.PAIR["target"] + "\n")
+        write_jsonl_file(tmp_path / "refs.jsonl", [{"source": self.PAIR["source"], "references": [self.PAIR["target"]]}])
+        argv, outputs = self.WRITES[command]
+        out, beside = tmp_path / "out", tmp_path / ("real" if linked else "out")
+        out.mkdir()
+        beside.mkdir(exist_ok=True)
+        stale, kept = [], [beside / "notes.txt.7.tmp"]
+        for name in outputs:
+            if linked:
+                (beside / name).write_text("old\n")
+                (out / name).symlink_to(beside / name)
+                kept.append(out / f"{name}.5.tmp")  # beside the link, not beside the file it points to
+            stale += [beside / f"{name}.1.tmp", beside / f"{name}.99999.tmp"]
+            kept += [beside / f"{name}.tmp", beside / f"{name}.x1.tmp"]
+        for path in stale + kept:
+            path.write_text("partial")
+        monkeypatch.chdir(tmp_path)
+        assert main(argv) == 0
+        assert sorted(tmp_path.rglob("*.tmp")) == sorted(kept)
+        assert [(out / name).is_symlink() for name in outputs] == [linked] * len(outputs)
+
     def test_pipeline_failing_before_writing_leaves_the_last_run(self, tmp_path, capsys):
         corpus = tmp_path / "corpus.jsonl"
         make_corpus(corpus)
@@ -1748,11 +1782,13 @@ class TestFailedWrites:
         return tmp_path
 
     @staticmethod
-    def run(workdir, argv, stdout, stderr=subprocess.PIPE):
+    def run(workdir, argv, stdout, stderr=subprocess.PIPE, closed=None):
+        """Run the CLI as a child; ``closed``, 1 or 2, is a descriptor the child starts without."""
         src = Path(__file__).resolve().parent.parent / "src"
         env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
         return subprocess.run([sys.executable, "-m", "levelforge.cli", *argv], cwd=workdir, stdout=stdout,
-                              stderr=stderr, text=True, timeout=60, env={**env, "PYTHONPATH": str(src)})
+                              stderr=stderr, text=True, timeout=60, env={**env, "PYTHONPATH": str(src)},
+                              preexec_fn=None if closed is None else lambda: os.close(closed))
 
     @staticmethod
     @contextmanager
@@ -1800,6 +1836,36 @@ class TestFailedWrites:
             proc = self.run(workdir, argv, stdout)
         assert (proc.returncode, proc.stderr) == (0, "")
         assert not list(workdir.rglob("*.tmp"))
+
+    @pytest.mark.parametrize("argv", [
+        ["filter", "pairs.jsonl"], ["filter", "pairs.jsonl", "-o", "-"], ARGV["score"], ARGV["report"],
+    ], ids=" ".join)
+    def test_missing_stdout(self, workdir, argv):
+        # `>&-`: the process starts without descriptor 1, so sys.stdout is None.
+        proc = self.run(workdir, argv, subprocess.PIPE, closed=1)
+        self.assert_failed(proc, workdir, errno.EBADF, "<stdout>")
+        assert not (workdir / "-").exists()
+
+    def test_missing_stderr(self, workdir):
+        # `2>&-`: the summary has nowhere to go, and must not join the records on stdout.
+        records = self.run(workdir, self.ARGV["filter"], subprocess.PIPE).stdout
+        assert json.loads(records)["target"] == TestOutputsAreAllOrNothing.PAIR["target"]
+        proc = self.run(workdir, self.ARGV["filter"], subprocess.PIPE, closed=2)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, records, "")
+
+    def test_missing_stdout_in_process(self, workdir, capsys, monkeypatch):
+        # The same in this process, where scripts/linecov.py sees the lines it runs.
+        monkeypatch.chdir(workdir)
+        monkeypatch.setattr(sys, "stdout", None)
+        assert main(["filter", "pairs.jsonl", "-o", "-"]) == 2
+        assert capsys.readouterr().err == f"error: [Errno {errno.EBADF}] {os.strerror(errno.EBADF)}: '<stdout>'\n"
+        assert not (workdir / "-").exists()
+
+    def test_failed_summary_in_process(self, workdir, monkeypatch):
+        # A summary that stderr cannot take turns exit 0 into 2.
+        with self.unwritable("closed") as fd, open(fd, "w", closefd=False) as stderr, monkeypatch.context() as m:
+            m.setattr(sys, "stderr", stderr)
+            assert main(["filter", str(workdir / "pairs.jsonl"), "-o", os.devnull]) == 2
 
     @needs_dev_full
     def test_full_stdout(self, workdir):

@@ -371,35 +371,41 @@ class TestRareLines:
 class TestOneInputDoor:
     # A read-mode open() outside these bypasses read_lines, and with it the
     # path:line rule for bad lines. A write-mode open() outside _output
-    # bypasses its replace-only-on-success rule. A print to stdout outside
-    # _print_report skips its NaN and infinity check, and can come before
-    # the command's files are written. A print to stderr outside _summary
-    # and main is a summary of another shape, or an error without exit code.
+    # bypasses its replace-only-on-success rule. A print to stdout bypasses
+    # _output, which lands stdout after the command's files, and only if it
+    # succeeds. A print to stderr outside main is a summary or an error that
+    # main does not see, so its exit code cannot follow a failed write.
     DOORS = {("dataio", "read_lines"), ("dataio", "file_sha256"),
              ("cli", "PipelineConfig.from_file")}
     WRITE_DOORS = {("cli", "_output")}
-    PRINT_DOORS = {("cli", "_print_report")}
-    STDERR_DOORS = {("cli", "_summary"), ("cli", "main")}
+    PRINT_DOORS = set()
+    STDERR_DOORS = {("cli", "main")}
+    STREAM_DOORS = {("cli", "_output"), ("cli", "_std_stream"), ("cli", "main")}
 
     @classmethod
-    def _calls(cls, node, name, scope=""):
-        """(dotted def/class scope, call) of each ``name(...)`` call under ``node``."""
+    def _nodes(cls, node, wanted, scope=""):
+        """(dotted def/class scope, node) of each node under ``node`` that ``wanted`` accepts."""
         for child in ast.iter_child_nodes(node):
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                yield from cls._calls(child, name, f"{scope}.{child.name}".lstrip("."))
+                yield from cls._nodes(child, wanted, f"{scope}.{child.name}".lstrip("."))
                 continue
-            if (isinstance(child, ast.Call) and isinstance(child.func, ast.Name)
-                    and child.func.id == name):
+            if wanted(child):
                 yield scope, child
-            yield from cls._calls(child, name, scope)
+            yield from cls._nodes(child, wanted, scope)
+
+    @classmethod
+    def _package_nodes(cls, wanted):
+        """(module, scope, node) of each node in the levelforge package that ``wanted`` accepts."""
+        package = Path(levelforge.__file__).parent
+        for path in sorted(package.glob("*.py")):
+            for scope, node in cls._nodes(ast.parse(path.read_text(encoding="utf-8")), wanted):
+                yield path.stem, scope, node
 
     @classmethod
     def _package_calls(cls, name):
         """(module, scope, call) of each ``name(...)`` call in the levelforge package."""
-        package = Path(levelforge.__file__).parent
-        for path in sorted(package.glob("*.py")):
-            for scope, call in cls._calls(ast.parse(path.read_text(encoding="utf-8")), name):
-                yield path.stem, scope, call
+        return cls._package_nodes(lambda node: isinstance(node, ast.Call)
+                                  and isinstance(node.func, ast.Name) and node.func.id == name)
 
     def test_read_opens_only_at_the_doors(self):
         found = set()
@@ -425,3 +431,10 @@ class TestOneInputDoor:
                    for kw in call.keywords)
         }
         assert to_stderr == self.STDERR_DOORS
+
+    def test_standard_streams_are_named_only_at_the_doors(self):
+        named = {
+            (mod, scope) for mod, scope, node in self._package_nodes(
+                lambda node: isinstance(node, ast.Attribute) and ast.unparse(node) in ("sys.stdout", "sys.stderr"))
+        }
+        assert named == self.STREAM_DOORS
