@@ -1,10 +1,12 @@
 """Operator-facing command surface.
 
 Each subcommand is declared once, by ``_command`` on its runner, which returns
-its summary or None. ``main`` alone writes stderr and sets the exit code: 0
-success, 1 data error, 2 usage or config error or a failed write, a full or
-closed stdout or stderr and a missing stdout included; --help or --version that
-cannot be written exits 0 and prints nothing. ``_output`` alone writes stdout.
+its summary or None. ``_output`` alone writes stdout; ``main`` alone writes
+stderr and sets the exit code: 0 success, 1 data error, 2 usage or config error.
+A run that writes to a stream or file that fails (full, closed, or missing from
+the start) exits 2, or keeps its 1, with one ``error:`` line naming it; a run
+that does not write there runs as it would. --help or --version that cannot be
+written exits 0; without stderr, a lost line leaves the exit code as it was.
 All randomness flows from the single --seed / config seed. Per-pair work runs
 in one thread, in input order; LEVELFORGE_THREADS is accepted and ignored.
 """
@@ -167,12 +169,8 @@ class PipelineConfig:
             self.split_ratios = check_split_ratios(self.split_ratios)
 
     def filter_config(self) -> FilterConfig:
-        return FilterConfig(
-            min_words=self.min_words,
-            sim_low=self.sim_low,
-            sim_high=self.sim_high,
-            require_similarity=self.similarity_source != "none",
-        )
+        return FilterConfig(min_words=self.min_words, sim_low=self.sim_low, sim_high=self.sim_high,
+                            require_similarity=self.similarity_source != "none")
 
     def config_hash(self) -> str:
         # json.dumps escapes non-ASCII by default, so NFC leaves the payload as it is.
@@ -194,7 +192,7 @@ def _std_stream(st: Optional[os.stat_result]) -> Optional[TextIO]:
         try:
             if st is not None and os.path.samestat(st, os.fstat(stream.fileno())):
                 return stream
-        except (AttributeError, OSError, ValueError):  # no stream, or one without a descriptor
+        except (OSError, ValueError):  # a stream without a descriptor
             pass
     return None
 
@@ -212,8 +210,6 @@ def _output(path: Optional[str]) -> Iterator[TextIO]:
     A failed write or rename names ``path``, or "<stdout>" (see ``_naming``).
     """
     to_stdout = path in (None, "-")
-    if to_stdout and sys.stdout is None:  # started with descriptor 1 closed
-        raise OSError(errno.EBADF, os.strerror(errno.EBADF), "<stdout>")
     try:
         st: Optional[os.stat_result] = None if to_stdout else os.stat(path)
     except FileNotFoundError:
@@ -413,14 +409,8 @@ def cmd_analyze(args: argparse.Namespace) -> None:
                 if row["fkgl"] is not None:
                     per_level.setdefault(levels[lineno], []).append(row["fkgl"])
             out.write(json.dumps(row, sort_keys=True) + "\n")
-        if per_level:
-            aggregates = {
-                level: {
-                    "mean_fkgl": total(v) / len(v),
-                    "texts": len(v),
-                }
-                for level, v in sorted(per_level.items())
-            }
+        if per_level:  # sort_keys orders the levels
+            aggregates = {level: {"mean_fkgl": total(v) / len(v), "texts": len(v)} for level, v in per_level.items()}
             out.write(json.dumps({"per_level": aggregates}, sort_keys=True) + "\n")
 
 
@@ -591,9 +581,7 @@ def cmd_score(args: argparse.Namespace) -> None:
     outputs = [line for _, line in read_lines(args.outputs)]
     refs = list(read_jsonl(args.refs))
     if len(outputs) != len(refs):
-        raise ValueError(
-            f"line-count mismatch: {len(outputs)} lines in {args.outputs}, {len(refs)} in {args.refs}"
-        )
+        raise ValueError(f"line-count mismatch: {len(outputs)} lines in {args.outputs}, {len(refs)} in {args.refs}")
     instances = []
     for out_text, (lineno, obj) in zip(outputs, refs):
         if "source" not in obj or "references" not in obj:
@@ -621,9 +609,7 @@ def cmd_classifier_eval(args: argparse.Namespace) -> None:
     if set(gold) != set(pred):
         missing = sorted(set(gold) ^ set(pred))[:5]
         raise ValueError(f"ids differ between {args.gold} and {args.pred}, e.g. {missing}")
-    preds = [
-        LabeledPrediction(gold=gold[k], predicted=pred[k]) for k in sorted(gold)
-    ]
+    preds = [LabeledPrediction(gold=gold[k], predicted=pred[k]) for k in sorted(gold)]
     with _blaming(args.gold):  # no items
         report = {
             "f1_6": weighted_f1(preds, collapse=6),
@@ -671,10 +657,8 @@ def cmd_report(args: argparse.Namespace) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="levelforge",
-        description="Complexity-directed paraphrase dataset construction and evaluation",
-    )
+    description = "Complexity-directed paraphrase dataset construction and evaluation"
+    parser = argparse.ArgumentParser(prog="levelforge", description=description)
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (runner, help_line, options) in COMMANDS.items():
@@ -688,6 +672,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     code, line = EXIT_OK, None
+    # A stream the process started without (None) gets a stand-in, so argparse cannot fall back to the
+    # other: for stdout a pipe's read end, where every write fails with EBADF; for stderr os.devnull.
+    started = sys.stdout, sys.stderr
+    if sys.stdout is None:
+        read, write = os.pipe()
+        os.close(write)
+        sys.stdout = open(read, "w", encoding="utf-8", errors="backslashreplace")
+    if sys.stderr is None:
+        sys.stderr = open(os.devnull, "w", encoding="utf-8", errors="backslashreplace")
     try:
         args = build_parser().parse_args(argv)
         if summary := args.func(args):
@@ -697,14 +690,19 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except ValueError as exc:  # ParseError is a ValueError
         code, line = EXIT_DATA, f"error: {exc}"
     finally:  # also on SystemExit, from --help, --version or a usage error
-        for stream in filter(None, (sys.stderr, sys.stdout)):  # None: started with that descriptor closed
+        for stream in (sys.stderr, sys.stdout):
             try:
                 if stream is sys.stderr and line is not None:
                     print(line, file=sys.stderr)
                 stream.flush()
             except OSError:  # closed or full: a failed run keeps its code, and the flush at exit has nothing to retry
                 code = code or EXIT_USAGE
-                os.dup2(os.open(os.devnull, os.O_WRONLY), stream.fileno())
+                devnull = os.open(os.devnull, os.O_WRONLY)
+                os.dup2(devnull, stream.fileno())
+                os.close(devnull)
+        for stream in {sys.stdout, sys.stderr} - set(started):  # the stand-ins
+            stream.close()
+        sys.stdout, sys.stderr = started
     return code
 
 

@@ -1,19 +1,24 @@
 import errno
+import functools
 import hashlib
+import io
 import json
 import os
 import random
 import resource
+import shutil
 import signal
 import stat
 import subprocess
 import sys
+import tempfile
 import threading
 import time
 from collections import Counter
-from contextlib import contextmanager
+from contextlib import ExitStack, contextmanager, redirect_stderr, redirect_stdout
 from pathlib import Path
 
+import matrix
 import pytest
 
 from levelforge import cli, genmetrics
@@ -69,6 +74,19 @@ def digest_dir(outdir):
         p.name: hashlib.sha256(p.read_bytes()).hexdigest()
         for p in sorted(Path(outdir).glob("*.jsonl"))
     }
+
+
+def digest_tree(root):
+    """{path under ``root``: the SHA-256 of its bytes} of every file under ``root``."""
+    return {str(p.relative_to(root)): hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+def cli_child(argv, cwd=None, **kwargs):
+    """``levelforge argv`` in a child of this interpreter, from this checkout, stdout buffered as users run it."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(Path(__file__).resolve().parent.parent / "src")
+    return subprocess.run([sys.executable, "-m", "levelforge.cli", *argv], cwd=cwd, env=env, timeout=60, **kwargs)
 
 
 class TestExitCodes:
@@ -328,13 +346,14 @@ class TestScoreCommand:
         assert capsys.readouterr() == (
             "", f"error: [Errno 2] No such file or directory: '{tsv}'\n")
 
-    @pytest.mark.parametrize("n", ["0", "-1"])
+    @pytest.mark.parametrize("n", ["0", "-1", "1"])
     def test_repetition_n_below_one_is_usage_error(self, tmp_path, capsys, n):
-        # The inputs do not exist: the option is checked before any is read.
-        argv = ["score", "--outputs", str(tmp_path / "outputs.txt"),
-                "--refs", str(tmp_path / "refs.jsonl"), "--repetition-n", n]
-        assert main(argv) == 2
-        assert capsys.readouterr().err == f"error: --repetition-n must be >= 1, got {n}\n"
+        # A rejected value names inputs that do not exist: the option is checked before any is read.
+        # 1, the least accepted value, runs.
+        outputs, refs = self._score_files(tmp_path) if n == "1" else (tmp_path / "outputs.txt", tmp_path / "refs.jsonl")
+        argv = ["score", "--outputs", str(outputs), "--refs", str(refs), "--repetition-n", n]
+        assert main(argv) == (0 if n == "1" else 2)
+        assert capsys.readouterr().err == ("" if n == "1" else f"error: --repetition-n must be >= 1, got {n}\n")
 
     @pytest.mark.parametrize(
         "record, message",
@@ -749,12 +768,18 @@ class TestBadSettingsAreUsageErrors:
         "setting, message",
         [({"min_words": 0}, "min_words must be >= 1, got 0"),
          ({"sim_low": "a"}, "sim_low must be a number, got 'a'"),
-         ({"min_words": 2.5}, "min_words must be an int, got 2.5")],
+         ({"min_words": 2.5}, "min_words must be an int, got 2.5"),
+         ({"min_words": 1}, None),  # the least accepted values run
+         ({"sim_low": 0.7, "sim_high": 0.7}, None)],
     )
     def test_bad_filter_setting_in_config(self, tmp_path, capsys, setting, message):
         corpus = tmp_path / "corpus.jsonl"
         make_corpus(corpus)
         config = {"input": str(corpus), "output_dir": str(tmp_path / "out"), **setting}
+        if message is None:
+            (tmp_path / "config.json").write_text(json.dumps(config))
+            assert main(["pipeline", "--config", str(tmp_path / "config.json")]) == 0
+            return
         code, err, _ = self._pipeline(tmp_path, capsys, config)
         assert (code, err) == (2, f"error: {message}\n")
 
@@ -778,6 +803,7 @@ class TestBadSettingsAreUsageErrors:
         assert main(["filter", str(corpus), "--min-words", "0", "-o", str(out)]) == 2
         assert capsys.readouterr().err == "error: min_words must be >= 1, got 0\n"
         assert not out.exists()
+        assert main(["filter", str(corpus), "--min-words", "1", "-o", str(out)]) == 0  # the least accepted value
 
 
 class TestSharedDropCounting:
@@ -1078,6 +1104,7 @@ class TestConfigFieldTypes:
             ({"similarity_source": "file"}, "similarity_source=file requires similarity_file"),
             ({"input": "no/such.jsonl"}, "input path does not exist: no/such.jsonl"),
             ({"predictions": "no/such.jsonl"}, "predictions path does not exist: no/such.jsonl"),
+            ({"task_size": 1}, None),  # the least accepted value runs
         ],
     )
     def test_mistyped_field_is_usage_error(self, tmp_path, capsys, setting, message):
@@ -1087,6 +1114,9 @@ class TestConfigFieldTypes:
         config.write_text(json.dumps(
             {"input": str(corpus), "output_dir": str(tmp_path / "out"), **setting}
         ))
+        if message is None:
+            assert main(["pipeline", "--config", str(config)]) == 0
+            return
         assert main(["pipeline", "--config", str(config)]) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json", "corpus.jsonl"]
@@ -1489,10 +1519,7 @@ class TestOutputsAreAllOrNothing:
         assert main([*argv, "-o", str(out)]) == 1
         assert capsys.readouterr().err.startswith(f"error: {data}:{lineno}: ")
         assert sorted(p.name for p in tmp_path.iterdir()) == before
-        if existing is None:
-            assert not out.exists()
-        else:
-            assert out.read_text() == existing
+        assert (out.read_text() if out.exists() else None) == existing
 
     @pytest.mark.parametrize("make", ["prompt_bad_at_line_3", "filter_bad_at_line_2"])
     @pytest.mark.parametrize("to_stdout", [[], ["-o", "-"]])
@@ -1501,8 +1528,7 @@ class TestOutputsAreAllOrNothing:
         data, argv, lineno = getattr(self, make)(tmp_path)
         assert main([*argv, *to_stdout]) == 1
         out, err = capsys.readouterr()
-        assert out == ""
-        assert err.startswith(f"error: {data}:{lineno}: ")
+        assert (out, err.startswith(f"error: {data}:{lineno}: ")) == ("", True)
 
     def test_failed_command_writes_nothing_to_a_pipe(self, tmp_path, capsys):
         data, argv, lineno = self.filter_bad_at_line_2(tmp_path)
@@ -1547,11 +1573,8 @@ class TestOutputsAreAllOrNothing:
         # /dev/stdout is a link through /proc/self/fd to a pipe with no path of its own.
         data = tmp_path / "data.jsonl"
         write_jsonl_file(data, [self.GOOD])
-        src = Path(__file__).resolve().parent.parent / "src"
         argv = ["prompt", str(data), "--strategy", "rel", "--scheme", "fkgl", "-o", "/dev/stdout"]
-        proc = subprocess.run([sys.executable, "-m", "levelforge.cli", *argv],
-                              stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
-                              timeout=60, env={**os.environ, "PYTHONPATH": str(src)})
+        proc = cli_child(argv, capture_output=True, text=True)
         assert (proc.returncode, proc.stderr) == (0, "")
         assert [json.loads(line)["output"] for line in proc.stdout.splitlines()] == ["An easy one."]
 
@@ -1562,11 +1585,8 @@ class TestOutputsAreAllOrNothing:
         write_jsonl_file(data, [self.PAIR])
         log = tmp_path / "log.txt"
         log.write_text("old\n")
-        src = Path(__file__).resolve().parent.parent / "src"
         with open(log, "a", encoding="utf-8") as stdout:
-            proc = subprocess.run([sys.executable, "-m", "levelforge.cli", "filter", str(data),
-                                   "-o", "/dev/stdout"], stdout=stdout, stderr=subprocess.PIPE,
-                                  text=True, timeout=60, env={**os.environ, "PYTHONPATH": str(src)})
+            proc = cli_child(["filter", str(data), "-o", "/dev/stdout"], stdout=stdout, stderr=subprocess.PIPE)
         assert proc.returncode == 0, proc.stderr
         old, record = log.read_text().splitlines()
         assert (old, json.loads(record)["target"]) == ("old", self.PAIR["target"])
@@ -1579,12 +1599,9 @@ class TestOutputsAreAllOrNothing:
         write_jsonl_file(data, [self.PAIR])
         log = tmp_path / "log.txt"
         log.write_text("old\n")
-        src = Path(__file__).resolve().parent.parent / "src"
         with open(log, "a", encoding="utf-8") as stderr:
-            proc = subprocess.run([sys.executable, "-m", "levelforge.cli", "filter", str(data),
-                                   "-o", "/dev/stderr"], stdout=subprocess.PIPE, stderr=stderr,
-                                  text=True, timeout=60, env={**os.environ, "PYTHONPATH": str(src)})
-        assert (proc.returncode, proc.stdout) == (0, "")
+            proc = cli_child(["filter", str(data), "-o", "/dev/stderr"], stdout=subprocess.PIPE, stderr=stderr)
+        assert (proc.returncode, proc.stdout) == (0, b"")
         old, record, summary = log.read_text().splitlines()
         assert (old, json.loads(record)["target"]) == ("old", self.PAIR["target"])
         assert json.loads(summary) == {"command": "filter", "in": 1, "out": 1, "drops": {}}
@@ -1609,12 +1626,8 @@ class TestOutputsAreAllOrNothing:
         data = tmp_path / "pairs.jsonl"
         write_jsonl_file(data, [{**self.PAIR, "id": str(i)} for i in range(1000)])
         log = tmp_path / "log.txt"
-        src = Path(__file__).resolve().parent.parent / "src"
-        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
         with open(log, "w", encoding="utf-8") as shared:
-            proc = subprocess.run([sys.executable, "-m", "levelforge.cli", "filter", str(data)],
-                                  stdout=shared, stderr=subprocess.STDOUT, timeout=60,
-                                  env={**env, "PYTHONPATH": str(src)})
+            proc = cli_child(["filter", str(data)], stdout=shared, stderr=subprocess.STDOUT)
         assert proc.returncode == 0
         *records, summary = log.read_text().splitlines()
         assert [json.loads(line)["target"] for line in records] == [self.PAIR["target"]] * 1000
@@ -1665,8 +1678,7 @@ class TestOutputsAreAllOrNothing:
     @staticmethod
     def pipeline(tmp_path, corpus, seed):
         config = tmp_path / "config.json"
-        config.write_text(json.dumps(
-            {"input": str(corpus), "output_dir": str(tmp_path / "out"), "seed": seed}))
+        config.write_text(json.dumps({"input": str(corpus), "output_dir": str(tmp_path / "out"), "seed": seed}))
         return main(["pipeline", "--config", str(config)])
 
     def test_pipeline_failing_while_writing_leaves_no_manifest(self, tmp_path, capsys, monkeypatch):
@@ -1679,9 +1691,7 @@ class TestOutputsAreAllOrNothing:
         fifth = tmp_path / "out" / "complexification.valid.jsonl"
         assert capsys.readouterr().err == f"error: {ENOSPC}: '{fifth}'\n"
         names = sorted(p.name for p in (tmp_path / "out").iterdir())
-        assert "manifest.json" not in names
-        assert not [name for name in names if name.endswith(".tmp")]
-        assert len(names) == 9
+        assert ("manifest.json" in names, len(names), [n for n in names if n.endswith(".tmp")]) == (False, 9, [])
 
     def test_pipeline_removes_the_temporary_files_of_killed_runs(self, tmp_path, capsys):
         corpus = tmp_path / "corpus.jsonl"
@@ -1759,126 +1769,163 @@ class TestOutputsAreAllOrNothing:
             before[n] for n in ("valid.jsonl", "test.jsonl")]
 
 
+@pytest.fixture(scope="module")
+def table(tmp_path_factory):
+    """The failure table's rows, {name: (directory, argv)}: for each subcommand, its matrix command
+    with the most arguments, then the declared extras. Every matrix command has run once in these
+    directories, so each row finds the inputs it reads."""
+    root = tmp_path_factory.mktemp("table")
+    matrix.small_inputs(root)
+    rows = {}
+    with pytest.MonkeyPatch.context() as m, redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+        for case, commands in matrix.CASES.items():
+            m.chdir(root / case)
+            for argv in commands(root / case):
+                assert main(argv) == 0, argv
+                rows[argv[0]] = max(rows.get(argv[0], (root, [])), (root / case, argv), key=lambda row: len(row[1]))
+    shutil.copy(root / "pipeline" / "corpus.jsonl", root / "eval" / "pairs.jsonl")
+    return {**rows, **{name: (root / "eval", argv) for name, argv in TestFailedWrites.EXTRAS.items()}}
+
+
+@pytest.fixture(scope="module")
+def evaldir(table):
+    return table["report"][0]
+
+
+@pytest.mark.filterwarnings("error::ResourceWarning", "error::pytest.PytestUnraisableExceptionWarning")
 class TestFailedWrites:
-    """A write that fails, with stdout buffered as users run it, exits 2 with one error line that
-    names its target; nothing is left for the interpreter's flush at exit to fail on again (it
-    would print "Exception ignored" and exit 120)."""
+    """The failure table: each row runs in process under each way a standard stream can fail, and
+    its clean run decides the outcome by one rule. If the clean run wrote to that stream, the run
+    exits 2 (a failed one keeps its code), a failed stdout leaving just one ``error:`` line naming
+    ``<stdout>``; else exit code and bytes are the clean run's. Files are always the clean run's.
+    Declared exceptions: --help and --version exit 0, printing nothing; a line into a missing
+    stderr is lost and changes nothing. ``main`` leaves the streams and descriptors as they were, and
+    closes what it opens: a file left to the garbage collector warns, and the warning fails the row."""
 
-    ARGV = {
-        "filter": ["filter", "pairs.jsonl"],
-        "score": ["score", "--outputs", "outputs.txt", "--refs", "refs.jsonl"],
-        "report": ["report", "ratings.tsv"],
-    }
-    needs_dev_full = pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
-
-    @pytest.fixture
-    def workdir(self, tmp_path):
-        pair = TestOutputsAreAllOrNothing.PAIR
-        write_jsonl_file(tmp_path / "pairs.jsonl", [pair])
-        (tmp_path / "outputs.txt").write_text(pair["target"] + "\n")
-        write_jsonl_file(tmp_path / "refs.jsonl", [{"source": pair["source"], "references": [pair["target"]]}])
-        ratings = (f"s{i}\tr{r}\tg\t{i + r + 1}\n" for i in range(2) for r in range(3))
-        (tmp_path / "ratings.tsv").write_text("".join(ratings))
-        return tmp_path
+    MODES = [f"{kind}-{stream}" for stream in ("stdout", "stderr") for kind in ("closed", "full", "missing")]
+    ERRNO = {"closed": errno.EPIPE, "full": errno.ENOSPC, "missing": errno.EBADF}
+    EXTRAS = {"usage-error": ["bogus"], "data-error": ["report", "refs.jsonl"], "--help": ["--help"],
+              "--version": ["--version"]}
+    # One row per mode, run again in a child with real descriptors and stdout buffered as users run it.
+    REAL = {"closed-stdout": "report", "full-stdout": "--version", "missing-stdout": "--help",
+            "closed-stderr": "filter", "full-stderr": "data-error", "missing-stderr": "usage-error"}
+    # Hand-picked rows that write to stdout, in the eval directory.
+    ARGV = {"filter": ["filter", "pairs.jsonl"], "score": ["score", "--outputs", "outputs.txt", "--refs", "refs.jsonl"],
+            "report": ["report", "ratings.tsv"]}
 
     @staticmethod
-    def run(workdir, argv, stdout, stderr=subprocess.PIPE, closed=None):
-        """Run the CLI as a child; ``closed``, 1 or 2, is a descriptor the child starts without."""
-        src = Path(__file__).resolve().parent.parent / "src"
-        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
-        return subprocess.run([sys.executable, "-m", "levelforge.cli", *argv], cwd=workdir, stdout=stdout,
-                              stderr=stderr, text=True, timeout=60, env={**env, "PYTHONPATH": str(src)},
-                              preexec_fn=None if closed is None else lambda: os.close(closed))
+    def in_process(workdir, argv, stdout, stderr):
+        """The exit code of ``main(argv)`` run in ``workdir`` with these standard streams, which it
+        must leave in place, with no more or fewer descriptors open than before."""
+        fds = os.listdir("/dev/fd")
+        with pytest.MonkeyPatch.context() as m:
+            m.chdir(workdir)
+            m.setattr(sys, "stdout", stdout)
+            m.setattr(sys, "stderr", stderr)
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # from argparse
+                code = exc.code
+            assert (sys.stdout is stdout, sys.stderr is stderr) == (True, True)
+        assert os.listdir("/dev/fd") == fds
+        return code
 
-    @staticmethod
-    @contextmanager
-    def unwritable(kind):
-        """A descriptor no write gets through: /dev/full, or a "closed" pipe, whose read end is
-        closed as `| head`'s is once it has read enough."""
-        if kind == "full":
-            if not os.path.exists("/dev/full"):
-                pytest.skip("no /dev/full")
-            fd = os.open("/dev/full", os.O_WRONLY)
-        else:
-            read, fd = os.pipe()
-            os.close(read)
-        try:
-            yield fd
-        finally:
-            os.close(fd)
+    @classmethod
+    def run(cls, workdir, argv, mode="", child=False):
+        """(exit code, stdout, stderr, files) of ``argv`` in ``workdir`` under ``mode``; None for the failed stream."""
+        kind, _, failing = mode.partition("-")
+        if kind == "full" and not os.path.exists("/dev/full"):
+            pytest.skip("no /dev/full")
+        with ExitStack() as stack:
+            fd = os.open("/dev/full", os.O_WRONLY) if kind == "full" else None
+            if kind == "closed":  # a pipe whose read end is closed, as `| head`'s is once it has read enough
+                read, fd = os.pipe()
+                os.close(read)
+            if fd is not None:
+                stack.callback(os.close, fd)
+            captured = {name: stack.enter_context(tempfile.TemporaryFile("w+", encoding="utf-8"))
+                        for name in ("stdout", "stderr")}
+            streams = dict(captured)
+            if failing:  # in process, a writer on the descriptor or None; a child gets the descriptor, or closes it
+                streams[failing] = fd if child or fd is None else stack.enter_context(
+                    open(fd, "w", encoding="utf-8", closefd=False))
+            if child:
+                closed = {"stdout": 1, "stderr": 2}[failing] if kind == "missing" else None
+                code = cli_child(argv, workdir, preexec_fn=closed and (lambda: os.close(closed)), **streams).returncode
+            else:
+                code = cls.in_process(workdir, argv, **streams)
+            texts = [None if name == failing else stream.seek(0) or stream.read() for name, stream in captured.items()]
+        return code, *texts, digest_tree(workdir)
 
-    @staticmethod
-    def assert_failed(proc, workdir, code, target):
-        assert (proc.returncode, proc.stderr) == (2, f"error: [Errno {code}] {os.strerror(code)}: '{target}'\n")
-        assert not list(workdir.rglob("*.tmp"))
+    @classmethod
+    @functools.lru_cache(maxsize=None)
+    def clean(cls, workdir, *argv):
+        return cls.run(workdir, list(argv))
 
-    @pytest.mark.parametrize("command", ["filter", "score", "report"])
-    def test_closed_stdout_pipe(self, workdir, command):
-        with self.unwritable("closed") as stdout:
-            proc = self.run(workdir, self.ARGV[command], stdout)
-        self.assert_failed(proc, workdir, errno.EPIPE, "<stdout>")
+    @classmethod
+    def expected(cls, workdir, argv, mode):
+        """What ``mode`` gives ``argv``: the table's one rule, applied to its clean run."""
+        code, out, err, files = cls.clean(workdir, *argv)
+        kind, failing = mode.split("-")
+        if failing == "stderr":  # a line it cannot take fails the run; declared: a missing stderr changes nothing
+            return (code or 2) if err and kind != "missing" else code, out, None, files
+        if not out:
+            return code, None, err, files
+        if argv[-1] in ("--help", "--version"):  # declared: exit 0, printing nothing
+            return 0, None, "", files
+        return code or 2, None, f"error: [Errno {cls.ERRNO[kind]}] {os.strerror(cls.ERRNO[kind])}: '<stdout>'\n", files
+
+    def check(self, workdir, argv, mode):
+        """The outcome of ``argv`` under ``mode``, which must be what the rule gives."""
+        outcome = self.run(workdir, argv, mode)
+        assert outcome == self.expected(workdir, argv, mode)
+        return outcome
+
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("row", [*cli.COMMANDS, *EXTRAS])
+    def test_table(self, table, row, mode):
+        self.check(*table[row], mode)
+
+    @pytest.mark.parametrize("mode, row", REAL.items())
+    def test_real_descriptors(self, table, mode, row):
+        workdir, argv = table[row]
+        assert self.run(workdir, argv, mode, child=True) == self.run(workdir, argv, mode)
+
+    @pytest.mark.parametrize("command", ARGV)
+    def test_closed_stdout_pipe(self, evaldir, command):
+        assert self.check(evaldir, self.ARGV[command], "closed-stdout")[0] == 2
+
+    def test_full_stdout(self, evaldir):
+        assert self.check(evaldir, self.ARGV["report"], "full-stdout")[0] == 2
+
+    @pytest.mark.parametrize("argv", [["filter", "pairs.jsonl"], ["filter", "pairs.jsonl", "-o", "-"], ARGV["score"],
+                                      ARGV["report"]], ids=" ".join)
+    def test_missing_stdout(self, evaldir, argv):
+        # `>&-`: the process starts without descriptor 1.
+        assert self.check(evaldir, argv, "missing-stdout")[0] == 2
+
+    def test_missing_stderr(self, evaldir):
+        # `2>&-`: the summary has nowhere to go, and must not join the records on stdout.
+        code, out, _, _ = self.check(evaldir, self.ARGV["filter"], "missing-stderr")
+        assert (code, out) == (0, self.clean(evaldir, *self.ARGV["filter"])[1])
 
     @pytest.mark.parametrize("kind", ["full", "closed"])
     @pytest.mark.parametrize("argv", [
         ["filter", "pairs.jsonl", "-o", "/dev/null"], ["report", "nope.tsv"], ["bogus"],
     ], ids=["summary-line", "error-line", "usage-error"])
-    def test_failed_stderr(self, workdir, kind, argv):
-        # What the run could not write is lost with stderr; its exit code still says it failed.
-        with self.unwritable(kind) as stderr:
-            proc = self.run(workdir, argv, subprocess.PIPE, stderr)
-        assert (proc.returncode, proc.stdout) == (2, "")
-        assert not list(workdir.rglob("*.tmp"))
+    def test_failed_stderr(self, evaldir, kind, argv):
+        assert self.check(evaldir, argv, f"{kind}-stderr")[:2] == (2, "")
 
     @pytest.mark.parametrize("kind", ["full", "closed"])
     @pytest.mark.parametrize("argv", [["--help"], ["score", "--help"], ["--version"]], ids=" ".join)
-    def test_unwritable_help_exits_0(self, workdir, kind, argv):
-        with self.unwritable(kind) as stdout:
-            proc = self.run(workdir, argv, stdout)
-        assert (proc.returncode, proc.stderr) == (0, "")
-        assert not list(workdir.rglob("*.tmp"))
+    def test_unwritable_help_exits_0(self, evaldir, kind, argv):
+        assert self.check(evaldir, argv, f"{kind}-stdout")[:3] == (0, None, "")
 
-    @pytest.mark.parametrize("argv", [
-        ["filter", "pairs.jsonl"], ["filter", "pairs.jsonl", "-o", "-"], ARGV["score"], ARGV["report"],
-    ], ids=" ".join)
-    def test_missing_stdout(self, workdir, argv):
-        # `>&-`: the process starts without descriptor 1, so sys.stdout is None.
-        proc = self.run(workdir, argv, subprocess.PIPE, closed=1)
-        self.assert_failed(proc, workdir, errno.EBADF, "<stdout>")
-        assert not (workdir / "-").exists()
-
-    def test_missing_stderr(self, workdir):
-        # `2>&-`: the summary has nowhere to go, and must not join the records on stdout.
-        records = self.run(workdir, self.ARGV["filter"], subprocess.PIPE).stdout
-        assert json.loads(records)["target"] == TestOutputsAreAllOrNothing.PAIR["target"]
-        proc = self.run(workdir, self.ARGV["filter"], subprocess.PIPE, closed=2)
-        assert (proc.returncode, proc.stdout, proc.stderr) == (0, records, "")
-
-    def test_missing_stdout_in_process(self, workdir, capsys, monkeypatch):
-        # The same in this process, where scripts/linecov.py sees the lines it runs.
-        monkeypatch.chdir(workdir)
-        monkeypatch.setattr(sys, "stdout", None)
-        assert main(["filter", "pairs.jsonl", "-o", "-"]) == 2
-        assert capsys.readouterr().err == f"error: [Errno {errno.EBADF}] {os.strerror(errno.EBADF)}: '<stdout>'\n"
-        assert not (workdir / "-").exists()
-
-    def test_failed_summary_in_process(self, workdir, monkeypatch):
-        # A summary that stderr cannot take turns exit 0 into 2.
-        with self.unwritable("closed") as fd, open(fd, "w", closefd=False) as stderr, monkeypatch.context() as m:
-            m.setattr(sys, "stderr", stderr)
-            assert main(["filter", str(workdir / "pairs.jsonl"), "-o", os.devnull]) == 2
-
-    @needs_dev_full
-    def test_full_stdout(self, workdir):
-        with open("/dev/full", "w") as full:
-            proc = self.run(workdir, self.ARGV["report"], full)
-        self.assert_failed(proc, workdir, errno.ENOSPC, "<stdout>")
-
-    @needs_dev_full
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
     @pytest.mark.parametrize("command, option", [("filter", "-o"), ("score", "--per-instance")])
-    def test_full_target(self, workdir, command, option):
-        proc = self.run(workdir, [*self.ARGV[command], option, "/dev/full"], subprocess.PIPE)
-        self.assert_failed(proc, workdir, errno.ENOSPC, "/dev/full")
-        assert proc.stdout == ""
+    def test_full_target(self, evaldir, command, option):
+        outcome = self.run(evaldir, [*self.ARGV[command], option, "/dev/full"])
+        assert outcome == (2, "", f"error: {ENOSPC}: '/dev/full'\n", self.clean(evaldir, *self.ARGV[command])[3])
 
 
 class TestKilledPipeline:
@@ -1934,63 +1981,32 @@ class TestKilledPipeline:
 
 
 class TestWriteLimits:
-    """A child whose files may not grow past a limit (RLIMIT_FSIZE, with SIGXFSZ ignored) fails on
-    the first output that outgrows it: exit 2, one error line naming that output, nothing on
-    stdout, no ``*.tmp`` file, and no manifest that disagrees with its files."""
+    """The table's file mode, in a child: a row that writes files may not grow one past a limit
+    below the largest (RLIMIT_FSIZE, SIGXFSZ ignored). It exits 2 with one error line naming one of
+    them, or ``<stdout>``, whose spool is a file too; an empty stdout; no ``*.tmp``; no manifest
+    that disagrees with its files. A clean run then gets the clean run's bytes again."""
 
     TOO_LARGE = f"[Errno {errno.EFBIG}] {os.strerror(errno.EFBIG)}"
-    TASKS = [f"out/{task}.{split}.jsonl" for task in ("simplification", "complexification", "same_level")
-             for split in ("train", "valid", "test")]
-    # Each command: its arguments and its outputs, relative to the working directory.
-    RUNS = {
-        "pipeline": (["pipeline", "--config", "config.json"], [*TASKS, "out/manifest.json"]),
-        "split": (["split", "corpus.jsonl", "-o", "splits"],
-                  [f"splits/{split}.jsonl" for split in ("train", "valid", "test")]),
-        "filter": (["filter", "corpus.jsonl", "-o", "kept.jsonl"], ["kept.jsonl"]),
-        "score": (["score", "--outputs", "outputs.txt", "--refs", "refs.jsonl", "--per-instance", "scores.tsv"],
-                  ["scores.tsv"]),
-        "agree": (["agree", "ratings.tsv", "--threshold", "2", "--gold-out", "gold.jsonl"], ["gold.jsonl"]),
-    }
 
-    @pytest.fixture(scope="class")
-    def workdir(self, tmp_path_factory):
-        workdir = tmp_path_factory.mktemp("limits")
-        records = make_corpus(workdir / "corpus.jsonl", n=400)
-        (workdir / "config.json").write_text(json.dumps({"input": "corpus.jsonl", "output_dir": "out"}))
-        (workdir / "outputs.txt").write_text("".join(r["target"] + "\n" for r in records[:300]))
-        write_jsonl_file(workdir / "refs.jsonl", [
-            {"source": r["source"], "references": [r["target"], r["source"]]} for r in records[:300]])
-        ratings = (f"s{i}\tr{r}\tg\t{1 + (i + r // 2) % 5}\n" for i in range(300) for r in range(3))
-        (workdir / "ratings.tsv").write_text("".join(ratings))
-        return workdir
+    @pytest.mark.parametrize("row", [
+        "pipeline", "filter", "label", "bucket", "split", "prompt", "analyze", "score", "agree"])
+    def test_limited_runs_fail_cleanly(self, table, row):
+        workdir, argv = table[row]
+        inodes = {p: p.stat().st_ino for p in workdir.rglob("*") if p.is_file()}
+        clean = TestFailedWrites.run(workdir, argv)  # each file it writes replaces the old one, so it has a new inode
+        written = [str(p.relative_to(workdir)) for p in workdir.rglob("*")
+                   if p.is_file() and inodes.get(p) != p.stat().st_ino]
+        limit = random.Random(f"limit-{row}").randrange(max((workdir / name).stat().st_size for name in written))
 
-    @staticmethod
-    def run(workdir, argv, limit=None):
         def limited():
             signal.signal(signal.SIGXFSZ, signal.SIG_IGN)
             resource.setrlimit(resource.RLIMIT_FSIZE, (limit, limit))
-        env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
-        return subprocess.run([sys.executable, "-m", "levelforge.cli", *argv], cwd=workdir, env=env,
-                              capture_output=True, text=True, timeout=60,
-                              preexec_fn=None if limit is None else limited)
-
-    @pytest.mark.parametrize("command", RUNS)
-    def test_limited_runs_fail_cleanly(self, workdir, command, monkeypatch):
-        argv, outputs = self.RUNS[command]
-        monkeypatch.chdir(workdir)
-        assert main(argv) == 0
-        written = {name: (workdir / name).read_bytes() for name in outputs if (workdir / name).exists()}
-        largest = max(map(len, written.values()))
-        limit = random.Random(f"limit-{command}").randrange(largest)  # seeded: 11% to 73% of the largest output
-        proc = self.run(workdir, argv, limit)
-        # Under the limit, _output's stdout spool is a regular file too.
-        named = [f"error: {self.TOO_LARGE}: '{name}'\n" for name in [*outputs, "<stdout>"]]
+        proc = cli_child(argv, workdir, capture_output=True, text=True, preexec_fn=limited)
+        named = [f"error: {self.TOO_LARGE}: '{name}'\n" for name in [*written, "<stdout>"]]
         assert (proc.returncode, proc.stdout, proc.stderr in named) == (2, "", True), (limit, proc.stderr)
-        assert TestKilledPipeline.manifest_agrees(workdir / "out") and not list(workdir.rglob("*.tmp"))
-        proc = self.run(workdir, argv)
-        assert proc.returncode == 0, proc.stderr
-        assert {name: (workdir / name).read_bytes() for name in written} == written
-        assert TestKilledPipeline.manifest_agrees(workdir / "out") and not list(workdir.rglob("*.tmp"))
+        assert all(TestKilledPipeline.manifest_agrees(path.parent) for path in workdir.rglob("manifest.json"))
+        assert not list(workdir.rglob("*.tmp"))
+        assert TestFailedWrites.run(workdir, argv) == clean
 
 
 class TestPromptTsvRows:

@@ -371,13 +371,15 @@ class TestRareLines:
 class TestOneInputDoor:
     # A read-mode open() outside these bypasses read_lines, and with it the
     # path:line rule for bad lines. A write-mode open() outside _output
-    # bypasses its replace-only-on-success rule. A print to stdout bypasses
+    # bypasses its replace-only-on-success rule; main's opens are the
+    # stand-ins for a standard stream the process started without, which
+    # land no output. A print to stdout bypasses
     # _output, which lands stdout after the command's files, and only if it
     # succeeds. A print to stderr outside main is a summary or an error that
     # main does not see, so its exit code cannot follow a failed write.
     DOORS = {("dataio", "read_lines"), ("dataio", "file_sha256"),
              ("cli", "PipelineConfig.from_file")}
-    WRITE_DOORS = {("cli", "_output")}
+    WRITE_DOORS = {("cli", "_output"), ("cli", "main")}
     PRINT_DOORS = set()
     STDERR_DOORS = {("cli", "main")}
     STREAM_DOORS = {("cli", "_output"), ("cli", "_std_stream"), ("cli", "main")}
