@@ -1909,6 +1909,27 @@ class TestFailedWrites:
         code, out, _, _ = self.check(evaldir, self.ARGV["filter"], "missing-stderr")
         assert (code, out) == (0, self.clean(evaldir, *self.ARGV["filter"])[1])
 
+    def test_missing_stdout_in_process(self, evaldir):
+        # `>&-` with `-o -`, pinned by hand rather than by the rule: one EBADF line, and no file named "-".
+        with tempfile.TemporaryFile("w+", encoding="utf-8") as stderr:
+            assert self.in_process(evaldir, ["filter", "pairs.jsonl", "-o", "-"], None, stderr) == 2
+            stderr.seek(0)
+            assert stderr.read() == f"error: [Errno {errno.EBADF}] {os.strerror(errno.EBADF)}: '<stdout>'\n"
+        assert not (evaldir / "-").exists()
+
+    def test_failed_summary_in_process(self, evaldir):
+        # A summary that stderr cannot take turns exit 0 into 2, pinned by hand rather than by the rule.
+        argv = ["filter", "pairs.jsonl", "-o", os.devnull]
+        assert self.clean(evaldir, *argv)[0] == 0
+        read, fd = os.pipe()
+        os.close(read)
+        try:
+            with open(fd, "w", encoding="utf-8", closefd=False) as stderr, \
+                    tempfile.TemporaryFile("w+", encoding="utf-8") as stdout:
+                assert self.in_process(evaldir, argv, stdout, stderr) == 2
+        finally:
+            os.close(fd)
+
     @pytest.mark.parametrize("kind", ["full", "closed"])
     @pytest.mark.parametrize("argv", [
         ["filter", "pairs.jsonl", "-o", "/dev/null"], ["report", "nope.tsv"], ["bogus"],
