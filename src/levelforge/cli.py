@@ -161,10 +161,10 @@ class PipelineConfig:
             raise ConfigError(f"unknown similarity_source {self.similarity_source!r}")
         if self.similarity_source == "file" and not self.similarity_file:
             raise ConfigError("similarity_source=file requires similarity_file")
-        if not Path(self.input).exists():
-            raise ConfigError(f"input path does not exist: {self.input}")
-        if self.predictions and not Path(self.predictions).exists():
-            raise ConfigError(f"predictions path does not exist: {self.predictions}")
+        for name in ("input", "predictions", "similarity_file"):
+            path = getattr(self, name)
+            if path and not Path(path).exists():
+                raise ConfigError(f"{name} path does not exist: {path}")
         with _blaming("split_ratios", ConfigError):
             self.split_ratios = check_split_ratios(self.split_ratios)
 

@@ -168,15 +168,13 @@ def count_syllables(word: str) -> int:
         return 1
     count = len(_VOWEL_GROUP_RE.findall(w))
     if count > 1:
-        if w.endswith("e") and not (
-            len(w) >= 3 and w.endswith("le") and w[-3] not in "aeiouy"
-        ):
+        if w.endswith("e") and not (w.endswith("le") and w[-3] not in "aeiouy"):
             count -= 1
-        elif len(w) > 2 and w.endswith("ed") and w[-3] not in "aeiouytd":
+        elif w.endswith("ed") and w[-3] not in "aeiouytd":
             count -= 1
-        elif len(w) > 2 and w.endswith("es") and w[-3] not in "aeiouysxzhl":
+        elif w.endswith("es") and w[-3] not in "aeiouysxzhl":
             count -= 1
-    return max(1, min(count, len(w)))
+    return max(1, count)
 
 
 def windows(tokens: Sequence[str], n: int) -> Iterator[tuple[str, ...]]:

@@ -15,7 +15,7 @@ import tempfile
 import threading
 import time
 from collections import Counter
-from contextlib import ExitStack, contextmanager, redirect_stderr, redirect_stdout
+from contextlib import ExitStack, redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import matrix
@@ -30,13 +30,16 @@ from levelforge.genmetrics import EvalInstance, is_copy, sari, sari_r
 ENOSPC = f"[Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}"
 
 
+def jsonl(*records):
+    """The JSONL text of ``records``, one line each."""
+    return "".join(json.dumps(r) + "\n" for r in records)
+
+
 def write_jsonl_file(path, records):
-    with open(path, "w", encoding="utf-8") as fh:
-        for r in records:
-            fh.write(json.dumps(r) + "\n")
+    Path(path).write_text(jsonl(*records), encoding="utf-8")
 
 
-def make_corpus(path, n=60):
+def corpus_records(n=60):
     """Synthetic FKGL corpus: odd ids are reorderings (same level), even ids
     pair a long sentence with a short one (different level)."""
     records = []
@@ -48,6 +51,11 @@ def make_corpus(path, n=60):
             src = f"The brave fox number {i} jumped over the lazy dog."
             tgt = f"Over the lazy dog the brave fox number {i} jumped."
         records.append({"id": f"p{i:04d}", "source": src, "target": tgt, "similarity": 0.7})
+    return records
+
+
+def make_corpus(path, n=60):
+    records = corpus_records(n)
     write_jsonl_file(path, records)
     return records
 
@@ -77,9 +85,9 @@ def digest_dir(outdir):
 
 
 def digest_tree(root):
-    """{path under ``root``: the SHA-256 of its bytes} of every file under ``root``."""
-    return {str(p.relative_to(root)): hashlib.sha256(p.read_bytes()).hexdigest()
-            for p in sorted(root.rglob("*")) if p.is_file()}
+    """{path under ``root``: the SHA-256 of its bytes, or None for a directory} of everything under ``root``."""
+    return {str(p.relative_to(root)): hashlib.sha256(p.read_bytes()).hexdigest() if p.is_file() else None
+            for p in sorted(root.rglob("*"))}
 
 
 def cli_child(argv, cwd=None, **kwargs):
@@ -90,14 +98,6 @@ def cli_child(argv, cwd=None, **kwargs):
 
 
 class TestExitCodes:
-    def test_missing_config_is_usage_error(self, tmp_path, capsys):
-        assert main(["pipeline", "--config", str(tmp_path / "nope.json")]) == 2
-
-    def test_bad_data_is_data_error(self, tmp_path, capsys):
-        bad = tmp_path / "bad.jsonl"
-        bad.write_text("not json\n")
-        assert main(["filter", str(bad), "-o", str(tmp_path / "out.jsonl")]) == 1
-
     def test_success_is_zero(self, tmp_path, capsys):
         pairs = tmp_path / "pairs.jsonl"
         write_jsonl_file(
@@ -125,16 +125,6 @@ class TestFilterCommand:
         assert summary == {"command": "filter", "in": 3, "out": 1,
                            "drops": {"TOO_SHORT": 1, "SIM_LOW": 1}}
         assert len(out.read_text().splitlines()) == 1
-
-    @pytest.mark.parametrize("value, shown", [(True, "True"), ("x", "'x'")])
-    def test_non_numeric_similarity_is_data_error(self, tmp_path, capsys, value, shown):
-        pairs = tmp_path / "pairs.jsonl"
-        write_jsonl_file(pairs, [{"id": "p1", "source": "The cat sat on the mat.",
-                                  "target": "A cat was sitting there.", "similarity": value}])
-        assert main(["filter", str(pairs), "-o", str(tmp_path / "kept.jsonl")]) == 1
-        assert capsys.readouterr().err == (
-            f"error: {pairs}:1: bad pair record: similarity must be a number, got {shown}\n"
-        )
 
 
 class TestLabelAndBucketCommands:
@@ -182,11 +172,6 @@ class TestLabelAndBucketCommands:
         rec = json.loads(labeled.read_text())
         assert (rec["source_level"], rec["target_level"]) == ("C1", "A2")
 
-    def test_cefr_without_predictions_is_usage_error(self, tmp_path, capsys):
-        pairs = tmp_path / "pairs.jsonl"
-        write_jsonl_file(pairs, [{"id": "p1", "source": "a b c", "target": "d e f"}])
-        assert main(["label", str(pairs), "--scheme", "cefr6"]) == 2
-
 
 class TestSplitCommand:
     def test_counts(self, tmp_path, capsys):
@@ -199,21 +184,6 @@ class TestSplitCommand:
             for name in ("train", "valid", "test")
         }
         assert counts == {"train": 40, "valid": 5, "test": 5}
-
-    @pytest.mark.parametrize(
-        "ratios, shown",
-        [(["1.2", "-0.1", "-0.1"], "(1.2, -0.1, -0.1)"), (["0.5", "0.3", "0.3"], "(0.5, 0.3, 0.3)")],
-    )
-    def test_bad_ratios_are_usage_errors(self, tmp_path, capsys, ratios, shown):
-        data = tmp_path / "data.jsonl"
-        write_jsonl_file(data, [{"id": f"p{i}"} for i in range(10)])
-        outdir = tmp_path / "splits"
-        assert main(["split", str(data), "-o", str(outdir), "--ratios", *ratios]) == 2
-        assert capsys.readouterr().err == (
-            "error: --ratios: split ratios must be 3 non-negative numbers summing to 1, "
-            f"got {shown}\n"
-        )
-        assert not outdir.exists()
 
 
 class TestPromptCommand:
@@ -249,29 +219,6 @@ class TestPromptCommand:
         assert main(argv) == 0
         assert capsys.readouterr().out == f"change to level {1e30:.2f}: A hard sentence.\tAn easy one.\n"
 
-    @pytest.mark.parametrize("strategy", ["rel", "llm-rel", "baseline"])
-    def test_fixed_level_needs_an_absolute_strategy(self, tmp_path, capsys, strategy):
-        # Refused before the input is read: its bad line would be a data error (exit 1).
-        data = tmp_path / "data.jsonl"
-        data.write_text("{not json\n")
-        out = tmp_path / "prompted.jsonl"
-        argv = ["prompt", str(data), "--strategy", strategy, "--scheme", "cefr6",
-                "--fixed-level", "B", "-o", str(out)]
-        assert main(argv) == 2
-        assert capsys.readouterr() == (
-            "", f"error: --fixed-level needs strategy abs or llm-abs, not {strategy}\n")
-        assert not out.exists()
-
-    @pytest.mark.parametrize("fixed", [[], ["--fixed-level", "3"]])
-    def test_llm_abs_names_no_newsela_level(self, tmp_path, capsys, fixed):
-        # Refused before the input is read: its bad line would be a data error (exit 1).
-        data = tmp_path / "data.jsonl"
-        data.write_text("{not json\n")
-        argv = ["prompt", str(data), "--strategy", "llm-abs", "--scheme", "newsela", *fixed]
-        assert main(argv) == 2
-        assert capsys.readouterr() == (
-            "", "error: --strategy llm-abs names an FKGL or CEFR level, not a newsela one\n")
-
 
 class TestScoreCommand:
     def test_report_fields(self, tmp_path, capsys):
@@ -287,13 +234,6 @@ class TestScoreCommand:
         assert report["instances"] == 2
         assert report["copy_rate"] == 0.5
         assert 0 <= report["sari_r"] <= report["sari"] <= 100
-
-    def test_length_mismatch_is_data_error(self, tmp_path, capsys):
-        refs = tmp_path / "refs.jsonl"
-        write_jsonl_file(refs, [{"source": "a b c.", "references": ["a b."]}])
-        outputs = tmp_path / "outputs.txt"
-        outputs.write_text("a b.\nextra line\n")
-        assert main(["score", "--outputs", str(outputs), "--refs", str(refs)]) == 1
 
     SCORED = [
         ("The cat sat on the mat.", "The cat sat.", ["The cat sat.", "A cat sat."]),
@@ -338,55 +278,8 @@ class TestScoreCommand:
         assert main(argv) == 0
         assert len(calls) == len(self.SCORED)
 
-    def test_unwritable_per_instance_prints_no_report(self, tmp_path, capsys):
-        outputs, refs = self._score_files(tmp_path)
-        tsv = tmp_path / "nowhere" / "x.tsv"
-        argv = ["score", "--outputs", str(outputs), "--refs", str(refs), "--per-instance", str(tsv)]
-        assert main(argv) == 2
-        assert capsys.readouterr() == (
-            "", f"error: [Errno 2] No such file or directory: '{tsv}'\n")
-
-    @pytest.mark.parametrize("n", ["0", "-1", "1"])
-    def test_repetition_n_below_one_is_usage_error(self, tmp_path, capsys, n):
-        # A rejected value names inputs that do not exist: the option is checked before any is read.
-        # 1, the least accepted value, runs.
-        outputs, refs = self._score_files(tmp_path) if n == "1" else (tmp_path / "outputs.txt", tmp_path / "refs.jsonl")
-        argv = ["score", "--outputs", str(outputs), "--refs", str(refs), "--repetition-n", n]
-        assert main(argv) == (0 if n == "1" else 2)
-        assert capsys.readouterr().err == ("" if n == "1" else f"error: --repetition-n must be >= 1, got {n}\n")
-
-    @pytest.mark.parametrize(
-        "record, message",
-        [
-            ({"source": "a b c.", "references": "a b c."},
-             '"references" must be a non-empty list of strings'),
-            ({"source": "a b c.", "references": [None]},
-             '"references" must be a non-empty list of strings'),
-            ({"source": "a b c.", "references": []},
-             '"references" must be a non-empty list of strings'),
-            ({"source": 5, "references": ["a b."]}, '"source" must be a string, got int'),
-            (["a b c.", ["a b."]], "expected a JSON object, got list"),
-            ({"source": "a b c."}, 'need "source" and "references"'),
-        ],
-    )
-    def test_bad_eval_line_is_data_error(self, tmp_path, capsys, record, message):
-        refs = tmp_path / "refs.jsonl"
-        write_jsonl_file(refs, [{"source": "a b c.", "references": ["a b."]}, record])
-        outputs = tmp_path / "outputs.txt"
-        outputs.write_text("a b.\na b.\n")
-        assert main(["score", "--outputs", str(outputs), "--refs", str(refs)]) == 1
-        assert capsys.readouterr().err == f"error: {refs}:2: {message}\n"
-
 
 class TestClassifierEvalCommand:
-    def test_gold_with_two_levels_for_one_id(self, tmp_path, capsys):
-        gold = tmp_path / "gold.jsonl"
-        pred = tmp_path / "pred.jsonl"
-        write_jsonl_file(gold, [{"id": "x", "level": "A1"}, {"id": "x", "level": "C2"}])
-        write_jsonl_file(pred, [{"id": "x", "level": "C2"}])
-        assert main(["classifier-eval", "--gold", str(gold), "--pred", str(pred)]) == 1
-        assert capsys.readouterr() == ("", f"error: {gold}:2: 'x' repeats with another level\n")
-
     def test_metrics(self, tmp_path, capsys):
         gold = tmp_path / "gold.jsonl"
         pred = tmp_path / "pred.jsonl"
@@ -399,13 +292,6 @@ class TestClassifierEvalCommand:
         assert report["items"] == 4
         assert report["adj_acc"] == 0.75
         assert report["mae"] == pytest.approx((0 + 0 + 1 + 5) / 4)
-
-    def test_id_mismatch_is_data_error(self, tmp_path, capsys):
-        gold = tmp_path / "gold.jsonl"
-        pred = tmp_path / "pred.jsonl"
-        write_jsonl_file(gold, [{"id": "s1", "level": "A1"}])
-        write_jsonl_file(pred, [{"id": "s2", "level": "A1"}])
-        assert main(["classifier-eval", "--gold", str(gold), "--pred", str(pred)]) == 1
 
 
 class TestAgreeCommand:
@@ -427,34 +313,6 @@ class TestAgreeCommand:
         assert result["resolved"] == 6
         assert -1.0 <= result["alpha"] <= 1.0
         assert len(gold_out.read_text().splitlines()) == 6
-
-    def test_gold_out_needs_threshold(self, tmp_path, capsys):
-        ratings = tmp_path / "ratings.tsv"
-        ratings.write_text("s1\tr1\tg\t1\ns1\tr2\tg\t1\n")
-        gold_out = tmp_path / "gold.jsonl"
-        assert main(["agree", str(ratings), "--gold-out", str(gold_out)]) == 2
-        assert capsys.readouterr() == ("", "error: --gold-out needs --threshold\n")
-        assert not gold_out.exists()
-
-    @pytest.mark.parametrize("threshold", ["0", "-1"])
-    def test_threshold_below_one_is_usage_error(self, tmp_path, capsys, threshold):
-        # The ratings do not exist: the option is checked before they are read.
-        assert main(["agree", str(tmp_path / "ratings.tsv"), "--threshold", threshold]) == 2
-        assert capsys.readouterr() == ("", f"error: --threshold must be >= 1, got {threshold}\n")
-
-    def test_unpairable_is_data_error(self, tmp_path, capsys):
-        ratings = tmp_path / "ratings.tsv"
-        ratings.write_text("s1\tr1\tg\t1\ns2\tr2\tg\t2\n")
-        assert main(["agree", str(ratings)]) == 1
-
-    def test_groups_sharing_an_item_are_a_data_error(self, tmp_path, capsys):
-        # agree pools every group: s1 rated by r1 in both would keep only one rating.
-        ratings = tmp_path / "ratings.tsv"
-        ratings.write_text("s1\tr1\tg1\t1\ns1\tr2\tg1\t1\ns1\tr1\tg2\t2\ns1\tr2\tg2\t2\n")
-        gold_out = tmp_path / "gold.jsonl"
-        assert main(["agree", str(ratings), "--threshold", "2", "--gold-out", str(gold_out)]) == 1
-        assert capsys.readouterr() == ("", f"error: {ratings}:3: item 's1' is rated twice by rater 'r1'\n")
-        assert not gold_out.exists()
 
     def test_groups_with_disjoint_items_pool(self, tmp_path, capsys):
         ratings = tmp_path / "ratings.tsv"
@@ -485,35 +343,6 @@ class TestReportCommand:
         report = json.loads(capsys.readouterr().out)
         assert set(report) == {"fluency", "adequacy"}
         assert (report["fluency"]["mean"], report["adequacy"]["mean"]) == (4.5, 3.0)
-
-    def test_cell_rated_twice_in_a_group_is_a_data_error(self, tmp_path, capsys):
-        ratings = tmp_path / "ratings.tsv"
-        ratings.write_text("s1\tr1\tg\t4\ns1\tr2\tg\t5\ns1\tr1\tg\t4\n")
-        assert main(["report", str(ratings)]) == 1
-        assert capsys.readouterr() == ("", f"error: {ratings}:3: item 's1' is rated twice by rater 'r1'\n")
-
-    def test_non_finite_report_is_data_error(self, tmp_path, capsys):
-        # Each rating is finite; their mean is not.
-        ratings = tmp_path / "ratings.tsv"
-        ratings.write_text("s1\tr1\tg\t1e308\ns1\tr2\tg\t1e308\n")
-        assert main(["report", str(ratings)]) == 1
-        assert capsys.readouterr() == ("", (
-            f"error: {ratings}: the report holds a NaN or infinity, which JSON cannot hold\n"
-        ))
-
-    @pytest.mark.parametrize("rows", [
-        "s1\tr1\tg\t1e308\ns1\tr2\tg\t1e308\n",  # the mean is infinite
-        # Item means further apart than the square root of the largest
-        # float: the CI's variance overflows.
-        "s1\tr1\tg\t1\ns2\tr1\tg\t1e308\n",
-    ], ids=["mean", "variance"])
-    def test_non_finite_text_report_is_the_same_data_error(self, tmp_path, capsys, rows):
-        ratings = tmp_path / "ratings.tsv"
-        ratings.write_text(rows)
-        assert main(["report", str(ratings), "--format", "text"]) == 1
-        assert capsys.readouterr() == ("", (
-            f"error: {ratings}: the report holds a NaN or infinity, which JSON cannot hold\n"
-        ))
 
 
 class TestPipelineCommand:
@@ -558,40 +387,6 @@ class TestPipelineCommand:
         outdir = run_pipeline(tmp_path, "run_dup")
         manifest = json.loads((outdir / "manifest.json").read_text())
         assert manifest["drop_reasons"].get("DUPLICATE") == 5
-
-    def _config(self, tmp_path, **extra):
-        corpus = tmp_path / "corpus.jsonl"
-        make_corpus(corpus)
-        config = tmp_path / "config.json"
-        config.write_text(json.dumps(
-            {"input": str(corpus), "output_dir": str(tmp_path / "out"), **extra}
-        ))
-        return config
-
-    def test_bad_split_ratios_stop_before_work(self, tmp_path, capsys):
-        config = self._config(tmp_path, split_ratios=[1.2, -0.1, -0.1])
-        assert main(["pipeline", "--config", str(config)]) == 2
-        assert capsys.readouterr().err == (
-            "error: split_ratios: split ratios must be 3 non-negative numbers summing "
-            "to 1, got (1.2, -0.1, -0.1)\n"
-        )
-        assert not (tmp_path / "out").exists()
-
-    @pytest.mark.parametrize(
-        "value, message",
-        [
-            (True, "similarity must be a number, got True"),
-            ("x", "similarity must be a number, got 'x'"),
-            (1.5, "similarity 1.5 outside [0, 1]"),
-        ],
-    )
-    def test_bad_file_similarity_is_data_error(self, tmp_path, capsys, value, message):
-        sims = tmp_path / "sims.jsonl"
-        write_jsonl_file(sims, [{"id": "p0000", "similarity": 0.7},
-                                {"id": "p0001", "similarity": value}])
-        config = self._config(tmp_path, similarity_source="file", similarity_file=str(sims))
-        assert main(["pipeline", "--config", str(config)]) == 1
-        assert capsys.readouterr().err == f"error: {sims}:2: {message}\n"
 
 
 class TestThreads:
@@ -677,33 +472,6 @@ class TestPipelineConfig:
         assert manifest["config_hash"] == hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
-class TestNonObjectJsonlLines:
-    @pytest.mark.parametrize(
-        "command, line, lineno, shown",
-        [
-            ("split", "[1, 2]", 2, "list"),
-            ("prompt", "[1]", 2, "list"),
-            ("label", "5", 1, "int"),
-        ],
-    )
-    def test_non_object_line_is_data_error(self, tmp_path, capsys, command, line, lineno, shown):
-        good = {"id": "p1", "source": "The cat sat.", "target": "A cat sat.",
-                "source_level": "B1", "target_level": "A2", "task": "down"}
-        data = tmp_path / "data.jsonl"
-        bad = tmp_path / "bad.jsonl"
-        write_jsonl_file(data, [good])
-        bad.write_text((json.dumps(good) + "\n") * (lineno - 1) + line + "\n")
-        argv = {
-            "split": ["split", str(bad), "-o", str(tmp_path / "splits")],
-            "prompt": ["prompt", str(bad), "--strategy", "rel", "--scheme", "cefr6"],
-            "label": ["label", str(data), "--scheme", "cefr6", "--predictions", str(bad)],
-        }[command]
-        assert main(argv) == 1
-        assert capsys.readouterr().err == (
-            f"error: {bad}:{lineno}: expected a JSON object, got {shown}\n"
-        )
-
-
 class TestAnalyzeCommand:
     def test_jsonl_rows(self, tmp_path, capsys):
         data = tmp_path / "texts.jsonl"
@@ -721,89 +489,6 @@ class TestAnalyzeCommand:
             rows[name] = json.loads(capsys.readouterr().out)
         assert rows["t.jsonl"]["word_count"] == 9
         assert rows["t.JSONL"] == rows["u.Jsonl"] == rows["t.jsonl"]
-
-    def test_bad_json_line_names_path_and_line(self, tmp_path, capsys):
-        data = tmp_path / "texts.jsonl"
-        data.write_text('{"text": "The cat sat."}\nnot json\n')
-        assert main(["analyze", str(data), "-o", str(tmp_path / "stats.jsonl")]) == 1
-        assert capsys.readouterr().err == (
-            f"error: {data}:2: invalid JSON: Expecting value: line 1 column 1 (char 0)\n"
-        )
-
-    @pytest.mark.parametrize("line, message", [
-        ({"lvl": "B1"}, 'need "level"'),
-        # A null label is a missing one; a label is a string or a number.
-        ({"level": None}, 'need "level"'),
-        ({"level": [1]}, '"level" must be a string or a number, got list'),
-        ({"level": {"a": 1}}, '"level" must be a string or a number, got dict'),
-        ({"level": True}, '"level" must be a string or a number, got bool'),
-    ])
-    def test_level_line_without_level_is_data_error(self, tmp_path, capsys, line, message):
-        data = tmp_path / "texts.txt"
-        data.write_text("The cat sat.\nA dog ran.\n")
-        levels = tmp_path / "levels.jsonl"
-        write_jsonl_file(levels, [{"level": "A1"}, line])
-        argv = ["analyze", str(data), "--levels", str(levels), "-o", str(tmp_path / "o.jsonl")]
-        assert main(argv) == 1
-        assert capsys.readouterr().err == f"error: {levels}:2: {message}\n"
-
-
-class TestBadSettingsAreUsageErrors:
-    def _pipeline(self, tmp_path, capsys, config):
-        path = tmp_path / "config.json"
-        path.write_text(json.dumps(config))
-        code = main(["pipeline", "--config", str(path)])
-        assert not (tmp_path / "out").exists()
-        return code, capsys.readouterr().err, path
-
-    def test_config_not_an_object(self, tmp_path, capsys):
-        code, err, path = self._pipeline(tmp_path, capsys, [1, 2])
-        assert (code, err) == (2, f"error: config {path} must be a JSON object, got list\n")
-
-    def test_config_without_input(self, tmp_path, capsys):
-        code, err, _ = self._pipeline(tmp_path, capsys, {"output_dir": str(tmp_path / "out")})
-        assert (code, err) == (2, "error: missing config keys: ['input']\n")
-
-    @pytest.mark.parametrize(
-        "setting, message",
-        [({"min_words": 0}, "min_words must be >= 1, got 0"),
-         ({"sim_low": "a"}, "sim_low must be a number, got 'a'"),
-         ({"min_words": 2.5}, "min_words must be an int, got 2.5"),
-         ({"min_words": 1}, None),  # the least accepted values run
-         ({"sim_low": 0.7, "sim_high": 0.7}, None)],
-    )
-    def test_bad_filter_setting_in_config(self, tmp_path, capsys, setting, message):
-        corpus = tmp_path / "corpus.jsonl"
-        make_corpus(corpus)
-        config = {"input": str(corpus), "output_dir": str(tmp_path / "out"), **setting}
-        if message is None:
-            (tmp_path / "config.json").write_text(json.dumps(config))
-            assert main(["pipeline", "--config", str(tmp_path / "config.json")]) == 0
-            return
-        code, err, _ = self._pipeline(tmp_path, capsys, config)
-        assert (code, err) == (2, f"error: {message}\n")
-
-    def test_non_finite_filter_setting(self, tmp_path, capsys):
-        # Python's json reads NaN; a NaN bound would keep every pair and
-        # write NaN, which is not JSON, into the manifest.
-        corpus = tmp_path / "corpus.jsonl"
-        make_corpus(corpus)
-        config = tmp_path / "config.json"
-        config.write_text(f'{{"input": "{corpus}", "output_dir": "{tmp_path / "out"}", "sim_low": NaN}}')
-        assert main(["pipeline", "--config", str(config)]) == 2
-        assert capsys.readouterr() == ("", "error: sim_low must be a number, got nan\n")
-        assert not (tmp_path / "out").exists()
-        assert main(["filter", str(corpus), "--sim-high", "inf"]) == 2
-        assert capsys.readouterr() == ("", "error: sim_high must be a number, got inf\n")
-
-    def test_filter_min_words_zero(self, tmp_path, capsys):
-        corpus = tmp_path / "corpus.jsonl"
-        make_corpus(corpus)
-        out = tmp_path / "kept.jsonl"
-        assert main(["filter", str(corpus), "--min-words", "0", "-o", str(out)]) == 2
-        assert capsys.readouterr().err == "error: min_words must be >= 1, got 0\n"
-        assert not out.exists()
-        assert main(["filter", str(corpus), "--min-words", "1", "-o", str(out)]) == 0  # the least accepted value
 
 
 class TestSharedDropCounting:
@@ -929,209 +614,7 @@ class TestOneFunnel:
                     r["target_level"], r["source_level"], opposite[r["task"]])
 
 
-class TestDataErrorsNameTheirFile:
-    REFS = '{"source": "A b c.", "references": ["A b."]}\n'
-    PAIR = '{"id": "p1", "source": "The committee reviewed the long proposal.", "target": "The group read it."}\n'
-    CASES = {
-        "score-line-count": ({"out.txt": "a\nb\n", "refs.jsonl": REFS},
-                             ["score", "--outputs", "out.txt", "--refs", "refs.jsonl"],
-                             "line-count mismatch: 2 lines in out.txt, 1 in refs.jsonl"),
-        "score-empty": ({"out.txt": "", "refs.jsonl": ""},
-                        ["score", "--outputs", "out.txt", "--refs", "refs.jsonl"],
-                        "out.txt: score_report needs at least one instance"),
-        "classifier-eval-ids": ({"gold.jsonl": '{"id": "a", "level": "A1"}\n',
-                                 "pred.jsonl": '{"id": "b", "level": "A1"}\n'},
-                                ["classifier-eval", "--gold", "gold.jsonl", "--pred", "pred.jsonl"],
-                                "ids differ between gold.jsonl and pred.jsonl, e.g. ['a', 'b']"),
-        "classifier-eval-empty": ({"gold.jsonl": "", "pred.jsonl": ""},
-                                  ["classifier-eval", "--gold", "gold.jsonl", "--pred", "pred.jsonl"],
-                                  "gold.jsonl: weighted_f1 needs at least one prediction"),
-        "agree-undefined": ({"ratings.tsv": "s1\tr1\tg\t1\ns2\tr2\tg\t2\n"},
-                            ["agree", "ratings.tsv"],
-                            "ratings.tsv: alpha undefined: no item carries two or more ratings"),
-        "agree-threshold": ({"ratings.tsv": "s1\tr1\tg\t1\ns1\tr2\tg\t1\n"},
-                            ["agree", "ratings.tsv", "--threshold", "1"],
-                            "ratings.tsv: threshold 1 must exceed half of 2 raters"),
-        "pipeline-task-size": ({"corpus.jsonl": PAIR, "config.json": json.dumps(
-                                   {"input": "corpus.jsonl", "output_dir": "out", "task_size": 3})},
-                               ["pipeline", "--config", "config.json"],
-                               "corpus.jsonl: need 6 different-level pairs for task size 3, have 0"),
-        # An id is a JSON string or an integer, in every file that keys by one.
-        "filter-null-id": ({"pairs.jsonl": PAIR.replace('"p1"', "null")}, ["filter", "pairs.jsonl"],
-                           "pairs.jsonl:1: bad pair record: an id must be a string or an integer, got NoneType"),
-        "filter-list-id": ({"pairs.jsonl": PAIR.replace('"p1"', "[1]")}, ["filter", "pairs.jsonl"],
-                           "pairs.jsonl:1: bad pair record: an id must be a string or an integer, got list"),
-        "filter-bool-id": ({"pairs.jsonl": PAIR.replace('"p1"', "true")}, ["filter", "pairs.jsonl"],
-                           "pairs.jsonl:1: bad pair record: an id must be a string or an integer, got bool"),
-        "pipeline-similarity-id": ({"corpus.jsonl": PAIR, "sims.jsonl": '{"id": null, "similarity": 0.7}\n',
-                                    "config.json": json.dumps({"input": "corpus.jsonl", "output_dir": "out",
-                                                               "similarity_source": "file",
-                                                               "similarity_file": "sims.jsonl"})},
-                                   ["pipeline", "--config", "config.json"],
-                                   "sims.jsonl:1: an id must be a string or an integer, got NoneType"),
-        "classifier-eval-id": ({"gold.jsonl": '{"id": true, "level": "A1"}\n', "pred.jsonl": ""},
-                               ["classifier-eval", "--gold", "gold.jsonl", "--pred", "pred.jsonl"],
-                               "gold.jsonl:1: an id must be a string or an integer, got bool"),
-        "label-predictions-key": ({"corpus.jsonl": PAIR,
-                                   "preds.jsonl": '{"scheme": "cefr6"}\n{"text_sha256": [1], "level": "B1"}\n'},
-                                  ["label", "corpus.jsonl", "--scheme", "cefr6", "--predictions", "preds.jsonl"],
-                                  "preds.jsonl:2: an id must be a string or an integer, got list"),
-    }
-
-    @pytest.mark.parametrize("case", sorted(CASES))
-    def test_exit_1_names_the_file(self, tmp_path, capsys, monkeypatch, case):
-        files, argv, message = self.CASES[case]
-        monkeypatch.chdir(tmp_path)
-        for name, text in files.items():
-            Path(name).write_text(text)
-        assert main(argv) == 1
-        assert capsys.readouterr() == ("", f"error: {message}\n")
-
-
-class TestLevelLabels:
-    """Every level label is read by ComplexityLevel.parse; a bad one names its place."""
-
-    def _preds(self, tmp_path, rows, scheme="cefr6"):
-        preds = tmp_path / "preds.jsonl"
-        write_jsonl_file(preds, [{"scheme": scheme}, *rows])
-        return preds
-
-    def test_bad_bucket_level(self, tmp_path, capsys):
-        data = tmp_path / "labeled.jsonl"
-        write_jsonl_file(data, [{"id": "p1", "source": "The cat sat.", "target": "A cat sat.",
-                                 "source_level": "B1", "target_level": "Q9"}])
-        assert main(["bucket", str(data), "--scheme", "cefr6"]) == 1
-        assert capsys.readouterr().err == (
-            f"error: {data}:1: bad pair record: bad cefr6 level 'Q9'\n"
-        )
-
-    def test_bad_predictions_level(self, tmp_path, capsys):
-        pairs = tmp_path / "pairs.jsonl"
-        write_jsonl_file(pairs, [{"id": "p1", "source": "a b c", "target": "d e f"}])
-        preds = self._preds(tmp_path, [{"id": "p1:source", "level": "Z9"}])
-        assert main(["label", str(pairs), "--scheme", "cefr6", "--predictions", str(preds)]) == 1
-        assert capsys.readouterr().err == f"error: {preds}:2: bad cefr6 level 'Z9'\n"
-
-    def test_bad_classifier_eval_level(self, tmp_path, capsys):
-        gold = tmp_path / "gold.jsonl"
-        pred = tmp_path / "pred.jsonl"
-        write_jsonl_file(gold, [{"id": "s1", "level": "A1"}])
-        write_jsonl_file(pred, [{"id": "s0", "level": "B2"}, {"id": "s1", "level": "Z9"}])
-        assert main(["classifier-eval", "--gold", str(gold), "--pred", str(pred)]) == 1
-        assert capsys.readouterr().err == f"error: {pred}:2: bad cefr6 level 'Z9'\n"
-
-    @pytest.mark.parametrize(
-        "scheme, level, message",
-        [("fkgl", "x", "bad fkgl level 'x'"),
-         ("cefr6", "Q", "bad cefr3 level 'Q'"),
-         ("newsela", "7", "bad newsela level '7'")],
-    )
-    def test_bad_fixed_level_is_usage_error(self, tmp_path, capsys, scheme, level, message):
-        data = tmp_path / "data.jsonl"
-        write_jsonl_file(data, [{"source": "A hard sentence.", "target": "An easy one."}])
-        out = tmp_path / "prompted.jsonl"
-        argv = ["prompt", str(data), "--strategy", "abs", "--scheme", scheme,
-                "--fixed-level", level, "-o", str(out)]
-        assert main(argv) == 2
-        assert capsys.readouterr().err == f"error: --fixed-level: {message}\n"
-        assert not out.exists()
-
-    def test_bad_target_level_in_prompt_data(self, tmp_path, capsys):
-        data = tmp_path / "data.jsonl"
-        write_jsonl_file(data, [
-            {"source": "A hard sentence.", "target": "An easy one.", "target_level": "A2"},
-            {"source": "A hard sentence.", "target": "An easy one.", "target_level": "Q"},
-        ])
-        argv = ["prompt", str(data), "--strategy", "abs", "--scheme", "cefr6",
-                "-o", str(tmp_path / "prompted.jsonl")]
-        assert main(argv) == 1
-        assert capsys.readouterr().err == f"error: {data}:2: bad cefr6 level 'Q'\n"
-
-    def test_label_without_predictions(self, tmp_path, capsys):
-        pairs = tmp_path / "pairs.jsonl"
-        write_jsonl_file(pairs, [{"id": "p1", "source": "a b c", "target": "d e f"}])
-        out = tmp_path / "labeled.jsonl"
-        assert main(["label", str(pairs), "--scheme", "cefr6", "-o", str(out)]) == 2
-        assert capsys.readouterr().err == "error: scheme cefr6 requires --predictions\n"
-        assert not out.exists()
-
-    def test_pipeline_without_predictions(self, tmp_path, capsys):
-        corpus = tmp_path / "corpus.jsonl"
-        make_corpus(corpus)
-        config = tmp_path / "config.json"
-        config.write_text(json.dumps(
-            {"input": str(corpus), "output_dir": str(tmp_path / "out"), "scheme": "cefr6"}
-        ))
-        assert main(["pipeline", "--config", str(config)]) == 2
-        assert capsys.readouterr().err == 'error: scheme cefr6 requires "predictions"\n'
-        assert not (tmp_path / "out").exists()
-
-    @pytest.mark.parametrize("command", ["label", "pipeline"])
-    def test_scheme_mismatch(self, tmp_path, capsys, command):
-        corpus = tmp_path / "corpus.jsonl"
-        make_corpus(corpus)
-        preds = self._preds(tmp_path, [{"id": "p0000:source", "level": "A"}], scheme="cefr3")
-        config = tmp_path / "config.json"
-        config.write_text(json.dumps({"input": str(corpus), "output_dir": str(tmp_path / "out"),
-                                      "scheme": "cefr6", "predictions": str(preds)}))
-        argv = {
-            "label": ["label", str(corpus), "--scheme", "cefr6", "--predictions", str(preds),
-                      "-o", str(tmp_path / "out")],
-            "pipeline": ["pipeline", "--config", str(config)],
-        }[command]
-        assert main(argv) == 1
-        assert capsys.readouterr().err == (
-            f"error: {preds}:1: declares scheme cefr3, expected cefr6\n"
-        )
-        assert not (tmp_path / "out").exists()
-
-
-class TestConfigFieldTypes:
-    @pytest.mark.parametrize(
-        "setting, message",
-        [
-            ({"input": 5}, "input must be a string, got 5"),
-            ({"output_dir": 5}, "output_dir must be a string, got 5"),
-            ({"seed": "x"}, "seed must be an int, got 'x'"),
-            ({"seed": True}, "seed must be an int, got True"),
-            ({"task_size": "3"}, "task_size must be null or an int >= 1, got '3'"),
-            ({"task_size": -1}, "task_size must be null or an int >= 1, got -1"),
-            ({"task_size": 0}, "task_size must be null or an int >= 1, got 0"),
-            ({"predictions": 5}, "predictions must be null or a string, got 5"),
-            ({"similarity_source": "file", "similarity_file": 5},
-             "similarity_file must be null or a string, got 5"),
-            ({"similarity_source": "magic"}, "unknown similarity_source 'magic'"),
-            ({"similarity_source": "file"}, "similarity_source=file requires similarity_file"),
-            ({"input": "no/such.jsonl"}, "input path does not exist: no/such.jsonl"),
-            ({"predictions": "no/such.jsonl"}, "predictions path does not exist: no/such.jsonl"),
-            ({"task_size": 1}, None),  # the least accepted value runs
-        ],
-    )
-    def test_mistyped_field_is_usage_error(self, tmp_path, capsys, setting, message):
-        corpus = tmp_path / "corpus.jsonl"
-        make_corpus(corpus)
-        config = tmp_path / "config.json"
-        config.write_text(json.dumps(
-            {"input": str(corpus), "output_dir": str(tmp_path / "out"), **setting}
-        ))
-        if message is None:
-            assert main(["pipeline", "--config", str(config)]) == 0
-            return
-        assert main(["pipeline", "--config", str(config)]) == 2
-        assert capsys.readouterr().err == f"error: {message}\n"
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json", "corpus.jsonl"]
-
-
 class TestLocatedDataErrors:
-    # "text" falls back to "source" only when it is null or "", so no other value is skipped.
-    @pytest.mark.parametrize("text, shown", [(5, "int"), ([], "list"), (0, "int"), (False, "bool"),
-                                             ({}, "dict")], ids=["int", "list", "zero", "false", "dict"])
-    def test_analyze_non_string_text(self, tmp_path, capsys, text, shown):
-        data = tmp_path / "texts.jsonl"
-        write_jsonl_file(data, [{"text": text, "source": "A dog ran."}])
-        assert main(["analyze", str(data), "-o", str(tmp_path / "stats.jsonl")]) == 1
-        assert capsys.readouterr().err == f'error: {data}:1: "text" must be a string, got {shown}\n'
-
     def test_label_side_without_words(self, tmp_path, capsys):
         # Not a data error: like a CEFR side without a prediction, it is a LEVEL_MISSING drop.
         pairs = tmp_path / "pairs.jsonl"
@@ -1306,166 +789,13 @@ class TestAnalyzeLevelsAndTextReport:
         assert (cells[0], cells[1], cells[-1]) == ("model-a/fluency", "4.00", "2")
 
 
-class TestInputLines:
-    """Every input file is read by dataio.read_lines, so a line that is not
-    UTF-8 is reported at its path and line by every command."""
-
-    GOOD_PAIR = {"id": "p1", "source": "The cat sat on the mat.", "target": "A cat sat there.",
-                 "similarity": 0.7, "source_level": "B1", "target_level": "A2", "task": "down"}
-    GOOD_EVAL = {"source": "The cat sat on the mat.", "references": ["A cat sat."]}
-
-    def _files(self, tmp_path):
-        make_corpus(tmp_path / "corpus.jsonl")
-        files = {
-            "pairs.jsonl": json.dumps(self.GOOD_PAIR),
-            "pairs.tsv": "The cat sat on the mat.\tA cat sat there.\t0.7",
-            "texts.txt": "The cat sat on the mat.",
-            "outputs.txt": "A cat sat.",
-            "refs.jsonl": json.dumps(self.GOOD_EVAL),
-            "ratings.tsv": "item_id\trater_id\tgroup\tvalue",
-            "levels.jsonl": json.dumps({"id": "s1", "level": "A1"}),
-            "sims.jsonl": json.dumps({"id": "p0000", "similarity": 0.7}),
-            "preds.jsonl": json.dumps({"scheme": "cefr6"}),
-        }
-        for name, first in files.items():
-            (tmp_path / name).write_text(first + "\n" + first + "\n")
-        (tmp_path / "config.json").write_text(json.dumps({
-            "input": "corpus.jsonl", "output_dir": "out",
-            "similarity_source": "file", "similarity_file": "sims.jsonl",
-        }))
-
-    @pytest.mark.parametrize(
-        "bad, argv",
-        [
-            ("pairs.jsonl", ["filter", "pairs.jsonl"]),
-            ("pairs.tsv", ["filter", "pairs.tsv"]),
-            ("texts.txt", ["analyze", "texts.txt"]),
-            ("pairs.jsonl", ["analyze", "pairs.jsonl"]),
-            ("outputs.txt", ["score", "--outputs", "outputs.txt", "--refs", "refs.jsonl"]),
-            ("refs.jsonl", ["score", "--outputs", "outputs.txt", "--refs", "refs.jsonl"]),
-            ("ratings.tsv", ["agree", "ratings.tsv"]),
-            ("ratings.tsv", ["report", "ratings.tsv"]),
-            ("levels.jsonl", ["classifier-eval", "--gold", "levels.jsonl",
-                              "--pred", "levels.jsonl"]),
-            ("sims.jsonl", ["pipeline", "--config", "config.json"]),
-            ("preds.jsonl", ["label", "pairs.jsonl", "--scheme", "cefr6",
-                             "--predictions", "preds.jsonl"]),
-            ("pairs.jsonl", ["bucket", "pairs.jsonl", "--scheme", "cefr6"]),
-            ("pairs.jsonl", ["split", "pairs.jsonl", "-o", "splits"]),
-            ("pairs.jsonl", ["prompt", "pairs.jsonl", "--strategy", "rel", "--scheme", "cefr6"]),
-        ],
-    )
-    def test_non_utf8_line_is_located(self, tmp_path, capsys, monkeypatch, bad, argv):
-        monkeypatch.chdir(tmp_path)
-        self._files(tmp_path)
-        path = tmp_path / bad
-        path.write_bytes(path.read_bytes().splitlines(keepends=True)[0] + b"caf\xff\n")
-        assert main(argv) == 1
-        assert capsys.readouterr().err == f"error: {bad}:2: not valid UTF-8\n"
-
-
-class TestPromptRecordErrors:
-    @pytest.mark.parametrize(
-        "strategy, record, message",
-        [
-            ("rel", {"target": "An easy one.", "task": "down"},
-             'need string "source" and "target"'),
-            ("baseline", {"source": "A hard one.", "target": 5},
-             'need string "source" and "target"'),
-            ("rel", {"source": "A hard one.", "target": "An easy one.", "task": "sideways"},
-             "'sideways' is not a valid TaskLabel"),
-            ("rel", {"source": "A hard one.", "target": "An easy one."},
-             "relative prompting needs a task field"),
-            ("abs", {"source": "A hard one.", "target": "An easy one."},
-             "absolute prompting needs a target_level field"),
-            ("abs", {"source": "A hard one.", "target": "An easy one.", "target_level": "Q"},
-             "bad cefr6 level 'Q'"),
-        ],
-    )
-    def test_bad_record_at_its_file_line(self, tmp_path, capsys, strategy, record, message):
-        good = {"source": "A hard sentence.", "target": "An easy one.", "task": "down",
-                "target_level": "A2"}
-        data = tmp_path / "data.jsonl"
-        data.write_text(json.dumps(good) + "\n\n\n" + json.dumps(record) + "\n")
-        argv = ["prompt", str(data), "--strategy", strategy, "--scheme", "cefr6",
-                "-o", str(tmp_path / "prompted.jsonl")]
-        assert main(argv) == 1
-        assert capsys.readouterr().err == f"error: {data}:4: {message}\n"
-
-
-class TestRejectedAtTheSource:
-    def test_non_string_pair_side(self, tmp_path, capsys):
-        pairs = tmp_path / "pairs.jsonl"
-        write_jsonl_file(pairs, [{"id": "a", "source": 5, "target": "x y z w", "similarity": 0.7}])
-        assert main(["filter", str(pairs)]) == 1
-        assert capsys.readouterr().err == (
-            f"error: {pairs}:1: bad pair record: pair a: source and target must be strings\n"
-        )
-
-    @pytest.mark.parametrize("command, value", [("agree", "nan"), ("report", "nan"),
-                                                ("report", "inf"), ("agree", "-inf")])
-    def test_non_finite_rating(self, tmp_path, capsys, command, value):
-        ratings = tmp_path / "ratings.tsv"
-        ratings.write_text(f"s1\tr1\tg\t4\ns1\tr2\tg\t{value}\n")
-        assert main([command, str(ratings)]) == 1
-        assert capsys.readouterr() == ("", f"error: {ratings}:2: bad rating value '{value}'\n")
-
-    def test_non_utf8_config_is_usage_error(self, tmp_path, capsys):
-        config = tmp_path / "config.json"
-        config.write_bytes(b'{"input": "caf\xff"}')
-        assert main(["pipeline", "--config", str(config)]) == 2
-        assert capsys.readouterr().err == (
-            f"error: cannot read config {config}: 'utf-8' codec can't decode byte 0xff "
-            "in position 14: invalid start byte\n"
-        )
-
-    def test_half_surrogate_pair_in_config_is_usage_error(self, tmp_path, capsys):
-        config = tmp_path / "config.json"
-        config.write_text('{"input": "c.jsonl", "output_dir": "out\\ud800"}')
-        assert main(["pipeline", "--config", str(config)]) == 2
-        assert capsys.readouterr().err == (
-            f"error: cannot read config {config}: 'utf-8' codec can't encode character "
-            "'\\ud800' in position 39: surrogates not allowed\n"
-        )
-
-
 class TestRarePaths:
-    @pytest.mark.parametrize("name, value, argv", [
-        ("similarity", 0.7, ["pipeline", "--config", "config.json"]),
-        ("level", "A1", ["classifier-eval", "--gold", "keyed.jsonl", "--pred", "keyed.jsonl"]),
-    ])
-    def test_keyed_line_without_value(self, tmp_path, capsys, monkeypatch, name, value, argv):
-        monkeypatch.chdir(tmp_path)
-        make_corpus(tmp_path / "corpus.jsonl")
-        write_jsonl_file(tmp_path / "keyed.jsonl", [{"id": "p0000", name: value}, {"id": "p0001"}])
-        (tmp_path / "config.json").write_text(json.dumps({
-            "input": "corpus.jsonl", "output_dir": "out",
-            "similarity_source": "file", "similarity_file": "keyed.jsonl",
-        }))
-        assert main(argv) == 1
-        assert capsys.readouterr().err == f'error: keyed.jsonl:2: need "id" and "{name}"\n'
-
     def test_analyze_skips_blank_lines(self, tmp_path, capsys):
         data = tmp_path / "texts.txt"
         data.write_text("The cat sat.\n\n   \nA dog ran fast.\n")
         assert main(["analyze", str(data)]) == 0
         rows = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
         assert [r["word_count"] for r in rows] == [3, 4]
-
-    def test_label_passes_parse_errors_through(self, tmp_path, capsys):
-        pairs = tmp_path / "pairs.jsonl"
-        pairs.write_text(json.dumps({"id": "p1", "source": "The cat sat.", "target": "A cat sat."})
-                         + "\nnot json\n")
-        assert main(["label", str(pairs), "--scheme", "fkgl"]) == 1
-        assert capsys.readouterr().err == (
-            f"error: {pairs}:2: invalid JSON: Expecting value: line 1 column 1 (char 0)\n"
-        )
-
-    def test_report_without_ratings(self, tmp_path, capsys):
-        ratings = tmp_path / "ratings.tsv"
-        ratings.write_text("item_id\trater_id\tgroup\tvalue\n")
-        assert main(["report", str(ratings)]) == 1
-        assert capsys.readouterr().err == f"error: no ratings found in {ratings}\n"
 
     def test_report_single_rater_has_no_alpha(self, tmp_path, capsys):
         ratings = tmp_path / "ratings.tsv"
@@ -2031,22 +1361,6 @@ class TestWriteLimits:
 
 
 class TestPromptTsvRows:
-    @pytest.mark.parametrize("record", [
-        {"source": "A b\tc.", "target": "D e f."},
-        {"source": "A b c.\nNew line.", "target": "D e f."},
-        {"source": "A b c.", "target": "D e\r f."},
-    ])
-    def test_tab_or_line_break_is_data_error(self, tmp_path, capsys, record):
-        data = tmp_path / "data.jsonl"
-        write_jsonl_file(data, [{"source": "A b c.", "target": "D e f."}, record])
-        out = tmp_path / "prompted.tsv"
-        argv = ["prompt", str(data), "--strategy", "baseline", "--scheme", "fkgl",
-                "--format", "tsv", "-o", str(out)]
-        assert main(argv) == 1
-        assert capsys.readouterr().err == (
-            f"error: {data}:2: a tab or line break in source or target cannot go in a TSV row\n")
-        assert not out.exists()
-
     def test_jsonl_output_keeps_them(self, tmp_path, capsys):
         data = tmp_path / "data.jsonl"
         write_jsonl_file(data, [{"source": "A b\tc.\nNew line.", "target": "D e f."}])
@@ -2158,3 +1472,364 @@ class TestOpenSSLOnlyWhereHashed:
         assert proc.returncode == 0, proc.stderr
         seen = json.loads(proc.stdout.splitlines()[-1])
         assert seen == [[0, False], [0, False], [0, False], [0, True]]
+
+
+# The error table: every usage and data error of the 11 commands is a row, {id: (files, argv, code, message)},
+# keyed by its test id, ``Class::test_name`` or ``Class::test_name[case]``. ``files``, each a str or bytes (for
+# text that is not UTF-8), are written into a fresh working directory, where ``main(argv)`` runs in process.
+# The one rule: the run exits ``code``, 2 for a usage error and 1 for a data error; it prints nothing on
+# stdout and exactly ``error: {message}`` on stderr; and every file and directory is left as it was, so
+# no output, no ``*.tmp`` file and no change to an existing target. Every row meets it. What it must not
+# hold is declared as data, in ``ACCEPTED``, never as a branch of the runner for one row.
+PAIR = {"id": "p1", "source": "The committee reviewed the long proposal.", "target": "The group read it."}
+CAT = {"id": "p1", "source": "The cat sat on the mat.", "target": "A cat sat there.", "similarity": 0.7}
+LEVELED = {**CAT, "source_level": "B1", "target_level": "A2", "task": "down"}
+HARD = {"source": "A hard sentence.", "target": "An easy one."}
+CORPUS = {"corpus.jsonl": jsonl(*corpus_records())}
+REFS = {"refs.jsonl": jsonl({"source": "A b c.", "references": ["A b."]}), "outputs.txt": "A b.\n"}
+SCORE = ["score", "--outputs", "outputs.txt", "--refs", "refs.jsonl"]
+PIPELINE = ["pipeline", "--config", "config.json"]
+EVAL = ["classifier-eval", "--gold", "gold.jsonl", "--pred", "pred.jsonl"]
+PREDICTIONS = ["--scheme", "cefr6", "--predictions", "preds.jsonl"]
+NON_FINITE = "the report holds a NaN or infinity, which JSON cannot hold"
+# The first line of each input; its second line repeats it, or is not UTF-8.
+FIRST_LINES = {
+    "pairs.jsonl": json.dumps(LEVELED), "pairs.tsv": "The cat sat on the mat.\tA cat sat there.\t0.7",
+    "texts.txt": "The cat sat on the mat.", "outputs.txt": "A cat sat.",
+    "refs.jsonl": json.dumps({"source": "The cat sat on the mat.", "references": ["A cat sat."]}),
+    "ratings.tsv": "item_id\trater_id\tgroup\tvalue", "levels.jsonl": json.dumps({"id": "s1", "level": "A1"}),
+    "sims.jsonl": json.dumps({"id": "p0000", "similarity": 0.7}), "preds.jsonl": json.dumps({"scheme": "cefr6"}),
+}
+
+
+def config(**settings):
+    """A ``config.json`` file that has the pipeline read corpus.jsonl into out/, with ``settings``."""
+    return {"config.json": json.dumps({"input": "corpus.jsonl", "output_dir": "out", **settings})}
+
+
+SIMS_FILE = config(similarity_source="file", similarity_file="sims.jsonl")
+
+ERRORS = {
+    "TestExitCodes::test_missing_config_is_usage_error": (
+        {}, ["pipeline", "--config", "nope.json"], 2,
+        "cannot read config nope.json: [Errno 2] No such file or directory: 'nope.json'"),
+    "TestExitCodes::test_bad_data_is_data_error": (
+        {"bad.jsonl": "not json\n"}, ["filter", "bad.jsonl", "-o", "out.jsonl"], 1,
+        "bad.jsonl:1: invalid JSON: Expecting value: line 1 column 1 (char 0)"),
+    **{f"TestFilterCommand::test_non_numeric_similarity_is_data_error[{value}-{value!r}]": (
+        {"pairs.jsonl": jsonl({**CAT, "similarity": value})}, ["filter", "pairs.jsonl", "-o", "kept.jsonl"], 1,
+        f"pairs.jsonl:1: bad pair record: similarity must be a number, got {value!r}") for value in (True, "x")},
+    "TestLabelAndBucketCommands::test_cefr_without_predictions_is_usage_error": (
+        {"pairs.jsonl": jsonl(CAT)}, ["label", "pairs.jsonl", "--scheme", "cefr6"], 2,
+        "scheme cefr6 requires --predictions"),
+    **{f"TestSplitCommand::test_bad_ratios_are_usage_errors[ratios{i}-{shown}]": (
+        {"data.jsonl": jsonl(*({"id": f"p{k}"} for k in range(10)))},
+        ["split", "data.jsonl", "-o", "splits", "--ratios", *shown[1:-1].split(", ")], 2,
+        f"--ratios: split ratios must be 3 non-negative numbers summing to 1, got {shown}")
+       for i, shown in enumerate(["(1.2, -0.1, -0.1)", "(0.5, 0.3, 0.3)"])},
+    # Refused before the input is read: its bad line would be a data error (exit 1).
+    **{f"TestPromptCommand::test_fixed_level_needs_an_absolute_strategy[{strategy}]": (
+        {"data.jsonl": "{not json\n"},
+        ["prompt", "data.jsonl", "--strategy", strategy, "--scheme", "cefr6", "--fixed-level", "B",
+         "-o", "prompted.jsonl"], 2,
+        f"--fixed-level needs strategy abs or llm-abs, not {strategy}") for strategy in ("rel", "llm-rel", "baseline")},
+    **{f"TestPromptCommand::test_llm_abs_names_no_newsela_level[fixed{i}]": (
+        {"data.jsonl": "{not json\n"}, ["prompt", "data.jsonl", "--strategy", "llm-abs", "--scheme", "newsela", *fixed],
+        2, "--strategy llm-abs names an FKGL or CEFR level, not a newsela one")
+       for i, fixed in enumerate([[], ["--fixed-level", "3"]])},
+    "TestScoreCommand::test_length_mismatch_is_data_error": (
+        {**REFS, "outputs.txt": "A b.\nextra line\n"}, SCORE, 1,
+        "line-count mismatch: 2 lines in outputs.txt, 1 in refs.jsonl"),
+    "TestScoreCommand::test_unwritable_per_instance_prints_no_report": (
+        REFS, [*SCORE, "--per-instance", "nowhere/x.tsv"], 2, "[Errno 2] No such file or directory: 'nowhere/x.tsv'"),
+    # The inputs do not exist: the option is checked before any is read.
+    **{f"TestScoreCommand::test_repetition_n_below_one_is_usage_error[{n}]": (
+        {}, [*SCORE, "--repetition-n", n], 2, f"--repetition-n must be >= 1, got {n}") for n in ("0", "-1")},
+    **{f"TestScoreCommand::test_bad_eval_line_is_data_error[record{i}-{message}]": (
+        {"refs.jsonl": jsonl({"source": "a b c.", "references": ["a b."]}, record), "outputs.txt": "a b.\na b.\n"},
+        SCORE, 1, f"refs.jsonl:2: {message}") for i, (record, message) in enumerate([
+            ({"source": "a b c.", "references": "a b c."}, '"references" must be a non-empty list of strings'),
+            ({"source": "a b c.", "references": [None]}, '"references" must be a non-empty list of strings'),
+            ({"source": "a b c.", "references": []}, '"references" must be a non-empty list of strings'),
+            ({"source": 5, "references": ["a b."]}, '"source" must be a string, got int'),
+            (["a b c.", ["a b."]], "expected a JSON object, got list"),
+            ({"source": "a b c."}, 'need "source" and "references"')])},
+    "TestClassifierEvalCommand::test_gold_with_two_levels_for_one_id": (
+        {"gold.jsonl": jsonl({"id": "x", "level": "A1"}, {"id": "x", "level": "C2"}),
+         "pred.jsonl": jsonl({"id": "x", "level": "C2"})}, EVAL, 1, "gold.jsonl:2: 'x' repeats with another level"),
+    "TestClassifierEvalCommand::test_id_mismatch_is_data_error": (
+        {"gold.jsonl": jsonl({"id": "s1", "level": "A1"}), "pred.jsonl": jsonl({"id": "s2", "level": "A1"})}, EVAL, 1,
+        "ids differ between gold.jsonl and pred.jsonl, e.g. ['s1', 's2']"),
+    "TestAgreeCommand::test_gold_out_needs_threshold": (
+        {"ratings.tsv": "s1\tr1\tg\t1\ns1\tr2\tg\t1\n"}, ["agree", "ratings.tsv", "--gold-out", "gold.jsonl"], 2,
+        "--gold-out needs --threshold"),
+    # The ratings do not exist: the option is checked before they are read.
+    **{f"TestAgreeCommand::test_threshold_below_one_is_usage_error[{threshold}]": (
+        {}, ["agree", "ratings.tsv", "--threshold", threshold], 2, f"--threshold must be >= 1, got {threshold}")
+       for threshold in ("0", "-1")},
+    "TestAgreeCommand::test_unpairable_is_data_error": (
+        {"ratings.tsv": "s1\tr1\tg\t1\ns2\tr2\tg\t2\n"}, ["agree", "ratings.tsv"], 1,
+        "ratings.tsv: alpha undefined: no item carries two or more ratings"),
+    # agree pools every group: s1 rated by r1 in both would keep only one rating.
+    "TestAgreeCommand::test_groups_sharing_an_item_are_a_data_error": (
+        {"ratings.tsv": "s1\tr1\tg1\t1\ns1\tr2\tg1\t1\ns1\tr1\tg2\t2\ns1\tr2\tg2\t2\n"},
+        ["agree", "ratings.tsv", "--threshold", "2", "--gold-out", "gold.jsonl"], 1,
+        "ratings.tsv:3: item 's1' is rated twice by rater 'r1'"),
+    "TestReportCommand::test_cell_rated_twice_in_a_group_is_a_data_error": (
+        {"ratings.tsv": "s1\tr1\tg\t4\ns1\tr2\tg\t5\ns1\tr1\tg\t4\n"}, ["report", "ratings.tsv"], 1,
+        "ratings.tsv:3: item 's1' is rated twice by rater 'r1'"),
+    # Each rating is finite; their mean is not.
+    "TestReportCommand::test_non_finite_report_is_data_error": (
+        {"ratings.tsv": "s1\tr1\tg\t1e308\ns1\tr2\tg\t1e308\n"}, ["report", "ratings.tsv"], 1,
+        f"ratings.tsv: {NON_FINITE}"),
+    "TestReportCommand::test_non_finite_text_report_is_the_same_data_error[mean]": (
+        {"ratings.tsv": "s1\tr1\tg\t1e308\ns1\tr2\tg\t1e308\n"}, ["report", "ratings.tsv", "--format", "text"], 1,
+        f"ratings.tsv: {NON_FINITE}"),
+    # Item means further apart than the square root of the largest float: the CI's variance overflows.
+    "TestReportCommand::test_non_finite_text_report_is_the_same_data_error[variance]": (
+        {"ratings.tsv": "s1\tr1\tg\t1\ns2\tr1\tg\t1e308\n"}, ["report", "ratings.tsv", "--format", "text"], 1,
+        f"ratings.tsv: {NON_FINITE}"),
+    "TestPipelineCommand::test_bad_split_ratios_stop_before_work": (
+        {**CORPUS, **config(split_ratios=[1.2, -0.1, -0.1])}, PIPELINE, 2,
+        "split_ratios: split ratios must be 3 non-negative numbers summing to 1, got (1.2, -0.1, -0.1)"),
+    **{f"TestPipelineCommand::test_bad_file_similarity_is_data_error[{value}-{message}]": (
+        {**CORPUS, **SIMS_FILE,
+         "sims.jsonl": jsonl({"id": "p0000", "similarity": 0.7}, {"id": "p0001", "similarity": value})},
+        PIPELINE, 1, f"sims.jsonl:2: {message}") for value, message in [
+            (True, "similarity must be a number, got True"), ("x", "similarity must be a number, got 'x'"),
+            (1.5, "similarity 1.5 outside [0, 1]")]},
+    "TestNonObjectJsonlLines::test_non_object_line_is_data_error[split-[1, 2]-2-list]": (
+        {"bad.jsonl": jsonl(LEVELED) + "[1, 2]\n"}, ["split", "bad.jsonl", "-o", "splits"], 1,
+        "bad.jsonl:2: expected a JSON object, got list"),
+    "TestNonObjectJsonlLines::test_non_object_line_is_data_error[prompt-[1]-2-list]": (
+        {"bad.jsonl": jsonl(LEVELED) + "[1]\n"}, ["prompt", "bad.jsonl", "--strategy", "rel", "--scheme", "cefr6"], 1,
+        "bad.jsonl:2: expected a JSON object, got list"),
+    "TestNonObjectJsonlLines::test_non_object_line_is_data_error[label-5-1-int]": (
+        {"data.jsonl": jsonl(LEVELED), "bad.jsonl": "5\n"},
+        ["label", "data.jsonl", "--scheme", "cefr6", "--predictions", "bad.jsonl"], 1,
+        "bad.jsonl:1: expected a JSON object, got int"),
+    "TestAnalyzeCommand::test_bad_json_line_names_path_and_line": (
+        {"texts.jsonl": '{"text": "The cat sat."}\nnot json\n'}, ["analyze", "texts.jsonl", "-o", "stats.jsonl"], 1,
+        "texts.jsonl:2: invalid JSON: Expecting value: line 1 column 1 (char 0)"),
+    # A null label is a missing one; a label is a string or a number.
+    **{f"TestAnalyzeCommand::test_level_line_without_level_is_data_error[line{i}-{message}]": (
+        {"texts.txt": "The cat sat.\nA dog ran.\n", "levels.jsonl": jsonl({"level": "A1"}, line)},
+        ["analyze", "texts.txt", "--levels", "levels.jsonl", "-o", "o.jsonl"], 1, f"levels.jsonl:2: {message}")
+       for i, (line, message) in enumerate([
+           ({"lvl": "B1"}, 'need "level"'), ({"level": None}, 'need "level"'),
+           ({"level": [1]}, '"level" must be a string or a number, got list'),
+           ({"level": {"a": 1}}, '"level" must be a string or a number, got dict'),
+           ({"level": True}, '"level" must be a string or a number, got bool')])},
+    "TestBadSettingsAreUsageErrors::test_config_not_an_object": (
+        {"config.json": "[1, 2]"}, PIPELINE, 2, "config config.json must be a JSON object, got list"),
+    "TestBadSettingsAreUsageErrors::test_config_without_input": (
+        {"config.json": json.dumps({"output_dir": "out"})}, PIPELINE, 2, "missing config keys: ['input']"),
+    **{f"TestBadSettingsAreUsageErrors::test_bad_filter_setting_in_config[setting{i}-{message}]": (
+        {**CORPUS, **config(**setting)}, PIPELINE, 2, message) for i, (setting, message) in enumerate([
+            ({"min_words": 0}, "min_words must be >= 1, got 0"),
+            ({"sim_low": "a"}, "sim_low must be a number, got 'a'"),
+            ({"min_words": 2.5}, "min_words must be an int, got 2.5")])},
+    # Python's json reads NaN; a NaN bound would keep every pair and write NaN, which is not JSON, into the manifest.
+    "TestBadSettingsAreUsageErrors::test_non_finite_filter_setting": (
+        {**CORPUS, **config(sim_low=float("nan"))}, PIPELINE, 2, "sim_low must be a number, got nan"),
+    "TestBadSettingsAreUsageErrors::test_non_finite_filter_option": (
+        CORPUS, ["filter", "corpus.jsonl", "--sim-high", "inf"], 2, "sim_high must be a number, got inf"),
+    "TestBadSettingsAreUsageErrors::test_filter_min_words_zero": (
+        CORPUS, ["filter", "corpus.jsonl", "--min-words", "0", "-o", "kept.jsonl"], 2, "min_words must be >= 1, got 0"),
+    **{f"TestDataErrorsNameTheirFile::test_exit_1_names_the_file[{case}]": (files, argv, 1, message)
+       for case, (files, argv, message) in {
+        "score-line-count": ({**REFS, "out.txt": "a\nb\n"}, ["score", "--outputs", "out.txt", "--refs", "refs.jsonl"],
+                             "line-count mismatch: 2 lines in out.txt, 1 in refs.jsonl"),
+        "score-empty": ({"out.txt": "", "refs.jsonl": ""}, ["score", "--outputs", "out.txt", "--refs", "refs.jsonl"],
+                        "out.txt: score_report needs at least one instance"),
+        "classifier-eval-ids": ({"gold.jsonl": jsonl({"id": "a", "level": "A1"}),
+                                 "pred.jsonl": jsonl({"id": "b", "level": "A1"})},
+                                EVAL, "ids differ between gold.jsonl and pred.jsonl, e.g. ['a', 'b']"),
+        "classifier-eval-empty": ({"gold.jsonl": "", "pred.jsonl": ""}, EVAL,
+                                  "gold.jsonl: weighted_f1 needs at least one prediction"),
+        "agree-undefined": ({"ratings.tsv": "s1\tr1\tg\t1\ns2\tr2\tg\t2\n"}, ["agree", "ratings.tsv"],
+                            "ratings.tsv: alpha undefined: no item carries two or more ratings"),
+        "agree-threshold": ({"ratings.tsv": "s1\tr1\tg\t1\ns1\tr2\tg\t1\n"},
+                            ["agree", "ratings.tsv", "--threshold", "1"],
+                            "ratings.tsv: threshold 1 must exceed half of 2 raters"),
+        "pipeline-task-size": ({"corpus.jsonl": jsonl(PAIR), **config(task_size=3)}, PIPELINE,
+                               "corpus.jsonl: need 6 different-level pairs for task size 3, have 0"),
+        # An id is a JSON string or an integer, in every file that keys by one.
+        **{f"filter-{name}-id": ({"pairs.jsonl": jsonl({**PAIR, "id": value})}, ["filter", "pairs.jsonl"],
+                                 f"pairs.jsonl:1: bad pair record: an id must be a string or an integer, got {shown}")
+           for name, value, shown in [("null", None, "NoneType"), ("list", [1], "list"), ("bool", True, "bool")]},
+        "pipeline-similarity-id": ({"corpus.jsonl": jsonl(PAIR), "sims.jsonl": jsonl({"id": None, "similarity": 0.7}),
+                                    **SIMS_FILE}, PIPELINE,
+                                   "sims.jsonl:1: an id must be a string or an integer, got NoneType"),
+        "classifier-eval-id": ({"gold.jsonl": jsonl({"id": True, "level": "A1"}), "pred.jsonl": ""}, EVAL,
+                               "gold.jsonl:1: an id must be a string or an integer, got bool"),
+        "label-predictions-key": ({"corpus.jsonl": jsonl(PAIR),
+                                   "preds.jsonl": jsonl({"scheme": "cefr6"}, {"text_sha256": [1], "level": "B1"})},
+                                  ["label", "corpus.jsonl", *PREDICTIONS],
+                                  "preds.jsonl:2: an id must be a string or an integer, got list"),
+    }.items()},
+    # Every level label is read by ComplexityLevel.parse; a bad one names its place.
+    "TestLevelLabels::test_bad_bucket_level": (
+        {"labeled.jsonl": jsonl({**LEVELED, "target_level": "Q9"})}, ["bucket", "labeled.jsonl", "--scheme", "cefr6"],
+        1, "labeled.jsonl:1: bad pair record: bad cefr6 level 'Q9'"),
+    "TestLevelLabels::test_bad_predictions_level": (
+        {"pairs.jsonl": jsonl(CAT), "preds.jsonl": jsonl({"scheme": "cefr6"}, {"id": "p1:source", "level": "Z9"})},
+        ["label", "pairs.jsonl", *PREDICTIONS], 1, "preds.jsonl:2: bad cefr6 level 'Z9'"),
+    "TestLevelLabels::test_bad_classifier_eval_level": (
+        {"gold.jsonl": jsonl({"id": "s1", "level": "A1"}),
+         "pred.jsonl": jsonl({"id": "s0", "level": "B2"}, {"id": "s1", "level": "Z9"})},
+        EVAL, 1, "pred.jsonl:2: bad cefr6 level 'Z9'"),
+    **{f"TestLevelLabels::test_bad_fixed_level_is_usage_error[{scheme}-{level}-{message}]": (
+        {"data.jsonl": jsonl(HARD)},
+        ["prompt", "data.jsonl", "--strategy", "abs", "--scheme", scheme, "--fixed-level", level,
+         "-o", "prompted.jsonl"], 2, f"--fixed-level: {message}") for scheme, level, message in [
+            ("fkgl", "x", "bad fkgl level 'x'"), ("cefr6", "Q", "bad cefr3 level 'Q'"),
+            ("newsela", "7", "bad newsela level '7'")]},
+    "TestLevelLabels::test_bad_target_level_in_prompt_data": (
+        {"data.jsonl": jsonl({**HARD, "target_level": "A2"}, {**HARD, "target_level": "Q"})},
+        ["prompt", "data.jsonl", "--strategy", "abs", "--scheme", "cefr6", "-o", "prompted.jsonl"], 1,
+        "data.jsonl:2: bad cefr6 level 'Q'"),
+    "TestLevelLabels::test_label_without_predictions": (
+        {"pairs.jsonl": jsonl(CAT)}, ["label", "pairs.jsonl", "--scheme", "cefr6", "-o", "labeled.jsonl"], 2,
+        "scheme cefr6 requires --predictions"),
+    "TestLevelLabels::test_pipeline_without_predictions": (
+        {**CORPUS, **config(scheme="cefr6")}, PIPELINE, 2, 'scheme cefr6 requires "predictions"'),
+    **{f"TestLevelLabels::test_scheme_mismatch[{command}]": (
+        {**CORPUS, "preds.jsonl": jsonl({"scheme": "cefr3"}, {"id": "p0000:source", "level": "A"}),
+         **config(scheme="cefr6", predictions="preds.jsonl")}, argv, 1,
+        "preds.jsonl:1: declares scheme cefr3, expected cefr6") for command, argv in [
+            ("label", ["label", "corpus.jsonl", *PREDICTIONS, "-o", "out"]), ("pipeline", PIPELINE)]},
+    **{f"TestConfigFieldTypes::test_mistyped_field_is_usage_error[setting{i}-{message}]": (
+        {**CORPUS, **config(**setting)}, PIPELINE, 2, message) for i, (setting, message) in enumerate([
+            ({"input": 5}, "input must be a string, got 5"),
+            ({"output_dir": 5}, "output_dir must be a string, got 5"),
+            ({"seed": "x"}, "seed must be an int, got 'x'"),
+            ({"seed": True}, "seed must be an int, got True"),
+            ({"task_size": "3"}, "task_size must be null or an int >= 1, got '3'"),
+            ({"task_size": -1}, "task_size must be null or an int >= 1, got -1"),
+            ({"task_size": 0}, "task_size must be null or an int >= 1, got 0"),
+            ({"predictions": 5}, "predictions must be null or a string, got 5"),
+            ({"similarity_source": "file", "similarity_file": 5}, "similarity_file must be null or a string, got 5"),
+            ({"similarity_source": "magic"}, "unknown similarity_source 'magic'"),
+            ({"similarity_source": "file"}, "similarity_source=file requires similarity_file"),
+            ({"input": "no/such.jsonl"}, "input path does not exist: no/such.jsonl"),
+            ({"predictions": "no/such.jsonl"}, "predictions path does not exist: no/such.jsonl")])},
+    # Every path setting that is set must exist, whether the run would read it or not.
+    **{f"TestConfigFieldTypes::test_mistyped_field_is_usage_error[similarity_file-{source}]": (
+        {**CORPUS, **config(similarity_source=source, similarity_file="no/such.jsonl")}, PIPELINE, 2,
+        "similarity_file path does not exist: no/such.jsonl") for source in ("file", "column")},
+    # "text" falls back to "source" only when it is null or "", so no other value is skipped.
+    **{f"TestLocatedDataErrors::test_analyze_non_string_text[{case}]": (
+        {"texts.jsonl": jsonl({"text": text, "source": "A dog ran."})},
+        ["analyze", "texts.jsonl", "-o", "stats.jsonl"], 1,
+        f'texts.jsonl:1: "text" must be a string, got {type(text).__name__}')
+       for case, text in [("int", 5), ("list", []), ("zero", 0), ("false", False), ("dict", {})]},
+    # Every input file is read by dataio.read_lines, so a line that is not UTF-8 is reported at its path and line.
+    **{f"TestInputLines::test_non_utf8_line_is_located[{bad}-argv{i}]": (
+        {"corpus.jsonl": jsonl(PAIR), **SIMS_FILE, **{name: f"{line}\n{line}\n" for name, line in FIRST_LINES.items()},
+         bad: f"{FIRST_LINES[bad]}\n".encode() + b"caf\xff\n"},
+        argv, 1, f"{bad}:2: not valid UTF-8") for i, (bad, argv) in enumerate([
+            ("pairs.jsonl", ["filter", "pairs.jsonl"]),
+            ("pairs.tsv", ["filter", "pairs.tsv"]),
+            ("texts.txt", ["analyze", "texts.txt"]),
+            ("pairs.jsonl", ["analyze", "pairs.jsonl"]),
+            ("outputs.txt", SCORE),
+            ("refs.jsonl", SCORE),
+            ("ratings.tsv", ["agree", "ratings.tsv"]),
+            ("ratings.tsv", ["report", "ratings.tsv"]),
+            ("levels.jsonl", ["classifier-eval", "--gold", "levels.jsonl", "--pred", "levels.jsonl"]),
+            ("sims.jsonl", PIPELINE),
+            ("preds.jsonl", ["label", "pairs.jsonl", *PREDICTIONS]),
+            ("pairs.jsonl", ["bucket", "pairs.jsonl", "--scheme", "cefr6"]),
+            ("pairs.jsonl", ["split", "pairs.jsonl", "-o", "splits"]),
+            ("pairs.jsonl", ["prompt", "pairs.jsonl", "--strategy", "rel", "--scheme", "cefr6"])])},
+    **{f"TestPromptRecordErrors::test_bad_record_at_its_file_line[{strategy}-record{i}-{message}]": (
+        {"data.jsonl": json.dumps({**HARD, "task": "down", "target_level": "A2"}) + "\n\n\n" + jsonl(record)},
+        ["prompt", "data.jsonl", "--strategy", strategy, "--scheme", "cefr6", "-o", "prompted.jsonl"], 1,
+        f"data.jsonl:4: {message}") for i, (strategy, record, message) in enumerate([
+            ("rel", {"target": "An easy one.", "task": "down"}, 'need string "source" and "target"'),
+            ("baseline", {"source": "A hard one.", "target": 5}, 'need string "source" and "target"'),
+            ("rel", {"source": "A hard one.", "target": "An easy one.", "task": "sideways"},
+             "'sideways' is not a valid TaskLabel"),
+            ("rel", {"source": "A hard one.", "target": "An easy one."}, "relative prompting needs a task field"),
+            ("abs", {"source": "A hard one.", "target": "An easy one."},
+             "absolute prompting needs a target_level field"),
+            ("abs", {"source": "A hard one.", "target": "An easy one.", "target_level": "Q"}, "bad cefr6 level 'Q'")])},
+    "TestRejectedAtTheSource::test_non_string_pair_side": (
+        {"pairs.jsonl": jsonl({"id": "a", "source": 5, "target": "x y z w", "similarity": 0.7})},
+        ["filter", "pairs.jsonl"], 1, "pairs.jsonl:1: bad pair record: pair a: source and target must be strings"),
+    **{f"TestRejectedAtTheSource::test_non_finite_rating[{command}-{value}]": (
+        {"ratings.tsv": f"s1\tr1\tg\t4\ns1\tr2\tg\t{value}\n"}, [command, "ratings.tsv"], 1,
+        f"ratings.tsv:2: bad rating value '{value}'")
+       for command, value in [("agree", "nan"), ("report", "nan"), ("report", "inf"), ("agree", "-inf")]},
+    "TestRejectedAtTheSource::test_non_utf8_config_is_usage_error": (
+        {"config.json": b'{"input": "caf\xff"}'}, PIPELINE, 2,
+        "cannot read config config.json: 'utf-8' codec can't decode byte 0xff in position 14: invalid start byte"),
+    "TestRejectedAtTheSource::test_half_surrogate_pair_in_config_is_usage_error": (
+        {"config.json": '{"input": "c.jsonl", "output_dir": "out\\ud800"}'}, PIPELINE, 2,
+        "cannot read config config.json: 'utf-8' codec can't encode character '\\ud800' in position 39: "
+        "surrogates not allowed"),
+    **{f"TestRarePaths::test_keyed_line_without_value[{name}-{value}-argv{i}]": (
+        {**CORPUS, "keyed.jsonl": jsonl({"id": "p0000", name: value}, {"id": "p0001"}),
+         **config(similarity_source="file", similarity_file="keyed.jsonl")}, argv, 1,
+        f'keyed.jsonl:2: need "id" and "{name}"') for i, (name, value, argv) in enumerate([
+            ("similarity", 0.7, PIPELINE),
+            ("level", "A1", ["classifier-eval", "--gold", "keyed.jsonl", "--pred", "keyed.jsonl"])])},
+    "TestRarePaths::test_label_passes_parse_errors_through": (
+        {"pairs.jsonl": jsonl(CAT) + "not json\n"}, ["label", "pairs.jsonl", "--scheme", "fkgl"], 1,
+        "pairs.jsonl:2: invalid JSON: Expecting value: line 1 column 1 (char 0)"),
+    "TestRarePaths::test_report_without_ratings": (
+        {"ratings.tsv": "item_id\trater_id\tgroup\tvalue\n"}, ["report", "ratings.tsv"], 1,
+        "no ratings found in ratings.tsv"),
+    **{f"TestPromptTsvRows::test_tab_or_line_break_is_data_error[record{i}]": (
+        {"data.jsonl": jsonl({"source": "A b c.", "target": "D e f."}, record)},
+        ["prompt", "data.jsonl", "--strategy", "baseline", "--scheme", "fkgl", "--format", "tsv",
+         "-o", "prompted.tsv"], 1,
+        "data.jsonl:2: a tab or line break in source or target cannot go in a TSV row") for i, record in enumerate([
+            {"source": "A b\tc.", "target": "D e f."}, {"source": "A b c.\nNew line.", "target": "D e f."},
+            {"source": "A b c.", "target": "D e\r f."}])},
+}
+
+# The least accepted values of checked settings, held by the same runner to exit 0: {id: (files, argv)}.
+ACCEPTED = {
+    "TestScoreCommand::test_repetition_n_below_one_is_usage_error[1]": (REFS, [*SCORE, "--repetition-n", "1"]),
+    "TestBadSettingsAreUsageErrors::test_bad_filter_setting_in_config[setting3-None]": (
+        {**CORPUS, **config(min_words=1)}, PIPELINE),
+    "TestBadSettingsAreUsageErrors::test_bad_filter_setting_in_config[setting4-None]": (
+        {**CORPUS, **config(sim_low=0.7, sim_high=0.7)}, PIPELINE),
+    "TestBadSettingsAreUsageErrors::test_filter_min_words_one": (
+        CORPUS, ["filter", "corpus.jsonl", "--min-words", "1", "-o", "kept.jsonl"]),
+    "TestConfigFieldTypes::test_mistyped_field_is_usage_error[setting13-None]": (
+        {**CORPUS, **config(task_size=1)}, PIPELINE),
+}
+ROWS = {**ERRORS, **{case: (files, argv, 0, None) for case, (files, argv) in ACCEPTED.items()}}
+
+
+@pytest.fixture
+def case(request):
+    """The row of a test whose id has no brackets: its id is the row's key."""
+    return request.node.nodeid.partition("::")[2]
+
+
+def row_test(test):
+    """The one runner, as the test ``test`` (``Class::name``) of the rows whose keys start with it."""
+    def run(self, tmp_path, capsys, monkeypatch, case):
+        files, argv, code, message = ROWS[case]
+        monkeypatch.chdir(tmp_path)
+        for name, data in files.items():
+            (tmp_path / name).write_bytes(data if isinstance(data, bytes) else data.encode("utf-8"))
+        before = digest_tree(tmp_path)
+        assert main(argv) == code
+        if code:
+            assert capsys.readouterr() == ("", f"error: {message}\n")
+            assert digest_tree(tmp_path) == before
+    cases = [case for case in ROWS if case.partition("[")[0] == test]
+    if cases == [test]:
+        return run
+    return pytest.mark.parametrize("case", cases, ids=lambda case: case.partition("[")[2][:-1])(run)
+
+
+# Each row runs under its key, as a test of the class it names, made here when the module has none.
+for _test in dict.fromkeys(case.partition("[")[0] for case in ROWS):
+    _class, _name = _test.split("::")
+    setattr(globals().setdefault(_class, type(_class, (), {})), _name, row_test(_test))

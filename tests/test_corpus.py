@@ -64,7 +64,9 @@ class TestParaphrasePair:
         assert s.source_level == p.target_level
         assert s.target_level == p.source_level
         assert s.id == p.id
-        assert s.swapped() == p and p != vars(p)  # equal only to a pair
+        fields = {name: getattr(p, name)
+                  for name in ("id", "source", "target", "similarity", "source_level", "target_level")}
+        assert s.swapped() == p and p != fields  # equal only to a pair
 
 
 class TestPairKey:
