@@ -57,6 +57,7 @@ from .corpus import (
 )
 from .dataio import (
     ParseError,
+    check_surrogates,
     file_sha256,
     pair_to_record,
     read_jsonl,
@@ -120,8 +121,11 @@ class PipelineConfig:
     def from_file(cls, path: str) -> "PipelineConfig":
         try:
             with open(path, encoding="utf-8") as fh:
-                raw = json.load(fh)
-            json.dumps(raw, ensure_ascii=False).encode("utf-8")  # a \u escape of half a surrogate pair
+                text = fh.read()
+            raw = json.loads(text)
+            check_surrogates(path, text)
+        except ParseError as exc:
+            raise ConfigError(f"cannot read config {exc}") from None
         except (OSError, UnicodeError, json.JSONDecodeError) as exc:
             raise ConfigError(f"cannot read config {path}: {exc}") from exc
         if not isinstance(raw, dict):

@@ -65,6 +65,8 @@ def check_similarity(value: object) -> float:
 
 
 class ParaphrasePair:
+    __slots__ = ("id", "source", "target", "similarity", "source_level", "target_level")
+
     def __init__(
         self,
         id: str,
@@ -92,7 +94,7 @@ class ParaphrasePair:
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return vars(self) == vars(other)
+        return all(getattr(self, name) == getattr(other, name) for name in self.__slots__)
 
     def swapped(self) -> "ParaphrasePair":
         return ParaphrasePair(

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Optional, TextIO, TypeVar
 
@@ -21,6 +22,7 @@ __all__ = [
     "read_ratings_tsv",
     "pair_to_record",
     "file_sha256",
+    "check_surrogates",
     "ParseError",
 ]
 
@@ -58,6 +60,21 @@ def _not_json(constant: str) -> float:
 _DECODER = json.JSONDecoder(parse_constant=_not_json)
 
 
+# A JSON string literal. Valid JSON has no quote or backslash outside one, and no literal spans lines.
+_JSON_STRING = re.compile(r'"[^"\\]*(?:\\.[^"\\]*)*"')
+
+
+def check_surrogates(path: str | Path, text: str, first_line: int = 1) -> None:
+    """Raise a ParseError naming the line of the first string in valid JSON ``text``
+    (read from ``path`` from ``first_line`` on) that holds half a surrogate pair."""
+    for match in _JSON_STRING.finditer(text):
+        try:
+            json.loads(match.group()).encode("utf-8")
+        except UnicodeEncodeError:
+            lineno = first_line + text.count("\n", 0, match.start())
+            raise ParseError(path, lineno, "a \\u escape is half a surrogate pair") from None
+
+
 def read_jsonl(path: str | Path) -> Iterator[tuple[int, dict]]:
     """Yield (lineno, object) for each non-empty line; any other JSON value is a ParseError."""
     for lineno, line in read_lines(path):
@@ -66,12 +83,10 @@ def read_jsonl(path: str | Path) -> Iterator[tuple[int, dict]]:
             continue
         try:
             obj = _DECODER.decode(line)
-            if "\\ud" in line or "\\uD" in line:  # an escape that may be half a surrogate pair
-                json.dumps(obj, ensure_ascii=False).encode("utf-8")
-        except UnicodeEncodeError:
-            raise ParseError(path, lineno, "a \\u escape is half a surrogate pair") from None
         except ValueError as exc:
             raise ParseError(path, lineno, f"invalid JSON: {exc}") from exc
+        if "\\ud" in line or "\\uD" in line:  # an escape that may be half a surrogate pair
+            check_surrogates(path, line, lineno)
         if not isinstance(obj, dict):
             raise ParseError(path, lineno, f"expected a JSON object, got {type(obj).__name__}")
         yield lineno, obj
@@ -235,7 +250,8 @@ def pair_to_record(pair: ParaphrasePair, task: Optional[str] = None) -> dict:
 def file_sha256(path: str | Path) -> str:
     import hashlib  # here, not at the top: it loads OpenSSL, which only hashing commands need
     digest = hashlib.sha256()
+    # 64 KiB, not 1 MiB: each 1 MiB chunk is an mmap of its own, and two are alive at once.
     with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 20), b""):
+        for chunk in iter(lambda: fh.read(1 << 16), b""):
             digest.update(chunk)
     return digest.hexdigest()

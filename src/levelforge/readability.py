@@ -9,6 +9,7 @@ from __future__ import annotations
 import sys
 from decimal import ROUND_HALF_UP, Context, Decimal
 from enum import Enum
+from functools import lru_cache
 from typing import Iterable
 
 from .textcore import SetOnce, sentence_stats
@@ -65,6 +66,8 @@ class ComplexityLevel(SetOnce):
     """A level of one scheme, set once. Levels are equal and hash alike over
     (scheme, value), and have no order: ``<`` raises TypeError."""
 
+    __slots__ = ("scheme", "value")
+
     def __init__(self, scheme: Scheme, value: float) -> None:
         """The one check of a level: FKGL takes a number finite as a float, rounded
         to 2 decimals; any other scheme an int index of its labels. A bool is neither."""
@@ -86,6 +89,10 @@ class ComplexityLevel(SetOnce):
 
     def __hash__(self) -> int:
         return hash((self.scheme, self.value))
+
+    def __reduce__(self) -> tuple:
+        # Slotted and set once, so copy and pickle rebuild a level through __init__, not setattr.
+        return self.__class__, (self.scheme, self.value)
 
     def __repr__(self) -> str:
         return f"ComplexityLevel(scheme={self.scheme!r}, value={self.value!r})"
@@ -157,8 +164,15 @@ def corpus_fkgl(texts: Iterable[str]) -> float:
 def level_of(text: str) -> ComplexityLevel:
     """The FKGL level of raw text. FKGL is the only computed scheme; CEFR and
     Newsela levels come from ingested predictions."""
-    # ComplexityLevel rounds an FKGL value to 2 decimals on construction.
-    return ComplexityLevel(Scheme.FKGL, fkgl(text))
+    return _fkgl_level(fkgl(text))
+
+
+# Keyed by the raw value: a rounded key would pay round2's Decimal on every hit, and would merge
+# -0.0 (label "-0.00") with 0.0 (label "0.00"), which compare equal. fkgl never returns -0.0 itself.
+@lru_cache(maxsize=1 << 16)
+def _fkgl_level(value: float) -> ComplexityLevel:
+    """The one level per raw FKGL value; ComplexityLevel rounds it to 2 decimals."""
+    return ComplexityLevel(Scheme.FKGL, value)
 
 
 def cefr6_to_cefr3(level: ComplexityLevel) -> ComplexityLevel:

@@ -50,6 +50,8 @@ _NON_ALPHA_RE = re.compile(r"[^a-z]")
 class SetOnce:
     """A record whose ``__init__`` sets each field once, with ``object.__setattr__``; assignment raises."""
 
+    __slots__ = ()
+
     # Not ``vars(self).update``: that gives each instance a dict object, over twice a two-field record's memory.
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError(f"cannot assign to field {name!r}")

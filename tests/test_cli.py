@@ -1767,8 +1767,10 @@ ERRORS = {
         "cannot read config config.json: 'utf-8' codec can't decode byte 0xff in position 14: invalid start byte"),
     "TestRejectedAtTheSource::test_half_surrogate_pair_in_config_is_usage_error": (
         {"config.json": '{"input": "c.jsonl", "output_dir": "out\\ud800"}'}, PIPELINE, 2,
-        "cannot read config config.json: 'utf-8' codec can't encode character '\\ud800' in position 39: "
-        "surrogates not allowed"),
+        "cannot read config config.json:1: a \\u escape is half a surrogate pair"),
+    "TestRejectedAtTheSource::test_half_surrogate_pair_names_its_config_line": (
+        {"config.json": '{"input": "c.jsonl", "predictions": "\\ud83d\\ude00",\n "output_dir": "out\\ud800"}'},
+        PIPELINE, 2, "cannot read config config.json:2: a \\u escape is half a surrogate pair"),
     **{f"TestRarePaths::test_keyed_line_without_value[{name}-{value}-argv{i}]": (
         {**CORPUS, "keyed.jsonl": jsonl({"id": "p0000", name: value}, {"id": "p0001"}),
          **config(similarity_source="file", similarity_file="keyed.jsonl")}, argv, 1,

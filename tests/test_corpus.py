@@ -68,6 +68,20 @@ class TestParaphrasePair:
                   for name in ("id", "source", "target", "similarity", "source_level", "target_level")}
         assert s.swapped() == p and p != fields  # equal only to a pair
 
+    def test_slotted(self):
+        # No per-pair dict: a kept pair holds its six fields and nothing else.
+        p = make_pair(1)
+        assert not hasattr(p, "__dict__")
+        with pytest.raises(AttributeError):
+            p.note = "x"
+
+    @pytest.mark.parametrize("field, value", [("similarity", 0.71), ("target_level", ComplexityLevel(Scheme.FKGL, 3.1))])
+    def test_one_field_apart_is_unequal(self, field, value):
+        p, q = (leveled(1, ComplexityLevel(Scheme.FKGL, 5.0), ComplexityLevel(Scheme.FKGL, 3.0)) for _ in range(2))
+        assert p == q
+        setattr(q, field, value)
+        assert p != q and q != p
+
 
 class TestPairKey:
     def test_stable_and_distinct(self):

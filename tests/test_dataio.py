@@ -73,15 +73,22 @@ class TestJsonl:
             list(read_jsonl(path))
         assert str(exc.value) == f"{path}:2: invalid JSON: {constant} is not a JSON number"
 
-    @pytest.mark.parametrize("escaped", [r"\ud800", r"\uDC00 b", r"\ude00\ud83d", r'{"\ud83d": 1}'])
+    @pytest.mark.parametrize("escaped", [r"\ud800", r"\uDC00 b", r"\ude00\ud83d", r'{"\ud83d": 1}',
+                                         r'{"b": "\ud800", "b": "x"}'])
     def test_half_surrogate_pair_reports_line(self, tmp_path, escaped):
-        # json reads these into a str that no UTF-8 writer can write back.
+        # json reads these into a str that no UTF-8 writer can write back; the line is refused
+        # even where a later duplicate key drops the string.
         path = tmp_path / "data.jsonl"
         value = escaped if escaped.startswith("{") else f'"{escaped}"'
         path.write_text('{"a": "\\ud83d\\ude00"}\n{"a": [' + value + "]}\n")
         with pytest.raises(ParseError) as exc:
             list(read_jsonl(path))
         assert str(exc.value) == f"{path}:2: a \\u escape is half a surrogate pair"
+
+    def test_escaped_backslash_is_no_surrogate(self, tmp_path):
+        path = tmp_path / "data.jsonl"
+        path.write_text(r'{"a\"\\ud800": "\\\ud83d\ude00\\udc00"}' + "\n")
+        assert list(read_jsonl(path)) == [(1, {'a"\\ud800': "\\\U0001f600\\udc00"})]
 
 
 class TestReadPairs:
@@ -281,6 +288,23 @@ class TestFileSha256:
         path = tmp_path / "blob"
         path.write_bytes(b"levelforge test blob")
         assert file_sha256(path) == hashlib.sha256(b"levelforge test blob").hexdigest()
+
+    def test_reads_in_small_chunks(self, tmp_path):
+        # The manifest hashes the whole input; the hash must not lift the pipeline's peak memory.
+        import hashlib
+        import tracemalloc
+
+        data = bytes(range(256)) * (4 << 12)  # 4 MiB
+        path = tmp_path / "blob"
+        path.write_bytes(data)
+        tracemalloc.start()
+        try:
+            digest = file_sha256(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 256 << 10
+        assert digest == hashlib.sha256(data).hexdigest()
 
 
 class TestReadLines:

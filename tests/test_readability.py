@@ -1,11 +1,14 @@
+import copy
 import math
 import operator
+import pickle
 from decimal import ROUND_HALF_UP, Decimal, InvalidOperation
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from levelforge import readability
 from levelforge.readability import (
     ComplexityLevel,
     Scheme,
@@ -103,6 +106,17 @@ class TestComplexityLevel:
         assert ComplexityLevel(Scheme.FKGL, 3.14159).value == 3.14
         assert ComplexityLevel(Scheme.FKGL, 2.675).value == 2.68
         assert repr(ComplexityLevel(Scheme.FKGL, 7.254)) == "ComplexityLevel(scheme=<Scheme.FKGL: 'fkgl'>, value=7.25)"
+
+    def test_slotted(self):
+        level = ComplexityLevel(Scheme.FKGL, 1.5)
+        assert not hasattr(level, "__dict__")
+        with pytest.raises(AttributeError):
+            level.value = 2.0
+
+    @pytest.mark.parametrize("level", [ComplexityLevel(Scheme.FKGL, -0.001), ComplexityLevel(Scheme.NEWSELA, 4)])
+    def test_copy_and_pickle(self, level):
+        for twin in (copy.copy(level), copy.deepcopy(level), pickle.loads(pickle.dumps(level))):
+            assert twin == level and twin.label == level.label
 
     def test_invalid_cefr6(self):
         with pytest.raises(ValueError):
@@ -204,6 +218,31 @@ class TestLevelOf:
         level = level_of("I am here.")
         assert level.scheme is Scheme.FKGL
         assert level.value == -2.62
+
+    def test_same_counts_share_one_level(self):
+        # Same words, sentences and syllables, so the same raw FKGL value and one level object.
+        assert level_of("The cat sat.") is level_of("A dog ran.")
+
+    @pytest.mark.parametrize("order", [("neg", "zero"), ("zero", "neg")])
+    def test_raw_values_keep_their_labels(self, monkeypatch, order):
+        # -0.004 rounds to -0.0, which equals 0.0: a table keyed by rounded values would label both alike.
+        raw = {"neg": -0.004, "zero": 0.0}
+        monkeypatch.setattr(readability, "fkgl", raw.__getitem__)
+        readability._fkgl_level.cache_clear()
+        labels = {text: level_of(text).label for text in order}
+        assert labels == {"neg": "-0.00", "zero": "0.00"}
+
+    def test_table_is_bounded(self):
+        maxsize = readability._fkgl_level.cache_info().maxsize
+        assert maxsize is not None and maxsize <= 1 << 16
+
+    def test_parse_and_other_schemes_skip_the_table(self):
+        before = readability._fkgl_level.cache_info()
+        levels = [ComplexityLevel.parse(Scheme.FKGL, "2.675"), ComplexityLevel.parse(Scheme.CEFR6, "b2"),
+                  ComplexityLevel.parse(Scheme.NEWSELA, 3), cefr6_to_cefr3(ComplexityLevel(Scheme.CEFR6, 3))]
+        assert [level.label for level in levels] == ["2.68", "B2", "3", "B"]
+        assert ComplexityLevel.parse(Scheme.FKGL, "2.675") is not levels[0]
+        assert readability._fkgl_level.cache_info() == before
 
 
 class TestCefr6ToCefr3:
