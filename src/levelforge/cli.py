@@ -40,6 +40,7 @@ from .agreement import (
 )
 from .corpus import (
     SPLIT_RATIOS,
+    ConfigError,
     DropReason,
     FilterConfig,
     ParaphrasePair,
@@ -81,10 +82,6 @@ Checked = Iterable[tuple[T, Optional[DropReason]]]
 EXIT_OK = 0
 EXIT_DATA = 1
 EXIT_USAGE = 2
-
-
-class ConfigError(Exception):
-    """Configuration problem caught before processing. Exit code 2."""
 
 
 def parallel_map(fn: Callable[[T], U], items: Iterable[T]) -> Iterator[U]:
@@ -160,7 +157,7 @@ class PipelineConfig:
             Scheme(self.scheme)
         except ValueError:
             raise ConfigError(f"unknown scheme {self.scheme!r}") from None
-        _filter_settings(self.filter_config())
+        self.filter_config().validate()
         if self.similarity_source not in ("column", "file", "builtin-lexical", "none"):
             raise ConfigError(f"unknown similarity_source {self.similarity_source!r}")
         if self.similarity_source == "file" and not self.similarity_file:
@@ -179,15 +176,6 @@ class PipelineConfig:
     def config_hash(self) -> str:
         # json.dumps escapes non-ASCII by default, so NFC leaves the payload as it is.
         return text_sha256(json.dumps(self.__dict__, sort_keys=True, default=str))
-
-
-def _filter_settings(fcfg: FilterConfig) -> FilterConfig:
-    """``FilterConfig.validate`` as a usage error, checked before any work starts."""
-    try:
-        fcfg.validate()
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(str(exc)) from None
-    return fcfg
 
 
 def _std_stream(st: Optional[os.stat_result]) -> Optional[TextIO]:
@@ -269,14 +257,15 @@ def _write_splits(outdir: Path, prefix: str, chunks: Mapping[str, Iterable[dict]
     return counts
 
 
-def _print_report(report: dict, source: str, render: Optional[Callable[[dict], str]] = None) -> None:
-    """A command's result to stdout, after every file: ``report`` as JSON, or as ``render``
-    shows it; a NaN or infinity in it is a ValueError naming ``source``."""
+def _print_report(report: dict, source: str, render: Optional[Callable[[dict], str]] = None,
+                  path: Optional[str] = None) -> None:
+    """``report`` as JSON, or as ``render`` shows it, to ``path``, or to stdout for None (a command's result,
+    after every file); a NaN or infinity in it is a ValueError naming ``source``."""
     try:
         text = json.dumps(report, sort_keys=True, indent=2, allow_nan=False)
     except ValueError:
         raise ValueError(f"{source}: the report holds a NaN or infinity, which JSON cannot hold") from None
-    with _output(None) as out:
+    with _output(path) as out:
         out.write((render(report) if render else text) + "\n")
 
 
@@ -412,10 +401,10 @@ def cmd_analyze(args: argparse.Namespace) -> None:
                 row["level"] = levels[lineno]
                 if row["fkgl"] is not None:
                     per_level.setdefault(levels[lineno], []).append(row["fkgl"])
-            out.write(json.dumps(row, sort_keys=True) + "\n")
-        if per_level:  # sort_keys orders the levels
+            write_jsonl([row], out)
+        if per_level:  # write_jsonl's sort_keys orders the levels
             aggregates = {level: {"mean_fkgl": total(v) / len(v), "texts": len(v)} for level, v in per_level.items()}
-            out.write(json.dumps({"per_level": aggregates}, sort_keys=True) + "\n")
+            write_jsonl([{"per_level": aggregates}], out)
 
 
 def _texts(path: str) -> Iterator[tuple[int, Optional[str]]]:
@@ -442,15 +431,14 @@ def cmd_pipeline(args: argparse.Namespace) -> dict:
     predictions = _predictions(scheme, cfg.predictions, '"predictions"')
     # Dedup first (stable pair key), then similarity, filter, label, bucket.
     drops: Counter = Counter()
-    # NEAR_LEVEL goes in bucket_stats, not drop_reasons: perfbench/checks.py adds the two.
-    near_level: Counter = Counter()
     unique = _kept(_unique_pairs(cfg), drops)
     kept = _kept(_filtered(unique, fcfg), drops)
     leveled = _kept(attach_levels(kept, scheme, predictions), drops)
-    bucketed = _kept(_bucketed(leveled, scheme), near_level)
+    bucketed = _kept(_bucketed(leveled, scheme), drops)
     with _blaming(cfg.input):  # too few pairs for the task size
         datasets, stats = build_datasets(bucketed, cfg.seed, cfg.task_size)
-    stats["near_level_rejects"] = near_level[DropReason.NEAR_LEVEL.value]
+    # NEAR_LEVEL goes in bucket_stats, not drop_reasons: perfbench/checks.py adds the two.
+    stats["near_level_rejects"] = drops.pop(DropReason.NEAR_LEVEL.value, 0)
     reached_bucket = sum(stats["bucket_counts"].values()) + stats["near_level_rejects"]
 
     # The old manifest goes before the first write and the new one comes last,
@@ -486,9 +474,7 @@ def cmd_pipeline(args: argparse.Namespace) -> dict:
         "tool_version": __version__,
         "config_hash": cfg.config_hash(),
     }
-    with _output(str(outdir / "manifest.json")) as fh:
-        json.dump(manifest, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    _print_report(manifest, args.config, path=str(outdir / "manifest.json"))
     return _summary("pipeline", reached_bucket, drops, tasks=task_counts, splits=split_counts)
 
 
@@ -498,12 +484,13 @@ def cmd_pipeline(args: argparse.Namespace) -> dict:
           _arg("--sim-high", type=float, default=FilterConfig.sim_high),
           _arg("--allow-missing-similarity", action="store_true"))
 def cmd_filter(args: argparse.Namespace) -> dict:
-    fcfg = _filter_settings(FilterConfig(
+    fcfg = FilterConfig(
         min_words=args.min_words,
         sim_low=args.sim_low,
         sim_high=args.sim_high,
         require_similarity=not args.allow_missing_similarity,
-    ))
+    )
+    fcfg.validate()
     return _run_stage(args, _filtered(read_pairs(args.input), fcfg))
 
 

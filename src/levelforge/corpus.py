@@ -22,6 +22,7 @@ __all__ = [
     "ParaphrasePair",
     "TaskLabel",
     "DropReason",
+    "ConfigError",
     "FilterConfig",
     "filter_pair",
     "attach_levels",
@@ -107,6 +108,10 @@ class ParaphrasePair:
         )
 
 
+class ConfigError(ValueError):
+    """A setting that no run may start with, caught before any work. The CLI exits 2 on it."""
+
+
 class FilterConfig:
     # The defaults, also read from the class by the CLI's options and PipelineConfig.
     min_words = 3
@@ -129,16 +134,18 @@ class FilterConfig:
     def validate(self) -> None:
         for name in ("min_words", "sim_low", "sim_high"):
             value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, float)) or not -math.inf < value < math.inf:
-                raise TypeError(f"{name} must be a number, got {value!r}")
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                raise ConfigError(f"{name} must be a number, got {value!r}")
+            if not -math.inf < value < math.inf:
+                raise ConfigError(f"{name} must be finite, got {value!r}")
         if type(self.min_words) is not int:
-            raise TypeError(f"min_words must be an int, got {self.min_words!r}")
+            raise ConfigError(f"min_words must be an int, got {self.min_words!r}")
         if self.sim_low > self.sim_high:
-            raise ValueError(
+            raise ConfigError(
                 f"sim_low {self.sim_low} must not exceed sim_high {self.sim_high}"
             )
         if self.min_words < 1:
-            raise ValueError(f"min_words must be >= 1, got {self.min_words}")
+            raise ConfigError(f"min_words must be >= 1, got {self.min_words}")
 
 
 def text_sha256(text: str) -> str:

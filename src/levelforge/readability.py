@@ -76,7 +76,7 @@ class ComplexityLevel(SetOnce):
         if scheme is Scheme.FKGL:
             if isinstance(value, bool) or not isinstance(value, (int, float)) or not abs(value) <= _FLOAT_MAX:
                 raise ValueError(f"FKGL level must be a finite number, got {value!r}")
-            value = round2(float(value))
+            value = round2(float(value)) + 0.0  # -0.0 would print as -0.00
         elif isinstance(value, bool) or not isinstance(value, int) or value not in range(len(_LABELS[scheme])):
             raise ValueError(f"{scheme.name} index out of range, got {value!r}")
         object.__setattr__(self, "scheme", scheme)
@@ -167,8 +167,7 @@ def level_of(text: str) -> ComplexityLevel:
     return _fkgl_level(fkgl(text))
 
 
-# Keyed by the raw value: a rounded key would pay round2's Decimal on every hit, and would merge
-# -0.0 (label "-0.00") with 0.0 (label "0.00"), which compare equal. fkgl never returns -0.0 itself.
+# Keyed by the raw value: a rounded key would pay round2's Decimal on every hit.
 @lru_cache(maxsize=1 << 16)
 def _fkgl_level(value: float) -> ComplexityLevel:
     """The one level per raw FKGL value; ComplexityLevel rounds it to 2 decimals."""

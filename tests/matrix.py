@@ -18,6 +18,7 @@ import unicodedata
 from pathlib import Path
 
 CEFR6 = ("A1", "A2", "B1", "B2", "C1", "C2")
+UTF8_LEVELS = ("Ä1", "Öß2", "水平", "\U0001f642")  # none ASCII; the last is outside the BMP
 REFERENCE_CUTS = (1, 3)  # references per instance, cut to the first 1 and the first 3
 
 SPLITTER_EDGES = (
@@ -271,8 +272,12 @@ def study_files(workdir: Path) -> None:
 
 def eval_case(workdir: Path) -> list[list[str]]:
     """The eval case's commands, its auxiliary files written into ``workdir``: the study files,
-    and ``refs-<n>.jsonl``, each instance's references cut to the first n."""
+    ``refs-<n>.jsonl``, each instance's references cut to the first n, and ``levels-utf8.jsonl``,
+    a hashed label of ``UTF8_LEVELS`` per line of ``outputs.txt``."""
     study_files(workdir)
+    lines = len((workdir / "outputs.txt").read_text(encoding="utf-8").splitlines())
+    labels = (UTF8_LEVELS[_hashed(f"utf8 level {lineno}") % len(UTF8_LEVELS)] for lineno in range(1, lines + 1))
+    _write_jsonl(workdir / "levels-utf8.jsonl", ({"level": label} for label in labels))
     for keep in REFERENCE_CUTS:
         _write_jsonl(workdir / f"refs-{keep}.jsonl", (
             {**record, "references": record["references"][:keep]}
@@ -284,6 +289,7 @@ def eval_case(workdir: Path) -> list[list[str]]:
         *([*score, f"refs-{keep}.jsonl", "--per-instance", f"per_instance-{keep}.tsv"] for keep in REFERENCE_CUTS),
         [*score, "refs.jsonl", "--per-instance", "per_instance-rep100.tsv", "--repetition-n", "100"],
         ["analyze", "outputs.txt"],
+        ["analyze", "outputs.txt", "--levels", "levels-utf8.jsonl"],
         ["agree", "study.tsv", "--metric", "ordinal"],
         ["agree", "study.tsv", "--metric", "ordinal", "--threshold", "3", "--gold-out", "gold_out.jsonl"],
         ["agree", "study-single.tsv", "--metric", "ordinal"],

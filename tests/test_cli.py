@@ -490,6 +490,15 @@ class TestAnalyzeCommand:
         assert rows["t.jsonl"]["word_count"] == 9
         assert rows["t.JSONL"] == rows["u.Jsonl"] == rows["t.jsonl"]
 
+    def test_non_ascii_level_is_written_as_utf8(self, tmp_path, capsys):
+        # Like every JSONL output: the label's own characters, not \u escapes.
+        (tmp_path / "texts.txt").write_text("The cat sat on the mat.\n", encoding="utf-8")
+        write_jsonl_file(tmp_path / "levels.jsonl", [{"level": "Ä1"}])
+        assert main(["analyze", str(tmp_path / "texts.txt"), "--levels", str(tmp_path / "levels.jsonl")]) == 0
+        row, per_level = capsys.readouterr().out.splitlines()
+        assert row.endswith(', "level": "Ä1", "sentence_count": 1, "syllable_count": 6, "word_count": 6}')
+        assert per_level.startswith('{"per_level": {"Ä1": {"mean_fkgl": ')
+
 
 class TestSharedDropCounting:
     def test_label_counts_missing_levels(self, tmp_path, capsys):
@@ -1538,8 +1547,8 @@ ERRORS = {
         2, "--strategy llm-abs names an FKGL or CEFR level, not a newsela one")
        for i, fixed in enumerate([[], ["--fixed-level", "3"]])},
     "TestScoreCommand::test_length_mismatch_is_data_error": (
-        {**REFS, "outputs.txt": "A b.\nextra line\n"}, SCORE, 1,
-        "line-count mismatch: 2 lines in outputs.txt, 1 in refs.jsonl"),
+        {**REFS, "refs.jsonl": jsonl(*[{"source": "A b c.", "references": ["A b."]}] * 2)}, SCORE, 1,
+        "line-count mismatch: 1 lines in outputs.txt, 2 in refs.jsonl"),
     "TestScoreCommand::test_unwritable_per_instance_prints_no_report": (
         REFS, [*SCORE, "--per-instance", "nowhere/x.tsv"], 2, "[Errno 2] No such file or directory: 'nowhere/x.tsv'"),
     # The inputs do not exist: the option is checked before any is read.
@@ -1558,8 +1567,9 @@ ERRORS = {
         {"gold.jsonl": jsonl({"id": "x", "level": "A1"}, {"id": "x", "level": "C2"}),
          "pred.jsonl": jsonl({"id": "x", "level": "C2"})}, EVAL, 1, "gold.jsonl:2: 'x' repeats with another level"),
     "TestClassifierEvalCommand::test_id_mismatch_is_data_error": (
-        {"gold.jsonl": jsonl({"id": "s1", "level": "A1"}), "pred.jsonl": jsonl({"id": "s2", "level": "A1"})}, EVAL, 1,
-        "ids differ between gold.jsonl and pred.jsonl, e.g. ['s1', 's2']"),
+        {"gold.jsonl": jsonl({"id": "s1", "level": "A1"}),
+         "pred.jsonl": jsonl({"id": "s1", "level": "A1"}, {"id": "s2", "level": "B1"})}, EVAL, 1,
+        "ids differ between gold.jsonl and pred.jsonl, e.g. ['s2']"),
     "TestAgreeCommand::test_gold_out_needs_threshold": (
         {"ratings.tsv": "s1\tr1\tg\t1\ns1\tr2\tg\t1\n"}, ["agree", "ratings.tsv", "--gold-out", "gold.jsonl"], 2,
         "--gold-out needs --threshold"),
@@ -1568,7 +1578,7 @@ ERRORS = {
         {}, ["agree", "ratings.tsv", "--threshold", threshold], 2, f"--threshold must be >= 1, got {threshold}")
        for threshold in ("0", "-1")},
     "TestAgreeCommand::test_unpairable_is_data_error": (
-        {"ratings.tsv": "s1\tr1\tg\t1\ns2\tr2\tg\t2\n"}, ["agree", "ratings.tsv"], 1,
+        {"ratings.tsv": "s1\tr1\tg\t1\ns2\tr2\tg\t2\ns3\tr3\tg\t3\n"}, ["agree", "ratings.tsv"], 1,
         "ratings.tsv: alpha undefined: no item carries two or more ratings"),
     # agree pools every group: s1 rated by r1 in both would keep only one rating.
     "TestAgreeCommand::test_groups_sharing_an_item_are_a_data_error": (
@@ -1631,9 +1641,9 @@ ERRORS = {
             ({"min_words": 2.5}, "min_words must be an int, got 2.5")])},
     # Python's json reads NaN; a NaN bound would keep every pair and write NaN, which is not JSON, into the manifest.
     "TestBadSettingsAreUsageErrors::test_non_finite_filter_setting": (
-        {**CORPUS, **config(sim_low=float("nan"))}, PIPELINE, 2, "sim_low must be a number, got nan"),
+        {**CORPUS, **config(sim_low=float("nan"))}, PIPELINE, 2, "sim_low must be finite, got nan"),
     "TestBadSettingsAreUsageErrors::test_non_finite_filter_option": (
-        CORPUS, ["filter", "corpus.jsonl", "--sim-high", "inf"], 2, "sim_high must be a number, got inf"),
+        CORPUS, ["filter", "corpus.jsonl", "--sim-high", "inf"], 2, "sim_high must be finite, got inf"),
     "TestBadSettingsAreUsageErrors::test_filter_min_words_zero": (
         CORPUS, ["filter", "corpus.jsonl", "--min-words", "0", "-o", "kept.jsonl"], 2, "min_words must be >= 1, got 0"),
     **{f"TestDataErrorsNameTheirFile::test_exit_1_names_the_file[{case}]": (files, argv, 1, message)
@@ -1690,8 +1700,8 @@ ERRORS = {
         ["prompt", "data.jsonl", "--strategy", "abs", "--scheme", "cefr6", "-o", "prompted.jsonl"], 1,
         "data.jsonl:2: bad cefr6 level 'Q'"),
     "TestLevelLabels::test_label_without_predictions": (
-        {"pairs.jsonl": jsonl(CAT)}, ["label", "pairs.jsonl", "--scheme", "cefr6", "-o", "labeled.jsonl"], 2,
-        "scheme cefr6 requires --predictions"),
+        {"pairs.jsonl": jsonl(CAT)}, ["label", "pairs.jsonl", "--scheme", "newsela", "-o", "labeled.jsonl"], 2,
+        "scheme newsela requires --predictions"),
     "TestLevelLabels::test_pipeline_without_predictions": (
         {**CORPUS, **config(scheme="cefr6")}, PIPELINE, 2, 'scheme cefr6 requires "predictions"'),
     **{f"TestLevelLabels::test_scheme_mismatch[{command}]": (

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from levelforge import textcore
 from levelforge.cli import main
 from levelforge.corpus import (
+    ConfigError,
     DropReason,
     FilterConfig,
     ParaphrasePair,
@@ -164,16 +165,21 @@ class TestFilterPair:
         assert filter_pair(make_pair(1, sim=None, **short), relaxed) == (False, DropReason.TOO_SHORT)
 
     def test_config_validate(self):
-        with pytest.raises(ValueError):
+        from levelforge import cli
+
+        with pytest.raises(ConfigError, match="must not exceed"):
             FilterConfig(sim_low=0.9, sim_high=0.5).validate()
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError, match=">= 1"):
             FilterConfig(min_words=0).validate()
+        # A ValueError, and the class the CLI exits 2 on: no wrapper translates it.
+        assert issubclass(ConfigError, ValueError)
+        assert cli.ConfigError is ConfigError
 
     @pytest.mark.parametrize("setting", [{"sim_low": math.nan}, {"sim_high": math.inf},
                                          {"min_words": -math.inf}])
     def test_config_must_be_finite(self, setting):
         # A NaN bound compares false both ways, so it would keep every pair.
-        with pytest.raises(TypeError, match="must be a number"):
+        with pytest.raises(ConfigError, match="must be finite"):
             FilterConfig(**setting).validate()
 
 

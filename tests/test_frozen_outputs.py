@@ -69,6 +69,8 @@ DIGESTS = {
     "score --outputs outputs.txt --refs refs.jsonl --per-instance per_instance-rep100.tsv --repetition-n 100":
         "12125dfaf66ff8db76f3b8f7196ae251ea0252017aa8bc8e4cbbcfc1558bd077",
     "analyze outputs.txt": "2b7af07cd11bced566d7ab3031998d2c966b9a7adac711e05ee832ccef5dc8af",
+    "analyze outputs.txt --levels levels-utf8.jsonl":
+        "53b112aa00ad8805a0588f3966ee3f567bbcb7ba585f61e2fdec6892d456d1e5",
     "agree study.tsv --metric ordinal": "18c05cee911af077acad0193c44e94a9b0dc87e109d9e65642310cf5371df3a6",
     "agree study.tsv --metric ordinal --threshold 3 --gold-out gold_out.jsonl":
         "e6800b301c37e63df869405efd25058d34fdfbe0d602ab73ce86a6fa09f313a2",

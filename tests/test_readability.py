@@ -225,12 +225,13 @@ class TestLevelOf:
 
     @pytest.mark.parametrize("order", [("neg", "zero"), ("zero", "neg")])
     def test_raw_values_keep_their_labels(self, monkeypatch, order):
-        # -0.004 rounds to -0.0, which equals 0.0: a table keyed by rounded values would label both alike.
+        # -0.004 rounds to -0.0, which equals 0.0: one level, so one label, whichever value comes first.
         raw = {"neg": -0.004, "zero": 0.0}
         monkeypatch.setattr(readability, "fkgl", raw.__getitem__)
         readability._fkgl_level.cache_clear()
         labels = {text: level_of(text).label for text in order}
-        assert labels == {"neg": "-0.00", "zero": "0.00"}
+        assert labels == {"neg": "0.00", "zero": "0.00"}
+        assert ComplexityLevel.parse(Scheme.FKGL, "-0.00").label == "0.00"
 
     def test_table_is_bounded(self):
         maxsize = readability._fkgl_level.cache_info().maxsize
