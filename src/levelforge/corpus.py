@@ -70,7 +70,7 @@ class ParaphrasePair:
 
     def __init__(
         self,
-        id: str,
+        id: str | bytes,  # a file's id, or a pipeline pair's pair_key until it is written
         source: str,
         target: str,
         similarity: Optional[float] = None,
@@ -96,6 +96,10 @@ class ParaphrasePair:
         if other.__class__ is not self.__class__:
             return NotImplemented
         return all(getattr(self, name) == getattr(other, name) for name in self.__slots__)
+
+    def id_text(self) -> str:
+        """The id as it is written and shown: a pair_key digest in hex."""
+        return self.id if isinstance(self.id, str) else self.id.hex()
 
     def swapped(self) -> "ParaphrasePair":
         return ParaphrasePair(
@@ -148,14 +152,21 @@ class FilterConfig:
             raise ConfigError(f"min_words must be >= 1, got {self.min_words}")
 
 
-def text_sha256(text: str) -> str:
+def _sha256(text: str):
+    """The one hashing rule: sha256 of the UTF-8 bytes of NFC ``text``."""
     import hashlib  # here, not at the top: it loads OpenSSL, which only hashing commands need
-    return hashlib.sha256(normalize(text).encode("utf-8")).hexdigest()
+    return hashlib.sha256(normalize(text).encode("utf-8"))
 
 
-def pair_key(source: str, target: str) -> str:
-    """Stable pair identity: hash of NFC source, NUL, NFC target (NFC never crosses a NUL)."""
-    return text_sha256(f"{source}\x00{target}")
+def text_sha256(text: str) -> str:
+    return _sha256(text).hexdigest()
+
+
+def pair_key(source: str, target: str) -> bytes:
+    """Stable pair identity: the 32-byte hash of NFC source, NUL, NFC target (NFC never
+    crosses a NUL). Raw bytes, 65 B as an object against 113 B in hex, since dedup holds
+    one per unique pair; ``ParaphrasePair.id_text`` makes the hex that is written."""
+    return _sha256(f"{source}\x00{target}").digest()
 
 
 def filter_pair(
@@ -210,7 +221,7 @@ def attach_levels(
                 except ValueError:  # a side without words has no FKGL
                     level = None
             else:
-                level = predictions.get(text_sha256(text)) or predictions.get(f"{pair.id}:{role}")
+                level = predictions.get(text_sha256(text)) or predictions.get(f"{pair.id_text()}:{role}")
             resolved.append(level)
         if resolved[0] is None or resolved[1] is None:
             yield pair, DropReason.LEVEL_MISSING
@@ -228,7 +239,7 @@ def bucket(pair: ParaphrasePair, scheme: Scheme) -> tuple[Optional[TaskLabel], O
     different-level. DOWN means the source is the more complex side.
     """
     if pair.source_level is None or pair.target_level is None:
-        raise ValueError(f"pair {pair.id}: bucket requires both levels")
+        raise ValueError(f"pair {pair.id_text()}: bucket requires both levels")
     delta = level_delta(pair.source_level, pair.target_level)
     if delta == 0:
         return TaskLabel.SAME, None
@@ -321,7 +332,7 @@ def split_dataset(
     dataset: list[T],
     ratios: tuple[float, float, float] = SPLIT_RATIOS,
     seed: int = 0,
-    key: Callable[[T], str] = lambda p: p.id,
+    key: Callable[[T], str | bytes] = lambda p: p.id,
 ) -> dict[str, list[T]]:
     """Seeded shuffle over items sorted by ``key``, then 80-10-10 style split.
 

@@ -234,7 +234,7 @@ def read_ratings_tsv(path: str | Path) -> Iterator[tuple[int, str, str, str, flo
 
 def pair_to_record(pair: ParaphrasePair, task: Optional[str] = None) -> dict:
     record = {
-        "id": pair.id,
+        "id": pair.id_text(),
         "source": pair.source,
         "target": pair.target,
     }

@@ -2,6 +2,7 @@ import errno
 import functools
 import hashlib
 import io
+import itertools
 import json
 import os
 import random
@@ -14,6 +15,7 @@ import sys
 import tempfile
 import threading
 import time
+import tracemalloc
 from collections import Counter
 from contextlib import ExitStack, redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -23,7 +25,7 @@ import pytest
 
 from levelforge import cli, genmetrics
 from levelforge.cli import PipelineConfig, main, parallel_map
-from levelforge.corpus import text_sha256
+from levelforge.corpus import pair_key, text_sha256
 from levelforge.genmetrics import EvalInstance, is_copy, sari, sari_r
 
 
@@ -683,6 +685,26 @@ class TestWeakClassifierPipeline:
 
         assert main(["pipeline", "--config", str(config)]) == 0
         assert {p.name: p.read_bytes() for p in outdir.iterdir()} == first
+
+    def test_levels_keyed_by_pair_key_hex(self, tmp_path, capsys):
+        # No text_sha256 rows: each side is found by "<pair key in hex>:source" or ":target" alone.
+        corpus = tmp_path / "corpus.jsonl"
+        records = make_corpus(corpus)
+        rows = []
+        for i, rec in enumerate(records):
+            payload = f"{rec['source']}\x00{rec['target']}".encode("utf-8")  # ASCII: NFC leaves it
+            key = hashlib.sha256(payload).hexdigest()
+            for role, level in zip(("source", "target"), self.LEVELS.get(i % 8, ("B1", "B1"))):
+                rows.append({"id": f"{key}:{role}", "level": level})
+        write_jsonl_file(tmp_path / "preds.jsonl", [{"scheme": "cefr6"}, *rows])
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"input": str(corpus), "output_dir": str(tmp_path / "out"),
+                                      "scheme": "cefr6", "predictions": str(tmp_path / "preds.jsonl")}))
+        assert main(["pipeline", "--config", str(config)]) == 0
+        manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+        assert manifest["drop_reasons"] == {}
+        stats = manifest["conventions"]["bucket_stats"]
+        assert sum(stats["bucket_counts"].values()) + stats["near_level_rejects"] == len(records)
 
 
 class TestSimilaritySources:
@@ -1481,6 +1503,32 @@ class TestOpenSSLOnlyWhereHashed:
         assert proc.returncode == 0, proc.stderr
         seen = json.loads(proc.stdout.splitlines()[-1])
         assert seen == [[0, False], [0, False], [0, False], [0, True]]
+
+
+class TestDedupMemory:
+    def test_each_unique_pair_holds_a_32_byte_digest(self, tmp_path):
+        # The dedup set grows with every unique input pair, kept or not. Each entry is the
+        # pair's raw sha256 digest (65 B as a bytes object), not its 64-digit hex (113 B).
+        n = 2000
+        write_jsonl_file(tmp_path / "corpus.jsonl", [
+            {"id": f"p{i}", "source": f"The cat number {i} sat.", "target": "A cat sat.", "similarity": 0.1}
+            for i in range(n)])
+        (tmp_path / "config.json").write_text(json.dumps(
+            {"input": str(tmp_path / "corpus.jsonl"), "output_dir": str(tmp_path / "out")}))
+        cfg = PipelineConfig.from_file(str(tmp_path / "config.json"))
+        pair_key("a", "b")  # hashlib's import is no part of the set
+        tracemalloc.start()
+        try:
+            unique = cli._unique_pairs(cfg)
+            reasons = [reason for _, reason in itertools.islice(unique, n)]
+            # The generator waits at its last pair, so its set of n keys is alive.
+            in_corpus_py = tracemalloc.Filter(True, pair_key.__code__.co_filename)
+            held = tracemalloc.take_snapshot().filter_traces([in_corpus_py])
+            unique.close()
+        finally:
+            tracemalloc.stop()
+        assert reasons == [None] * n
+        assert sum(stat.size for stat in held.statistics("filename")) <= 70 * n
 
 
 # The error table: every usage and data error of the 11 commands is a row, {id: (files, argv, code, message)},

@@ -18,6 +18,7 @@ from levelforge.corpus import (
     attach_levels,
     bucket,
     build_datasets,
+    check_similarity,
     filter_pair,
     lexical_similarity,
     pair_key,
@@ -47,6 +48,16 @@ class TestParaphrasePair:
     def test_similarity_out_of_range(self):
         with pytest.raises(ValueError):
             make_pair(1, sim=1.5)
+
+    @pytest.mark.parametrize("sim", [0, 0.0, 1, 1.0])
+    def test_similarity_bounds_are_in_range(self, sim):
+        assert check_similarity(sim) == sim
+        assert make_pair(1, sim=sim).similarity == sim
+
+    @pytest.mark.parametrize("sim", [-5e-324, math.nextafter(1.0, 2.0)])
+    def test_similarity_just_outside_the_bounds(self, sim):
+        with pytest.raises(ValueError, match=r"outside \[0, 1\]"):
+            check_similarity(sim)
 
     def test_mixed_level_schemes_rejected(self):
         with pytest.raises(ValueError):
@@ -111,7 +122,7 @@ class TestPairKey:
             return unicodedata.normalize("NFC", text)
 
         payload = (nfc(source) + "\x00" + nfc(target)).encode("utf-8")
-        assert pair_key(source, target) == hashlib.sha256(payload).hexdigest()
+        assert pair_key(source, target) == hashlib.sha256(payload).digest()
 
     def test_text_sha256_normalized(self):
         assert text_sha256("café") == text_sha256("café")
@@ -434,6 +445,14 @@ class TestBuildDatasets:
         assert [[p.id for p in a[t]] for t in TaskLabel] == [
             [p.id for p in b[t]] for t in TaskLabel
         ]
+
+    # Task size 3 takes all 6 different-level pairs, or all 3 same-level ones.
+    @pytest.mark.parametrize("n_diff, n_same, whole", [(6, 5, slice(0, 6)), (10, 3, slice(10, 13))])
+    def test_explicit_task_size_may_take_a_whole_pool(self, n_diff, n_same, whole):
+        pool = synthetic_pool(n_diff=n_diff, n_same=n_same)
+        datasets, _ = build_datasets(bucketed(pool), seed=1, task_size=3)
+        assert [len(datasets[t]) for t in TaskLabel] == [3, 3, 3]
+        assert {p.id for p in pool[whole]} <= {p.id for t in TaskLabel for p in datasets[t]}
 
     def test_explicit_task_size_too_big(self):
         with pytest.raises(ValueError):

@@ -37,6 +37,15 @@ def test_the_cli_loads_no_dataclasses_inspect_or_fractions():
     assert proc.stdout.split() == []
 
 
+def test_the_cli_loads_no_hashlib():
+    # hashlib maps OpenSSL's libcrypto, ~3 MB of peak RSS; only a command that hashes imports it.
+    code = "import sys, levelforge.cli; print(*sorted({'hashlib', '_hashlib'} & set(sys.modules)))"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60,
+                          env={**os.environ, "PYTHONPATH": str(ROOT / "src")})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == []
+
+
 B1 = ComplexityLevel(Scheme.CEFR6, 2)
 
 
