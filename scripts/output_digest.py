@@ -30,6 +30,11 @@ def _files(workdir: Path) -> dict[str, bytes]:
     return {p.relative_to(workdir).as_posix(): p.read_bytes() for p in sorted(workdir.rglob("*")) if p.is_file()}
 
 
+def utf8_stream() -> io.TextIOWrapper:
+    """A standard stream that keeps the bytes written to it, in ``.buffer``: UTF-8 text over a ``BytesIO``."""
+    return io.TextIOWrapper(io.BytesIO(), encoding="utf-8", errors="backslashreplace")
+
+
 def digests() -> dict[str, str]:
     """The SHA-256 of each matrix command, by its argv joined by spaces, and of SARI's bits, by ``sari``."""
     from levelforge.cli import main
@@ -46,11 +51,11 @@ def digests() -> dict[str, str]:
             try:
                 for argv in commands:
                     before = _files(workdir)
-                    out, err = io.StringIO(), io.StringIO()
+                    out, err = utf8_stream(), utf8_stream()
                     with redirect_stdout(out), redirect_stderr(err):
                         code = main(argv)
-                    parts = {"exit code": str(code).encode(), "stdout": out.getvalue().encode(),
-                             "stderr": err.getvalue().encode()}
+                    parts = {"exit code": str(code).encode(), "stdout": out.buffer.getvalue(),
+                             "stderr": err.buffer.getvalue()}
                     parts.update((f"file {name}", data) for name, data in _files(workdir).items()
                                  if before.get(name) != data)
                     digest = hashlib.sha256()

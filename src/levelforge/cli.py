@@ -7,8 +7,8 @@ A run that writes to a stream or file that fails (full, closed, or missing from
 the start) exits 2, or keeps its 1, with one ``error:`` line naming it; a run
 that does not write there runs as it would. --help or --version that cannot be
 written exits 0; without stderr, a lost line leaves the exit code as it was.
-All randomness flows from the single --seed / config seed. Per-pair work runs
-in one thread, in input order; LEVELFORGE_THREADS is accepted and ignored.
+Every seeded order is ``corpus.rank`` of the --seed or config seed. Per-pair
+work runs in one thread, in input order; LEVELFORGE_THREADS is accepted and ignored.
 """
 from __future__ import annotations
 
@@ -195,11 +195,11 @@ def _output(path: Optional[str]) -> Iterator[TextIO]:
 
     A regular or new file is written beside itself and renamed into place,
     keeping its permission bits; an existing one must be writable. Any other
-    target is a stream given a spooled copy: stdout for None or "-", stdout or
-    stderr when it has the target open (``-o /dev/stderr 2>> log`` appends),
-    else the target itself (a pipe, a device), opened before any work. A file
-    first removes the ``<real path>.<digits>.tmp`` files killed runs left.
-    A failed write or rename names ``path``, or "<stdout>" (see ``_naming``).
+    target is a stream given a spooled copy in UTF-8, as a file is: stdout for
+    None or "-", stdout or stderr when it has the target open (``-o /dev/stderr
+    2>> log`` appends), else the target itself (a pipe, a device), opened before
+    any work. A file first removes the ``<real path>.<digits>.tmp`` files killed
+    runs left. A failed write or rename names ``path``, or "<stdout>" (see ``_naming``).
     """
     to_stdout = path in (None, "-")
     try:
@@ -209,12 +209,12 @@ def _output(path: Optional[str]) -> Iterator[TextIO]:
     stream = sys.stdout if to_stdout else _std_stream(st)
     if stream or (st is not None and not stat.S_ISREG(st.st_mode)):
         with _naming("<stdout>" if to_stdout else path), \
-                nullcontext(stream) if stream else open(path, "w", encoding="utf-8") as stream, \
+                nullcontext(stream.buffer) if stream else open(path, "wb") as sink, \
                 tempfile.TemporaryFile("w+", encoding="utf-8", newline="") as spool:
             yield spool
             spool.seek(0)
-            stream.writelines(spool)
-            stream.flush()
+            sink.writelines(spool.buffer)
+            sink.flush()
         return
     if st is not None and not os.access(path, os.W_OK):
         raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), path)
@@ -468,7 +468,9 @@ def cmd_pipeline(args: argparse.Namespace) -> dict:
             "dedup": "before filtering, by sha256 of NFC(source, target)",
             "pair_id": "sha256 of NFC(source, target)",
             "bucket_stats": stats,
-            "split_rule": "floor non-train splits, remainder to train",
+            "sampling": "by rank, the 8-byte blake2b digest of '<seed>:<id>', lowest first: simplification "
+                        "and same_level the first task_size of each pool, complexification the next, swapped back",
+            "split_rule": "each task by rank: train, valid, test; floor non-train splits, remainder to train",
             "filter_order": "SIM_MISSING, SIM_LOW, SIM_HIGH, TOO_SHORT, CONTAINMENT: first failing rule",
         },
         "tool_version": __version__,
@@ -526,7 +528,9 @@ def cmd_split(args: argparse.Namespace) -> dict:
     with _blaming("--ratios", ConfigError):
         ratios = check_split_ratios(args.ratios)
     records = [obj for _, obj in read_jsonl(args.input)]
-    chunks = split_dataset(records, ratios, args.seed, key=lambda r: str(r.get("id", "")))
+    # Ranked by the line as written, so a repeated or missing id cannot tie records to their input order.
+    line = functools.partial(json.dumps, ensure_ascii=False, sort_keys=True)
+    chunks = split_dataset(records, ratios, args.seed, key=line)
     counts = _write_splits(Path(args.output_dir), "", chunks)
     return _summary("split", sum(counts.values()), {}, splits=counts)
 

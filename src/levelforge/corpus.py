@@ -1,16 +1,15 @@
 """Dataset factory: filter paraphrase pairs, attach levels, bucket by task,
 assemble simplification / complexification / same-level datasets, split.
 
-Every stage is deterministic: per-pair work is order-independent, and all
-sampling flows from one seed over canonically sorted pair ids, so a rerun
-with identical inputs and config reproduces identical bytes.
+Every stage is deterministic: per-pair work is order-independent, and every
+seeded order is ``rank`` of the seed and an item's own written id, so an item's
+place depends on nothing else and a rerun reproduces identical bytes.
 """
 from __future__ import annotations
 
 import math
 from collections import Counter
 from enum import Enum
-from random import Random
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence, TypeVar
 
 from .readability import ComplexityLevel, Scheme, level_delta, level_of
@@ -34,6 +33,7 @@ __all__ = [
     "SPLIT_RATIOS",
     "lexical_similarity",
     "pair_key",
+    "rank",
     "text_sha256",
 ]
 
@@ -169,6 +169,12 @@ def pair_key(source: str, target: str) -> bytes:
     return _sha256(f"{source}\x00{target}").digest()
 
 
+def rank(seed: int, key: str) -> bytes:
+    """The one seeded order: the 8-byte blake2b digest of ``f"{seed}:{key}"`` in UTF-8, compared as bytes."""
+    import hashlib  # here, not at the top, as in _sha256
+    return hashlib.blake2b(f"{seed}:{key}".encode("utf-8"), digest_size=8).digest()
+
+
 def filter_pair(
     pair: ParaphrasePair, cfg: FilterConfig
 ) -> tuple[bool, Optional[DropReason]]:
@@ -256,11 +262,11 @@ def build_datasets(
     """Assemble equal-sized task datasets from the bucket stage's kept items,
     each a pair with the task label ``bucket`` gave it.
 
-    Different-level pairs are normalized to simplification orientation,
-    shuffled with the seed over canonically sorted ids, and halved: the
-    first half becomes the simplification set, the second half is reversed
-    into the complexification set (disjoint pairs). Same-level pairs are
-    sampled uniformly without replacement to the same size.
+    Different-level pairs are turned to simplification orientation and
+    ordered by the ``rank`` of their written id: the lowest ``size`` are the
+    simplification set, the next ``size`` reversed the complexification set.
+    Same-level is the lowest ``size`` of its pool. So a pair added to a pool
+    changes a set only when it ranks inside it.
     """
     down_pool: list[ParaphrasePair] = []
     same_pool: list[ParaphrasePair] = []
@@ -269,38 +275,24 @@ def build_datasets(
         bucket_counts[label] += 1
         if label is TaskLabel.SAME:
             same_pool.append(pair)
-        elif label is TaskLabel.DOWN:
-            down_pool.append(pair)
         else:
-            down_pool.append(pair.swapped())
-
-    down_pool.sort(key=lambda p: p.id)
-    same_pool.sort(key=lambda p: p.id)
+            down_pool.append(pair if label is TaskLabel.DOWN else pair.swapped())
 
     if task_size is None:
         size = min(len(down_pool) // 2, len(same_pool))
     else:
         size = task_size
         if 2 * size > len(down_pool):
-            raise ValueError(
-                f"need {2 * size} different-level pairs for task size {size}, "
-                f"have {len(down_pool)}"
-            )
+            raise ValueError(f"need {2 * size} different-level pairs for task size {size}, have {len(down_pool)}")
         if size > len(same_pool):
-            raise ValueError(
-                f"need {size} same-level pairs, have {len(same_pool)}"
-            )
+            raise ValueError(f"need {size} same-level pairs, have {len(same_pool)}")
 
-    rng = Random(seed)
-    rng.shuffle(down_pool)
-    simplification = down_pool[:size]
-    complexification = [p.swapped() for p in down_pool[size : 2 * size]]
-    same = rng.sample(same_pool, size)
-
+    for pool in (down_pool, same_pool):
+        pool.sort(key=lambda p: rank(seed, p.id_text()))
     datasets = {
-        TaskLabel.DOWN: simplification,
-        TaskLabel.UP: complexification,
-        TaskLabel.SAME: same,
+        TaskLabel.DOWN: down_pool[:size],
+        TaskLabel.UP: [p.swapped() for p in down_pool[size : 2 * size]],
+        TaskLabel.SAME: same_pool[:size],
     }
     stats = {
         "bucket_counts": {k.value: v for k, v in bucket_counts.items()},
@@ -332,9 +324,9 @@ def split_dataset(
     dataset: list[T],
     ratios: tuple[float, float, float] = SPLIT_RATIOS,
     seed: int = 0,
-    key: Callable[[T], str | bytes] = lambda p: p.id,
+    key: Callable[[T], str] = ParaphrasePair.id_text,
 ) -> dict[str, list[T]]:
-    """Seeded shuffle over items sorted by ``key``, then 80-10-10 style split.
+    """Items in ``rank`` order of ``key(item)``, then an 80-10-10 style split.
 
     Non-train splits get the floor of their decimal share (0.29 of 100 is 29,
     not 28); the remainder goes to train. Membership is disjoint and covers the dataset.
@@ -342,8 +334,7 @@ def split_dataset(
     from fractions import Fraction  # here, not at the top: only the commands that split need it
 
     ratios = check_split_ratios(ratios)
-    items = sorted(dataset, key=key)
-    Random(seed).shuffle(items)
+    items = sorted(dataset, key=lambda item: rank(seed, key(item)))
     n = len(items)
     n_valid = int(n * Fraction(repr(ratios[1])))
     n_test = int(n * Fraction(repr(ratios[2])))

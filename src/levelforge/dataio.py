@@ -183,8 +183,8 @@ def read_predictions(path: str | Path, scheme: Scheme) -> dict[str, ComplexityLe
 
     The first line is a header object declaring the scheme: another scheme
     than ``scheme`` is a ParseError at the header's line. Each following
-    line is {"id" or "text_sha256", "level"}. A key may repeat with the same
-    level (one line per occurrence of a text), not with another.
+    line is {"id" or "text_sha256" (64 lowercase hex digits), "level"}. A key may
+    repeat with the same level (one line per occurrence of a text), not with another.
     """
     rows = read_jsonl(path)
     try:
@@ -201,13 +201,16 @@ def read_predictions(path: str | Path, scheme: Scheme) -> dict[str, ComplexityLe
         raise ParseError(path, lineno, f"declares scheme {declared.value}, expected {scheme.value}")
     predictions: dict[str, ComplexityLevel] = {}
     for lineno, obj in rows:
-        key = obj["text_sha256"] if obj.get("text_sha256") is not None else obj.get("id")
+        sha = obj.get("text_sha256")
+        key = obj.get("id") if sha is None else sha
         if key is None or "level" not in obj:
             raise ParseError(path, lineno, 'need "id" or "text_sha256" plus "level"')
         try:
             key, level = _id(key), ComplexityLevel.parse(scheme, obj["level"])
         except ValueError as exc:
             raise ParseError(path, lineno, str(exc)) from None
+        if sha is not None and not re.fullmatch("[0-9a-f]{64}", key):  # what text_sha256 writes
+            raise ParseError(path, lineno, f'"text_sha256" must be 64 lowercase hex digits, got {sha!r}')
         _put(predictions, key, level, path, lineno, "level")
     return predictions
 

@@ -27,6 +27,7 @@ from levelforge import cli, genmetrics
 from levelforge.cli import PipelineConfig, main, parallel_map
 from levelforge.corpus import pair_key, text_sha256
 from levelforge.genmetrics import EvalInstance, is_copy, sari, sari_r
+from oracles import sampling_ref
 
 
 ENOSPC = f"[Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}"
@@ -92,9 +93,10 @@ def digest_tree(root):
             for p in sorted(root.rglob("*"))}
 
 
-def cli_child(argv, cwd=None, **kwargs):
-    """``levelforge argv`` in a child of this interpreter, from this checkout, stdout buffered as users run it."""
-    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+def cli_child(argv, cwd=None, env=(), **kwargs):
+    """``levelforge argv`` in a child of this interpreter, from this checkout, stdout buffered as users run it;
+    ``env`` adds to or, with None values, removes from this process's environment."""
+    env = {k: v for k, v in {**os.environ, **dict(env)}.items() if k != "PYTHONUNBUFFERED" and v is not None}
     env["PYTHONPATH"] = str(Path(__file__).resolve().parent.parent / "src")
     return subprocess.run([sys.executable, "-m", "levelforge.cli", *argv], cwd=cwd, env=env, timeout=60, **kwargs)
 
@@ -186,6 +188,20 @@ class TestSplitCommand:
             for name in ("train", "valid", "test")
         }
         assert counts == {"train": 40, "valid": 5, "test": 5}
+
+    def test_line_order_and_repeated_or_missing_ids_change_nothing(self, tmp_path, capsys):
+        # Each record is ranked by its line as written, so records that share an id, or have none, keep their places.
+        records = [{"id": f"p{i % 7}", "v": i} if i % 3 else {"v": i} for i in range(40)] + [{"v": 0}]
+        shuffled = list(records)
+        random.Random(1).shuffle(shuffled)
+        written = []
+        for name, rows in (("a", records), ("b", shuffled)):
+            write_jsonl_file(tmp_path / f"{name}.jsonl", rows)
+            assert main(["split", str(tmp_path / f"{name}.jsonl"), "-o", str(tmp_path / name), "--seed", "3"]) == 0
+            written.append({split: (tmp_path / name / f"{split}.jsonl").read_bytes()
+                            for split in ("train", "valid", "test")})
+        assert written[0] == written[1]
+        assert sorted(b"".join(written[0].values()).splitlines()) == sorted(jsonl(*records).encode().splitlines())
 
 
 class TestPromptCommand:
@@ -623,6 +639,30 @@ class TestOneFunnel:
             else:  # build_datasets swapped the pair
                 assert by_text[r["target"], r["source"]] == (
                     r["target_level"], r["source_level"], opposite[r["task"]])
+
+    @pytest.mark.parametrize("seed, task_size", [(7, None), (-3, 5)])
+    def test_pipeline_files_equal_the_sampling_oracle(self, tmp_path, capsys, monkeypatch, seed, task_size):
+        # The oracle's pool is the bucket command's output, each id recomputed from the texts as pipeline keys it.
+        monkeypatch.chdir(tmp_path)
+        write_jsonl_file("corpus.jsonl", corpus_records() + [  # no duplicates; two sides not in NFC
+            {"id": f"nfc{i}", "source": f"Cafe\u0301 owners number {i} reviewed the complicated proposal very carefully.",
+             "target": f"The cafe\u0301 owners {i} read it.", "similarity": 0.7} for i in range(2)])
+        for argv in (["filter", "corpus.jsonl", "-o", "kept.jsonl"],
+                     ["label", "kept.jsonl", "--scheme", "fkgl", "-o", "leveled.jsonl"],
+                     ["bucket", "leveled.jsonl", "--scheme", "fkgl", "-o", "tasks.jsonl"]):
+            assert main(argv) == 0
+        pool = [dict(r, id=sampling_ref.pair_id(r["source"], r["target"]))
+                for r in map(json.loads, Path("tasks.jsonl").read_text(encoding="utf-8").splitlines())]
+        names = {"down": "simplification", "up": "complexification", "same": "same_level"}
+        want = {f"{names[task]}.{split}.jsonl": sampling_ref.jsonl_bytes(part)
+                for task, dataset in sampling_ref.datasets(pool, seed, task_size).items()
+                for split, part in sampling_ref.split(dataset, (0.8, 0.1, 0.1), seed, lambda r: r["id"]).items()}
+
+        Path("config.json").write_text(json.dumps(
+            {"input": "corpus.jsonl", "output_dir": "out", "seed": seed, "task_size": task_size}))
+        assert main(["pipeline", "--config", "config.json"]) == 0
+        assert {name: Path("out", name).read_bytes() for name in want} == want
+        assert len(want) == 9 and all(want[f"{name}.train.jsonl"] for name in names.values())
 
 
 class TestLocatedDataErrors:
@@ -1138,7 +1178,8 @@ def table(tmp_path_factory):
     root = tmp_path_factory.mktemp("table")
     matrix.small_inputs(root)
     rows = {}
-    with pytest.MonkeyPatch.context() as m, redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+    utf8 = functools.partial(io.TextIOWrapper, encoding="utf-8")  # as stdout is: bytes under the text
+    with pytest.MonkeyPatch.context() as m, redirect_stdout(utf8(io.BytesIO())), redirect_stderr(utf8(io.BytesIO())):
         for case, commands in matrix.CASES.items():
             m.chdir(root / case)
             for argv in commands(root / case):
@@ -1429,7 +1470,7 @@ class TestHelp:
 
 
 class TestInputOrder:
-    """Per-pair work and sampling over sorted ids make the input order moot."""
+    """Per-pair work and sampling by each id's own rank make the input order moot."""
 
     TASK_FILES = [f"{task}.{split}.jsonl"
                   for task in ("simplification", "complexification", "same_level")
@@ -1483,7 +1524,7 @@ class TestOpenSSLOnlyWhereHashed:
         "print(json.dumps(seen))\n"
     )
 
-    def test_only_pipeline_loads_openssl(self, tmp_path):
+    def test_only_the_hashing_commands_load_openssl(self, tmp_path):
         make_corpus(tmp_path / "corpus.jsonl", n=20)
         write_jsonl_file(tmp_path / "refs.jsonl", [{"source": "The cat sat on the mat.",
                                                      "references": ["The cat sat."]}])
@@ -1494,7 +1535,8 @@ class TestOpenSSLOnlyWhereHashed:
             ["score", "--outputs", "outputs.txt", "--refs", "refs.jsonl", "--per-instance", "rows.tsv"],
             ["report", "ratings.tsv"],
             ["filter", "corpus.jsonl", "-o", "kept.jsonl"],
-            ["pipeline", "--config", "cfg.json"],  # the first command that hashes
+            ["split", "corpus.jsonl", "-o", "splits"],  # the first command that hashes: it ranks by blake2b
+            ["pipeline", "--config", "cfg.json"],
         ]
         src = Path(__file__).resolve().parent.parent / "src"
         proc = subprocess.run([sys.executable, "-c", self.SCRIPT, json.dumps(commands)],
@@ -1502,7 +1544,29 @@ class TestOpenSSLOnlyWhereHashed:
                               env={**os.environ, "PYTHONPATH": str(src)})
         assert proc.returncode == 0, proc.stderr
         seen = json.loads(proc.stdout.splitlines()[-1])
-        assert seen == [[0, False], [0, False], [0, False], [0, True]]
+        assert seen == [[0, False], [0, False], [0, False], [0, True], [0, True]]
+
+
+class TestStdoutIsUtf8:
+    """stdout gets the UTF-8 bytes that ``-o`` writes to a file, whatever the locale's encoding."""
+
+    ENVIRONMENTS = {"ascii": {"PYTHONIOENCODING": "ascii"}, "latin-1": {"PYTHONIOENCODING": "latin-1"},
+                    "C": {"LC_ALL": "C", "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0"}}
+    RECORD = {"id": "ç1", "source": "Ça coûte très cher aujourd'hui, 水平 🙂.", "target": "Le prix est élevé ici, dit-elle.",
+              "similarity": 0.7, "task": "down"}
+    COMMANDS = {"filter": ["filter", "in.jsonl"], "prompt": ["prompt", "in.jsonl", "--strategy", "rel", "--scheme", "fkgl"]}
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    @pytest.mark.parametrize("environment", ENVIRONMENTS)
+    def test_stdout_is_the_file_bytes(self, tmp_path, environment, command):
+        write_jsonl_file(tmp_path / "in.jsonl", [self.RECORD])
+        env = {"PYTHONIOENCODING": None, "PYTHONUTF8": None, "LC_ALL": None, "LC_CTYPE": None, "LANG": None,
+               **self.ENVIRONMENTS[environment]}
+        argv = self.COMMANDS[command]
+        piped = cli_child(argv, tmp_path, env, capture_output=True)
+        assert (piped.returncode, cli_child([*argv, "-o", "out.jsonl"], tmp_path, env).returncode) == (0, 0)
+        assert piped.stdout == (tmp_path / "out.jsonl").read_bytes()
+        assert "🙂".encode() in piped.stdout
 
 
 class TestDedupMemory:
@@ -1725,6 +1789,12 @@ ERRORS = {
                                    "preds.jsonl": jsonl({"scheme": "cefr6"}, {"text_sha256": [1], "level": "B1"})},
                                   ["label", "corpus.jsonl", *PREDICTIONS],
                                   "preds.jsonl:2: an id must be a string or an integer, got list"),
+        # A text_sha256 is what text_sha256 writes, 64 lowercase hex digits; any other would never match.
+        **{f"label-predictions-sha256-{name}": (
+            {"corpus.jsonl": jsonl(PAIR), "preds.jsonl": jsonl({"scheme": "cefr6"}, {"text_sha256": value, "level": "B1"})},
+            ["label", "corpus.jsonl", *PREDICTIONS],
+            f'preds.jsonl:2: "text_sha256" must be 64 lowercase hex digits, got {value!r}')
+           for name, value in [("not-hex", "not-a-hash"), ("integer", 12)]},
     }.items()},
     # Every level label is read by ComplexityLevel.parse; a bad one names its place.
     "TestLevelLabels::test_bad_bucket_level": (

@@ -193,11 +193,16 @@ def strict_json(text):
     return json.loads(text, parse_constant=_refuse)
 
 
+def _stream():
+    """A standard stream as a process has one: UTF-8 text over bytes, which main writes its output to."""
+    return io.TextIOWrapper(io.BytesIO(), encoding="utf-8", errors="backslashreplace")
+
+
 def _run(argv):
-    stdout, stderr = io.StringIO(), io.StringIO()
+    stdout, stderr = _stream(), _stream()
     with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
         code = main(argv)
-    return code, stdout.getvalue(), stderr.getvalue()
+    return code, stdout.buffer.getvalue().decode("utf-8"), stderr.buffer.getvalue().decode("utf-8")
 
 
 def check_run(command, inputs_of):

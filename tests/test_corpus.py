@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 import math
 import unicodedata
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 from levelforge import textcore
 from levelforge.cli import main
 from levelforge.corpus import (
+    SPLIT_RATIOS,
     ConfigError,
     DropReason,
     FilterConfig,
@@ -25,8 +27,9 @@ from levelforge.corpus import (
     split_dataset,
     text_sha256,
 )
+from levelforge.dataio import pair_to_record
 from levelforge.readability import ComplexityLevel, Scheme, round2
-from oracles import textcore_ref
+from oracles import sampling_ref, textcore_ref
 
 
 def make_pair(i, source="The cat sat on the mat.", target="A cat was sitting there.", sim=0.7):
@@ -462,6 +465,69 @@ class TestBuildDatasets:
         with pytest.raises(ValueError) as exc:
             build_datasets(bucketed(synthetic_pool(n_diff=10, n_same=2)), seed=1, task_size=3)
         assert str(exc.value) == "need 3 same-level pairs, have 2"
+
+    def ids_by_task(self, pairs, seed, task_size):
+        datasets, _ = build_datasets(bucketed(pairs), seed=seed, task_size=task_size)
+        return {t: [p.id for p in datasets[t]] for t in TaskLabel}
+
+    def test_more_different_level_pairs_leave_the_same_level_set(self):
+        # Each pool is ranked alone: growing the different-level pool cannot re-draw the same-level set.
+        pool = synthetic_pool(n_diff=40, n_same=100)
+        more = pool + synthetic_pool(n_diff=60, n_same=0)[40:]
+        for seed in range(50):
+            assert (self.ids_by_task(more, seed, 10)[TaskLabel.SAME]
+                    == self.ids_by_task(pool, seed, 10)[TaskLabel.SAME])
+
+    def test_a_pair_ranked_past_the_cutoff_changes_no_set(self):
+        # Simplification and complexification take the 2 * 10 lowest different-level ranks.
+        pool = synthetic_pool(n_diff=40, n_same=100)
+        c1, a1 = (ComplexityLevel.parse(Scheme.CEFR6, label) for label in ("C1", "A1"))
+        for seed in range(50):
+            cutoff = sorted(sampling_ref.rank(seed, p.id) for p in pool[:40])[2 * 10 - 1]
+            extra = next(p for i in itertools.count(2000)
+                         if sampling_ref.rank(seed, (p := leveled(i, c1, a1)).id) > cutoff)
+            assert self.ids_by_task(pool + [extra], seed, 10) == self.ids_by_task(pool, seed, 10)
+
+
+# A pool's ids: unique, some not ASCII. Seeds: negative ones, and ones past 2**64.
+POOL_IDS = st.lists(st.text(st.characters(blacklist_categories=("Cs",)), max_size=6), max_size=60, unique=True)
+SEEDS = st.one_of(st.integers(-2**70, 2**70), st.sampled_from([0, -1, 2**64, 2**64 + 1]))
+
+
+class TestSamplingOracle:
+    """build_datasets and split_dataset equal tests/oracles/sampling_ref.py, errors included."""
+
+    @given(POOL_IDS, st.data(), SEEDS,
+           st.sampled_from(["none", "one", "fit-different", "fit-same", "one-over"]),
+           st.sampled_from([SPLIT_RATIOS, (0.42, 0.29, 0.29), (0.5, 0.25, 0.25), (1, 0, 0), (0.0, 0.3, 0.7)]))
+    @settings(max_examples=150, deadline=None)
+    def test_datasets_and_splits_equal_the_oracle(self, ids, data, seed, size_rule, ratios):
+        tasks = data.draw(st.lists(st.sampled_from(["down", "up", "same"]), min_size=len(ids), max_size=len(ids)))
+        records = [{"id": pid, "source": f"source {i}", "target": f"target {i}", "task": task}
+                   for i, (pid, task) in enumerate(zip(ids, tasks))]
+        n_different = sum(task != "same" for task in tasks)
+        task_size = {"none": None, "one": 1, "fit-different": n_different // 2, "fit-same": len(tasks) - n_different,
+                     "one-over": min(n_different // 2, len(tasks) - n_different) + 1}[size_rule]
+        try:
+            want = sampling_ref.datasets(records, seed, task_size)
+        except ValueError as exc:
+            want = str(exc)
+        pairs = [(ParaphrasePair(r["id"], r["source"], r["target"]), TaskLabel(r["task"])) for r in records]
+        try:
+            got, stats = build_datasets(pairs, seed, task_size)
+        except ValueError as exc:
+            assert str(exc) == want
+            return
+        assert isinstance(want, dict), want
+        fields = lambda r: (r["id"], r["source"], r["target"])
+        assert {t.value: [fields(pair_to_record(p)) for p in got[t]] for t in TaskLabel} == {
+            task: [fields(r) for r in want[task]] for task in want}
+        assert stats["task_size"] == len(want["down"])
+        for t in TaskLabel:
+            splits = split_dataset(got[t], ratios, seed)
+            assert {name: [fields(pair_to_record(p)) for p in part] for name, part in splits.items()} == {
+                name: [fields(r) for r in part]
+                for name, part in sampling_ref.split(want[t.value], ratios, seed, lambda r: r["id"]).items()}
 
 
 class TestSplitDataset:

@@ -152,17 +152,20 @@ class TestReadPairs:
             assert read(tsv) == read(jsonl)
 
 
+SHA = "0123456789abcdef" * 4  # a key as text_sha256 writes one: 64 lowercase hex digits
+
+
 class TestReadPredictions:
     def test_header_and_rows(self, tmp_path):
         path = tmp_path / "preds.jsonl"
         path.write_text(
             '{"scheme": "cefr6"}\n'
             '{"id": "s1", "level": "B2"}\n'
-            '{"text_sha256": "abc123", "level": "A1"}\n'
+            f'{{"text_sha256": "{SHA}", "level": "A1"}}\n'
         )
         preds = read_predictions(path, Scheme.CEFR6)
         assert preds["s1"] == ComplexityLevel.parse(Scheme.CEFR6, "B2")
-        assert preds["abc123"].label == "A1"
+        assert preds[SHA].label == "A1"
 
     def test_missing_header(self, tmp_path):
         path = tmp_path / "preds.jsonl"
@@ -185,14 +188,14 @@ class TestReadPredictions:
     def test_repeated_key_must_keep_its_level(self, tmp_path):
         # One line per occurrence of a text is fine; two levels for one text is not.
         path = tmp_path / "preds.jsonl"
-        path.write_text('{"scheme": "cefr6"}\n{"text_sha256": "abc", "level": "B2"}\n'
-                        '{"text_sha256": "abc", "level": "b2"}\n')
-        assert read_predictions(path, Scheme.CEFR6) == {"abc": ComplexityLevel.parse(Scheme.CEFR6, "B2")}
+        path.write_text(f'{{"scheme": "cefr6"}}\n{{"text_sha256": "{SHA}", "level": "B2"}}\n'
+                        f'{{"text_sha256": "{SHA}", "level": "b2"}}\n')
+        assert read_predictions(path, Scheme.CEFR6) == {SHA: ComplexityLevel.parse(Scheme.CEFR6, "B2")}
         with open(path, "a") as fh:
-            fh.write('{"text_sha256": "abc", "level": "C1"}\n')
+            fh.write(f'{{"text_sha256": "{SHA}", "level": "C1"}}\n')
         with pytest.raises(ParseError) as exc:
             read_predictions(path, Scheme.CEFR6)
-        assert str(exc.value) == f"{path}:4: 'abc' repeats with another level"
+        assert str(exc.value) == f"{path}:4: '{SHA}' repeats with another level"
 
     @pytest.mark.parametrize("key, kind", [("[1]", "list"), ("[]", "list"), ("{}", "dict"), ("false", "bool")],
                              ids=["list", "empty-list", "empty-object", "false"])
@@ -210,10 +213,12 @@ class TestReadPredictions:
         path = tmp_path / "preds.jsonl"
         path.write_text('{"scheme": "cefr6"}\n{"text_sha256": null, "id": "s1", "level": "B2"}\n'
                         '{"text_sha256": 0, "id": "s2", "level": "C1"}\n')
-        assert read_predictions(path, Scheme.CEFR6) == {
-            "s1": ComplexityLevel.parse(Scheme.CEFR6, "B2"),
-            "0": ComplexityLevel.parse(Scheme.CEFR6, "C1"),
-        }
+        # 0 is chosen over the id "s2" as the key, and, not being a text_sha256, fails at its line.
+        with pytest.raises(ParseError) as exc:
+            read_predictions(path, Scheme.CEFR6)
+        assert str(exc.value) == f'{path}:3: "text_sha256" must be 64 lowercase hex digits, got 0'
+        path.write_text('{"scheme": "cefr6"}\n{"text_sha256": null, "id": "s1", "level": "B2"}\n')
+        assert read_predictions(path, Scheme.CEFR6) == {"s1": ComplexityLevel.parse(Scheme.CEFR6, "B2")}
 
     def test_other_scheme_fails_at_the_header(self, tmp_path):
         path = tmp_path / "preds.jsonl"

@@ -18,30 +18,30 @@ SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "output_digest.py"
 
 # SHA-256 of each command's exit code, stdout, stderr and written files, by its argv.
 DIGESTS = {
-    "pipeline --config config.json": "d11a305f6344a4b4deeacb92660ac1b0dc83c0f3ebc9adc2e5dba542d6932229",
-    "pipeline --config config-file.json": "0b32ad7157c63bb98edb52cbcc00eb6fd3f016c1b10641153878738378642ab2",
-    "pipeline --config config-lexical.json": "56e02e6f12411a258c56c15c833c29fea4ee855b8f6560671917ed1f578ea2c7",
-    "pipeline --config config-none.json": "9653c4261d273141fa301da23d995345c282e263efd3799f2516034f9de665dd",
-    "pipeline --config config-cefr6.json": "09991f4a29808acc2145dcf060647a6f5990002d18f3e6de4eaa050d7b97817b",
+    "pipeline --config config.json": "578082fff56a12b9a0e202e3b303b0863c4d2499011c9893bd6b0feb12dd0105",
+    "pipeline --config config-file.json": "50b4fe8bab0fd0f98c5774f1067ebe3bdfa0e043f22fe7d01fda024ea20ff59c",
+    "pipeline --config config-lexical.json": "e787a3dcaeb30e190a3e42405c55f381cfbe5ad7f011d066f6af34f40cd70cd1",
+    "pipeline --config config-none.json": "af27a3c4291fc85898bf85b98a6c79d4f590b506b21c11b4e26d1feb5c72a318",
+    "pipeline --config config-cefr6.json": "22a6bf73d20d317e8819da94cf601c73731bbf5bed9340a9d7fbd84d9a305f33",
     "filter corpus.jsonl -o kept.jsonl": "250a079661dcb69ef4886273d34ae851b3707b92cde67af5d13b91276b0c2928",
     "label kept.jsonl --scheme fkgl -o leveled.jsonl":
         "33ea8c2cc7c9ca8b0adc9f96805b12d47e97bc5bb6e38ea83dfc47993376a2c7",
     "bucket leveled.jsonl --scheme fkgl -o tasks.jsonl":
         "c8504bdae6787055fb68dcaff990d5b756cff34686220fda520b80adeeb823f0",
-    "split tasks.jsonl --seed 5 -o splits": "6f7952c939549b87843c9dd3a776292757534d926cee5856a462623b606ad362",
+    "split tasks.jsonl --seed 5 -o splits": "cb7d47f1fade81c325407259209194b69a9d2da31f24d9d81ebc4022055aae56",
     "prompt splits/train.jsonl --scheme fkgl --strategy rel -o prompted.jsonl":
-        "59fb244bde0d091801e9c44e57f9550cdfd7f9810c8c75f10f8ef1db4f267b3c",
+        "8869c5e695873699f73acb8ad942ae932f386dea52460451c0b50a8c17461cac",
     "prompt splits/train.jsonl --scheme fkgl --strategy rel --format tsv -o prompted.tsv":
-        "6d4dbfb71ffbf2e81094c4208b94778a209ba6222a09581c6d0bdaf1b48921c3",
+        "41edb4997612acb88073800917a127767f65689d00e59a305aa885bf436d9a15",
     "prompt splits/train.jsonl --scheme fkgl --strategy llm-rel -o prompted-llm-rel.jsonl":
-        "df15b3a4483be48ba909f67a3bd00472b2ff9ba11470e4f30e0ca4eac093b724",
+        "89e7cb9f4d2857fb38b3d51f10c22e77a31c5a0b1ebad15aa71a9de7ce97e1a3",
     "prompt splits/train.jsonl --scheme fkgl --strategy llm-abs -o prompted-llm-abs.jsonl":
-        "9b7221253be3e876a4eb6ba1af6ad7976b8975e47b1e40d65e6aeb8d9b4c0937",
+        "ad8d9fc97618e0ff7d925d315eacb45810a80e0e959aa2d1faa021d0f125c947",
     "prompt splits/train.jsonl --scheme fkgl --strategy baseline -o prompted-baseline.jsonl":
-        "361f5cb4d9b322a14c62bc996d09d5e928ecd98ee98ea20a84aa953125863d6d",
+        "a86263c86c01ee0a4ecb7d3cd13b4b17858ee23be446c1909a9db9952a09dc0e",
     "bucket leveled.jsonl --scheme fkgl": "4fa6df852c2b22ecb14c85ab990ee403d089354115f30ecc639227a612b5c46c",
     "prompt splits/valid.jsonl --strategy abs --scheme fkgl":
-        "67eb556788e52fb37cc4b4519cdf77fe9104ad36cb536db6786bb280aad63c54",
+        "fb8f12d8d3fcff6782e115c6d7a15a5ed4c043edc849765be009838575344fa3",
     "bucket leveled.jsonl --scheme fkgl -o -": "4fa6df852c2b22ecb14c85ab990ee403d089354115f30ecc639227a612b5c46c",
     "label kept.jsonl --scheme cefr6 --predictions preds.jsonl -o leveled-cefr6.jsonl":
         "9344a5b0c7ed18e48a2bc08ef4337d5dfb2643a83d1a6e1d396f2f4ac710fa94",
