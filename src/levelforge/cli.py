@@ -67,6 +67,7 @@ from .dataio import (
     read_pairs,
     read_predictions,
     read_ratings_tsv,
+    record_line,
     write_jsonl,
 )
 from .genmetrics import EvalInstance, is_copy, sari, sari_r, score_report
@@ -429,6 +430,11 @@ def cmd_pipeline(args: argparse.Namespace) -> dict:
     fcfg = cfg.filter_config()
 
     predictions = _predictions(scheme, cfg.predictions, '"predictions"')
+    read = [cfg.input]  # every file the run reads, for the manifest's input_digests
+    if predictions is not None:
+        read.append(cfg.predictions)
+    if cfg.similarity_source == "file":
+        read.append(cfg.similarity_file)
     # Dedup first (stable pair key), then similarity, filter, label, bucket.
     drops: Counter = Counter()
     unique = _kept(_unique_pairs(cfg), drops)
@@ -463,7 +469,7 @@ def cmd_pipeline(args: argparse.Namespace) -> dict:
         "task_counts": task_counts,
         "split_counts": split_counts,
         "drop_reasons": dict(sorted(drops.items())),
-        "input_digests": {cfg.input: file_sha256(cfg.input)},
+        "input_digests": {path: file_sha256(path) for path in read},
         "conventions": {
             "dedup": "before filtering, by sha256 of NFC(source, target)",
             "pair_id": "sha256 of NFC(source, target)",
@@ -529,8 +535,7 @@ def cmd_split(args: argparse.Namespace) -> dict:
         ratios = check_split_ratios(args.ratios)
     records = [obj for _, obj in read_jsonl(args.input)]
     # Ranked by the line as written, so a repeated or missing id cannot tie records to their input order.
-    line = functools.partial(json.dumps, ensure_ascii=False, sort_keys=True)
-    chunks = split_dataset(records, ratios, args.seed, key=line)
+    chunks = split_dataset(records, ratios, args.seed, key=record_line)
     counts = _write_splits(Path(args.output_dir), "", chunks)
     return _summary("split", sum(counts.values()), {}, splits=counts)
 

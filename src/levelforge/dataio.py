@@ -17,6 +17,7 @@ __all__ = [
     "read_jsonl",
     "read_keyed",
     "write_jsonl",
+    "record_line",
     "read_pairs",
     "read_predictions",
     "read_ratings_tsv",
@@ -56,8 +57,14 @@ def _not_json(constant: str) -> float:
     raise ValueError(f"{constant} is not a JSON number")
 
 
-# Python's json reads NaN and Infinity, which no JSON writer may write back.
-_DECODER = json.JSONDecoder(parse_constant=_not_json)
+def _finite(text: str) -> float:
+    if math.isinf(value := float(text)):
+        raise ValueError(f"{text} is out of the float range")
+    return value
+
+
+# Python's json reads NaN and Infinity, and reads 1e400 as infinity, which no JSON writer may write back.
+_DECODER = json.JSONDecoder(parse_constant=_not_json, parse_float=_finite)
 
 
 # A JSON string literal. Valid JSON has no quote or backslash outside one, and no literal spans lines.
@@ -123,11 +130,15 @@ def read_keyed(path: str | Path, name: str, convert: Callable[[object], T]) -> d
     return values
 
 
+# A record's JSONL line, without its newline: keys sorted, non-ASCII written as is. ``split`` ranks by it.
+record_line = json.JSONEncoder(ensure_ascii=False, sort_keys=True).encode
+
+
 def write_jsonl(records: Iterable[dict], out: TextIO) -> int:
-    """Write records as compact JSON lines with stable key order."""
+    """Write each record as its ``record_line``."""
     n = 0
     for record in records:
-        out.write(json.dumps(record, ensure_ascii=False, sort_keys=True))
+        out.write(record_line(record))
         out.write("\n")
         n += 1
     return n

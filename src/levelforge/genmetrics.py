@@ -9,7 +9,7 @@ a committed fixture of oracle outputs.
 from __future__ import annotations
 
 from collections import Counter
-from functools import cached_property, partial
+from functools import partial
 from itertools import chain
 from typing import Iterable, NamedTuple, Sequence
 
@@ -47,21 +47,11 @@ class EvalInstance(SetOnce):
         object.__setattr__(self, "source", source)
         object.__setattr__(self, "output", output)
         object.__setattr__(self, "references", tuple(references))
-
-    # Kept on the instance so every metric of one scoring run reuses one
-    # tokenization per text and one SARI pass; the fields they derive from
-    # are frozen.
-    @cached_property
-    def _source_tokens(self) -> list[str]:
-        return _folded_tokens(self.source)
-
-    @cached_property
-    def _output_tokens(self) -> list[str]:
-        return _folded_tokens(self.output)
-
-    @cached_property
-    def _sari(self) -> "SariBreakdown":
-        return _sari_kernel(self)
+        # Derived here, once, so every metric of one scoring run reuses one
+        # tokenization per text and one SARI pass; ``_sari_kernel`` reads the tokens.
+        object.__setattr__(self, "_source_tokens", _folded_tokens(source))
+        object.__setattr__(self, "_output_tokens", _folded_tokens(output))
+        object.__setattr__(self, "_sari", _sari_kernel(self))
 
 
 class SariBreakdown(NamedTuple):
@@ -131,11 +121,8 @@ def _component_scores(
 
 
 def sari(instance: EvalInstance) -> SariBreakdown:
-    """SARI breakdown in [0, 100] for one (source, output, references) triple.
-
-    Computed on the first call and kept on the instance; later calls return
-    the same breakdown.
-    """
+    """SARI breakdown in [0, 100] for one (source, output, references) triple,
+    computed when the instance was built."""
     return instance._sari
 
 

@@ -22,6 +22,8 @@ from pathlib import Path
 
 import matrix
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from levelforge import cli, genmetrics
 from levelforge.cli import PipelineConfig, main, parallel_map
@@ -40,6 +42,19 @@ def jsonl(*records):
 
 def write_jsonl_file(path, records):
     Path(path).write_text(jsonl(*records), encoding="utf-8")
+
+
+# A record for split: non-ASCII text, ints past 2**64, floats from the largest to the least subnormal,
+# -0.0, and an id that repeats or is missing.
+SPLIT_VALUE = st.one_of(
+    st.text(st.characters(exclude_categories=("Cs",)), max_size=8), st.integers(-2**80, 2**80),
+    st.floats(allow_nan=False, allow_infinity=False), st.sampled_from([1.7976931348623157e308, 5e-324, -0.0, 2**64]),
+    st.booleans(), st.none())
+SPLIT_RECORD = st.builds(
+    lambda fields, id_: {**fields, **id_},
+    st.dictionaries(st.text(st.characters(exclude_categories=("Cs",)), max_size=4), st.one_of(
+        SPLIT_VALUE, st.lists(SPLIT_VALUE, max_size=3)), max_size=3),
+    st.one_of(st.just({}), st.builds(lambda v: {"id": v}, st.sampled_from(["a", "ä", 1, 2**70]))))
 
 
 def corpus_records(n=60):
@@ -202,6 +217,24 @@ class TestSplitCommand:
                             for split in ("train", "valid", "test")})
         assert written[0] == written[1]
         assert sorted(b"".join(written[0].values()).splitlines()) == sorted(jsonl(*records).encode().splitlines())
+
+    @settings(max_examples=40, deadline=None)
+    @given(records=st.lists(SPLIT_RECORD, max_size=30), seed=st.integers(-10**20, 10**20),
+           ratios=st.sampled_from([("0.8", "0.1", "0.1"), ("0.5", "0.25", "0.25"), ("1", "0", "0"), ("0", "0.5", "0.5")]))
+    def test_split_of_its_own_files_rewrites_them(self, records, seed, ratios):
+        # The rank key is the line split writes, so its files, read back with their lines reversed, rank as they did.
+        with tempfile.TemporaryDirectory() as tmp, redirect_stderr(io.StringIO()):
+            tmp = Path(tmp)
+            write_jsonl_file(tmp / "data.jsonl", records)
+
+            def split(data, name):
+                assert main(["split", str(data), "-o", str(tmp / name), f"--seed={seed}", "--ratios", *ratios]) == 0
+                return [(tmp / name / f"{part}.jsonl").read_bytes() for part in ("train", "valid", "test")]
+
+            first = split(tmp / "data.jsonl", "a")
+            (tmp / "all.jsonl").write_bytes(b"".join(line + b"\n" for line in b"".join(first).splitlines()[::-1]))
+            assert split(tmp / "all.jsonl", "b") == first
+            assert len(b"".join(first).splitlines()) == len(records)
 
 
 class TestPromptCommand:
@@ -406,6 +439,25 @@ class TestPipelineCommand:
         manifest = json.loads((outdir / "manifest.json").read_text())
         assert manifest["drop_reasons"].get("DUPLICATE") == 5
 
+    @pytest.mark.parametrize("settings, read", [
+        ({}, ["corpus.jsonl"]),
+        ({"scheme": "cefr6", "predictions": "preds.jsonl"}, ["corpus.jsonl", "preds.jsonl"]),
+        ({"similarity_source": "file", "similarity_file": "sims.jsonl"}, ["corpus.jsonl", "sims.jsonl"]),
+        ({"predictions": "preds.jsonl", "similarity_file": "sims.jsonl"}, ["corpus.jsonl"]),  # neither is read
+    ], ids=["fkgl", "cefr6", "file", "unread"])
+    def test_input_digests_name_every_file_read(self, tmp_path, capsys, monkeypatch, settings, read):
+        # A changed prediction or similarity changes the task files, so the manifest digests the file it came from.
+        monkeypatch.chdir(tmp_path)
+        records = make_corpus(tmp_path / "corpus.jsonl")
+        write_jsonl_file("preds.jsonl", [{"scheme": "cefr6"}] + [
+            {"text_sha256": text_sha256(r[side]), "level": level} for i, r in enumerate(records)
+            for side, level in zip(("source", "target"), ("C1", "A1") if i % 2 else ("B1", "B1"))])
+        write_jsonl_file("sims.jsonl", [{"id": r["id"], "similarity": 0.75} for r in records])
+        Path("config.json").write_text(json.dumps({"input": "corpus.jsonl", "output_dir": "out", **settings}))
+        assert main(["pipeline", "--config", "config.json"]) == 0
+        manifest = json.loads(Path("out", "manifest.json").read_text())
+        assert manifest["input_digests"] == {name: hashlib.sha256(Path(name).read_bytes()).hexdigest() for name in read}
+
 
 class TestThreads:
     def test_parallel_map_preserves_order(self, monkeypatch):
@@ -575,9 +627,9 @@ class TestSharedDropCounting:
 
 
 class TestOneFunnel:
-    @pytest.mark.parametrize("scheme", ["fkgl", "cefr6"])
-    def test_stage_commands_and_pipeline_agree(self, tmp_path, capsys, scheme):
-        corpus = tmp_path / "corpus.jsonl"
+    @staticmethod
+    def write_corpus(corpus):
+        """Write the funnel's corpus to ``corpus``; return its cefr6 prediction rows, header first."""
         records = make_corpus(corpus)
         write_jsonl_file(corpus, records + [
             {"id": "short", "source": "Hi there.", "target": "Hello my friend over there.",
@@ -588,12 +640,17 @@ class TestOneFunnel:
         # Keyed by text only, as pipeline replaces ids with pair keys. By i % 5 a
         # pair has an unleveled side, a one-level gap, or is same, down or up.
         levels = [("B1", None), ("B1", "B2"), ("B1", "B1"), ("C1", "A1"), ("A1", "C1")]
-        preds = tmp_path / "preds.jsonl"
-        write_jsonl_file(preds, [{"scheme": "cefr6"}] + [
+        return [{"scheme": "cefr6"}] + [
             {"text_sha256": text_sha256(r[side]), "level": level}
             for i, r in enumerate(records)
             for side, level in zip(("source", "target"), levels[i % 5]) if level
-        ])
+        ]
+
+    @pytest.mark.parametrize("scheme", ["fkgl", "cefr6"])
+    def test_stage_commands_and_pipeline_agree(self, tmp_path, capsys, scheme):
+        corpus = tmp_path / "corpus.jsonl"
+        preds = tmp_path / "preds.jsonl"
+        write_jsonl_file(preds, self.write_corpus(corpus))
         predicted = ["--predictions", str(preds)] if scheme == "cefr6" else []
         summaries = []
         for argv in (
@@ -639,6 +696,29 @@ class TestOneFunnel:
             else:  # build_datasets swapped the pair
                 assert by_text[r["target"], r["source"]] == (
                     r["target_level"], r["source_level"], opposite[r["task"]])
+
+    def test_predictions_for_absent_texts_change_nothing(self, tmp_path, capsys, monkeypatch):
+        # Rows for texts and ids the input does not hold, among the rows it uses, are never looked up.
+        rows = self.write_corpus(tmp_path / "corpus.jsonl")
+        absent = [row for i in range(500) for row in (
+            {"text_sha256": text_sha256(f"A text number {i} that the corpus does not hold."), "level": CEFR6[i % 6]},
+            {"id": f"{pair_key(f'Absent source {i}.', 'Absent target.').hex()}:source", "level": CEFR6[-1 - i % 6]})]
+        written = []
+        for name, preds in (("a", rows), ("b", [rows[0], *absent[::2], *rows[1:], *absent[1::2]])):
+            (tmp_path / name).mkdir()
+            monkeypatch.chdir(tmp_path / name)
+            shutil.copy(tmp_path / "corpus.jsonl", "corpus.jsonl")
+            write_jsonl_file("preds.jsonl", preds)
+            Path("config.json").write_text(json.dumps(
+                {"input": "corpus.jsonl", "output_dir": "out", "scheme": "cefr6", "predictions": "preds.jsonl"}))
+            assert main(["pipeline", "--config", "config.json"]) == 0
+            written.append({path.name: path.read_bytes() for path in Path("out").iterdir()})
+        # The manifest digests the predictions file it read, which differs; nothing else does.
+        manifests = [json.loads(files.pop("manifest.json")) for files in written]
+        assert [m["input_digests"].pop("preds.jsonl") for m in manifests] == [
+            hashlib.sha256(Path(tmp_path, name, "preds.jsonl").read_bytes()).hexdigest() for name in "ab"]
+        assert manifests[0] == manifests[1] and manifests[0]["task_counts"]["simplification"] > 0
+        assert written[0] == written[1] and len(written[0]) == 9
 
     @pytest.mark.parametrize("seed, task_size", [(7, None), (-3, 5)])
     def test_pipeline_files_equal_the_sampling_oracle(self, tmp_path, capsys, monkeypatch, seed, task_size):
@@ -1730,6 +1810,14 @@ ERRORS = {
         {"data.jsonl": jsonl(LEVELED), "bad.jsonl": "5\n"},
         ["label", "data.jsonl", "--scheme", "cefr6", "--predictions", "bad.jsonl"], 1,
         "bad.jsonl:1: expected a JSON object, got int"),
+    # Python reads a number past the float range as infinity, which no JSON writer may write back.
+    "TestSplitCommand::test_number_past_the_float_range_is_data_error": (
+        {"r.jsonl": '{"id": "a", "v": 1e400}\n'}, ["split", "r.jsonl", "-o", "s"], 1,
+        "r.jsonl:1: invalid JSON: 1e400 is out of the float range"),
+    "TestAnalyzeCommand::test_level_past_the_float_range_is_data_error": (
+        {"texts.txt": "The cat sat.\n", "levels.jsonl": '{"level": 1e400}\n'},
+        ["analyze", "texts.txt", "--levels", "levels.jsonl", "-o", "o.jsonl"], 1,
+        "levels.jsonl:1: invalid JSON: 1e400 is out of the float range"),
     "TestAnalyzeCommand::test_bad_json_line_names_path_and_line": (
         {"texts.jsonl": '{"text": "The cat sat."}\nnot json\n'}, ["analyze", "texts.jsonl", "-o", "stats.jsonl"], 1,
         "texts.jsonl:2: invalid JSON: Expecting value: line 1 column 1 (char 0)"),

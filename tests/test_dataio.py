@@ -20,6 +20,7 @@ from levelforge.dataio import (
     read_pairs,
     read_predictions,
     read_ratings_tsv,
+    record_line,
     write_jsonl,
 )
 from levelforge.readability import ComplexityLevel, Scheme
@@ -41,7 +42,7 @@ class TestJsonl:
     def test_sorted_keys_compact(self):
         buf = io.StringIO()
         write_jsonl([{"b": 2, "a": 1}], buf)
-        assert buf.getvalue() == '{"a": 1, "b": 2}\n'
+        assert buf.getvalue() == '{"a": 1, "b": 2}\n' == record_line({"b": 2, "a": 1}) + "\n"
 
     def test_blank_lines_skipped(self, tmp_path):
         path = tmp_path / "data.jsonl"
@@ -72,6 +73,21 @@ class TestJsonl:
         with pytest.raises(ParseError) as exc:
             list(read_jsonl(path))
         assert str(exc.value) == f"{path}:2: invalid JSON: {constant} is not a JSON number"
+
+    @pytest.mark.parametrize("number", ["1e400", "-1e400", "1.8e308", "1E+309"])
+    def test_number_past_the_float_range_reports_line(self, tmp_path, number):
+        # Python's float reads these as infinity, which write_jsonl would write back as Infinity.
+        path = tmp_path / "data.jsonl"
+        path.write_text('{"a": 1}\n{"a": [' + number + "]}\n")
+        with pytest.raises(ParseError) as exc:
+            list(read_jsonl(path))
+        assert str(exc.value) == f"{path}:2: invalid JSON: {number} is out of the float range"
+
+    def test_floats_at_the_range_edges_read_back(self, tmp_path):
+        path = tmp_path / "data.jsonl"
+        path.write_text('{"a": [1.7976931348623157e308, -1.7976931348623157e308, 5e-324, -0.0, 1e-400, 1e2]}\n')
+        [(_, obj)] = read_jsonl(path)
+        assert record_line(obj) == '{"a": [1.7976931348623157e+308, -1.7976931348623157e+308, 5e-324, -0.0, 0.0, 100.0]}'
 
     @pytest.mark.parametrize("escaped", [r"\ud800", r"\uDC00 b", r"\ude00\ud83d", r'{"\ud83d": 1}',
                                          r'{"b": "\ud800", "b": "x"}'])

@@ -2,7 +2,8 @@
 
 ``scripts/output_digest.py`` computes them, in this process and as a child
 under each ``python3.10``-``python3.13`` found on ``PATH``, which checks that
-floats keep their bits where ``sum()`` compensates its rounding (3.12 on). A
+floats keep their bits where ``sum()`` compensates its rounding (3.12 on), and
+as a child of this interpreter under two fixed ``PYTHONHASHSEED`` values. A
 changed output byte fails the test; a declared output change updates
 ``DIGESTS`` in the same change.
 """
@@ -10,6 +11,7 @@ import os
 import runpy
 import shutil
 import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -19,10 +21,10 @@ SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "output_digest.py"
 # SHA-256 of each command's exit code, stdout, stderr and written files, by its argv.
 DIGESTS = {
     "pipeline --config config.json": "578082fff56a12b9a0e202e3b303b0863c4d2499011c9893bd6b0feb12dd0105",
-    "pipeline --config config-file.json": "50b4fe8bab0fd0f98c5774f1067ebe3bdfa0e043f22fe7d01fda024ea20ff59c",
+    "pipeline --config config-file.json": "f767fd97da878c92d2f1a4baf7538d968062fe3974592953683579069cb4d15f",
     "pipeline --config config-lexical.json": "e787a3dcaeb30e190a3e42405c55f381cfbe5ad7f011d066f6af34f40cd70cd1",
     "pipeline --config config-none.json": "af27a3c4291fc85898bf85b98a6c79d4f590b506b21c11b4e26d1feb5c72a318",
-    "pipeline --config config-cefr6.json": "22a6bf73d20d317e8819da94cf601c73731bbf5bed9340a9d7fbd84d9a305f33",
+    "pipeline --config config-cefr6.json": "34c7b54d9e58c8bec0fb14a9fd98d8a91613dbbe0b639da6d0f39e99e135e7fa",
     "filter corpus.jsonl -o kept.jsonl": "250a079661dcb69ef4886273d34ae851b3707b92cde67af5d13b91276b0c2928",
     "label kept.jsonl --scheme fkgl -o leveled.jsonl":
         "33ea8c2cc7c9ca8b0adc9f96805b12d47e97bc5bb6e38ea83dfc47993376a2c7",
@@ -122,6 +124,21 @@ def test_outputs_are_frozen_under(minor, children):
     if proc.returncode == 127:  # a pyenv shim with no such version installed
         pytest.skip(f"python{minor}: {stderr.strip()}")
     assert proc.returncode == 0, stderr
-    version, *lines = stdout.splitlines()
+    version, digests = printed(stdout)
     assert version.startswith(f"{minor}.")
-    assert dict(reversed(line.split("  ", 1)) for line in lines) == DIGESTS
+    assert digests == DIGESTS
+
+
+@pytest.mark.parametrize("hash_seed", ["0", "12345"])
+def test_outputs_are_frozen_under_hash_seed(hash_seed):
+    # No output depends on the order of a set or a dict of str, which each interpreter salts anew.
+    env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1", "PYTHONHASHSEED": hash_seed}
+    proc = subprocess.run([sys.executable, str(SCRIPT)], env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert printed(proc.stdout)[1] == DIGESTS
+
+
+def printed(stdout):
+    """The version line and the digests by name that the script printed."""
+    version, *lines = stdout.splitlines()
+    return version, dict(reversed(line.split("  ", 1)) for line in lines)

@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 
 import pytest
 from hypothesis import given, settings
@@ -8,6 +10,7 @@ from levelforge.genmetrics import (
     EvalInstance,
     copy_rate,
     corpus_sari,
+    is_copy,
     repetition_score,
     sari,
     sari_r,
@@ -56,6 +59,24 @@ class TestEvalInstance:
 
     def test_list_references_become_a_tuple(self):
         assert EvalInstance("a b", "a", ["a", "b"]).references == ("a", "b")
+
+    def test_scoring_sets_no_field(self):
+        # Every field, derived ones too, is set in __init__: the report and the per-instance rows only read.
+        insts = [instance("The cat sat on the mat.", "The cat sat.", ["The cat sat.", "A cat sat."]),
+                 instance("He went home.", "He went home.", ["He left."])]
+        built = [dict(vars(inst)) for inst in insts]
+        score_report(insts)
+        for inst in insts:
+            sari(inst), sari_r(inst), sari_r(inst, 2), is_copy(inst)
+        assert [vars(inst) for inst in insts] == built
+
+    @pytest.mark.parametrize("clone", [copy.copy, copy.deepcopy, lambda inst: pickle.loads(pickle.dumps(inst))],
+                             ids=["copy", "deepcopy", "pickle"])
+    def test_a_copy_keeps_its_sari(self, clone):
+        inst = instance("The cat sat on the mat.", "The cat sat.", ["The cat sat."])
+        twin = clone(inst)
+        assert vars(twin) == vars(inst)
+        assert sari(twin) == sari(inst) and sari_r(twin) == sari_r(inst)
 
 
 class TestSari:
