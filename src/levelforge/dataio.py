@@ -252,6 +252,8 @@ def pair_to_record(pair: ParaphrasePair, task: Optional[str] = None) -> dict:
         "source": pair.source,
         "target": pair.target,
     }
+    if pair.similarity is not None:  # so that ``filter`` keeps it when it reads the file again
+        record["similarity"] = pair.similarity
     if pair.source_level is not None:
         record["source_level"] = pair.source_level.label
     if pair.target_level is not None:

@@ -8,6 +8,7 @@ a committed fixture of oracle outputs.
 """
 from __future__ import annotations
 
+import sys
 from collections import Counter
 from functools import partial
 from itertools import chain
@@ -48,10 +49,12 @@ class EvalInstance(SetOnce):
         object.__setattr__(self, "output", output)
         object.__setattr__(self, "references", tuple(references))
         # Derived here, once, so every metric of one scoring run reuses one
-        # tokenization per text and one SARI pass; ``_sari_kernel`` reads the tokens.
-        object.__setattr__(self, "_source_tokens", _folded_tokens(source))
-        object.__setattr__(self, "_output_tokens", _folded_tokens(output))
-        object.__setattr__(self, "_sari", _sari_kernel(self))
+        # tokenization per text and one SARI pass. Of the tokens only the
+        # output's are kept, for ``sari_r``: interned, so instances share them.
+        src_tokens, out_tokens = _folded_tokens(source), _folded_tokens(output)
+        object.__setattr__(self, "_sari", _sari_kernel(src_tokens, out_tokens, self.references))
+        object.__setattr__(self, "_copy", out_tokens == src_tokens)
+        object.__setattr__(self, "_output_tokens", tuple(map(sys.intern, out_tokens)))
 
 
 class SariBreakdown(NamedTuple):
@@ -126,10 +129,8 @@ def sari(instance: EvalInstance) -> SariBreakdown:
     return instance._sari
 
 
-def _sari_kernel(instance: EvalInstance) -> SariBreakdown:
-    src_tokens = instance._source_tokens
-    out_tokens = instance._output_tokens
-    ref_tokens = [_folded_tokens(r) for r in instance.references]
+def _sari_kernel(src_tokens: list[str], out_tokens: list[str], references: Sequence[str]) -> SariBreakdown:
+    ref_tokens = [_folded_tokens(r) for r in references]
     numref = len(ref_tokens)
 
     keep = delete = add = 0.0
@@ -164,7 +165,7 @@ def corpus_sari(instances: Iterable[EvalInstance]) -> float:
 
 def is_copy(instance: EvalInstance) -> bool:
     """True when the output's case-folded tokenization equals the source's."""
-    return instance._output_tokens == instance._source_tokens
+    return instance._copy
 
 
 def copy_rate(instances: Iterable[EvalInstance]) -> float:

@@ -145,6 +145,17 @@ class TestFilterCommand:
                            "drops": {"TOO_SHORT": 1, "SIM_LOW": 1}}
         assert len(out.read_text().splitlines()) == 1
 
+    def test_its_own_output_keeps_every_pair(self, tmp_path, capsys):
+        # A kept pair is written with its similarity, so a second filter reads the score the first kept on.
+        pair = {"id": "p1", "source": "The cat sat on the mat.", "target": "A cat was sitting there.",
+                "similarity": 0.7}
+        write_jsonl_file(tmp_path / "pairs.jsonl", [pair])
+        assert main(["filter", str(tmp_path / "pairs.jsonl"), "-o", str(tmp_path / "kept.jsonl")]) == 0
+        assert main(["filter", str(tmp_path / "kept.jsonl"), "-o", str(tmp_path / "again.jsonl")]) == 0
+        summaries = [json.loads(line) for line in capsys.readouterr().err.strip().splitlines()]
+        assert [(s["in"], s["out"]) for s in summaries] == [(1, 1), (1, 1)]
+        assert json.loads((tmp_path / "again.jsonl").read_text()) == pair
+
 
 class TestLabelAndBucketCommands:
     def test_fkgl_label_then_bucket(self, tmp_path, capsys):
@@ -318,16 +329,16 @@ class TestScoreCommand:
         calls = []
         kernel = genmetrics._sari_kernel
 
-        def counting(inst):
-            calls.append(inst)
-            return kernel(inst)
+        def counting(src_tokens, out_tokens, references):
+            calls.append(references)
+            return kernel(src_tokens, out_tokens, references)
 
         monkeypatch.setattr(genmetrics, "_sari_kernel", counting)
         outputs, refs = self._score_files(tmp_path)
         tsv = tmp_path / "per_instance.tsv"
         argv = ["score", "--outputs", str(outputs), "--refs", str(refs), "--per-instance", str(tsv)]
         assert main(argv) == 0
-        assert len(calls) == len(self.SCORED)
+        assert calls == [tuple(refs) for _, _, refs in self.SCORED]
 
 
 class TestClassifierEvalCommand:

@@ -20,35 +20,35 @@ SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "output_digest.py"
 
 # SHA-256 of each command's exit code, stdout, stderr and written files, by its argv.
 DIGESTS = {
-    "pipeline --config config.json": "578082fff56a12b9a0e202e3b303b0863c4d2499011c9893bd6b0feb12dd0105",
-    "pipeline --config config-file.json": "f767fd97da878c92d2f1a4baf7538d968062fe3974592953683579069cb4d15f",
+    "pipeline --config config.json": "d946217ae70285908da0450f32a76b42967865344c56b0ec7cb731b95f7e3e4b",
+    "pipeline --config config-file.json": "01df17efb66083ec4271a84e4a08978f1d8483c35936045d73419ab68ec67211",
     "pipeline --config config-lexical.json": "e787a3dcaeb30e190a3e42405c55f381cfbe5ad7f011d066f6af34f40cd70cd1",
     "pipeline --config config-none.json": "af27a3c4291fc85898bf85b98a6c79d4f590b506b21c11b4e26d1feb5c72a318",
-    "pipeline --config config-cefr6.json": "34c7b54d9e58c8bec0fb14a9fd98d8a91613dbbe0b639da6d0f39e99e135e7fa",
-    "filter corpus.jsonl -o kept.jsonl": "250a079661dcb69ef4886273d34ae851b3707b92cde67af5d13b91276b0c2928",
+    "pipeline --config config-cefr6.json": "4d24374b52fb6c4a1e77e6ca99e0214c8e624a193f344a02eb9668fbf925790e",
+    "filter corpus.jsonl -o kept.jsonl": "2afa38243d43367a6950f8dc5fc02a0ad17789454a494880c3078d074f92077e",
     "label kept.jsonl --scheme fkgl -o leveled.jsonl":
-        "33ea8c2cc7c9ca8b0adc9f96805b12d47e97bc5bb6e38ea83dfc47993376a2c7",
+        "f1966e1959856dccbbab903d2fe3d7298fc385030b574eb300625be49a45c487",
     "bucket leveled.jsonl --scheme fkgl -o tasks.jsonl":
-        "c8504bdae6787055fb68dcaff990d5b756cff34686220fda520b80adeeb823f0",
-    "split tasks.jsonl --seed 5 -o splits": "cb7d47f1fade81c325407259209194b69a9d2da31f24d9d81ebc4022055aae56",
+        "a1dff53cb08be5e0fa2ca16d8b61713ed1ec367d963b53de69da8ec9486f1906",
+    "split tasks.jsonl --seed 5 -o splits": "d72d4001aa9fd458c02715a0aedfa34379f28ce8ac4892946eac54aa1aa58f3e",
     "prompt splits/train.jsonl --scheme fkgl --strategy rel -o prompted.jsonl":
-        "8869c5e695873699f73acb8ad942ae932f386dea52460451c0b50a8c17461cac",
+        "78ffce33031e331812121a008de12fda99971c873df92ed8b4f219e3bf180a28",
     "prompt splits/train.jsonl --scheme fkgl --strategy rel --format tsv -o prompted.tsv":
-        "41edb4997612acb88073800917a127767f65689d00e59a305aa885bf436d9a15",
+        "e186e0e538640153b3148f18f693c1d5bdc675e6fa708a67c41a7139a55c7c8c",
     "prompt splits/train.jsonl --scheme fkgl --strategy llm-rel -o prompted-llm-rel.jsonl":
-        "89e7cb9f4d2857fb38b3d51f10c22e77a31c5a0b1ebad15aa71a9de7ce97e1a3",
+        "744328cc80834fa98edc0455b802924746590575d76f27203774f660f6cf74a0",
     "prompt splits/train.jsonl --scheme fkgl --strategy llm-abs -o prompted-llm-abs.jsonl":
-        "ad8d9fc97618e0ff7d925d315eacb45810a80e0e959aa2d1faa021d0f125c947",
+        "d95381f6678ac74aaca8ee3e235ec7a1dd1c7f520e38f929a2a62006dda197cf",
     "prompt splits/train.jsonl --scheme fkgl --strategy baseline -o prompted-baseline.jsonl":
-        "a86263c86c01ee0a4ecb7d3cd13b4b17858ee23be446c1909a9db9952a09dc0e",
-    "bucket leveled.jsonl --scheme fkgl": "4fa6df852c2b22ecb14c85ab990ee403d089354115f30ecc639227a612b5c46c",
+        "41a12c6a0154304fdd4d466618df44be3add9229b00f49809a5eaa8bbb2fbc20",
+    "bucket leveled.jsonl --scheme fkgl": "d4b6bc2fa4c0e4fe4c4601c266eda1889ad804e87b4a4d392d289204dd74c375",
     "prompt splits/valid.jsonl --strategy abs --scheme fkgl":
-        "fb8f12d8d3fcff6782e115c6d7a15a5ed4c043edc849765be009838575344fa3",
-    "bucket leveled.jsonl --scheme fkgl -o -": "4fa6df852c2b22ecb14c85ab990ee403d089354115f30ecc639227a612b5c46c",
+        "904b5d3e3567bca34f05b47d27e3660ada8b13dc525a0f5b266b9fc0a3a8f28a",
+    "bucket leveled.jsonl --scheme fkgl -o -": "d4b6bc2fa4c0e4fe4c4601c266eda1889ad804e87b4a4d392d289204dd74c375",
     "label kept.jsonl --scheme cefr6 --predictions preds.jsonl -o leveled-cefr6.jsonl":
-        "9344a5b0c7ed18e48a2bc08ef4337d5dfb2643a83d1a6e1d396f2f4ac710fa94",
+        "7032f96388a44c9f3570dbdbe77a2c92d017d05e7f3070bc87fa3b7e1a9d02ab",
     "bucket leveled-cefr6.jsonl --scheme cefr6 -o tasks-cefr6.jsonl":
-        "2746eaa183fdc8a855c86403510e0af3c1db3666ab2a59123c2c0bdf4d2c3423",
+        "7c119ba658b13c65c03efdaeb9138860c24bc67ead68fe8209ffb0084af855ed",
     "prompt tasks-cefr6.jsonl --strategy llm-abs --scheme cefr6 -o prompted-cefr6-llm-abs.jsonl":
         "c5862aa7941c598adf8a7bcbdf86c6d9fa2680a653a17e88b88c750a8246c7d0",
     "prompt tasks-cefr6.jsonl --strategy abs --scheme cefr6 -o prompted-cefr6-abs.jsonl":
@@ -58,9 +58,9 @@ DIGESTS = {
         "87cafbd1bbea340afd182a91d5fbb30066a42fa6dbc34a5230e33bb270b5133a",
     "analyze splitter-edges.jsonl -o splitter-edges-analyzed.jsonl":
         "ae175ec2931ee909ecc7601aedcf7043019bacbb06eac9cdfb2dab4c994754d3",
-    "filter pairs.tsv -o kept-tsv.jsonl": "32808b0d67a0239fba5f72b17c6dec8bbf32abe1b6a648b0e60f42e6e35be92e",
+    "filter pairs.tsv -o kept-tsv.jsonl": "f59c53b3e6648033c095a29cec66aeeb9fd5dc92bdc037147193fcf9947cef18",
     "label kept-tsv.jsonl --scheme fkgl -o leveled-tsv.jsonl":
-        "8536c79920517f0a1152e27287de2d94d58f2572bfb2e6f11ad208ca5261eee0",
+        "5ce498fa9230a584f579ae8efb69853e1e8c286dcde9c467a5e9c3c22d14da82",
     "score --outputs outputs.txt --refs refs.jsonl --per-instance per_instance.tsv":
         "982b2e8ce4b0d8256e145715d43adb98bebe0f989c956a4185198d28a3abe1c5",
     "report ratings.tsv": "a393a3c02631a9b28f4bd501251f51ee684523902e3a1e715935dd873afab9af",

@@ -1,6 +1,9 @@
 import copy
+import gc
 import math
 import pickle
+import tracemalloc
+import unicodedata
 
 import pytest
 from hypothesis import given, settings
@@ -8,6 +11,7 @@ from hypothesis import strategies as st
 
 from levelforge.genmetrics import (
     EvalInstance,
+    _folded_tokens,
     copy_rate,
     corpus_sari,
     is_copy,
@@ -16,6 +20,7 @@ from levelforge.genmetrics import (
     sari_r,
     score_report,
 )
+from levelforge.textcore import distinct_ratio
 from oracles.sari_ref import SARIsent
 
 DEGENERATE = "the capital of the state is the capital of the state of the state of"
@@ -38,6 +43,28 @@ oracle_words_st = st.lists(
 
 def instance(source, output, refs):
     return EvalInstance(source=source, output=output, references=tuple(refs))
+
+
+# Case variants, and pieces whose lowercasing is not one ASCII letter per letter: dotted capital I,
+# sharp s, final and medial sigma, composed and decomposed accents; and punctuation alone.
+folding_text_st = st.tuples(
+    st.lists(st.sampled_from(["the", "The", "THE", "İ", "i\u0307", "I", "ß", "SS", "ss", "ΟΔΟΣ", "οδος",
+                              "Σ", "σ", "ς", "é", "e\u0301", "É", "E\u0301", ".", "!?", "...", ",", "—"]),
+             max_size=8),
+    st.sampled_from([" ", ""]),
+).map(lambda parts: parts[1].join(parts[0]))
+
+
+@st.composite
+def source_and_output(draw):
+    """A source and an output that is often a case or normal-form variant of it, or empty."""
+    source = draw(folding_text_st)
+    variant = draw(st.sampled_from([
+        str.upper, str.lower, str.swapcase, str.title, str.casefold,
+        lambda s: unicodedata.normalize("NFD", s), lambda s: unicodedata.normalize("NFC", s),
+        lambda s: "", None,
+    ]))
+    return source, draw(folding_text_st) if variant is None else variant(source)
 
 
 class TestEvalInstance:
@@ -77,6 +104,38 @@ class TestEvalInstance:
         twin = clone(inst)
         assert vars(twin) == vars(inst)
         assert sari(twin) == sari(inst) and sari_r(twin) == sari_r(inst)
+
+    def test_keeps_no_token_list(self):
+        # An instance keeps its fields, its SARI breakdown, its copy flag and a tuple of its output's
+        # tokens, interned, so the token strings are shared: ~400 B here. A list of the source's or
+        # the output's tokens kept besides, or tokens not interned, take it past 650 B.
+        words = ["the", "cat", "sat", "on", "a", "mat", "dog", "ran", "far", "away", "big", "red"]
+        n = 300
+        texts = [(f"The {words[i % 12]} cat sat on the {words[i * 5 % 12]} mat.",
+                  f"The {words[i * 7 % 12]} cat sat.",
+                  (f"A {words[i * 3 % 12]} cat sat.", "The cat sat on a mat."))
+                 for i in range(n)]
+        EvalInstance(" ".join(words) + " .", " ".join(words) + " .", ("x",))  # interns every token
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            insts = [EvalInstance(*text) for text in texts]
+            gc.collect()
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(insts) == n
+        assert retained <= 500 * n
+
+    @given(source_and_output(), st.lists(folding_text_st, min_size=1, max_size=3))
+    @settings(max_examples=200, deadline=None)
+    def test_copy_flag_and_sari_r_follow_the_folded_tokens(self, texts, refs):
+        source, output = texts
+        inst = EvalInstance(source, output, refs)
+        assert is_copy(inst) == (_folded_tokens(output) == _folded_tokens(source))
+        for n in range(1, 7):
+            assert sari_r(inst, n) == sari(inst).sari * distinct_ratio(_folded_tokens(output), n, min_n=n)
 
 
 class TestSari:
