@@ -53,6 +53,7 @@ from .corpus import (
     filter_pair,
     lexical_similarity,
     pair_key,
+    rank,
     split_dataset,
     text_sha256,
 )
@@ -67,6 +68,7 @@ from .dataio import (
     read_pairs,
     read_predictions,
     read_ratings_tsv,
+    record_id,
     record_line,
     write_jsonl,
 )
@@ -534,9 +536,16 @@ def cmd_split(args: argparse.Namespace) -> dict:
     with _blaming("--ratios", ConfigError):
         ratios = check_split_ratios(args.ratios)
     records = [obj for _, obj in read_jsonl(args.input)]
-    # Ranked by the line as written, so a repeated or missing id cannot tie records to their input order.
-    chunks = split_dataset(records, ratios, args.seed, key=record_line)
-    counts = _write_splits(Path(args.output_dir), "", chunks)
+    count = Counter(map(record_id, records))
+
+    def key(record: dict) -> str:
+        """Its id, as pipeline ranks its pairs; "" for a missing or shared id, or one neither a string
+        nor an integer. Records with one key keep the rank of their line as written, sorted first."""
+        found = record_id(record)
+        return found if found is not None and count[found] == 1 else ""
+
+    records.sort(key=lambda record: rank(args.seed, record_line(record)))
+    counts = _write_splits(Path(args.output_dir), "", split_dataset(records, ratios, args.seed, key=key))
     return _summary("split", sum(counts.values()), {}, splits=counts)
 
 

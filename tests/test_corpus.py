@@ -2,7 +2,12 @@ import hashlib
 import itertools
 import json
 import math
+import os
+import subprocess
+import sys
 import unicodedata
+from collections import Counter
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -24,12 +29,15 @@ from levelforge.corpus import (
     filter_pair,
     lexical_similarity,
     pair_key,
+    rank,
     split_dataset,
     text_sha256,
 )
 from levelforge.dataio import pair_to_record
 from levelforge.readability import ComplexityLevel, Scheme, round2
 from oracles import sampling_ref, textcore_ref
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def make_pair(i, source="The cat sat on the mat.", target="A cat was sitting there.", sim=0.7):
@@ -129,6 +137,55 @@ class TestPairKey:
 
     def test_text_sha256_normalized(self):
         assert text_sha256("café") == text_sha256("café")
+
+
+class TestHashFunctions:
+    # Any text: non-BMP characters, NFD forms (which NFC composes) and the empty string among them.
+    TEXT = st.one_of(
+        st.text(st.characters(exclude_categories=("Cs",))),
+        st.text(st.characters(exclude_categories=("Cs",))).map(lambda text: unicodedata.normalize("NFD", text)),
+        st.sampled_from(["", "cafe\u0301", "\U0001f642\U00010000", "\u1100\u1161\u11a8"]),
+    )
+
+    @settings(max_examples=300, deadline=None)
+    @given(TEXT, TEXT, st.integers(-2**70, 2**70))
+    def test_hashes_equal_hashlibs(self, source, target, seed):
+        def nfc(text):
+            return unicodedata.normalize("NFC", text).encode("utf-8")
+
+        assert pair_key(source, target) == hashlib.sha256(nfc(source) + b"\x00" + nfc(target)).digest()
+        assert text_sha256(source) == hashlib.sha256(nfc(source)).hexdigest()
+        assert rank(seed, source) == hashlib.blake2b(f"{seed}:{source}".encode("utf-8"), digest_size=8).digest()
+
+    # Records each import of a hash module that sys.modules does not already hold, then
+    # takes 1,000 hashes of each kind in a fresh interpreter.
+    LOOKUPS = (
+        "import json, sys\n"
+        "seen = []\n"
+        "class Recorder:\n"
+        "    @staticmethod\n"
+        "    def find_spec(name, path=None, target=None):\n"
+        "        if name in {'_sha2', '_sha256', '_blake2', 'hashlib'}:\n"
+        "            seen.append(name)\n"
+        "sys.meta_path.insert(0, Recorder)\n"
+        "from levelforge.corpus import pair_key, rank, text_sha256\n"
+        "for i in range(1000):\n"
+        "    pair_key(str(i), 'b')\n"
+        "for i in range(1000):\n"
+        "    text_sha256(str(i))\n"
+        "for i in range(1000):\n"
+        "    rank(i, 'k')\n"
+        "print(json.dumps(seen))\n"
+    )
+
+    def test_each_hash_module_is_looked_up_once(self):
+        # A failed import is not cached: looking a module up on every hash searches sys.path every time.
+        proc = subprocess.run([sys.executable, "-c", self.LOOKUPS], capture_output=True, text=True, timeout=60,
+                              env={**os.environ, "PYTHONPATH": str(SRC)})
+        assert proc.returncode == 0, proc.stderr
+        seen = json.loads(proc.stdout)
+        assert "_blake2" in seen and max(Counter(seen).values()) == 1
+        assert "hashlib" not in seen
 
 
 class TestFilterPair:

@@ -310,6 +310,14 @@ class TestFileSha256:
         path.write_bytes(b"levelforge test blob")
         assert file_sha256(path) == hashlib.sha256(b"levelforge test blob").hexdigest()
 
+    @pytest.mark.parametrize("size", [0, 1, 65535, 65536, 65537])
+    def test_matches_hashlib_at_the_chunk_edges(self, tmp_path, size):
+        import hashlib
+
+        data = bytes(range(251)) * (size // 251 + 1)
+        (tmp_path / "blob").write_bytes(data[:size])
+        assert file_sha256(tmp_path / "blob") == hashlib.sha256(data[:size]).hexdigest()
+
     def test_reads_in_small_chunks(self, tmp_path):
         # The manifest hashes the whole input; the hash must not lift the pipeline's peak memory.
         import hashlib

@@ -30,20 +30,20 @@ DIGESTS = {
         "f1966e1959856dccbbab903d2fe3d7298fc385030b574eb300625be49a45c487",
     "bucket leveled.jsonl --scheme fkgl -o tasks.jsonl":
         "a1dff53cb08be5e0fa2ca16d8b61713ed1ec367d963b53de69da8ec9486f1906",
-    "split tasks.jsonl --seed 5 -o splits": "d72d4001aa9fd458c02715a0aedfa34379f28ce8ac4892946eac54aa1aa58f3e",
+    "split tasks.jsonl --seed 5 -o splits": "1ac772818de58449fda33b6f89811549c1b729f4752a8a9894a0340192d6d30b",
     "prompt splits/train.jsonl --scheme fkgl --strategy rel -o prompted.jsonl":
-        "78ffce33031e331812121a008de12fda99971c873df92ed8b4f219e3bf180a28",
+        "9fb3797ca38a24442b167d139734c7c4dbf033b7dbcd8ad1e929ce9d8fbda6fc",
     "prompt splits/train.jsonl --scheme fkgl --strategy rel --format tsv -o prompted.tsv":
-        "e186e0e538640153b3148f18f693c1d5bdc675e6fa708a67c41a7139a55c7c8c",
+        "174247ffbb2f17429743bdf88456ecb6d5cea0cf792c8335eb7719de7613accf",
     "prompt splits/train.jsonl --scheme fkgl --strategy llm-rel -o prompted-llm-rel.jsonl":
-        "744328cc80834fa98edc0455b802924746590575d76f27203774f660f6cf74a0",
+        "0e0dfd21cf56da98a59278db259d6e6dbdf151f4e56cd87bf494f184569f746d",
     "prompt splits/train.jsonl --scheme fkgl --strategy llm-abs -o prompted-llm-abs.jsonl":
-        "d95381f6678ac74aaca8ee3e235ec7a1dd1c7f520e38f929a2a62006dda197cf",
+        "e54abc74f96fdd082d1201fddcc0e5dfe21e0afcf13ba7b2f9315ecb74b3d5c2",
     "prompt splits/train.jsonl --scheme fkgl --strategy baseline -o prompted-baseline.jsonl":
-        "41a12c6a0154304fdd4d466618df44be3add9229b00f49809a5eaa8bbb2fbc20",
+        "9d77af476263df936ca471e24a9c91a235b0fb655a9e7f71c15c5376e82a804b",
     "bucket leveled.jsonl --scheme fkgl": "d4b6bc2fa4c0e4fe4c4601c266eda1889ad804e87b4a4d392d289204dd74c375",
     "prompt splits/valid.jsonl --strategy abs --scheme fkgl":
-        "904b5d3e3567bca34f05b47d27e3660ada8b13dc525a0f5b266b9fc0a3a8f28a",
+        "58700bdee0e1dc0896d9e5d498e6bce5c87e211ad97a54f9ba225c1226b893a9",
     "bucket leveled.jsonl --scheme fkgl -o -": "d4b6bc2fa4c0e4fe4c4601c266eda1889ad804e87b4a4d392d289204dd74c375",
     "label kept.jsonl --scheme cefr6 --predictions preds.jsonl -o leveled-cefr6.jsonl":
         "7032f96388a44c9f3570dbdbe77a2c92d017d05e7f3070bc87fa3b7e1a9d02ab",
@@ -134,6 +134,20 @@ def test_outputs_are_frozen_under_hash_seed(hash_seed):
     # No output depends on the order of a set or a dict of str, which each interpreter salts anew.
     env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1", "PYTHONHASHSEED": hash_seed}
     proc = subprocess.run([sys.executable, str(SCRIPT)], env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert printed(proc.stdout)[1] == DIGESTS
+
+
+def test_outputs_are_frozen_without_the_builtin_sha256():
+    # A build with neither _sha2 nor _sha256 takes hashlib's sha256, which gives the same bytes.
+    code = ("import runpy, sys\n"
+            "sys.modules['_sha2'] = sys.modules['_sha256'] = None\n"
+            "runpy.run_path(sys.argv[1])['main']([])\n"
+            "import hashlib, levelforge.corpus\n"
+            "assert levelforge.corpus.hash_functions()[0] is hashlib.sha256\n")
+    env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1"}
+    proc = subprocess.run([sys.executable, "-c", code, str(SCRIPT)], env=env, capture_output=True, text=True,
+                          timeout=300)
     assert proc.returncode == 0, proc.stderr
     assert printed(proc.stdout)[1] == DIGESTS
 
