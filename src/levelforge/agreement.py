@@ -72,20 +72,6 @@ class RatingMatrix:
         return grouped
 
 
-def _per_class_f1(confusion: Mapping[tuple, int], labels: Sequence) -> dict:
-    scores = {}
-    for label in labels:
-        tp = confusion.get((label, label), 0)
-        fp = sum(c for (g, p), c in confusion.items() if p == label and g != label)
-        fn = sum(c for (g, p), c in confusion.items() if g == label and p != label)
-        precision = tp / (tp + fp) if tp + fp else 0.0
-        recall = tp / (tp + fn) if tp + fn else 0.0
-        scores[label] = (
-            2 * precision * recall / (precision + recall) if precision + recall else 0.0
-        )
-    return scores
-
-
 def weighted_f1(preds: Sequence[LabeledPrediction], collapse: int = 6) -> float:
     """Support-weighted per-class F1 in [0, 100].
 
@@ -103,10 +89,15 @@ def weighted_f1(preds: Sequence[LabeledPrediction], collapse: int = 6) -> float:
         pairs.append((int(gold.value), int(pred.value)))
     confusion = Counter(pairs)
     support = Counter(g for g, _ in pairs)
-    labels = sorted(support)
-    f1s = _per_class_f1(confusion, labels)
+    predicted = Counter(p for _, p in pairs)
+    f1s = {}
+    for label in support:  # a gold label, so its support is not 0
+        tp = confusion[label, label]
+        precision = tp / predicted[label] if predicted[label] else 0.0
+        recall = tp / support[label]
+        f1s[label] = 2 * precision * recall / (precision + recall) if precision + recall else 0.0
     n = sum(support.values())
-    return 100.0 * total(support[l] / n * f1s[l] for l in labels)
+    return 100.0 * total(support[l] / n * f1s[l] for l in sorted(support))
 
 
 def adjacent_accuracy(preds: Sequence[LabeledPrediction]) -> float:

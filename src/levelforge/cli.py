@@ -445,6 +445,7 @@ def cmd_pipeline(args: argparse.Namespace) -> dict:
     bucketed = _kept(_bucketed(leveled, scheme), drops)
     with _blaming(cfg.input):  # too few pairs for the task size
         datasets, stats = build_datasets(bucketed, cfg.seed, cfg.task_size)
+    input_digests = {path: file_sha256(path) for path in read}  # before a write can replace an input
     # NEAR_LEVEL goes in bucket_stats, not drop_reasons: perfbench/checks.py adds the two.
     stats["near_level_rejects"] = drops.pop(DropReason.NEAR_LEVEL.value, 0)
     reached_bucket = sum(stats["bucket_counts"].values()) + stats["near_level_rejects"]
@@ -461,7 +462,7 @@ def cmd_pipeline(args: argparse.Namespace) -> dict:
         task_counts[name] = len(dataset)
         split_counts[name] = _write_splits(outdir, f"{name}.", {
             split: (pair_to_record(p, task=label.value) for p in pairs)
-            for split, pairs in split_dataset(dataset, cfg.split_ratios, cfg.seed).items()
+            for split, pairs in split_dataset(dataset, cfg.split_ratios).items()
         })
 
     manifest = {
@@ -471,7 +472,7 @@ def cmd_pipeline(args: argparse.Namespace) -> dict:
         "task_counts": task_counts,
         "split_counts": split_counts,
         "drop_reasons": dict(sorted(drops.items())),
-        "input_digests": {path: file_sha256(path) for path in read},
+        "input_digests": input_digests,
         "conventions": {
             "dedup": "before filtering, by sha256 of NFC(source, target)",
             "pair_id": "sha256 of NFC(source, target)",
@@ -539,13 +540,12 @@ def cmd_split(args: argparse.Namespace) -> dict:
     count = Counter(map(record_id, records))
 
     def key(record: dict) -> str:
-        """Its id, as pipeline ranks its pairs; "" for a missing or shared id, or one neither a string
-        nor an integer. Records with one key keep the rank of their line as written, sorted first."""
+        """Its id, as pipeline ranks its pairs, if a string or an integer no other record has; else its line."""
         found = record_id(record)
-        return found if found is not None and count[found] == 1 else ""
+        return found if found is not None and count[found] == 1 else record_line(record)
 
-    records.sort(key=lambda record: rank(args.seed, record_line(record)))
-    counts = _write_splits(Path(args.output_dir), "", split_dataset(records, ratios, args.seed, key=key))
+    records.sort(key=lambda record: rank(args.seed, key(record)))
+    counts = _write_splits(Path(args.output_dir), "", split_dataset(records, ratios))
     return _summary("split", sum(counts.values()), {}, splits=counts)
 
 

@@ -338,29 +338,23 @@ def check_split_ratios(ratios: Sequence[float]) -> tuple[float, float, float]:
     return values
 
 
-def split_dataset(
-    dataset: list[T],
-    ratios: tuple[float, float, float] = SPLIT_RATIOS,
-    seed: int = 0,
-    key: Callable[[T], str] = ParaphrasePair.id_text,
-) -> dict[str, list[T]]:
-    """Items in ``rank`` order of ``key(item)``, then an 80-10-10 style split.
+def split_dataset(dataset: list[T], ratios: tuple[float, float, float] = SPLIT_RATIOS) -> dict[str, list[T]]:
+    """An 80-10-10 style split of ``dataset`` as it is ordered: train, valid, test, in turn.
 
-    Non-train splits get the floor of their decimal share (0.29 of 100 is 29,
-    not 28); the remainder goes to train. Membership is disjoint and covers the dataset.
+    The caller orders it, by ``rank``. Non-train splits get the floor of their decimal share
+    (0.29 of 100 is 29, not 28); the remainder goes to train. The splits are disjoint and cover it.
     """
     from fractions import Fraction  # here, not at the top: only the commands that split need it
 
     ratios = check_split_ratios(ratios)
-    items = sorted(dataset, key=lambda item: rank(seed, key(item)))
-    n = len(items)
+    n = len(dataset)
     n_valid = int(n * Fraction(repr(ratios[1])))
     n_test = int(n * Fraction(repr(ratios[2])))
     n_train = n - n_valid - n_test
     return {
-        "train": items[:n_train],
-        "valid": items[n_train : n_train + n_valid],
-        "test": items[n_train + n_valid :],
+        "train": dataset[:n_train],
+        "valid": dataset[n_train : n_train + n_valid],
+        "test": dataset[n_train + n_valid :],
     }
 
 

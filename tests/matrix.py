@@ -196,7 +196,9 @@ def pipeline_case(workdir: Path) -> list[list[str]]:
     ids, leaving every seventh id to fall back to the column; ``preds.jsonl``
     keys a CEFR6 level by each text's ``text_sha256``, leaving every ninth
     text without one; ``levels.jsonl`` holds a CEFR label, an integer or a
-    decimal per input line. Each value comes from a hash of its key.
+    decimal per input line; ``mixed-ids.jsonl`` is the pairs with every fifth
+    id dropped and, of the rest, every seventh set to one shared id. Each
+    value comes from a hash of its key.
     """
     base = json.loads((workdir / "config.json").read_text())
     pairs_file, seed = base["input"], str(base["seed"])
@@ -213,6 +215,9 @@ def pipeline_case(workdir: Path) -> list[list[str]]:
     rows = ((pair["source"], pair["target"], pair["similarity"]) for pair in pairs)  # a TSV row may omit the similarity
     _write_rows(workdir / "pairs.tsv", (row if row[2] is not None else row[:2] for row in rows))
     _write_jsonl(workdir / "splitter-edges.jsonl", ({"text": text} for text in SPLITTER_EDGES))
+    _write_jsonl(workdir / "mixed-ids.jsonl", ({k: v for k, v in pair.items() if k != "id"} if n % 5 == 0
+                                               else {**pair, "id": "shared"} if n % 7 == 0 else pair
+                                               for n, pair in enumerate(pairs)))
     variants = {
         "file": {"similarity_source": "file", "similarity_file": "sims.jsonl"},
         "lexical": {"similarity_source": "builtin-lexical"},
@@ -229,6 +234,7 @@ def pipeline_case(workdir: Path) -> list[list[str]]:
         ["label", "kept.jsonl", "--scheme", "fkgl", "-o", "leveled.jsonl"],
         ["bucket", "leveled.jsonl", "--scheme", "fkgl", "-o", "tasks.jsonl"],
         ["split", "tasks.jsonl", "--seed", seed, "-o", "splits"],
+        ["split", "mixed-ids.jsonl", "--seed", seed, "-o", "splits-mixed"],
         [*prompt, "rel", "-o", "prompted.jsonl"],
         [*prompt, "rel", "--format", "tsv", "-o", "prompted.tsv"],
         *([*prompt, strategy, "-o", f"prompted-{strategy}.jsonl"] for strategy in ("llm-rel", "llm-abs", "baseline")),

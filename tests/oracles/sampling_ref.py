@@ -78,17 +78,16 @@ def split(items, ratios, seed, key):
 
 
 def split_command(records, ratios, seed):
-    """What the split command writes: ``split`` of the records, each keyed by its id.
+    """What the split command writes: ``split`` of the records, each keyed by its id if no other record has it.
 
     An id is a string, or an integer read as its digits. A record without one,
     with one of another type, or with one that another record also has, is
-    keyed by "". Records of one key are in the rank order of their JSONL line.
+    keyed by its JSONL line. Records of one key keep their input order.
     """
     ids = [str(r["id"]) if type(r.get("id")) in (str, int) else None for r in records]
-    keys = ["" if i is None or ids.count(i) > 1 else i for i in ids]
     lines = [json.dumps(r, ensure_ascii=False, sort_keys=True) for r in records]
-    order = sorted(range(len(records)), key=lambda n: (rank(seed, keys[n]), rank(seed, lines[n])))
-    parts = split(order, ratios, seed, key=lambda n: keys[n])
+    keys = [i if i is not None and ids.count(i) == 1 else line for i, line in zip(ids, lines)]
+    parts = split(range(len(records)), ratios, seed, key=lambda n: keys[n])
     return {name: [records[n] for n in part] for name, part in parts.items()}
 
 

@@ -259,6 +259,18 @@ class TestSplitCommand:
         want = sampling_ref.split_command(records, ratios, seed)
         assert written == {part: sampling_ref.jsonl_bytes(rows) for part, rows in want.items()}
 
+    @pytest.mark.parametrize("odd_id", [None, "shared"], ids=["missing", "shared"])
+    def test_records_without_a_unique_id_spread_over_the_splits(self, tmp_path, capsys, odd_id):
+        # Each is ranked by its own line, not as one block, so each split holds about its share of them.
+        odd = [{"odd": True, "v": i} | ({"id": f"s{i % 5}"} if odd_id else {}) for i in range(100)]
+        write_jsonl_file(tmp_path / "data.jsonl", [{"id": f"p{i}", "v": i} for i in range(1000)] + odd)
+        for seed in range(1, 9):
+            outdir = tmp_path / str(seed)
+            assert main(["split", str(tmp_path / "data.jsonl"), "-o", str(outdir), "--seed", str(seed)]) == 0
+            held = {part: sum("odd" in json.loads(line) for line in (outdir / f"{part}.jsonl").open())
+                    for part in ("train", "valid", "test")}
+            assert all(abs(held[part] - share) <= 15 for part, share in zip(held, (80, 10, 10))), (seed, held)
+
     def test_a_field_besides_the_id_moves_no_record(self, tmp_path, capsys):
         records = [{"id": f"p{i}", "v": i} for i in range(60)] + [{"id": 7, "v": 60}]
         placed = []
@@ -510,6 +522,19 @@ class TestPipelineCommand:
         assert main(["pipeline", "--config", "config.json"]) == 0
         manifest = json.loads(Path("out", "manifest.json").read_text())
         assert manifest["input_digests"] == {name: hashlib.sha256(Path(name).read_bytes()).hexdigest() for name in read}
+
+    def test_input_digests_are_of_the_input_as_read(self, tmp_path, capsys, monkeypatch):
+        # An input in the output directory is replaced by the run's own task file; the digest is of what was read.
+        monkeypatch.chdir(tmp_path)
+        make_corpus(tmp_path / "corpus.jsonl")
+        Path("config.json").write_text(json.dumps({"input": "corpus.jsonl", "output_dir": "out"}))
+        assert main(["pipeline", "--config", "config.json"]) == 0
+        read = Path("out", "simplification.train.jsonl").read_bytes()
+        Path("again.json").write_text(json.dumps({"input": "out/simplification.train.jsonl", "output_dir": "out"}))
+        assert main(["pipeline", "--config", "again.json"]) == 0
+        assert Path("out", "simplification.train.jsonl").read_bytes() != read
+        manifest = json.loads(Path("out", "manifest.json").read_text())
+        assert manifest["input_digests"] == {"out/simplification.train.jsonl": hashlib.sha256(read).hexdigest()}
 
 
 class TestThreads:

@@ -31,6 +31,8 @@ DIGESTS = {
     "bucket leveled.jsonl --scheme fkgl -o tasks.jsonl":
         "a1dff53cb08be5e0fa2ca16d8b61713ed1ec367d963b53de69da8ec9486f1906",
     "split tasks.jsonl --seed 5 -o splits": "1ac772818de58449fda33b6f89811549c1b729f4752a8a9894a0340192d6d30b",
+    "split mixed-ids.jsonl --seed 5 -o splits-mixed":
+        "621b7643cfc4ee3a00886b43872d1acf5455c5a0271eca5c55099a5e0635cc1d",
     "prompt splits/train.jsonl --scheme fkgl --strategy rel -o prompted.jsonl":
         "9fb3797ca38a24442b167d139734c7c4dbf033b7dbcd8ad1e929ce9d8fbda6fc",
     "prompt splits/train.jsonl --scheme fkgl --strategy rel --format tsv -o prompted.tsv":
